@@ -8,12 +8,14 @@ single spaces, ranks from 1, scores printed with 6 decimals. Qrels lines are
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, MetricError
 from .fusion import FeatureBundle, LaffModel, fused_matrix
+from .numeric import unit_rows
 
 INF_AP_EPS = 1e-5
 
@@ -35,6 +37,10 @@ class RankedRun:
                 if item_id in seen:
                     raise FormatError(f"query {qid!r}: duplicate item {item_id!r}")
                 seen.add(item_id)
+                if not math.isfinite(score):
+                    raise FormatError(
+                        f"query {qid!r}: non-finite score {score} at item {item_id!r}"
+                    )
                 if score > prev:
                     raise FormatError(
                         f"query {qid!r}: scores increase at item {item_id!r}"
@@ -82,14 +88,9 @@ def rank_many(
     vid = fused_matrix(model, corpus, "video")  # per head (n, d)
     txt = fused_matrix(model, queries, "text")  # per head (m, d)
 
-    def normalize_rows(mat: np.ndarray) -> np.ndarray:
-        norms = np.linalg.norm(mat, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        return mat / norms
-
     sims = np.zeros((len(queries), len(corpus)))
     for hv, ht in zip(vid, txt):
-        sims += np.clip(normalize_rows(ht) @ normalize_rows(hv).T, -1.0, 1.0)
+        sims += np.clip(unit_rows(ht)[0] @ unit_rows(hv)[0].T, -1.0, 1.0)
     sims /= model.h
 
     out: dict[str, RunEntry] = {}

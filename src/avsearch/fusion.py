@@ -8,25 +8,25 @@ video branch with a text branch; the cross-modal similarity of a video and
 a sentence is the mean over heads of the cosine between their fused
 embeddings.
 
+All numerics are batched. The inputs of n items are per-space (n, d_in)
+tables; a branch runs one GEMM per space, E_i = tanh(X_i W_iᵀ + b_i), then
+a row-wise softmax over the k spaces, and its backward pass forms weight
+gradients as dZ_iᵀ X_i. The per-item functions (similarity, laff_forward,
+laff_vjp, ...) are n=1 calls into the same path, and corpus embedding runs
+in fixed-size row blocks.
+
 Iteration over feature spaces is always in sorted space-name order so that
 results are reproducible regardless of how bundles were assembled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BundleMismatchError, DimensionError
-from .numeric import (
-    LinearTanhParams,
-    as_vector,
-    cosine_sim,
-    cosine_sim_vjp,
-    linear_tanh,
-    softmax,
-)
+from .numeric import LinearTanhParams, as_vector, cosine_sim, cosine_sim_vjp
 
 
 @dataclass
@@ -226,29 +226,35 @@ def init_model(
 
 
 # ---------------------------------------------------------------------------
-# Forward / backward through one branch
+# Batched forward / backward through one branch
 # ---------------------------------------------------------------------------
+
+# Items embedded per block by fused_matrix and feature_importance, so that
+# peak memory does not grow with the number of items.
+BLOCK_ROWS = 256
 
 
 @dataclass
 class BranchState:
-    """Cached forward pass of one branch on one bundle."""
+    """Cached forward pass of one branch on n items (leading n axis dropped
+    by the per-item branch_forward)."""
 
     spaces: tuple[str, ...]
-    inputs: list[np.ndarray]
-    transformed: np.ndarray  # (k, d), row i = e_i
-    weights: np.ndarray  # (k,) convex attention weights
-    fused: np.ndarray  # (d,)
+    inputs: list[np.ndarray]  # per space, (n, d_in)
+    transformed: np.ndarray  # (n, k, d); transformed[:, i] = E_i for space i
+    weights: np.ndarray  # (n, k) convex attention weights
+    fused: np.ndarray  # (n, d)
 
 
 @dataclass
 class BranchGrads:
-    """Gradients w.r.t. one branch's parameters and its input features."""
+    """Gradients w.r.t. one branch's parameters (summed over items) and,
+    from laff_vjp only, its input features."""
 
     d_weight: dict[str, np.ndarray]
     d_bias: dict[str, np.ndarray]
     d_attention: np.ndarray
-    d_inputs: dict[str, np.ndarray]
+    d_inputs: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def _check_bundle(branch: LaffBranchParams, bundle: FeatureBundle) -> None:
@@ -263,55 +269,90 @@ def _check_bundle(branch: LaffBranchParams, bundle: FeatureBundle) -> None:
         )
 
 
-def branch_forward(branch: LaffBranchParams, bundle: FeatureBundle) -> BranchState:
-    """Run one branch, keeping intermediates for the backward pass."""
-    _check_bundle(branch, bundle)
+def branch_tables(branch: LaffBranchParams, bundles) -> list[np.ndarray]:
+    """Per-space (n, d_in) input tables of a nonempty bundle list, in sorted
+    space order. Every bundle must carry exactly the branch's spaces."""
+    for bundle in bundles:
+        _check_bundle(branch, bundle)
+    tables = []
+    for name in branch.spaces:
+        try:
+            tables.append(np.stack([bundle.features[name] for bundle in bundles]))
+        except ValueError:
+            raise DimensionError(
+                f"feature {name!r} has different lengths across bundles"
+            ) from None
+    return tables
+
+
+def batch_forward(branch: LaffBranchParams, tables: list[np.ndarray]) -> BranchState:
+    """Run one branch on n items: E_i = tanh(X_i W_iᵀ + b_i) per space, a
+    row-wise softmax of the scores E_i u over the k spaces, and the
+    attention-weighted sum of the E_i."""
     spaces = branch.spaces
-    inputs = [bundle.features[name] for name in spaces]
-    transformed = np.stack(
-        [linear_tanh(branch.transforms[name], f) for name, f in zip(spaces, inputs)]
-    )
+    if len(tables) != len(spaces):
+        raise DimensionError(f"{len(tables)} input tables for {len(spaces)} spaces")
+    n = tables[0].shape[0]
+    transformed = np.empty((n, len(spaces), branch.d))
+    for i, (name, x) in enumerate(zip(spaces, tables)):
+        p = branch.transforms[name]
+        if x.shape != (n, p.in_dim):
+            raise DimensionError(
+                f"input table {x.shape} for space {name!r} does not match"
+                f" {n} rows of weight columns {p.in_dim}"
+            )
+        np.tanh(x @ p.weight.T + p.bias, out=transformed[:, i])
+    # Stacked per-item products (not one flattened GEMM) keep each item's
+    # scores and fused vector bit-identical whatever the batch size.
     scores = transformed @ branch.attention
-    weights = softmax(scores)
-    fused = weights @ transformed
-    return BranchState(spaces, inputs, transformed, weights, fused)
+    weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+    weights /= weights.sum(axis=1, keepdims=True)
+    fused = (weights[:, None, :] @ transformed)[:, 0]
+    return BranchState(spaces, tables, transformed, weights, fused)
 
 
-def branch_backward(
-    branch: LaffBranchParams,
-    state: BranchState,
-    d_fused: np.ndarray,
-    d_weights: np.ndarray | None = None,
-) -> BranchGrads:
-    """Backprop through fusion: weighted sum, softmax attention, linear+tanh.
+def batch_backward(
+    branch: LaffBranchParams, state: BranchState, d_fused: np.ndarray
+) -> tuple[BranchGrads, list[np.ndarray]]:
+    """Backprop d_fused = dL/d(fused), (n, d), through the weighted sum,
+    the softmax attention and each linear+tanh.
 
-    d_fused is dL/d(fused); d_weights optionally adds dL/d(attention weights).
     Each transformed feature receives both the direct a_i * d_fused path and
-    the attention-score path through the softmax coupling.
+    the attention-score path through the softmax coupling. Parameter
+    gradients are summed over the n items: dW_i = dZ_iᵀ X_i and
+    db_i = sum of dZ_i's rows. Also returns the per-space (n, d)
+    pre-activation gradients dZ_i; the input gradients are dZ_i W_i.
     """
-    d_fused = as_vector(d_fused, "d_fused")
+    d_fused = np.asarray(d_fused, dtype=np.float64)
     if d_fused.shape != state.fused.shape:
         raise DimensionError(
             f"d_fused shape {d_fused.shape} does not match fused {state.fused.shape}"
         )
     e = state.transformed
     a = state.weights
-    dA = e @ d_fused
-    if d_weights is not None:
-        dA = dA + as_vector(d_weights, "d_weights")
+    d_a = (e @ d_fused[:, :, None])[:, :, 0]
     # softmax jacobian: ds_j = a_j (dA_j - sum_i a_i dA_i)
-    ds = a * (dA - float(a @ dA))
-    d_attention = e.T @ ds
-    dE = np.outer(a, d_fused) + np.outer(ds, branch.attention)
+    ds = a * (d_a - (a[:, None, :] @ d_a[:, :, None])[:, 0])
+    d_attention = ds.reshape(-1) @ e.reshape(-1, e.shape[2])
     d_weight: dict[str, np.ndarray] = {}
     d_bias: dict[str, np.ndarray] = {}
-    d_inputs: dict[str, np.ndarray] = {}
-    for i, name in enumerate(state.spaces):
-        dz = dE[i] * (1.0 - e[i] * e[i])
-        d_weight[name] = np.outer(dz, state.inputs[i])
-        d_bias[name] = dz
-        d_inputs[name] = branch.transforms[name].weight.T @ dz
-    return BranchGrads(d_weight, d_bias, d_attention, d_inputs)
+    d_z = []
+    for i, (name, x) in enumerate(zip(state.spaces, state.inputs)):
+        dz = (a[:, i, None] * d_fused + ds[:, i, None] * branch.attention) * (
+            1.0 - e[:, i] * e[:, i]
+        )
+        d_weight[name] = dz.T @ x
+        d_bias[name] = dz.sum(axis=0)
+        d_z.append(dz)
+    return BranchGrads(d_weight, d_bias, d_attention), d_z
+
+
+def branch_forward(branch: LaffBranchParams, bundle: FeatureBundle) -> BranchState:
+    """Run one branch on one bundle; the state's arrays drop the item axis."""
+    s = batch_forward(branch, branch_tables(branch, [bundle]))
+    return BranchState(
+        s.spaces, [x[0] for x in s.inputs], s.transformed[0], s.weights[0], s.fused[0]
+    )
 
 
 def laff_forward(
@@ -331,8 +372,14 @@ def laff_vjp(
 ) -> BranchGrads:
     """Gradients of a scalar loss w.r.t. branch parameters and input features,
     given upstream = dL/d(fused)."""
-    state = branch_forward(branch, bundle)
-    return branch_backward(branch, state, upstream)
+    upstream = as_vector(upstream, "d_fused")
+    state = batch_forward(branch, branch_tables(branch, [bundle]))
+    grads, d_z = batch_backward(branch, state, upstream[None, :])
+    grads.d_inputs = {
+        name: (dz @ branch.transforms[name].weight)[0]
+        for name, dz in zip(branch.spaces, d_z)
+    }
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +389,12 @@ def laff_vjp(
 
 def similarity(model: LaffModel, video: FeatureBundle, text: FeatureBundle) -> float:
     """Mean over heads of the cosine between fused video and text embeddings."""
+    video_tables = branch_tables(model.heads[0].video, [video])
+    text_tables = branch_tables(model.heads[0].text, [text])
     total = 0.0
     for head in model.heads:
-        v = branch_forward(head.video, video).fused
-        t = branch_forward(head.text, text).fused
+        v = batch_forward(head.video, video_tables).fused[0]
+        t = batch_forward(head.text, text_tables).fused[0]
         total += cosine_sim(v, t)
     return total / model.h
 
@@ -353,11 +402,11 @@ def similarity(model: LaffModel, video: FeatureBundle, text: FeatureBundle) -> f
 def text_text_similarity(model: LaffModel, q1: FeatureBundle, q2: FeatureBundle) -> float:
     """Mean over heads of the cosine between two sentences' fused embeddings,
     using each head's text branch for both."""
+    tables = branch_tables(model.heads[0].text, [q1, q2])
     total = 0.0
     for head in model.heads:
-        a = branch_forward(head.text, q1).fused
-        b = branch_forward(head.text, q2).fused
-        total += cosine_sim(a, b)
+        fused = batch_forward(head.text, tables).fused
+        total += cosine_sim(fused[0], fused[1])
     return total / model.h
 
 
@@ -402,16 +451,33 @@ def similarity_with_grad(
     """similarity() plus its gradient w.r.t. the flat model parameter vector."""
     layout = ParamLayout(model)
     grad = layout.zeros()
+    video_tables = branch_tables(model.heads[0].video, [video])
+    text_tables = branch_tables(model.heads[0].text, [text])
     total = 0.0
     inv_h = 1.0 / model.h
     for hi, head in enumerate(model.heads):
-        vstate = branch_forward(head.video, video)
-        tstate = branch_forward(head.text, text)
-        total += cosine_sim(vstate.fused, tstate.fused)
-        dv, dt = cosine_sim_vjp(vstate.fused, tstate.fused, inv_h)
-        layout.add_branch_grads(grad, hi, "video", branch_backward(head.video, vstate, dv))
-        layout.add_branch_grads(grad, hi, "text", branch_backward(head.text, tstate, dt))
+        vstate = batch_forward(head.video, video_tables)
+        tstate = batch_forward(head.text, text_tables)
+        total += cosine_sim(vstate.fused[0], tstate.fused[0])
+        dv, dt = cosine_sim_vjp(vstate.fused[0], tstate.fused[0], inv_h)
+        vgrads, _ = batch_backward(head.video, vstate, dv[None, :])
+        tgrads, _ = batch_backward(head.text, tstate, dt[None, :])
+        layout.add_branch_grads(grad, hi, "video", vgrads)
+        layout.add_branch_grads(grad, hi, "text", tgrads)
     return total * inv_h, grad
+
+
+def _head_branches(model: LaffModel, branch: str) -> list[LaffBranchParams]:
+    if branch not in ("video", "text"):
+        raise ValueError(f"branch must be 'video' or 'text', got {branch!r}")
+    return [head.video if branch == "video" else head.text for head in model.heads]
+
+
+def _branch_blocks(branches: list[LaffBranchParams], bundles: list):
+    """Yield (first row, per-head BranchState) over blocks of BLOCK_ROWS bundles."""
+    for start in range(0, len(bundles), BLOCK_ROWS):
+        tables = branch_tables(branches[0], bundles[start : start + BLOCK_ROWS])
+        yield start, [batch_forward(bp, tables) for bp in branches]
 
 
 def fused_matrix(model: LaffModel, bundles, branch: str) -> list[np.ndarray]:
@@ -420,12 +486,12 @@ def fused_matrix(model: LaffModel, bundles, branch: str) -> list[np.ndarray]:
     branch is "video" or "text". Used for corpus-wide ranking, where
     embedding every item once per head beats re-running per query.
     """
-    if branch not in ("video", "text"):
-        raise ValueError(f"branch must be 'video' or 'text', got {branch!r}")
-    out = []
-    for head in model.heads:
-        bp = head.video if branch == "video" else head.text
-        out.append(np.stack([branch_forward(bp, b).fused for b in bundles]))
+    branches = _head_branches(model, branch)
+    bundles = list(bundles)
+    out = [np.empty((len(bundles), model.d)) for _ in branches]
+    for start, states in _branch_blocks(branches, bundles):
+        for mat, state in zip(out, states):
+            mat[start : start + state.fused.shape[0]] = state.fused
     return out
 
 
@@ -438,17 +504,15 @@ def feature_importance(
     name); the means sum to 1. High-weight spaces are the ones worth keeping
     when trimming the feature set.
     """
-    if branch not in ("video", "text"):
-        raise ValueError(f"branch must be 'video' or 'text', got {branch!r}")
+    branches = _head_branches(model, branch)
     dataset = list(dataset)
     if not dataset:
         raise ValueError("feature_importance needs a nonempty dataset")
-    spaces = model.video_spaces if branch == "video" else model.text_spaces
+    spaces = branches[0].spaces
     acc = np.zeros(len(spaces))
-    for bundle in dataset:
-        for head in model.heads:
-            bp = head.video if branch == "video" else head.text
-            acc += branch_forward(bp, bundle).weights
+    for _, states in _branch_blocks(branches, dataset):
+        for state in states:
+            acc += state.weights.sum(axis=0)
     means = acc / (len(dataset) * model.h)
     ranked = sorted(zip(spaces, means), key=lambda kv: (-kv[1], kv[0]))
     return [(name, float(w)) for name, w in ranked]

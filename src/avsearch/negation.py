@@ -6,24 +6,31 @@ caption is negatable, an automatically negated copy of that caption. The
 batch loss combines a hardest-negative hinge with two bounded losses that
 keep the similarity gap between a caption and its negated version inside a
 margin window, from both the video anchor and the text anchor.
+
+The batch loss is computed in matrix form on the batched fusion engine:
+one cosine GEMM per head for the batch similarity matrix, column-wise
+hardest-negative mining (`hardest_negatives`), and one upstream matrix
+pulled back through a single backward pass per branch.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateSimilarityWarning
 from .fusion import (
     FeatureBundle,
     LaffModel,
     ParamLayout,
-    branch_backward,
-    branch_forward,
+    batch_backward,
+    batch_forward,
+    branch_tables,
     similarity,
 )
-from .numeric import cosine_sim, cosine_sim_vjp
+from .numeric import unit_rows
 
 # Tokens that mark a query or caption as negated. The "non" prefix test
 # additionally catches hyphenated and fused forms ("non-kitchen", "nonstop").
@@ -192,40 +199,54 @@ def negate_caption(caption: Caption, rng_seed, cue: str = "not") -> Caption | No
 # ---------------------------------------------------------------------------
 
 
+def _bcl(lower, upper, s_hi, s_lo):
+    """max(0, lower + s_lo - s_hi) + max(0, -upper - s_lo + s_hi), elementwise.
+
+    fmax keeps Python max's handling of a NaN argument (the zero wins).
+    """
+    return np.fmax(0.0, lower + s_lo - s_hi) + np.fmax(0.0, -upper - s_lo + s_hi)
+
+
 def bcl_video_anchor(s_pos: float, s_neg: float, m: Margins) -> float:
     """Video-anchored bounded loss; zero iff s_pos - s_neg lies in [m1, m2]."""
-    return max(0.0, m.m1 + s_neg - s_pos) + max(0.0, -m.m2 - s_neg + s_pos)
+    return float(_bcl(m.m1, m.m2, s_pos, s_neg))
 
 
 def bcl_text_anchor(s_qx: float, s_qq: float, m: Margins) -> float:
     """Text-anchored bounded loss; zero iff s_qx - s_qq lies in [m3, m4]."""
-    return max(0.0, m.m3 + s_qq - s_qx) + max(0.0, -m.m4 - s_qq + s_qx)
+    return float(_bcl(m.m3, m.m4, s_qx, s_qq))
 
 
-def _bcl_grads(lower: float, upper: float, s_hi: float, s_lo: float) -> tuple[float, float]:
-    """(d/ds_hi, d/ds_lo) of max(0, lower + s_lo - s_hi) + max(0, -upper - s_lo + s_hi).
+def _bcl_grads(lower, upper, s_hi, s_lo):
+    """(d/ds_hi, d/ds_lo) of _bcl, elementwise.
 
     Subgradient 0 exactly at the hinge points, so the deadzone [lower, upper]
-    has an exactly zero gradient.
+    has an exactly zero gradient. At most one hinge is active, as lower < upper.
     """
-    g_hi = 0.0
-    g_lo = 0.0
-    if lower + s_lo - s_hi > 0.0:
-        g_hi -= 1.0
-        g_lo += 1.0
-    if -upper - s_lo + s_hi > 0.0:
-        g_hi += 1.0
-        g_lo -= 1.0
-    return g_hi, g_lo
+    below = np.greater(lower + s_lo - s_hi, 0.0) * 1.0
+    above = np.greater(-upper - s_lo + s_hi, 0.0) * 1.0
+    return above - below, below - above
 
 
-def hardest_negative_index(sim_column: np.ndarray, positive_index: int) -> int:
-    """Argmax over rows != positive_index; ties broken by lowest index."""
-    if sim_column.shape[0] < 2:
+def hardest_negatives(sim: np.ndarray) -> np.ndarray:
+    """Per query column q, the video row other than q with the highest
+    similarity; ties break to the lowest index.
+
+    sim rows are videos and columns queries, and query q's positive video is
+    row q, so there are at least as many rows as columns.
+    """
+    sim = np.asarray(sim, dtype=np.float64)
+    if sim.ndim != 2:
+        raise ValueError(f"similarity matrix must be 2-D, got shape {sim.shape}")
+    n_videos, n_queries = sim.shape
+    if n_videos < 2:
         raise ValueError("hardest negative needs at least two videos")
-    masked = sim_column.copy()
-    masked[positive_index] = -np.inf
-    return int(np.argmax(masked))
+    if n_queries > n_videos:
+        raise ValueError(f"{n_queries} queries but only {n_videos} positive videos")
+    masked = sim.copy()
+    cols = np.arange(n_queries)
+    masked[cols, cols] = -np.inf
+    return np.argmax(masked, axis=0)
 
 
 @dataclass
@@ -236,6 +257,18 @@ class BnlBreakdown:
     video_anchor: list[float]
     text_anchor: list[float]
     hardest: list[int]
+
+
+def _content_key(bundle: FeatureBundle) -> tuple:
+    return tuple((name, vec.tobytes()) for name, vec in sorted(bundle.features.items()))
+
+
+def _cosine_rows_vjp(a, na, b, nb, g):
+    """Gradients w.r.t. the raw rows of sum_i g_i cos(a_i, b_i), given the
+    unit rows a, b, their norms and the (unclipped) cosine's upstream g."""
+    c = np.sum(a * b, axis=1, keepdims=True)
+    g = g[:, None]
+    return g * (b - c * a) / na[:, None], g * (a - c * b) / nb[:, None]
 
 
 def bnl_loss(
@@ -249,48 +282,63 @@ def bnl_loss(
     Per pair (q, x+): a hinge against the hardest in-batch negative video,
     plus lambda1 times the two bounded losses whenever the negated caption
     exists. The hardest-negative choice is held fixed during
-    differentiation; reduction over the batch follows index order.
+    differentiation.
+
+    Everything runs in matrix form. Per head, each branch embeds the whole
+    batch at once (the text branch takes the captions followed by the
+    negated captions), and the (videos x captions) cosine matrix is one GEMM
+    of row-normalised embeddings. The loss's derivative w.r.t. that matrix
+    is one upstream matrix G, plus per-row upstreams for the two negation
+    similarities, and the cosine VJPs are applied to all of them at once.
+    A zero-norm embedding has cosine 0 and contributes no gradient.
     """
     n = len(batch)
     if n < 2:
         raise ValueError(f"batch of {n}: hardest-negative mining needs >= 2 videos")
     layout = ParamLayout(model)
     grad = layout.zeros()
-    h = model.h
-    inv_h = 1.0 / h
+    inv_h = 1.0 / model.h
     inv_n = 1.0 / n
+    rows = np.arange(n)
+    neg = np.array([b for b, t in enumerate(batch) if t.has_negated], dtype=np.intp)
+    # A video paired with several of its captions is embedded once, so its
+    # similarities tie exactly and mining breaks the tie to the lowest index.
+    unique: dict[tuple, int] = {}
+    video_of = np.array(
+        [unique.setdefault(_content_key(t.video), b) for b, t in enumerate(batch)]
+    )
+    firsts, video_of = np.unique(video_of, return_inverse=True)
+    video_tables = branch_tables(model.heads[0].video, [batch[b].video for b in firsts])
+    text_tables = branch_tables(
+        model.heads[0].text,
+        [t.caption_features for t in batch] + [batch[b].negated_features for b in neg],
+    )
 
-    # Forward: cache every branch state once per (item, head).
-    video_states = [[branch_forward(head.video, t.video) for t in batch] for head in model.heads]
-    text_states = [
-        [branch_forward(head.text, t.caption_features) for t in batch] for head in model.heads
-    ]
-    neg_states = [
-        [
-            branch_forward(head.text, t.negated_features) if t.has_negated else None
-            for t in batch
-        ]
-        for head in model.heads
-    ]
-
-    # Cross-modal similarity matrix: rows = videos, columns = queries.
+    # Forward: sim rows = videos, columns = captions; s_vneg = s(x+, q-) and
+    # s_ttneg = s(q, q-) over the negated triplets, in `neg` order.
+    heads = []
     sim = np.zeros((n, n))
-    for hi in range(h):
-        for vi in range(n):
-            for qi in range(n):
-                sim[vi, qi] += cosine_sim(
-                    video_states[hi][vi].fused, text_states[hi][qi].fused
-                )
+    s_vneg = np.zeros(neg.size)
+    s_ttneg = np.zeros(neg.size)
+    degenerate = False
+    for head in model.heads:
+        vstate = batch_forward(head.video, video_tables)
+        tstate = batch_forward(head.text, text_tables)
+        v, nv, zv = unit_rows(vstate.fused)
+        t, nt, zt = unit_rows(tstate.fused)
+        degenerate = degenerate or bool(zv.any() or zt.any())
+        cross = v @ t[:n].T
+        sim += np.clip(cross, -1.0, 1.0)[video_of]
+        s_vneg += np.clip(np.sum(v[video_of[neg]] * t[n:], axis=1), -1.0, 1.0)
+        s_ttneg += np.clip(np.sum(t[neg] * t[n:], axis=1), -1.0, 1.0)
+        heads.append((vstate, tstate, v, nv, zv, t, nt, zt, cross))
+    if degenerate:
+        warnings.warn(
+            "cosine similarity of a zero vector; returning 0.0",
+            DegenerateSimilarityWarning,
+            stacklevel=2,
+        )
     sim *= inv_h
-
-    s_vneg = np.zeros(n)  # s(x+, q-)
-    s_ttneg = np.zeros(n)  # s(q, q-)
-    for b, t in enumerate(batch):
-        if not t.has_negated:
-            continue
-        for hi in range(h):
-            s_vneg[b] += cosine_sim(video_states[hi][b].fused, neg_states[hi][b].fused)
-            s_ttneg[b] += cosine_sim(text_states[hi][b].fused, neg_states[hi][b].fused)
     s_vneg *= inv_h
     s_ttneg *= inv_h
 
@@ -306,95 +354,58 @@ def bnl_loss(
             return nan, grad, BnlBreakdown([], [], [], [])
         return nan, grad
 
-    # Upstream accumulators on fused embeddings, one (n, d) block per head.
-    d_vid = [np.zeros((n, s[0].fused.shape[0])) for s in video_states]
-    d_txt = [np.zeros_like(d_vid[hi]) for hi in range(h)]
-    d_neg = [np.zeros_like(d_vid[hi]) for hi in range(h)]
+    hardest = hardest_negatives(sim)
+    s_pos = sim[rows, rows]
+    primary = np.maximum(0.0, m.m0 + sim[hardest, rows] - s_pos)
+    video_anchor = np.zeros(n)
+    text_anchor = np.zeros(n)
+    video_anchor[neg] = _bcl(m.m1, m.m2, s_pos[neg], s_vneg)
+    text_anchor[neg] = _bcl(m.m3, m.m4, s_pos[neg], s_ttneg)
+    loss = float(np.sum(primary + m.lambda1 * (video_anchor + text_anchor))) * inv_n
 
-    def add_cross(vi: int, qi: int, upstream: float) -> None:
-        """Push d(loss)/d(sim[vi, qi]) onto the fused video/text embeddings."""
-        for hi in range(h):
-            dv, dt = cosine_sim_vjp(
-                video_states[hi][vi].fused, text_states[hi][qi].fused, upstream * inv_h
-            )
-            d_vid[hi][vi] += dv
-            d_txt[hi][qi] += dt
+    # Upstreams: G = dL/d(sim), g_vneg = dL/d(s_vneg), g_ttneg = dL/d(s_ttneg).
+    active = primary > 0.0
+    upstream = np.zeros((n, n))
+    upstream[hardest[active], rows[active]] = inv_n
+    diag = -inv_n * active
+    scale = inv_n * m.lambda1
+    g_pos, g_vneg = _bcl_grads(m.m1, m.m2, s_pos[neg], s_vneg)
+    g_qx, g_ttneg = _bcl_grads(m.m3, m.m4, s_pos[neg], s_ttneg)
+    diag[neg] += scale * (g_pos + g_qx)
+    upstream[rows, rows] += diag
+    upstream *= inv_h
+    g_vneg *= scale * inv_h
+    g_ttneg *= scale * inv_h
 
-    breakdown = BnlBreakdown([], [], [], [])
-    loss = 0.0
-    for b, t in enumerate(batch):
-        hardest = hardest_negative_index(sim[:, b], b)
-        s_pos = sim[b, b]
-        s_hard = sim[hardest, b]
-        primary = max(0.0, m.m0 + s_hard - s_pos)
-        loss += primary
-        if primary > 0.0:
-            add_cross(hardest, b, inv_n)
-            add_cross(b, b, -inv_n)
-
-        va = ta = 0.0
-        if t.has_negated:
-            va = bcl_video_anchor(s_pos, s_vneg[b], m)
-            ta = bcl_text_anchor(s_pos, s_ttneg[b], m)
-            loss += m.lambda1 * (va + ta)
-            scale = inv_n * m.lambda1
-
-            g_pos, g_neg = _bcl_grads(m.m1, m.m2, s_pos, s_vneg[b])
-            if g_pos != 0.0:
-                add_cross(b, b, scale * g_pos)
-            if g_neg != 0.0:
-                for hi in range(h):
-                    dv, dn = cosine_sim_vjp(
-                        video_states[hi][b].fused,
-                        neg_states[hi][b].fused,
-                        scale * g_neg * inv_h,
-                    )
-                    d_vid[hi][b] += dv
-                    d_neg[hi][b] += dn
-
-            g_qx, g_qq = _bcl_grads(m.m3, m.m4, s_pos, s_ttneg[b])
-            if g_qx != 0.0:
-                add_cross(b, b, scale * g_qx)
-            if g_qq != 0.0:
-                for hi in range(h):
-                    dt, dn = cosine_sim_vjp(
-                        text_states[hi][b].fused,
-                        neg_states[hi][b].fused,
-                        scale * g_qq * inv_h,
-                    )
-                    d_txt[hi][b] += dt
-                    d_neg[hi][b] += dn
-
-        if with_breakdown:
-            breakdown.primary.append(primary)
-            breakdown.video_anchor.append(va)
-            breakdown.text_anchor.append(ta)
-            breakdown.hardest.append(hardest)
-
-    loss *= inv_n
-
-    # Pull the accumulated upstreams back through each branch, in index order.
-    for hi, head in enumerate(model.heads):
-        for b in range(n):
-            if np.any(d_vid[hi][b]):
-                layout.add_branch_grads(
-                    grad, hi, "video",
-                    branch_backward(head.video, video_states[hi][b], d_vid[hi][b]),
-                )
-            if np.any(d_txt[hi][b]):
-                layout.add_branch_grads(
-                    grad, hi, "text",
-                    branch_backward(head.text, text_states[hi][b], d_txt[hi][b]),
-                )
-            if neg_states[hi][b] is not None and np.any(d_neg[hi][b]):
-                layout.add_branch_grads(
-                    grad, hi, "text",
-                    branch_backward(head.text, neg_states[hi][b], d_neg[hi][b]),
-                )
+    # Cosine VJPs on the fused embeddings, then one backward pass per branch.
+    # Rows of the upstream matrix are summed onto their distinct video.
+    video_upstream = np.zeros((firsts.size, n))
+    np.add.at(video_upstream, video_of, upstream)
+    for hi, (vstate, tstate, v, nv, zv, t, nt, zt, cross) in enumerate(heads):
+        weighted = video_upstream * cross
+        d_vid = (video_upstream @ t[:n] - weighted.sum(axis=1)[:, None] * v) / nv[:, None]
+        d_txt = np.zeros_like(t)
+        d_txt[:n] = video_upstream.T @ v - weighted.sum(axis=0)[:, None] * t[:n]
+        d_txt[:n] /= nt[:n, None]
+        vneg = video_of[neg]
+        dv, dn = _cosine_rows_vjp(v[vneg], nv[vneg], t[n:], nt[n:], g_vneg)
+        np.add.at(d_vid, vneg, dv)
+        d_txt[n:] += dn
+        dq, dn = _cosine_rows_vjp(t[neg], nt[neg], t[n:], nt[n:], g_ttneg)
+        d_txt[neg] += dq
+        d_txt[n:] += dn
+        d_vid[zv] = 0.0
+        d_txt[zt] = 0.0
+        head = model.heads[hi]
+        layout.add_branch_grads(grad, hi, "video", batch_backward(head.video, vstate, d_vid)[0])
+        layout.add_branch_grads(grad, hi, "text", batch_backward(head.text, tstate, d_txt)[0])
 
     if with_breakdown:
-        return float(loss), grad, breakdown
-    return float(loss), grad
+        breakdown = BnlBreakdown(
+            primary.tolist(), video_anchor.tolist(), text_anchor.tolist(), hardest.tolist()
+        )
+        return loss, grad, breakdown
+    return loss, grad
 
 
 def gap_in_window_fraction(model: LaffModel, triplets, m: Margins) -> float:

@@ -130,6 +130,18 @@ def cosine_sim(u, v) -> float:
     return c
 
 
+def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x with rows scaled to unit norm, row norms, zero-norm row mask).
+
+    A zero row stays zero and its norm is reported as 1.0, so dividing by
+    the norms is always safe; a NaN row stays NaN.
+    """
+    norms = np.linalg.norm(x, axis=1)
+    zero = norms == 0.0
+    norms[zero] = 1.0
+    return x / norms[:, None], norms, zero
+
+
 def cosine_sim_vjp(u, v, upstream: float) -> tuple[np.ndarray, np.ndarray]:
     """Gradients (du, dv) of upstream * cosine_sim(u, v).
 

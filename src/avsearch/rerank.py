@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .evaluation import RunEntry
+from .evaluation import RunEntry, _minmax
 from .numeric import cosine_sim
 
 
@@ -41,14 +41,6 @@ class FrameFeatures:
 def frame_query_score(frames: FrameFeatures, query_vec: np.ndarray) -> float:
     """Max over frames of the frame-query cosine similarity."""
     return max(cosine_sim(frame, query_vec) for frame in frames.frames)
-
-
-def _minmax(scores: list[float]) -> list[float]:
-    lo = min(scores)
-    hi = max(scores)
-    if hi == lo:
-        return [0.5] * len(scores)
-    return [(s - lo) / (hi - lo) for s in scores]
 
 
 def rerank(

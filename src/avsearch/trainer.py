@@ -77,22 +77,6 @@ class TrainReport:
     best_model: LaffModel
 
 
-def hardest_negative(sim_matrix: np.ndarray, query_index: int, positive_index: int) -> int:
-    """Index of the non-positive video most similar to the query column.
-
-    sim_matrix rows are videos, columns queries; ties break to the lowest
-    index.
-    """
-    sim_matrix = np.asarray(sim_matrix, dtype=np.float64)
-    if sim_matrix.ndim != 2:
-        raise ValueError(f"similarity matrix must be 2-D, got shape {sim_matrix.shape}")
-    if sim_matrix.shape[0] < 2:
-        raise ValueError("hardest negative undefined for a batch of 1 video")
-    column = sim_matrix[:, query_index].copy()
-    column[positive_index] = -np.inf
-    return int(np.argmax(column))
-
-
 def _clip(grad: np.ndarray, max_norm: float) -> np.ndarray:
     norm = float(np.linalg.norm(grad))
     if norm > max_norm:

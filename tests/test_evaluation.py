@@ -343,3 +343,23 @@ class TestRankedRunInvariants:
     def test_increasing_scores_rejected(self):
         with pytest.raises(FormatError, match="increase"):
             RankedRun({"q": [("a", 0.1), ("b", 0.9)]}, "t")
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            # NaN compares false both ways, so the non-increasing check alone
+            # lets [0.5, nan, 0.9] through.
+            [("a", 0.5), ("b", float("nan")), ("c", 0.9)],
+            [("b", float("inf")), ("c", 0.5)],
+            [("a", 0.5), ("b", float("-inf"))],
+        ],
+    )
+    def test_non_finite_score_rejected(self, entry):
+        with pytest.raises(FormatError, match=r"query 'q': non-finite .* item 'b'"):
+            RankedRun({"q": entry}, "t")
+
+    def test_nan_score_line_rejected_with_path(self, tmp_path):
+        p = tmp_path / "nan.txt"
+        p.write_text("q1 Q0 a 1 0.500000 t\nq1 Q0 b 2 nan t\nq1 Q0 c 3 0.900000 t\n")
+        with pytest.raises(FormatError, match=r"nan\.txt: .*non-finite.*'b'"):
+            read_run(p)

@@ -5,14 +5,13 @@ from avsearch.errors import ConfigError, TrainingError
 from avsearch.evaluation import JudgmentSet
 from avsearch.fusion import FeatureBundle, init_model
 from avsearch.manifest import build_triplets, load_dataset, load_manifest
-from avsearch.negation import Caption, Margins, Triplet
+from avsearch.negation import Caption, Margins, Triplet, hardest_negatives
 from avsearch.synth import SpaceSpec, synth_dataset
 from avsearch.trainer import (
     TrainConfig,
     ValidationSet,
     evaluate_validation,
     fit,
-    hardest_negative,
     train_epoch,
 )
 
@@ -33,19 +32,27 @@ def toy_triplets(rng, n=6, vdim=6, tdim=5):
 class TestHardestNegative:
     def test_two_by_two(self):
         sim = np.array([[0.9, 0.1], [0.2, 0.8]])
-        assert hardest_negative(sim, query_index=0, positive_index=0) == 1
+        assert hardest_negatives(sim).tolist() == [1, 0]
 
     def test_argmax_by_inspection(self):
         sim = np.array([[0.9], [0.1], [0.8]])
-        assert hardest_negative(sim, query_index=0, positive_index=0) == 2
+        assert hardest_negatives(sim).tolist() == [2]
 
     def test_tie_breaks_to_lowest_index(self):
-        sim = np.array([[0.5], [0.3], [0.3]])
-        assert hardest_negative(sim, query_index=0, positive_index=0) == 1
+        sim = np.array([[0.5, 0.4], [0.3, 0.9], [0.3, 0.4]])
+        assert hardest_negatives(sim).tolist() == [1, 0]
 
     def test_batch_of_one_rejected(self):
-        with pytest.raises(ValueError):
-            hardest_negative(np.array([[0.5]]), 0, 0)
+        with pytest.raises(ValueError, match="two videos"):
+            hardest_negatives(np.array([[0.5]]))
+
+    def test_non_2d_rejected(self):
+        with pytest.raises(ValueError, match="2-D"):
+            hardest_negatives(np.array([0.5, 0.3]))
+
+    def test_query_without_positive_row_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            hardest_negatives(np.zeros((2, 3)))
 
 
 class TestTrainConfig:
