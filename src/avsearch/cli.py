@@ -26,7 +26,9 @@ from .evaluation import (
     write_run,
 )
 from .featio import checkpoint_load, checkpoint_save, group_frame_features, read_features
-from .fusion import feature_importance, init_model, similarity
+# `similarity` is unused here but stays importable from this module: the
+# benchmark's tracer (perfbench/tracer.py) wraps it under this name.
+from .fusion import feature_importance, init_model, pair_similarities, similarity  # noqa: F401
 from .manifest import (
     build_triplets,
     load_dataset,
@@ -35,7 +37,7 @@ from .manifest import (
     read_captions,
 )
 from .negation import AlreadyNegatedError, detect_negation, negate_caption
-from .pseudocap import normalize_caption, read_candidates, select_pseudo_captions, write_selection
+from .pseudocap import kept_candidates, read_candidates, select_pseudo_captions, write_selection
 from .rerank import FrameFeatures, rerank
 from .synth import SpaceSpec, synth_dataset
 from .trainer import ValidationSet, fit
@@ -193,30 +195,40 @@ def _cmd_negate(args) -> int:
     return 0
 
 
+def _caption_scores(model, candidate_sets, videos, caps) -> dict[str, dict[str, float]]:
+    """Model similarity of each kept candidate caption (features keyed
+    `video_id#frame_index`) to its video, by video id and caption text,
+    from one batched pair_similarities call."""
+    pairs = []
+    for cands in candidate_sets:
+        if cands.video_id not in videos:
+            raise ConfigError(f"no video features for {cands.video_id!r}")
+        for cand in kept_candidates(cands):
+            key = f"{cands.video_id}#{cand.frame_index}"
+            if key not in caps:
+                raise ConfigError(f"no caption features for {key}")
+            pairs.append((cands.video_id, cand.text, key))
+    sims = pair_similarities(
+        model, [videos[vid] for vid, _, _ in pairs], [caps[key] for _, _, key in pairs]
+    )
+    scores: dict[str, dict[str, float]] = {cands.video_id: {} for cands in candidate_sets}
+    for (vid, text, _), sim in zip(pairs, sims.tolist()):
+        scores[vid][text] = sim
+    return scores
+
+
 def _cmd_pseudocap(args) -> int:
     model = checkpoint_load(args.checkpoint)
     candidate_sets = read_candidates(args.candidates)
     _, videos = load_feature_bundles(args.video_feats, list(model.video_spaces), "video")
     _, caps = load_feature_bundles(args.caption_feats, list(model.text_spaces), "text")
-    selections = {}
-    for cands in candidate_sets:
-        video = videos.get(cands.video_id)
-        if video is None:
-            raise ConfigError(f"no video features for {cands.video_id!r}")
-        by_text = {}
-        for cand in sorted(cands.candidates, key=lambda c: c.frame_index):
-            by_text.setdefault(normalize_caption(cand.text), cand)
-
-        def score(text: str) -> float:
-            cand = by_text[normalize_caption(text)]
-            bundle = caps.get(f"{cands.video_id}#{cand.frame_index}")
-            if bundle is None:
-                raise ConfigError(
-                    f"no caption features for {cands.video_id}#{cand.frame_index}"
-                )
-            return similarity(model, video, bundle)
-
-        selections[cands.video_id] = select_pseudo_captions(cands, score, k=args.k)
+    scores = _caption_scores(model, candidate_sets, videos, caps)
+    selections = {
+        cands.video_id: select_pseudo_captions(
+            cands, scores[cands.video_id].__getitem__, k=args.k
+        )
+        for cands in candidate_sets
+    }
     write_selection(args.out, selections)
     print(f"selected pseudo captions for {len(selections)} videos -> {args.out}")
     return 0

@@ -199,9 +199,10 @@ def checkpoint_load(path) -> LaffModel:
 
 def group_frame_features(features: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Group `item_id#frame_index` records into per-item (n, dim) arrays,
-    ordered by frame index."""
-    grouped: dict[str, list[tuple[int, np.ndarray]]] = {}
-    for rec_id, vec in features.items():
+    ordered by frame index. Two records of the same frame (`v#1`, `v#01`)
+    are rejected."""
+    grouped: dict[str, list[tuple[int, str]]] = {}
+    for rec_id in features:
         item_id, sep, frame_str = rec_id.rpartition("#")
         if not sep:
             raise FormatError(
@@ -213,8 +214,15 @@ def group_frame_features(features: dict[str, np.ndarray]) -> dict[str, np.ndarra
             raise FormatError(
                 f"frame record id {rec_id!r} has non-integer frame index"
             ) from None
-        grouped.setdefault(item_id, []).append((frame_index, vec))
-    return {
-        item_id: np.stack([vec for _, vec in sorted(frames, key=lambda fv: fv[0])])
-        for item_id, frames in grouped.items()
-    }
+        grouped.setdefault(item_id, []).append((frame_index, rec_id))
+    out = {}
+    for item_id, frames in grouped.items():
+        frames.sort(key=lambda frame: frame[0])
+        for (index, first), (next_index, second) in zip(frames, frames[1:]):
+            if index == next_index:
+                raise FormatError(
+                    f"frame records {first!r} and {second!r} both hold"
+                    f" frame {index} of {item_id!r}"
+                )
+        out[item_id] = np.stack([features[rec_id] for _, rec_id in frames])
+    return out

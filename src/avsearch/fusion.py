@@ -13,7 +13,8 @@ tables; a branch runs one GEMM per space, E_i = tanh(X_i W_iᵀ + b_i), then
 a row-wise softmax over the k spaces, and its backward pass forms weight
 gradients as dZ_iᵀ X_i. The per-item functions (similarity, laff_forward,
 laff_vjp, ...) are n=1 calls into the same path, and corpus embedding runs
-in fixed-size row blocks.
+in fixed-size row blocks. Many (video, text) pairs are scored together by
+pair_similarities, which embeds each distinct bundle once.
 
 Iteration over feature spaces is always in sorted space-name order so that
 results are reproducible regardless of how bundles were assembled.
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BundleMismatchError, DimensionError
-from .numeric import LinearTanhParams, as_vector, cosine_sim, cosine_sim_vjp
+from .numeric import LinearTanhParams, as_vector, cosine_sim, cosine_sim_vjp, row_cosines
 
 
 @dataclass
@@ -389,13 +390,21 @@ def laff_vjp(
 
 def similarity(model: LaffModel, video: FeatureBundle, text: FeatureBundle) -> float:
     """Mean over heads of the cosine between fused video and text embeddings."""
-    video_tables = branch_tables(model.heads[0].video, [video])
-    text_tables = branch_tables(model.heads[0].text, [text])
-    total = 0.0
-    for head in model.heads:
-        v = batch_forward(head.video, video_tables).fused[0]
-        t = batch_forward(head.text, text_tables).fused[0]
-        total += cosine_sim(v, t)
+    return float(pair_similarities(model, [video], [text])[0])
+
+
+def pair_similarities(model: LaffModel, videos, texts) -> np.ndarray:
+    """similarity() of every (videos[i], texts[i]) pair.
+
+    Each distinct video and text is embedded once, by fused_matrix, and the
+    per-head cosines are row cosines of the gathered embeddings, so pairs
+    sharing identical features score exactly alike.
+    """
+    videos, video_of = distinct_bundles(videos)
+    texts, text_of = distinct_bundles(texts)
+    total = np.zeros(video_of.size)
+    for v, t in zip(fused_matrix(model, videos, "video"), fused_matrix(model, texts, "text")):
+        total += row_cosines(v[video_of], t[text_of])
     return total / model.h
 
 
@@ -493,6 +502,32 @@ def fused_matrix(model: LaffModel, bundles, branch: str) -> list[np.ndarray]:
         for mat, state in zip(out, states):
             mat[start : start + state.fused.shape[0]] = state.fused
     return out
+
+
+def distinct_bundles(bundles) -> tuple[list[FeatureBundle], np.ndarray]:
+    """(the bundles of distinct feature content, in first-seen order; for
+    each input bundle, the index of its distinct bundle).
+
+    A GEMM can round two identical input rows differently, depending on
+    where they sit in the block, and so break an exact tie; code that needs
+    such ties embeds each distinct content once. A bundle object listed
+    again is matched by identity, without re-reading its features.
+    """
+    bundles = list(bundles)  # keeps every object alive, so ids stay unique
+    slots: dict[tuple, int] = {}
+    by_object: dict[int, int] = {}
+    distinct: list[FeatureBundle] = []
+    index = []
+    for bundle in bundles:
+        slot = by_object.get(id(bundle))
+        if slot is None:
+            key = tuple((name, vec.tobytes()) for name, vec in sorted(bundle.features.items()))
+            slot = slots.setdefault(key, len(distinct))
+            if slot == len(distinct):
+                distinct.append(bundle)
+            by_object[id(bundle)] = slot
+        index.append(slot)
+    return distinct, np.array(index, dtype=np.intp)
 
 
 def feature_importance(

@@ -28,6 +28,7 @@ from .fusion import (
     batch_backward,
     batch_forward,
     branch_tables,
+    distinct_bundles,
     similarity,
 )
 from .numeric import unit_rows
@@ -259,10 +260,6 @@ class BnlBreakdown:
     hardest: list[int]
 
 
-def _content_key(bundle: FeatureBundle) -> tuple:
-    return tuple((name, vec.tobytes()) for name, vec in sorted(bundle.features.items()))
-
-
 def _cosine_rows_vjp(a, na, b, nb, g):
     """Gradients w.r.t. the raw rows of sum_i g_i cos(a_i, b_i), given the
     unit rows a, b, their norms and the (unclipped) cosine's upstream g."""
@@ -303,12 +300,8 @@ def bnl_loss(
     neg = np.array([b for b, t in enumerate(batch) if t.has_negated], dtype=np.intp)
     # A video paired with several of its captions is embedded once, so its
     # similarities tie exactly and mining breaks the tie to the lowest index.
-    unique: dict[tuple, int] = {}
-    video_of = np.array(
-        [unique.setdefault(_content_key(t.video), b) for b, t in enumerate(batch)]
-    )
-    firsts, video_of = np.unique(video_of, return_inverse=True)
-    video_tables = branch_tables(model.heads[0].video, [batch[b].video for b in firsts])
+    videos, video_of = distinct_bundles([t.video for t in batch])
+    video_tables = branch_tables(model.heads[0].video, videos)
     text_tables = branch_tables(
         model.heads[0].text,
         [t.caption_features for t in batch] + [batch[b].negated_features for b in neg],
@@ -379,7 +372,7 @@ def bnl_loss(
 
     # Cosine VJPs on the fused embeddings, then one backward pass per branch.
     # Rows of the upstream matrix are summed onto their distinct video.
-    video_upstream = np.zeros((firsts.size, n))
+    video_upstream = np.zeros((len(videos), n))
     np.add.at(video_upstream, video_of, upstream)
     for hi, (vstate, tstate, v, nv, zv, t, nt, zt, cross) in enumerate(heads):
         weighted = video_upstream * cross

@@ -130,6 +130,42 @@ def cosine_sim(u, v) -> float:
     return c
 
 
+def row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """cosine_sim of each row of the (n, dim) table a with the same row of
+    b, or with b itself when b is a vector, under the same rules: clipped to
+    [-1, 1] with NaN kept, and 0.0 for a zero-norm operand, with one
+    DegenerateSimilarityWarning per call.
+
+    Dot products and norms are stacked per-row products, which round exactly
+    like cosine_sim's `u @ v` and `np.linalg.norm` (a GEMV, `einsum` or
+    `norm(axis=1)` does not), so every entry is bit-identical to the
+    per-row call.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim not in (1, 2):
+        raise DimensionError(
+            f"need a 2-D table and a 1-D or 2-D operand, got {a.shape} and {b.shape}"
+        )
+    if b.shape[-1] != a.shape[1] or (b.ndim == 2 and b.shape[0] != a.shape[0]):
+        raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
+    dots = (a[:, None, :] @ b[..., :, None])[:, 0, 0]
+    na = np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
+    nb = np.sqrt((b[..., None, :] @ b[..., :, None])[..., 0, 0])
+    zero = (na == 0.0) | (nb == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c = dots / (na * nb)
+    if zero.any():
+        warnings.warn(
+            "cosine similarity of a zero vector; returning 0.0",
+            DegenerateSimilarityWarning,
+            stacklevel=2,
+        )
+        c[zero] = 0.0
+    # np.clip keeps NaN, like cosine_sim's explicit comparisons.
+    return np.clip(c, -1.0, 1.0)
+
+
 def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(x with rows scaled to unit norm, row norms, zero-norm row mask).
 

@@ -3,8 +3,9 @@
 Per-frame candidate captions are deduplicated (exact match after whitespace
 normalization and lowercasing, keeping the earliest frame's instance),
 ranked by a caller-supplied caption score, and truncated to the top k
-(default 3). The scorer is injected — typically a trained model's
-text-to-video similarity — so this module never touches feature extraction.
+(default 3). The scorer is injected — typically a lookup into a trained
+model's text-to-video similarities, computed for all kept candidates at
+once — so this module never touches feature extraction.
 
 Candidate manifests are TAB-separated `video_id\tframe_index\tcaption`
 lines; selections are written as `video_id\trank\tscore\tcaption`.
@@ -12,6 +13,7 @@ lines; selections are written as `video_id\trank\tscore\tcaption`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import FormatError
@@ -40,24 +42,36 @@ def normalize_caption(text: str) -> str:
     return " ".join(text.lower().split())
 
 
-def select_pseudo_captions(
-    cands: CandidateSet, score, k: int = 3
-) -> list[tuple[str, float]]:
-    """Dedupe, score, and keep the top-k captions.
-
-    score maps a caption string to a scalar. The result is sorted by score
-    descending with ties resolved by the kept instance's frame index, and
-    holds min(k, distinct count) entries.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+def kept_candidates(cands: CandidateSet) -> list[CaptionCandidate]:
+    """One candidate per normalized caption: the instance with the lowest
+    frame index (the first in file order on a tie), in first-seen order."""
     kept: dict[str, CaptionCandidate] = {}
     for cand in cands.candidates:
         key = normalize_caption(cand.text)
         prev = kept.get(key)
         if prev is None or cand.frame_index < prev.frame_index:
             kept[key] = cand
-    scored = [(cand, float(score(cand.text))) for cand in kept.values()]
+    return list(kept.values())
+
+
+def select_pseudo_captions(
+    cands: CandidateSet, score, k: int = 3
+) -> list[tuple[str, float]]:
+    """Dedupe, score, and keep the top-k captions.
+
+    score maps a kept caption string to a scalar; a non-finite score raises
+    FormatError naming `video_id#frame_index`. The result is sorted by score
+    descending with ties resolved by the kept instance's frame index, and
+    holds min(k, distinct count) entries.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    scored = [(cand, float(score(cand.text))) for cand in kept_candidates(cands)]
+    for cand, s in scored:
+        if not math.isfinite(s):
+            raise FormatError(
+                f"non-finite caption score {s} for {cands.video_id}#{cand.frame_index}"
+            )
     scored.sort(key=lambda pair: (-pair[1], pair[0].frame_index))
     return [(cand.text, s) for cand, s in scored[:k]]
 

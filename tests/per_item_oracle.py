@@ -1,7 +1,9 @@
-"""Per-item reference implementations of the batched fusion and loss code.
+"""Per-item reference implementations of the batched fusion, loss and
+post-search code.
 
-Item-at-a-time branch forward/backward, `bnl_loss` and `fused_matrix`. They
-run one bundle and one pair at a time through `linear_tanh`, the scalar
+Item-at-a-time branch forward/backward, `bnl_loss`, `fused_matrix`, the
+per-frame rerank loop and per-pair pseudo-caption scoring. They run one
+bundle, one frame and one pair at a time through `linear_tanh`, the scalar
 cosine and its VJP, so tests can compare the batched path against an
 independent oracle.
 """
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from avsearch.evaluation import _minmax
 from avsearch.fusion import BranchGrads, FeatureBundle, LaffBranchParams, LaffModel, ParamLayout
 from avsearch.negation import (
     BnlBreakdown,
@@ -22,6 +25,7 @@ from avsearch.negation import (
     bcl_video_anchor,
 )
 from avsearch.numeric import cosine_sim, cosine_sim_vjp, linear_tanh, softmax
+from avsearch.pseudocap import normalize_caption
 
 
 @dataclass
@@ -183,3 +187,44 @@ def bnl_loss(model: LaffModel, batch: list[Triplet], m: Margins):
                 )
 
     return float(loss), grad, breakdown
+
+
+def pair_similarity(model: LaffModel, video: FeatureBundle, text: FeatureBundle) -> float:
+    """Mean over heads of the scalar cosine of one video's and one text's
+    fused embeddings."""
+    total = 0.0
+    for head in model.heads:
+        v = item_forward(head.video, video).fused
+        total += cosine_sim(v, item_forward(head.text, text).fused)
+    return total / model.h
+
+
+def caption_scores(model: LaffModel, candidate_sets, videos, caps) -> dict[str, dict[str, float]]:
+    """Per video, one pair_similarity call per distinct caption (its lowest
+    frame's instance), keyed by caption text."""
+    out = {}
+    for cands in candidate_sets:
+        by_text = {}
+        for cand in sorted(cands.candidates, key=lambda c: c.frame_index):
+            by_text.setdefault(normalize_caption(cand.text), cand)
+        video = videos[cands.video_id]
+        out[cands.video_id] = {
+            cand.text: pair_similarity(model, video, caps[f"{cands.video_id}#{cand.frame_index}"])
+            for cand in by_text.values()
+        }
+    return out
+
+
+def frame_query_score(frames, query_vec) -> float:
+    """Max over frames of the scalar frame-query cosine, one frame at a time."""
+    return max(cosine_sim(frame, query_vec) for frame in frames.frames)
+
+
+def rerank(entry, frame_store, query_vec, w_new=0.6, w_old=0.4, normalize_original=True):
+    originals = [score for _, score in entry]
+    base = _minmax(originals) if normalize_original else originals
+    rescored = [
+        (item, w_new * frame_query_score(frame_store[item], query_vec) + w_old * b)
+        for (item, _), b in zip(entry, base)
+    ]
+    return sorted(rescored, key=lambda pair: -pair[1])

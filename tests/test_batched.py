@@ -1,8 +1,9 @@
-"""The batched fusion engine and matrix-form loss against per-item oracles.
+"""The batched fusion engine, matrix-form loss and post-search stages
+against per-item oracles.
 
 `per_item_oracle` keeps the item-at-a-time implementations; the batched
-code must agree with them to 1e-12 relative, and pick exactly the same
-hardest negatives.
+code must agree with them to 1e-12 relative, pick exactly the same hardest
+negatives, and rerank bit-identically.
 """
 
 import warnings
@@ -11,9 +12,21 @@ import numpy as np
 import pytest
 
 import per_item_oracle as oracle
+from avsearch.cli import _caption_scores
 from avsearch.errors import DegenerateSimilarityWarning
-from avsearch.fusion import BLOCK_ROWS, FeatureBundle, fused_matrix, init_model, laff_vjp
+from avsearch.fusion import (
+    BLOCK_ROWS,
+    FeatureBundle,
+    fused_matrix,
+    init_model,
+    laff_vjp,
+    pair_similarities,
+    similarity,
+)
 from avsearch.negation import Margins, Triplet, bnl_loss
+from avsearch.numeric import cosine_sim, row_cosines
+from avsearch.pseudocap import CandidateSet, CaptionCandidate, select_pseudo_captions
+from avsearch.rerank import FrameFeatures, frame_scores, rerank
 
 from conftest import random_bundle, randomized_model
 from test_negation import make_batch
@@ -146,3 +159,144 @@ class TestLaffVjpOracle:
                             atol=RTOL,
                         )
                 np.testing.assert_allclose(got.d_attention, want.d_attention, rtol=RTOL, atol=RTOL)
+
+
+def ragged_store(rng, counts, dim):
+    return {
+        f"i{j}": FrameFeatures(f"i{j}", rng.normal(size=(c, dim))) for j, c in enumerate(counts)
+    }
+
+
+def entry_of(rng, store):
+    scores = np.sort(rng.uniform(-1, 1, len(store)))[::-1]
+    return [(item, float(s)) for item, s in zip(store, scores)]
+
+
+class TestRowCosines:
+    def test_bit_identical_to_scalar_cosine(self, rng):
+        for dim in (1, 7, 128, 513):
+            a = rng.normal(size=(9, dim)) * rng.uniform(0.01, 100, size=(9, 1))
+            b = rng.normal(size=(9, dim))
+            a[3] = 0.0
+            b[5] = 0.0
+            b[6] = 2.5 * a[6]  # cosine 1 up to rounding, clipped
+            b[7] = -a[7]
+            with pytest.warns(DegenerateSimilarityWarning):
+                got = row_cosines(a, b)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateSimilarityWarning)
+                want = [cosine_sim(u, v) for u, v in zip(a, b)]
+                want_vec = [cosine_sim(u, b[0]) for u in a]
+                got_vec = row_cosines(a, b[0])
+            assert got.tolist() == want
+            assert got_vec.tolist() == want_vec
+
+    def test_nan_row_kept(self):
+        got = row_cosines(np.array([[np.nan, 0.0], [1.0, 0.0]]), np.array([1.0, 0.0]))
+        assert np.isnan(got[0]) and got[1] == 1.0
+
+
+class TestRerankOracle:
+    @pytest.mark.parametrize("dim", [2, 5, 128])
+    def test_ragged_frame_counts_bit_identical(self, rng, dim):
+        store = ragged_store(rng, [1, 7, 3, 1, 12, 2, 64, 5], dim)
+        entry = entry_of(rng, store)
+        q = rng.normal(size=dim)
+        for normalize in (True, False):
+            got = rerank(entry, store, q, normalize_original=normalize)
+            assert got == oracle.rerank(entry, store, q, normalize_original=normalize)
+        videos = list(store.values())
+        assert frame_scores(videos, q).tolist() == [oracle.frame_query_score(v, q) for v in videos]
+
+    def test_zero_norm_frame(self, rng):
+        store = ragged_store(rng, [3, 1, 4], 6)
+        store["i0"].frames[1] = 0.0
+        store["i1"].frames[0] = 0.0  # the video's only frame: its score is 0.0
+        entry = entry_of(rng, store)
+        q = rng.normal(size=6)
+        with pytest.warns(DegenerateSimilarityWarning):
+            got = rerank(entry, store, q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateSimilarityWarning)
+            assert got == oracle.rerank(entry, store, q)
+        with pytest.warns(DegenerateSimilarityWarning):
+            assert frame_scores([store["i1"]], q).tolist() == [0.0]
+
+    def test_zero_query(self, rng):
+        store = ragged_store(rng, [2, 5, 1], 4)
+        entry = entry_of(rng, store)
+        with pytest.warns(DegenerateSimilarityWarning):
+            got = rerank(entry, store, np.zeros(4), w_new=1.0, w_old=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateSimilarityWarning)
+            assert got == oracle.rerank(entry, store, np.zeros(4), w_new=1.0, w_old=0.0)
+        assert [s for _, s in got] == [0.0, 0.0, 0.0]
+
+    def test_cosines_at_plus_and_minus_one(self, rng):
+        # Frames parallel or antiparallel to the query: the raw cosine lands
+        # within rounding of +-1, on either side, and is clipped.
+        q = rng.normal(size=9)
+        scales = [3.7, -0.3, 1e-3, -250.0, 0.77, -1.0, 1.0, 2.0]
+        store = {f"i{j}": FrameFeatures(f"i{j}", [s * q]) for j, s in enumerate(scales)}
+        entry = entry_of(rng, store)
+        got = rerank(entry, store, q, w_new=1.0, w_old=0.0)
+        assert got == oracle.rerank(entry, store, q, w_new=1.0, w_old=0.0)
+        scores = frame_scores(list(store.values()), q)
+        assert scores.max() == 1.0 and scores.min() == -1.0
+
+
+def pseudocap_inputs(rng, model, n_videos, n_cands):
+    videos = {f"v{i}": random_bundle(f"v{i}", model.video_dims(), rng) for i in range(n_videos)}
+    caps = {}
+    sets = []
+    for vid in videos:
+        cands = []
+        for f in range(n_cands):
+            text = f"caption {int(rng.integers(n_cands))}"
+            if rng.random() < 0.3:
+                text = text.upper()
+            cands.append(CaptionCandidate(f, text))
+            caps[f"{vid}#{f}"] = random_bundle(f"{vid}#{f}", model.text_dims(), rng)
+        order = rng.permutation(n_cands)
+        sets.append(CandidateSet(vid, [cands[i] for i in order]))
+    return sets, videos, caps
+
+
+class TestPseudocapOracle:
+    def test_pair_similarities_match_similarity(self, rng):
+        model = paper_like_model(40)
+        videos = [random_bundle(f"v{i}", model.video_dims(), rng) for i in range(5)]
+        texts = [random_bundle(f"q{i}", model.text_dims(), rng) for i in range(BLOCK_ROWS + 9)]
+        pair_videos = [videos[i % 5] for i in range(len(texts))]
+        got = pair_similarities(model, pair_videos, texts)
+        want = [oracle.pair_similarity(model, v, t) for v, t in zip(pair_videos, texts)]
+        np.testing.assert_allclose(got, want, rtol=RTOL, atol=RTOL)
+        per_pair = [similarity(model, v, t) for v, t in zip(pair_videos, texts)]
+        np.testing.assert_allclose(got, per_pair, rtol=RTOL, atol=RTOL)
+
+    def test_caption_scores_match_per_pair_scoring(self, rng):
+        model = paper_like_model(41)
+        sets, videos, caps = pseudocap_inputs(rng, model, 6, 10)
+        got = _caption_scores(model, sets, videos, caps)
+        want = oracle.caption_scores(model, sets, videos, caps)
+        assert {v: sorted(s) for v, s in got.items()} == {v: sorted(s) for v, s in want.items()}
+        for vid, scores in want.items():
+            for text, score in scores.items():
+                np.testing.assert_allclose(got[vid][text], score, rtol=RTOL, atol=RTOL)
+
+    @pytest.mark.parametrize("dim,d,n", [(64, 15, 7), (119, 3, 9), (306, 34, 6)])
+    def test_identical_caption_features_tie_by_frame(self, dim, d, n):
+        # Two distinct captions with identical features must score exactly
+        # alike. At these shapes a GEMM can round identical input rows
+        # differently, so each distinct caption content is embedded once.
+        rng = np.random.default_rng(dim)
+        model = randomized_model({"a": 5}, {"t": dim}, d=d, heads=2, seed=dim, scale=0.1)
+        video = random_bundle("v", model.video_dims(), rng)
+        caps = {f"v#{f}": random_bundle(f"v#{f}", model.text_dims(), rng) for f in range(n)}
+        caps[f"v#{n - 1}"] = FeatureBundle(f"v#{n - 1}", {"t": caps["v#0"].features["t"].copy()})
+        cands = CandidateSet("v", [CaptionCandidate(f, f"text {f}") for f in reversed(range(n))])
+        scores = _caption_scores(model, [cands], {"v": video}, caps)["v"]
+        assert scores["text 0"] == scores[f"text {n - 1}"]
+        ranked = [t for t, _ in select_pseudo_captions(cands, scores.__getitem__, k=n)]
+        first = ranked.index("text 0")
+        assert ranked[first + 1] == f"text {n - 1}"

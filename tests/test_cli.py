@@ -246,6 +246,19 @@ class TestRerankCli:
         assert [i for i, _ in read_run(out).entries["q"]] == ["A", "B", "C"]
         assert "alternate features for 1 queries" in capsys.readouterr().out
 
+    def test_nan_frame_exits_1_naming_the_video(self, tmp_path, capsys):
+        run, _, qf = self.write_inputs(tmp_path)
+        frames = tmp_path / "nan_frames.feat"
+        write_features(frames, "fr", {
+            "A#0": np.array([1.0, 0.0]), "B#0": np.array([0.0, 1.0]),
+            "B#1": np.array([np.nan, 0.0]), "C#0": np.array([0.5, 0.5]),
+        })
+        assert run_cli(
+            "rerank", "--run", run, "--frames", frames, "--query-feats", qf,
+            "--out", tmp_path / "o.txt",
+        ) == 1
+        assert "'B'" in capsys.readouterr().err
+
     def test_partial_routing_flags_rejected(self, tmp_path):
         run, frames, qf = self.write_inputs(tmp_path)
         assert run_cli(

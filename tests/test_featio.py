@@ -191,6 +191,11 @@ class TestFrameGrouping:
         grouped = group_frame_features({"shot#1#5": rng.normal(size=2)})
         assert set(grouped) == {"shot#1"}
 
+    def test_duplicate_frame_index_rejected(self, rng):
+        feats = {rec_id: rng.normal(size=2) for rec_id in ("v#1", "v#0", "v#01")}
+        with pytest.raises(FormatError, match=r"'v#1'.*'v#01'"):
+            group_frame_features(feats)
+
     def test_bad_ids_rejected(self, rng):
         with pytest.raises(FormatError):
             group_frame_features({"noframe": rng.normal(size=2)})

@@ -5,6 +5,7 @@ from avsearch.errors import FormatError
 from avsearch.pseudocap import (
     CandidateSet,
     CaptionCandidate,
+    kept_candidates,
     normalize_caption,
     read_candidates,
     select_pseudo_captions,
@@ -94,6 +95,21 @@ class TestSelect:
             assert len(texts) == len(set(texts))
             assert len(out) <= 3
             assert all(a >= b for (_, a), (_, b) in zip(out, out[1:]))
+
+    def test_kept_candidates_lowest_frame_first_seen_order(self):
+        cs = make_set([(4, "A  Dog"), (3, "cat"), (1, "a dog"), (3, "CAT"), (0, "bird")])
+        kept = kept_candidates(cs)
+        assert [(c.frame_index, c.text) for c in kept] == [(1, "a dog"), (3, "cat"), (0, "bird")]
+
+    def test_non_finite_score_rejected(self):
+        # Sorting a NaN key misorders the rest: 0.9 would rank third.
+        cs = make_set([(0, "a"), (1, "b"), (2, "c"), (3, "d")])
+        scores = {"a": 0.2, "b": float("nan"), "c": 0.9, "d": 0.5}
+        with pytest.raises(FormatError, match="v#1"):
+            select_pseudo_captions(cs, scores.__getitem__, k=3)
+        scores["b"] = float("-inf")
+        with pytest.raises(FormatError, match="v#1"):
+            select_pseudo_captions(cs, scores.__getitem__, k=3)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from avsearch.errors import DimensionError
+from avsearch.errors import DimensionError, FormatError
 from avsearch.numeric import cosine_sim
 from avsearch.rerank import FrameFeatures, frame_query_score, rerank
 
@@ -40,6 +40,20 @@ class TestFrameQueryScore:
         f = FrameFeatures("v", np.zeros((2, 3)) + 1.0)
         with pytest.raises(DimensionError):
             frame_query_score(f, np.ones(4))
+
+    @pytest.mark.parametrize(
+        "rows", [[[1.0, 0.0], [np.nan, 0.0]], [[np.nan, 0.0], [1.0, 0.0]]],
+        ids=["nan-last", "nan-first"],
+    )
+    def test_nan_frame_rejected_in_either_order(self, rows):
+        # A max over frames would keep or drop the NaN depending on its position.
+        f = FrameFeatures("vid7", np.array(rows))
+        with pytest.raises(FormatError, match="vid7"):
+            frame_query_score(f, QUERY)
+        entry = [("A", 1.0), ("vid7", 0.5)]
+        store = {"A": frames_with_cosines("A", [0.3]), "vid7": f}
+        with pytest.raises(FormatError, match="vid7"):
+            rerank(entry, store, QUERY)
 
 
 def hand_case():
