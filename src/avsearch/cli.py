@@ -220,8 +220,20 @@ def _caption_scores(model, candidate_sets, videos, caps) -> dict[str, dict[str, 
 def _cmd_pseudocap(args) -> int:
     model = checkpoint_load(args.checkpoint)
     candidate_sets = read_candidates(args.candidates)
-    _, videos = load_feature_bundles(args.video_feats, list(model.video_spaces), "video")
-    _, caps = load_feature_bundles(args.caption_feats, list(model.text_spaces), "text")
+    # Decode only the records that get scored: the listed videos and their
+    # kept captions, not every item in the feature files.
+    video_ids = [cands.video_id for cands in candidate_sets]
+    caption_ids = [
+        f"{cands.video_id}#{cand.frame_index}"
+        for cands in candidate_sets
+        for cand in kept_candidates(cands)
+    ]
+    _, videos = load_feature_bundles(
+        args.video_feats, list(model.video_spaces), "video", video_ids
+    )
+    _, caps = load_feature_bundles(
+        args.caption_feats, list(model.text_spaces), "text", caption_ids
+    )
     scores = _caption_scores(model, candidate_sets, videos, caps)
     selections = {
         cands.video_id: select_pseudo_captions(

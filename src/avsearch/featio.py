@@ -19,6 +19,7 @@ reloaded model reproduces similarities bit-identically.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -39,6 +40,7 @@ class _Reader:
         self.fh = fh
         self.path = path
         self.offset = 0
+        self._size = None
 
     def read(self, n: int, what: str) -> bytes:
         data = self.fh.read(n)
@@ -49,6 +51,30 @@ class _Reader:
             )
         self.offset += n
         return data
+
+    def read_array(self, shape, what: str) -> np.ndarray:
+        """Read little-endian float64 values straight into a new array."""
+        out = np.empty(shape, dtype="<f8")
+        got = self.fh.readinto(memoryview(out).cast("B"))
+        if got != out.nbytes:
+            raise FormatError(
+                f"{self.path}: truncated while reading {what}"
+                f" at byte offset {self.offset} (wanted {out.nbytes} bytes, got {got})"
+            )
+        self.offset += got
+        return out
+
+    def skip(self, n: int, what: str) -> None:
+        """Move past n bytes without reading them."""
+        if self._size is None:
+            self._size = os.fstat(self.fh.fileno()).st_size
+        if self.offset + n > self._size:
+            raise FormatError(
+                f"{self.path}: truncated while reading {what}"
+                f" at byte offset {self.offset} (wanted {n} bytes, got {self._size - self.offset})"
+            )
+        self.fh.seek(n, os.SEEK_CUR)
+        self.offset += n
 
     def unpack(self, fmt: str, what: str):
         values = struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
@@ -102,8 +128,12 @@ def write_features(path, space_name: str, features: dict[str, np.ndarray]) -> No
             fh.write(np.asarray(vec, dtype="<f4").tobytes())
 
 
-def read_features(path) -> tuple[str, dict[str, np.ndarray]]:
-    """Read one feature space; vectors come back as float64."""
+def read_features(path, keep=None) -> tuple[str, dict[str, np.ndarray]]:
+    """Read one feature space; vectors come back as float64.
+
+    With keep (a set of ids), only those records are decoded; the values
+    of the others are skipped unread, though their ids are still checked
+    for duplicates."""
     with open(path, "rb") as fh:
         reader = _Reader(fh, path)
         magic = reader.read(4, "magic")
@@ -118,11 +148,17 @@ def read_features(path) -> tuple[str, dict[str, np.ndarray]]:
         count = reader.unpack("<Q", "count")
         space_name = _read_name(reader, "space name")
         features: dict[str, np.ndarray] = {}
+        skipped: set[str] = set()
         for i in range(count):
             item_id = _read_name(reader, f"record {i} id")
-            raw = reader.read(4 * dim, f"record {i} ({item_id!r}) values")
-            if item_id in features:
+            what = f"record {i} ({item_id!r}) values"
+            if item_id in features or item_id in skipped:
                 raise FormatError(f"{path}: duplicate record id {item_id!r}")
+            if keep is not None and item_id not in keep:
+                reader.skip(4 * dim, what)
+                skipped.add(item_id)
+                continue
+            raw = reader.read(4 * dim, what)
             features[item_id] = np.frombuffer(raw, dtype="<f4").astype(np.float64)
         reader.expect_eof()
     return space_name, features
@@ -179,14 +215,10 @@ def checkpoint_load(path) -> LaffModel:
             transforms = {}
             for name in sorted(dims):
                 d_in = dims[name]
-                w_raw = reader.read(8 * d * d_in, f"weights of {name!r}")
-                w = np.frombuffer(w_raw, dtype="<f8").reshape(d, d_in).copy()
-                b_raw = reader.read(8 * d, f"bias of {name!r}")
-                b = np.frombuffer(b_raw, dtype="<f8").copy()
+                w = reader.read_array((d, d_in), f"weights of {name!r}")
+                b = reader.read_array(d, f"bias of {name!r}")
                 transforms[name] = LinearTanhParams(w, b)
-            u_raw = reader.read(8 * d, "attention vector")
-            u = np.frombuffer(u_raw, dtype="<f8").copy()
-            return LaffBranchParams(transforms, u)
+            return LaffBranchParams(transforms, reader.read_array(d, "attention vector"))
 
         heads = []
         for _ in range(h):

@@ -194,9 +194,15 @@ class LoadedDataset:
     qrels: JudgmentSet | None
 
 
-def _load_spaces(paths: list[Path], subset, what: str):
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        loaded = list(pool.map(read_features, paths))
+def _load_spaces(paths: list[Path], subset, what: str, ids=None):
+    keep = None if ids is None else set(ids)
+    workers = min(worker_count(), len(paths))
+    if workers <= 1:
+        # One reader: stay on the calling thread rather than hand off to a pool.
+        loaded = [read_features(path, keep) for path in paths]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            loaded = list(pool.map(read_features, paths, [keep] * len(paths)))
     spaces: dict[str, dict] = {}
     for (name, features), path in zip(loaded, paths):
         if name in spaces:
@@ -226,13 +232,14 @@ def _bundle_up(spaces: dict[str, dict]) -> dict[str, FeatureBundle]:
 
 
 def load_feature_bundles(
-    paths, subset=None, what: str = "feature"
+    paths, subset=None, what: str = "feature", ids=None
 ) -> tuple[dict[str, int], dict[str, FeatureBundle]]:
     """Load standalone feature files into (dims per space, bundles by item id).
 
-    Bundles cover the ids present in every loaded space.
+    Bundles cover the ids present in every loaded space. With ids, only
+    those records are decoded; the rest of each file is skipped.
     """
-    spaces = _load_spaces([Path(p) for p in paths], subset, what)
+    spaces = _load_spaces([Path(p) for p in paths], subset, what, ids)
     dims = {n: len(next(iter(f.values()))) for n, f in spaces.items() if f}
     return dims, _bundle_up(spaces)
 

@@ -118,6 +118,35 @@ class TestFeatureFiles:
         with pytest.raises(FormatError, match="duplicate"):
             read_features(p)
 
+    def test_keep_decodes_only_the_listed_records(self, tmp_path, rng):
+        p = tmp_path / "many.feat"
+        data = {f"v{i}": rng.normal(size=3) for i in (3, 1, 2, 0)}
+        write_features(p, "s", data)
+        _, full = read_features(p)
+        name, kept = read_features(p, keep={"v2", "v3", "absent"})
+        assert name == "s"
+        assert list(kept) == ["v3", "v2"]
+        for item_id, vec in kept.items():
+            np.testing.assert_array_equal(vec, full[item_id])
+
+    def test_keep_still_rejects_truncation_in_a_skipped_record(self, tmp_path, rng):
+        p = tmp_path / "trunc.feat"
+        write_features(p, "s", {"v1": rng.normal(size=4), "v2": rng.normal(size=4)})
+        p.write_bytes(p.read_bytes()[:-3])
+        with pytest.raises(FormatError, match="truncated"):
+            read_features(p, keep={"v1"})
+
+    def test_keep_still_rejects_a_duplicate_skipped_id(self, tmp_path):
+        p = tmp_path / "bad.feat"
+        body = b""
+        for item_id in (b"v1", b"v2", b"v1"):
+            body += struct.pack("<H", 2) + item_id + struct.pack("<f", 1.0)
+        header = (b"AVSF" + struct.pack("<B", 1) + struct.pack("<I", 1)
+                  + struct.pack("<Q", 3) + struct.pack("<H", 1) + b"s")
+        p.write_bytes(header + body)
+        with pytest.raises(FormatError, match="duplicate"):
+            read_features(p, keep={"v2"})
+
 
 class TestCheckpoints:
     def make_model(self, seed=0):

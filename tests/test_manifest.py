@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from avsearch.config import load_settings
@@ -175,6 +176,30 @@ class TestLoadDataset:
         dims, bundles = load_feature_bundles([tmp_path / "va.feat", tmp_path / "vb.feat"])
         assert dims == {"wsl": 4, "clip": 2}
         assert set(bundles) == {"v0", "v1", "v2"}
+
+    def test_load_feature_bundles_ids_subset(self, tmp_path, rng):
+        small_dataset(tmp_path, rng)
+        paths = [tmp_path / "va.feat", tmp_path / "vb.feat"]
+        _, full = load_feature_bundles(paths)
+        dims, bundles = load_feature_bundles(paths, ids=["v2", "v0", "v9"])
+        assert dims == {"wsl": 4, "clip": 2}
+        assert list(bundles) == ["v0", "v2"]
+        for item_id, bundle in bundles.items():
+            for name, vec in bundle.features.items():
+                np.testing.assert_array_equal(vec, full[item_id].features[name])
+
+    def test_load_feature_bundles_same_inline_and_pooled(self, tmp_path, rng, monkeypatch):
+        small_dataset(tmp_path, rng)
+        paths = [tmp_path / "va.feat", tmp_path / "vb.feat"]
+        monkeypatch.setenv("AVSEARCH_WORKERS", "1")
+        _, inline = load_feature_bundles(paths)
+        monkeypatch.setenv("AVSEARCH_WORKERS", "2")
+        _, pooled = load_feature_bundles(paths)
+        assert list(pooled) == list(inline)
+        for item_id, bundle in pooled.items():
+            assert bundle.features.keys() == inline[item_id].features.keys()
+            for name, vec in bundle.features.items():
+                np.testing.assert_array_equal(vec, inline[item_id].features[name])
 
 
 class TestWorkerEnv:
