@@ -12,9 +12,14 @@ Feature file layout (all integers little-endian):
 Values are stored as 32-bit floats and widened to 64-bit on load. Frame
 features reuse the same container with ids of the form `item_id#frame_index`.
 
-Checkpoints (magic "AVSC") store h, d, both space lists with their input
-dims, and every parameter as float64 in the model's canonical order, so a
+Checkpoints (magic "AVSC") store h, d and both space lists with their input
+dims, then the model's flat parameter vector (`LaffModel.params`, in the
+canonical order of `fusion._heads_on`) as little-endian float64, so a
 reloaded model reproduces similarities bit-identically.
+
+Readers check the sizes a header claims against the bytes left in the file
+before allocating anything, so a corrupt header is a FormatError rather
+than an attempt to allocate gigabytes.
 """
 
 from __future__ import annotations
@@ -25,8 +30,7 @@ import struct
 import numpy as np
 
 from .errors import DimensionError, FormatError
-from .fusion import LaffBranchParams, LaffHead, LaffModel
-from .numeric import LinearTanhParams
+from .fusion import LaffModel, param_count
 
 FEATURE_MAGIC = b"AVSF"
 CHECKPOINT_MAGIC = b"AVSC"
@@ -52,9 +56,22 @@ class _Reader:
         self.offset += n
         return data
 
-    def read_array(self, shape, what: str) -> np.ndarray:
-        """Read little-endian float64 values straight into a new array."""
-        out = np.empty(shape, dtype="<f8")
+    def need(self, n: int, what: str) -> None:
+        """Fail unless at least n more bytes remain, without reading them."""
+        if self._size is None:
+            self._size = os.fstat(self.fh.fileno()).st_size
+        left = self._size - self.offset
+        if n > left:
+            raise FormatError(
+                f"{self.path}: truncated while reading {what}"
+                f" at byte offset {self.offset} (wanted {n} bytes, got {left})"
+            )
+
+    def read_array(self, n: int, what: str) -> np.ndarray:
+        """Read n little-endian float64 values straight into a new array,
+        checking first that the file holds them."""
+        self.need(8 * n, what)
+        out = np.empty(n, dtype="<f8")
         got = self.fh.readinto(memoryview(out).cast("B"))
         if got != out.nbytes:
             raise FormatError(
@@ -66,13 +83,7 @@ class _Reader:
 
     def skip(self, n: int, what: str) -> None:
         """Move past n bytes without reading them."""
-        if self._size is None:
-            self._size = os.fstat(self.fh.fileno()).st_size
-        if self.offset + n > self._size:
-            raise FormatError(
-                f"{self.path}: truncated while reading {what}"
-                f" at byte offset {self.offset} (wanted {n} bytes, got {self._size - self.offset})"
-            )
+        self.need(n, what)
         self.fh.seek(n, os.SEEK_CUR)
         self.offset += n
 
@@ -147,6 +158,8 @@ def read_features(path, keep=None) -> tuple[str, dict[str, np.ndarray]]:
             raise FormatError(f"{path}: dim must be >= 1, got {dim}")
         count = reader.unpack("<Q", "count")
         space_name = _read_name(reader, "space name")
+        # Each record holds at least a u16 id length and dim float32 values.
+        reader.need(count * (2 + 4 * dim), f"{count} records of {dim} values")
         features: dict[str, np.ndarray] = {}
         skipped: set[str] = set()
         for i in range(count):
@@ -179,7 +192,7 @@ def checkpoint_save(model: LaffModel, path) -> None:
             for name in sorted(dims):
                 fh.write(_pack_name(name))
                 fh.write(struct.pack("<I", dims[name]))
-        fh.write(model.to_vector().astype("<f8").tobytes())
+        fh.write(model.to_vector().astype("<f8", copy=False))
 
 
 def checkpoint_load(path) -> LaffModel:
@@ -210,23 +223,9 @@ def checkpoint_load(path) -> LaffModel:
                 dims[name] = dim
             space_dims.append(dims)
         video_dims, text_dims = space_dims
-
-        def read_branch(dims: dict[str, int]) -> LaffBranchParams:
-            transforms = {}
-            for name in sorted(dims):
-                d_in = dims[name]
-                w = reader.read_array((d, d_in), f"weights of {name!r}")
-                b = reader.read_array(d, f"bias of {name!r}")
-                transforms[name] = LinearTanhParams(w, b)
-            return LaffBranchParams(transforms, reader.read_array(d, "attention vector"))
-
-        heads = []
-        for _ in range(h):
-            video = read_branch(video_dims)
-            text = read_branch(text_dims)
-            heads.append(LaffHead(video, text))
+        params = reader.read_array(param_count(video_dims, text_dims, d, h), "parameters")
         reader.expect_eof()
-    return LaffModel(heads)
+    return LaffModel.from_params(params, video_dims, text_dims, d, h)
 
 
 def group_frame_features(features: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

@@ -22,6 +22,7 @@ results are reproducible regardless of how bundles were assembled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,6 +92,10 @@ class LaffBranchParams:
     def k(self) -> int:
         return len(self.transforms)
 
+    @property
+    def in_dims(self) -> dict[str, int]:
+        return {name: self.transforms[name].in_dim for name in self.spaces}
+
 
 @dataclass
 class LaffHead:
@@ -110,11 +115,60 @@ class LaffHead:
         return self.video.d
 
 
+def param_count(video_dims: dict[str, int], text_dims: dict[str, int], d: int, heads: int) -> int:
+    """Length of the flat parameter vector of a model of this structure."""
+    if d < 1 or heads < 1:
+        raise DimensionError(f"d and heads must be >= 1, got d={d}, heads={heads}")
+    return heads * d * sum(sum(dims.values()) + len(dims) + 1 for dims in (video_dims, text_dims))
+
+
+def _heads_on(params: np.ndarray, video_dims, text_dims, d: int, heads: int) -> list[LaffHead]:
+    """Heads whose every parameter is a view into the flat vector params.
+
+    This is the canonical parameter order: head by head, the video branch
+    then the text branch; within a branch, W (d, d_in) then b (d,) of each
+    space in sorted name order, then the attention vector u (d,).
+    """
+    pos = 0
+
+    def take(*shape) -> np.ndarray:
+        nonlocal pos
+        start, pos = pos, pos + math.prod(shape)
+        return params[start:pos].reshape(shape)
+
+    def branch(dims: dict[str, int]) -> LaffBranchParams:
+        transforms = {}
+        for name in sorted(dims):
+            weight = take(d, dims[name])
+            transforms[name] = LinearTanhParams(weight, take(d))
+        return LaffBranchParams(transforms, take(d))
+
+    return [LaffHead(branch(video_dims), branch(text_dims)) for _ in range(heads)]
+
+
+def _assign(dst: list[LaffHead], src: list[LaffHead]) -> None:
+    """Copy every parameter of src into the same parameter of dst."""
+    for dst_head, src_head in zip(dst, src):
+        for into, source in ((dst_head.video, src_head.video), (dst_head.text, src_head.text)):
+            for name, p in into.transforms.items():
+                p.weight[...] = source.transforms[name].weight
+                p.bias[...] = source.transforms[name].bias
+            into.attention[...] = source.attention
+
+
 @dataclass
 class LaffModel:
-    """h paired fusion branches; similarity is the mean cosine over heads."""
+    """h paired fusion branches; similarity is the mean cosine over heads.
+
+    All parameters live in one flat float64 vector, `params`, in the order
+    of _heads_on: every weight, bias and attention vector of `heads` is a
+    view into it, so writing into `params` updates the model in place.
+    Constructing a model copies the given arrays into a vector of its own;
+    no two models share parameter memory.
+    """
 
     heads: list[LaffHead]
+    params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.heads:
@@ -123,10 +177,28 @@ class LaffModel:
         for i, head in enumerate(self.heads):
             if head.d != first.d:
                 raise DimensionError(f"head {i} has d={head.d}, expected {first.d}")
-            if head.video.spaces != first.video.spaces:
-                raise DimensionError(f"head {i} has different video spaces")
-            if head.text.spaces != first.text.spaces:
-                raise DimensionError(f"head {i} has different text spaces")
+            if head.video.in_dims != first.video.in_dims:
+                raise DimensionError(f"head {i} has different video spaces or input dims")
+            if head.text.in_dims != first.text.in_dims:
+                raise DimensionError(f"head {i} has different text spaces or input dims")
+        given = self.heads
+        structure = (self.video_dims(), self.text_dims(), self.d, self.h)
+        self.params = np.empty(param_count(*structure))
+        self.heads = _heads_on(self.params, *structure)
+        _assign(self.heads, given)
+
+    @classmethod
+    def from_params(cls, params, video_dims, text_dims, d: int, heads: int) -> "LaffModel":
+        """A model of the given structure built on params without copying it:
+        the model's parameters are views into params."""
+        params = np.ascontiguousarray(as_vector(params, "parameter vector"))
+        n = param_count(video_dims, text_dims, d, heads)
+        if params.shape[0] != n:
+            raise DimensionError(f"parameter vector has {params.shape[0]} entries, model needs {n}")
+        model = cls.__new__(cls)
+        model.heads = _heads_on(params, video_dims, text_dims, d, heads)
+        model.params = params
+        return model
 
     @property
     def h(self) -> int:
@@ -145,57 +217,33 @@ class LaffModel:
         return self.heads[0].text.spaces
 
     def video_dims(self) -> dict[str, int]:
-        return {s: self.heads[0].video.transforms[s].in_dim for s in self.video_spaces}
+        return self.heads[0].video.in_dims
 
     def text_dims(self) -> dict[str, int]:
-        return {s: self.heads[0].text.transforms[s].in_dim for s in self.text_spaces}
+        return self.heads[0].text.in_dims
 
     def to_vector(self) -> np.ndarray:
-        """Flatten all parameters in a fixed order (heads, video/text, sorted spaces)."""
-        chunks = []
-        for head in self.heads:
-            for branch in (head.video, head.text):
-                for name in branch.spaces:
-                    p = branch.transforms[name]
-                    chunks.append(p.weight.ravel())
-                    chunks.append(p.bias)
-                chunks.append(branch.attention)
-        return np.concatenate(chunks)
+        """A copy of all parameters in the canonical order (see _heads_on).
+
+        Reads the head objects' arrays, not `params`, so that code which
+        replaces a transform or attention vector on a model's heads (as
+        perfbench's aligned checkpoint does) still saves what it set.
+        """
+        return LaffModel(self.heads).params
 
     def with_vector(self, vec: np.ndarray) -> "LaffModel":
-        """Rebuild a model of identical structure from a flat parameter vector."""
-        vec = as_vector(vec, "parameter vector")
-        pos = 0
+        """A model of identical structure holding a copy of a flat parameter vector."""
+        vec = as_vector(vec, "parameter vector").copy()
+        return LaffModel.from_params(vec, self.video_dims(), self.text_dims(), self.d, self.h)
 
-        def take(n: int) -> np.ndarray:
-            nonlocal pos
-            out = vec[pos : pos + n]
-            if out.shape[0] != n:
-                raise DimensionError("parameter vector too short for model structure")
-            pos += n
-            return out.copy()
-
-        heads = []
-        for head in self.heads:
-            branches = []
-            for branch in (head.video, head.text):
-                transforms = {}
-                for name in branch.spaces:
-                    p = branch.transforms[name]
-                    w = take(p.out_dim * p.in_dim).reshape(p.out_dim, p.in_dim)
-                    b = take(p.out_dim)
-                    transforms[name] = LinearTanhParams(w, b)
-                u = take(branch.d)
-                branches.append(LaffBranchParams(transforms, u))
-            heads.append(LaffHead(branches[0], branches[1]))
-        if pos != vec.shape[0]:
-            raise DimensionError(
-                f"parameter vector has {vec.shape[0]} entries, model needs {pos}"
-            )
-        return LaffModel(heads)
+    def zeros_like(self) -> "LaffModel":
+        """A model of identical structure with every parameter 0, into which
+        gradients are accumulated (see add_grads)."""
+        zeros = np.zeros(self.n_params())
+        return LaffModel.from_params(zeros, self.video_dims(), self.text_dims(), self.d, self.h)
 
     def n_params(self) -> int:
-        return self.to_vector().shape[0]
+        return self.params.shape[0]
 
 
 def init_model(
@@ -208,22 +256,18 @@ def init_model(
     """Initialize a model: W ~ U(-1/sqrt(d_in), 1/sqrt(d_in)), b = 0, u = 0.
 
     Zero attention vectors start every branch at uniform attention, the
-    unbiased prior. Heads draw independent weights.
+    unbiased prior. Heads draw independent weights, in the canonical order.
     """
-    if d < 1 or heads < 1:
-        raise DimensionError(f"d and heads must be >= 1, got d={d}, heads={heads}")
+    zeros = np.zeros(param_count(video_dims, text_dims, d, heads))
+    model = LaffModel.from_params(zeros, video_dims, text_dims, d, heads)
     rng = np.random.default_rng(seed)
-
-    def branch(dims: dict[str, int]) -> LaffBranchParams:
-        transforms = {}
-        for name in sorted(dims):
-            d_in = dims[name]
-            bound = 1.0 / np.sqrt(d_in)
-            w = rng.uniform(-bound, bound, size=(d, d_in))
-            transforms[name] = LinearTanhParams(w, np.zeros(d))
-        return LaffBranchParams(transforms, np.zeros(d))
-
-    return LaffModel([LaffHead(branch(video_dims), branch(text_dims)) for _ in range(heads)])
+    for head in model.heads:
+        for branch in (head.video, head.text):
+            for name in branch.spaces:
+                weight = branch.transforms[name].weight
+                bound = 1.0 / np.sqrt(weight.shape[1])
+                weight[...] = rng.uniform(-bound, bound, size=weight.shape)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -419,61 +463,35 @@ def text_text_similarity(model: LaffModel, q1: FeatureBundle, q2: FeatureBundle)
     return total / model.h
 
 
-class ParamLayout:
-    """Slice map into a model's flat parameter vector, for gradient accumulation."""
-
-    def __init__(self, model: LaffModel):
-        self.size = 0
-        self._wb: dict[tuple[int, str, str], tuple[slice, slice]] = {}
-        self._u: dict[tuple[int, str], slice] = {}
-        pos = 0
-        for hi, head in enumerate(model.heads):
-            for bname, branch in (("video", head.video), ("text", head.text)):
-                for sname in branch.spaces:
-                    p = branch.transforms[sname]
-                    w_slice = slice(pos, pos + p.out_dim * p.in_dim)
-                    pos = w_slice.stop
-                    b_slice = slice(pos, pos + p.out_dim)
-                    pos = b_slice.stop
-                    self._wb[(hi, bname, sname)] = (w_slice, b_slice)
-                u_slice = slice(pos, pos + branch.d)
-                pos = u_slice.stop
-                self._u[(hi, bname)] = u_slice
-        self.size = pos
-
-    def zeros(self) -> np.ndarray:
-        return np.zeros(self.size)
-
-    def add_branch_grads(
-        self, vec: np.ndarray, head_index: int, branch_name: str, grads: BranchGrads
-    ) -> None:
-        for sname, dw in grads.d_weight.items():
-            w_slice, b_slice = self._wb[(head_index, branch_name, sname)]
-            vec[w_slice] += dw.ravel()
-            vec[b_slice] += grads.d_bias[sname]
-        vec[self._u[(head_index, branch_name)]] += grads.d_attention
+def add_grads(branch: LaffBranchParams, grads: BranchGrads) -> None:
+    """Add a branch's parameter gradients into the parameters of branch,
+    the same branch of a gradient model (see LaffModel.zeros_like)."""
+    for name, d_weight in grads.d_weight.items():
+        p = branch.transforms[name]
+        p.weight += d_weight
+        p.bias += grads.d_bias[name]
+    branch.attention += grads.d_attention
 
 
 def similarity_with_grad(
     model: LaffModel, video: FeatureBundle, text: FeatureBundle
 ) -> tuple[float, np.ndarray]:
     """similarity() plus its gradient w.r.t. the flat model parameter vector."""
-    layout = ParamLayout(model)
-    grad = layout.zeros()
+    grad = model.zeros_like()
     video_tables = branch_tables(model.heads[0].video, [video])
     text_tables = branch_tables(model.heads[0].text, [text])
     total = 0.0
     inv_h = 1.0 / model.h
-    for hi, head in enumerate(model.heads):
+    for head, grad_head in zip(model.heads, grad.heads):
         vstate = batch_forward(head.video, video_tables)
         tstate = batch_forward(head.text, text_tables)
         total += cosine_sim(vstate.fused[0], tstate.fused[0])
         dv, dt = cosine_sim_vjp(vstate.fused[0], tstate.fused[0], inv_h)
         vgrads, _ = batch_backward(head.video, vstate, dv[None, :])
         tgrads, _ = batch_backward(head.text, tstate, dt[None, :])
-        layout.add_branch_grads(grad, hi, "video", vgrads)
-        layout.add_branch_grads(grad, hi, "text", tgrads)
-    return total * inv_h, grad
+        add_grads(grad_head.video, vgrads)
+        add_grads(grad_head.text, tgrads)
+    return total * inv_h, grad.params
 
 
 def _head_branches(model: LaffModel, branch: str) -> list[LaffBranchParams]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,22 +20,6 @@ from .evaluation import JudgmentSet, read_qrels
 from .featio import read_features
 from .fusion import FeatureBundle
 from .negation import Caption, Triplet
-
-WORKERS_ENV = "AVSEARCH_WORKERS"
-
-
-def worker_count() -> int:
-    value = os.environ.get(WORKERS_ENV)
-    if value:
-        try:
-            n = int(value)
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV} must be an integer, got {value!r}") from None
-        if n < 1:
-            raise ConfigError(f"{WORKERS_ENV} must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
-
 
 @dataclass
 class DatasetManifest:
@@ -196,13 +179,7 @@ class LoadedDataset:
 
 def _load_spaces(paths: list[Path], subset, what: str, ids=None):
     keep = None if ids is None else set(ids)
-    workers = min(worker_count(), len(paths))
-    if workers <= 1:
-        # One reader: stay on the calling thread rather than hand off to a pool.
-        loaded = [read_features(path, keep) for path in paths]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            loaded = list(pool.map(read_features, paths, [keep] * len(paths)))
+    loaded = [read_features(path, keep) for path in paths]
     spaces: dict[str, dict] = {}
     for (name, features), path in zip(loaded, paths):
         if name in spaces:

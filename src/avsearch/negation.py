@@ -24,7 +24,7 @@ from .errors import ConfigError, DegenerateSimilarityWarning
 from .fusion import (
     FeatureBundle,
     LaffModel,
-    ParamLayout,
+    add_grads,
     batch_backward,
     batch_forward,
     branch_tables,
@@ -292,8 +292,7 @@ def bnl_loss(
     n = len(batch)
     if n < 2:
         raise ValueError(f"batch of {n}: hardest-negative mining needs >= 2 videos")
-    layout = ParamLayout(model)
-    grad = layout.zeros()
+    grad = model.zeros_like()
     inv_h = 1.0 / model.h
     inv_n = 1.0 / n
     rows = np.arange(n)
@@ -344,8 +343,8 @@ def bnl_loss(
     ):
         nan = float("nan")
         if with_breakdown:
-            return nan, grad, BnlBreakdown([], [], [], [])
-        return nan, grad
+            return nan, grad.params, BnlBreakdown([], [], [], [])
+        return nan, grad.params
 
     hardest = hardest_negatives(sim)
     s_pos = sim[rows, rows]
@@ -390,15 +389,15 @@ def bnl_loss(
         d_vid[zv] = 0.0
         d_txt[zt] = 0.0
         head = model.heads[hi]
-        layout.add_branch_grads(grad, hi, "video", batch_backward(head.video, vstate, d_vid)[0])
-        layout.add_branch_grads(grad, hi, "text", batch_backward(head.text, tstate, d_txt)[0])
+        add_grads(grad.heads[hi].video, batch_backward(head.video, vstate, d_vid)[0])
+        add_grads(grad.heads[hi].text, batch_backward(head.text, tstate, d_txt)[0])
 
     if with_breakdown:
         breakdown = BnlBreakdown(
             primary.tolist(), video_anchor.tolist(), text_anchor.tolist(), hardest.tolist()
         )
-        return loss, grad, breakdown
-    return loss, grad
+        return loss, grad.params, breakdown
+    return loss, grad.params
 
 
 def gap_in_window_fraction(model: LaffModel, triplets, m: Margins) -> float:

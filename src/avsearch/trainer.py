@@ -92,16 +92,19 @@ def train_epoch(
 ) -> tuple[LaffModel, float]:
     """One SGD pass over a seeded shuffle of the dataset.
 
-    Returns the updated model and the pair-weighted mean batch loss.
-    Trailing batches of fewer than 2 triplets are skipped (no negative to
-    mine). A non-finite loss aborts with the offending batch named.
+    Returns the updated model and the pair-weighted mean batch loss. The
+    model passed in is left as it was: the steps update a copy of it in
+    place. Trailing batches of fewer than 2 triplets are skipped (no
+    negative to mine). A non-finite loss aborts with the offending batch
+    named.
     """
     if not dataset:
         raise ValueError("empty training dataset")
     rng = np.random.default_rng([cfg.seed, epoch_index])
     order = rng.permutation(len(dataset))
     lr = cfg.learning_rate * cfg.lr_decay**epoch_index
-    params = model.to_vector()
+    model = LaffModel(model.heads)
+    params = model.params
     total = 0.0
     count = 0
     for batch_no, start in enumerate(range(0, len(order), cfg.batch_size)):
@@ -115,8 +118,7 @@ def train_epoch(
             raise TrainingError(
                 f"non-finite loss in epoch {epoch_index}, batch {batch_no} (captions {ids})"
             )
-        params = params - lr * _clip(grad, cfg.clip_norm)
-        model = model.with_vector(params)
+        params -= lr * _clip(grad, cfg.clip_norm)
         total += loss * len(batch)
         count += len(batch)
     if count == 0:

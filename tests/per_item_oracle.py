@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from avsearch.evaluation import _minmax
-from avsearch.fusion import BranchGrads, FeatureBundle, LaffBranchParams, LaffModel, ParamLayout
+from avsearch.fusion import BranchGrads, FeatureBundle, LaffBranchParams, LaffModel, add_grads
 from avsearch.negation import (
     BnlBreakdown,
     Margins,
@@ -76,8 +76,7 @@ def fused_matrix(model: LaffModel, bundles, branch: str) -> list[np.ndarray]:
 def bnl_loss(model: LaffModel, batch: list[Triplet], m: Margins):
     """(loss, flat gradient, breakdown), one item and one pair at a time."""
     n = len(batch)
-    layout = ParamLayout(model)
-    grad = layout.zeros()
+    grad = model.zeros_like()
     h = model.h
     inv_h = 1.0 / h
     inv_n = 1.0 / n
@@ -110,7 +109,7 @@ def bnl_loss(model: LaffModel, batch: list[Triplet], m: Margins):
     s_ttneg *= inv_h
 
     if not all(np.all(np.isfinite(x)) for x in (sim, s_vneg, s_ttneg)):
-        return float("nan"), grad, BnlBreakdown([], [], [], [])
+        return float("nan"), grad.params, BnlBreakdown([], [], [], [])
 
     d_vid = [np.zeros((n, model.d)) for _ in range(h)]
     d_txt = [np.zeros((n, model.d)) for _ in range(h)]
@@ -171,22 +170,16 @@ def bnl_loss(model: LaffModel, batch: list[Triplet], m: Margins):
 
     loss *= inv_n
 
-    for hi, head in enumerate(model.heads):
+    for hi, (head, grad_head) in enumerate(zip(model.heads, grad.heads)):
         for b in range(n):
             if np.any(d_vid[hi][b]):
-                layout.add_branch_grads(
-                    grad, hi, "video", item_backward(head.video, video_states[hi][b], d_vid[hi][b])
-                )
+                add_grads(grad_head.video, item_backward(head.video, video_states[hi][b], d_vid[hi][b]))
             if np.any(d_txt[hi][b]):
-                layout.add_branch_grads(
-                    grad, hi, "text", item_backward(head.text, text_states[hi][b], d_txt[hi][b])
-                )
+                add_grads(grad_head.text, item_backward(head.text, text_states[hi][b], d_txt[hi][b]))
             if neg_states[hi][b] is not None and np.any(d_neg[hi][b]):
-                layout.add_branch_grads(
-                    grad, hi, "text", item_backward(head.text, neg_states[hi][b], d_neg[hi][b])
-                )
+                add_grads(grad_head.text, item_backward(head.text, neg_states[hi][b], d_neg[hi][b]))
 
-    return float(loss), grad, breakdown
+    return float(loss), grad.params, breakdown
 
 
 def pair_similarity(model: LaffModel, video: FeatureBundle, text: FeatureBundle) -> float:

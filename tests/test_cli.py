@@ -5,7 +5,7 @@ from avsearch.cli import main
 from avsearch.evaluation import read_run
 from avsearch.featio import checkpoint_load, checkpoint_save, write_features
 
-from conftest import randomized_model
+from conftest import huge_d_checkpoint, randomized_model
 
 
 def run_cli(*argv):
@@ -122,6 +122,18 @@ class TestSearchEvalPipeline:
             "--query-feats", synth_dir / "text_txta.feat", synth_dir / "text_txtb.feat",
             "--out", out, "--top-k", 12, "--run-tag", tag,
         )
+
+    def test_corrupt_checkpoint_header_exits_1(self, synth_dir, tmp_path, capsys):
+        ckpt = tmp_path / "huge.ckpt"
+        huge_d_checkpoint(ckpt)
+        code = run_cli(
+            "search", "--checkpoint", ckpt,
+            "--video-feats", synth_dir / "video_visa.feat",
+            "--query-feats", synth_dir / "text_txta.feat",
+            "--out", tmp_path / "run.txt",
+        )
+        assert code == 1
+        assert "truncated while reading parameters" in capsys.readouterr().err
 
     def test_search_writes_valid_run(self, synth_dir, trained, tmp_path):
         out = tmp_path / "run.txt"

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -11,9 +12,9 @@ from avsearch.featio import (
     read_features,
     write_features,
 )
-from avsearch.fusion import similarity
+from avsearch.fusion import init_model, similarity
 
-from conftest import random_bundle, randomized_model
+from conftest import huge_d_checkpoint, random_bundle, randomized_model
 
 
 class TestFeatureFiles:
@@ -147,6 +148,14 @@ class TestFeatureFiles:
         with pytest.raises(FormatError, match="duplicate"):
             read_features(p, keep={"v2"})
 
+    def test_huge_dim_in_header_rejected_before_allocating(self, tmp_path):
+        p = tmp_path / "huge.feat"
+        header = (b"AVSF" + struct.pack("<B", 1) + struct.pack("<I", 2**32 - 1)
+                  + struct.pack("<Q", 1) + struct.pack("<H", 1) + b"s")
+        p.write_bytes(header + struct.pack("<H", 2) + b"v1" + struct.pack("<f", 1.0))
+        with pytest.raises(FormatError, match="1 records of 4294967295 values"):
+            read_features(p)
+
 
 class TestCheckpoints:
     def make_model(self, seed=0):
@@ -192,6 +201,26 @@ class TestCheckpoints:
         p.write_bytes(p.read_bytes() + b"junk")
         with pytest.raises(FormatError, match="trailing"):
             checkpoint_load(p)
+
+    def test_huge_d_in_header_rejected_before_allocating(self, tmp_path):
+        p = tmp_path / "model.ckpt"
+        huge_d_checkpoint(p)
+        with pytest.raises(FormatError, match="truncated while reading parameters"):
+            checkpoint_load(p)
+
+    def test_golden_bytes(self, tmp_path):
+        # sha256 of files written by earlier versions: the byte layout and
+        # init_model's draw order must not change.
+        vdims, tdims = {"vb": 5, "va": 3}, {"tx": 4, "ta": 2}
+        for model, digest in (
+            (init_model(vdims, tdims, d=4, heads=2, seed=7),
+             "fe184d5f5845824916db50ff6abf4214fd667147c4d2cb9c6fcab82172793a1a"),
+            (randomized_model(vdims, tdims, d=4, heads=2, seed=3),
+             "6a71d29270ca922fb96773f93daf5fe12deed3a69b11b02dc9e63117b61ba14e"),
+        ):
+            p = tmp_path / "model.ckpt"
+            checkpoint_save(model, p)
+            assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
 
     def test_version_mismatch(self, tmp_path):
         p = tmp_path / "model.ckpt"

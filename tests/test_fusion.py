@@ -406,6 +406,34 @@ class TestModelStructure:
         with pytest.raises(DimensionError):
             model.with_vector(np.zeros(model.n_params() - 1))
 
+    def test_vectors_in_and_out_are_copies(self):
+        model = randomized_model({"a": 3, "b": 2}, {"t": 4}, d=5, heads=2, seed=16)
+        before = model.to_vector()
+        vec = model.to_vector()
+        rebuilt = model.with_vector(vec)
+        vec[:] = 7.0
+        model.to_vector()[:] = 8.0
+        rebuilt.to_vector()[:] = 9.0
+        for m in (model, rebuilt):
+            np.testing.assert_array_equal(m.to_vector(), before)
+            np.testing.assert_array_equal(m.params, before)
+
+    def test_parameters_are_views_of_one_buffer(self):
+        model = randomized_model({"a": 3, "b": 2}, {"t": 4}, d=5, heads=2, seed=17)
+        copy = LaffModel(model.heads)
+        for m in (model, copy):
+            for head in m.heads:
+                for branch in (head.video, head.text):
+                    assert np.shares_memory(branch.attention, m.params)
+                    for p in branch.transforms.values():
+                        assert np.shares_memory(p.weight, m.params)
+                        assert np.shares_memory(p.bias, m.params)
+        assert not np.shares_memory(model.params, copy.params)
+        np.testing.assert_array_equal(copy.params, model.to_vector())
+        model.params[:] = 0.0
+        assert not model.heads[1].text.transforms["t"].weight.any()
+        assert copy.params.any()
+
     def test_init_bounds_and_zeros(self):
         model = init_model({"a": 9}, {"t": 4}, d=6, heads=2, seed=15)
         for head in model.heads:

@@ -15,7 +15,6 @@ from avsearch.manifest import (
     write_captions,
     write_manifest,
     write_pairs,
-    worker_count,
 )
 from avsearch.negation import Caption
 
@@ -187,37 +186,6 @@ class TestLoadDataset:
         for item_id, bundle in bundles.items():
             for name, vec in bundle.features.items():
                 np.testing.assert_array_equal(vec, full[item_id].features[name])
-
-    def test_load_feature_bundles_same_inline_and_pooled(self, tmp_path, rng, monkeypatch):
-        small_dataset(tmp_path, rng)
-        paths = [tmp_path / "va.feat", tmp_path / "vb.feat"]
-        monkeypatch.setenv("AVSEARCH_WORKERS", "1")
-        _, inline = load_feature_bundles(paths)
-        monkeypatch.setenv("AVSEARCH_WORKERS", "2")
-        _, pooled = load_feature_bundles(paths)
-        assert list(pooled) == list(inline)
-        for item_id, bundle in pooled.items():
-            assert bundle.features.keys() == inline[item_id].features.keys()
-            for name, vec in bundle.features.items():
-                np.testing.assert_array_equal(vec, inline[item_id].features[name])
-
-
-class TestWorkerEnv:
-    def test_default_positive(self, monkeypatch):
-        monkeypatch.delenv("AVSEARCH_WORKERS", raising=False)
-        assert worker_count() >= 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("AVSEARCH_WORKERS", "3")
-        assert worker_count() == 3
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("AVSEARCH_WORKERS", "many")
-        with pytest.raises(ConfigError):
-            worker_count()
-        monkeypatch.setenv("AVSEARCH_WORKERS", "0")
-        with pytest.raises(ConfigError):
-            worker_count()
 
 
 class TestConfig:

@@ -87,6 +87,15 @@ class TestTrainEpoch:
         updated, _ = train_epoch(model, triplets, cfg, 0)
         np.testing.assert_array_equal(updated.to_vector(), before)
 
+    def test_input_model_left_unchanged(self, rng):
+        triplets = toy_triplets(rng)
+        model = init_model({"vis": 6}, {"txt": 5}, d=4, heads=1, seed=0)
+        before = model.to_vector()
+        cfg = TrainConfig(learning_rate=0.5, batch_size=3, epochs=1)
+        updated, _ = train_epoch(model, triplets, cfg, 0)
+        np.testing.assert_array_equal(model.to_vector(), before)
+        assert not np.array_equal(updated.to_vector(), before)
+
     def test_deterministic_given_seed(self, rng):
         triplets = toy_triplets(rng)
         cfg = TrainConfig(learning_rate=0.05, batch_size=3, seed=11)
