@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, MetricError
+from .featio import atomic_open
 from .fusion import FeatureBundle, LaffModel, fused_matrix
 from .numeric import unit_rows
 
@@ -79,12 +80,18 @@ def rank_many(
     corpus: list[FeatureBundle],
     top_k: int,
 ) -> dict[str, RunEntry]:
-    """Rank the corpus for every query; descending score, ties by item_id."""
+    """Rank the corpus for every query and keep the top_k of each.
+
+    Items come in descending score, ties by ascending item_id (Python string
+    order), so -0.0 ties with 0.0 and a query whose scores are all equal
+    lists the corpus in id order. A non-finite similarity, as one NaN
+    feature value gives, raises FormatError naming the query and the item:
+    sorting would put NaN last and silently drop the item from every list.
+    """
     if not corpus:
         raise ValueError("empty corpus")
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    ids = [b.item_id for b in corpus]
     vid = fused_matrix(model, corpus, "video")  # per head (n, d)
     txt = fused_matrix(model, queries, "text")  # per head (m, d)
 
@@ -92,11 +99,39 @@ def rank_many(
     for hv, ht in zip(vid, txt):
         sims += np.clip(unit_rows(ht)[0] @ unit_rows(hv)[0].T, -1.0, 1.0)
     sims /= model.h
+    return rank_scores(
+        sims, [q.item_id for q in queries], [b.item_id for b in corpus], top_k
+    )
 
+
+def rank_scores(
+    sims: np.ndarray, query_ids: list[str], item_ids: list[str], top_k: int
+) -> dict[str, RunEntry]:
+    """The top_k (item_id, score) of each row of a (queries, items) matrix.
+
+    Order and the non-finite rule are `rank_many`'s. The columns are put in
+    id order once, so a stable sort of a row on -score breaks ties by id.
+    When top_k < n, only the items scoring at least the top_k-th largest
+    score are sorted: that keeps every tie at the cut, in id order.
+    """
+    n = len(item_ids)
+    by_id = np.array(sorted(range(n), key=item_ids.__getitem__), dtype=np.intp)
+    ids_by_id = np.array(item_ids, dtype=object)[by_id]
     out: dict[str, RunEntry] = {}
-    for qi, q in enumerate(queries):
-        order = sorted(range(len(corpus)), key=lambda i: (-sims[qi, i], ids[i]))
-        out[q.item_id] = [(ids[i], float(sims[qi, i])) for i in order[:top_k]]
+    for qid, row in zip(query_ids, sims):
+        s = row[by_id]
+        finite = np.isfinite(s)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise FormatError(
+                f"query {qid!r}: non-finite similarity {s[j]} at item {ids_by_id[j]!r}"
+            )
+        if top_k < n:
+            kept = np.flatnonzero(s >= np.partition(s, n - top_k)[n - top_k])
+        else:
+            kept = np.arange(n)
+        order = kept[np.argsort(-s[kept], kind="stable")[:top_k]]
+        out[qid] = list(zip(ids_by_id[order].tolist(), s[order].tolist()))
     return out
 
 
@@ -250,7 +285,8 @@ def late_fuse(
 
 
 def write_run(path, run: RankedRun) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Write a run file; a failed write leaves `path` as it was (`atomic_open`)."""
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for qid, entry in run.entries.items():
             for rank_pos, (item_id, score) in enumerate(entry, start=1):
                 fh.write(f"{qid} Q0 {item_id} {rank_pos} {score:.6f} {run.run_tag}\n")

@@ -20,12 +20,17 @@ reloaded model reproduces similarities bit-identically.
 Readers check the sizes a header claims against the bytes left in the file
 before allocating anything, so a corrupt header is a FormatError rather
 than an attempt to allocate gigabytes.
+
+Checkpoints (and run files, in `evaluation`) are written through
+`atomic_open`, so a failed write never leaves a truncated file under the
+final name.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -35,6 +40,27 @@ from .fusion import LaffModel, param_count
 FEATURE_MAGIC = b"AVSF"
 CHECKPOINT_MAGIC = b"AVSC"
 FORMAT_VERSION = 1
+
+
+@contextmanager
+def atomic_open(path, mode: str = "wb", **kwargs):
+    """Open a new file next to `path`; rename it onto `path` once the block ends.
+
+    If the block raises, the new file is removed and whatever was at `path`
+    is left untouched. The rename is atomic, but there is no fsync: this
+    guards against a failed or interrupted writer, not against power loss.
+    """
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    temp = os.path.join(head, f".{tail}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, mode, **kwargs) as fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 class _Reader:
@@ -183,7 +209,7 @@ def read_features(path, keep=None) -> tuple[str, dict[str, np.ndarray]]:
 
 
 def checkpoint_save(model: LaffModel, path) -> None:
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<B", FORMAT_VERSION))
         fh.write(struct.pack("<II", model.h, model.d))

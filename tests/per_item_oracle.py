@@ -1,11 +1,12 @@
-"""Per-item reference implementations of the batched fusion, loss and
-post-search code.
+"""Per-item reference implementations of the batched fusion, loss, ranking
+and post-search code.
 
 Item-at-a-time branch forward/backward, `bnl_loss`, `fused_matrix`, the
 per-frame rerank loop and per-pair pseudo-caption scoring. They run one
 bundle, one frame and one pair at a time through `linear_tanh`, the scalar
 cosine and its VJP, so tests can compare the batched path against an
-independent oracle.
+independent oracle. `rank_scores` sorts each query in Python on the key
+(-score, item_id), as the reference for `evaluation.rank_scores`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from avsearch.evaluation import _minmax
 from avsearch.fusion import BranchGrads, FeatureBundle, LaffBranchParams, LaffModel, add_grads
+from avsearch.fusion import fused_matrix as batched_fused_matrix
 from avsearch.negation import (
     BnlBreakdown,
     Margins,
@@ -24,7 +26,7 @@ from avsearch.negation import (
     bcl_text_anchor,
     bcl_video_anchor,
 )
-from avsearch.numeric import cosine_sim, cosine_sim_vjp, linear_tanh, softmax
+from avsearch.numeric import cosine_sim, cosine_sim_vjp, linear_tanh, softmax, unit_rows
 from avsearch.pseudocap import normalize_caption
 
 
@@ -180,6 +182,27 @@ def bnl_loss(model: LaffModel, batch: list[Triplet], m: Margins):
                 add_grads(grad_head.text, item_backward(head.text, neg_states[hi][b], d_neg[hi][b]))
 
     return float(loss), grad.params, breakdown
+
+
+def rank_scores(sims, query_ids, item_ids, top_k):
+    """One Python sort per query on the key (-score, item_id)."""
+    out = {}
+    for qi, qid in enumerate(query_ids):
+        order = sorted(range(len(item_ids)), key=lambda i: (-sims[qi, i], item_ids[i]))
+        out[qid] = [(item_ids[i], float(sims[qi, i])) for i in order[:top_k]]
+    return out
+
+
+def rank_many(model: LaffModel, queries, corpus, top_k):
+    """Batched similarities (the same float64 values as `rank_many`), sorted
+    per query by `rank_scores`."""
+    vid = batched_fused_matrix(model, corpus, "video")
+    txt = batched_fused_matrix(model, queries, "text")
+    sims = np.zeros((len(queries), len(corpus)))
+    for hv, ht in zip(vid, txt):
+        sims += np.clip(unit_rows(ht)[0] @ unit_rows(hv)[0].T, -1.0, 1.0)
+    sims /= model.h
+    return rank_scores(sims, [q.item_id for q in queries], [b.item_id for b in corpus], top_k)
 
 
 def pair_similarity(model: LaffModel, video: FeatureBundle, text: FeatureBundle) -> float:

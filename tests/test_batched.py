@@ -14,6 +14,7 @@ import pytest
 import per_item_oracle as oracle
 from avsearch.cli import _caption_scores
 from avsearch.errors import DegenerateSimilarityWarning
+from avsearch.evaluation import rank_many, rank_scores
 from avsearch.fusion import (
     BLOCK_ROWS,
     FeatureBundle,
@@ -159,6 +160,87 @@ class TestLaffVjpOracle:
                             atol=RTOL,
                         )
                 np.testing.assert_allclose(got.d_attention, want.d_attention, rtol=RTOL, atol=RTOL)
+
+
+def as_hex(entries):
+    """Entries with scores as float.hex, so -0.0 and 0.0 compare unequal."""
+    return {qid: [(item, score.hex()) for item, score in e] for qid, e in entries.items()}
+
+
+def assert_ranks_like_oracle(sims, query_ids, item_ids, top_k):
+    got = rank_scores(sims, query_ids, item_ids, top_k)
+    want = oracle.rank_scores(sims, query_ids, item_ids, top_k)
+    assert got == want
+    assert as_hex(got) == as_hex(want)
+    return got
+
+
+def tied_scores(rng, m, n):
+    """Scores on a 0.1 grid, so every row has long runs of exact ties."""
+    return np.round(rng.uniform(-1.0, 1.0, (m, n)), 1)
+
+
+class TestRankManyOracle:
+    def test_ties_straddle_top_k(self):
+        ids = ["e", "b", "f", "a", "d", "c", "g", "h"]
+        sims = np.array([[0.5, 0.5, 0.9, 0.5, 0.1, 0.5, 0.5, -0.2]])
+        got = assert_ranks_like_oracle(sims, ["q"], ids, top_k=3)
+        assert [item for item, _ in got["q"]] == ["f", "a", "b"]
+
+    def test_every_cut_through_long_ties(self, rng):
+        n = 200
+        ids = [f"v{i:03d}" for i in rng.permutation(n)]
+        sims = tied_scores(rng, 3, n)
+        for top_k in range(1, n + 1, 7):
+            assert_ranks_like_oracle(sims, ["q0", "q1", "q2"], ids, top_k)
+
+    def test_signed_zeros(self, rng):
+        n = 60
+        ids = [f"v{i:02d}" for i in rng.permutation(n)]
+        sims = np.where(rng.random((2, n)) < 0.5, -0.0, 0.0)
+        sims[:, ::5] = 0.25
+        sims[1, ::7] = -0.25
+        got = assert_ranks_like_oracle(sims, ["q0", "q1"], ids, top_k=30)
+        assert any(np.signbit(score) for _, score in got["q0"])
+
+    def test_corpus_not_in_id_order(self, rng):
+        n = 300
+        ids = [f"item{i}" for i in rng.permutation(n)]  # "item10" < "item9"
+        sims = tied_scores(rng, 5, n)
+        assert_ranks_like_oracle(sims, [f"q{i}" for i in range(5)], ids, top_k=50)
+
+    @pytest.mark.parametrize("extra", [0, 5], ids=["equal_n", "above_n"])
+    def test_top_k_at_or_above_n(self, rng, extra):
+        n = 40
+        ids = [f"v{i:02d}" for i in rng.permutation(n)]
+        got = assert_ranks_like_oracle(tied_scores(rng, 2, n), ["q0", "q1"], ids, n + extra)
+        assert all(len(e) == n for e in got.values())
+
+    def test_constant_row(self, rng):
+        n = 50
+        ids = [f"v{i:02d}" for i in rng.permutation(n)]
+        sims = np.vstack([np.full(n, 0.25), tied_scores(rng, 1, n)[0]])
+        got = assert_ranks_like_oracle(sims, ["flat", "q"], ids, top_k=20)
+        assert [item for item, _ in got["flat"]] == sorted(ids)[:20]
+
+    def test_single_query_through_the_model(self, rng):
+        model = paper_like_model(33)
+        corpus = [random_bundle(f"v{i}", model.video_dims(), rng) for i in rng.permutation(40)]
+        query = [random_bundle("q", model.text_dims(), rng)]
+        got = rank_many(model, query, corpus, top_k=15)
+        want = oracle.rank_many(model, query, corpus, top_k=15)
+        assert got == want and as_hex(got) == as_hex(want)
+
+    def test_many_queries_with_duplicate_videos(self, rng):
+        # Identical features under different ids: their scores can tie exactly.
+        model = paper_like_model(34)
+        corpus = [random_bundle(f"v{i}", model.video_dims(), rng) for i in rng.permutation(30)]
+        corpus += [FeatureBundle(f"w{i}", b.features) for i, b in enumerate(corpus[:10])]
+        queries = [random_bundle(f"q{i}", model.text_dims(), rng) for i in range(6)]
+        for top_k in (1, 12, len(corpus)):
+            got = rank_many(model, queries, corpus, top_k)
+            want = oracle.rank_many(model, queries, corpus, top_k)
+            assert got == want and as_hex(got) == as_hex(want)
 
 
 def ragged_store(rng, counts, dim):

@@ -135,6 +135,24 @@ class TestSearchEvalPipeline:
         assert code == 1
         assert "truncated while reading parameters" in capsys.readouterr().err
 
+    def test_nan_video_feature_exits_1_naming_the_video(self, tmp_path, capsys):
+        model = randomized_model({"vis": 3}, {"txt": 2}, d=4, heads=1, seed=8)
+        ckpt = tmp_path / "m.ckpt"
+        checkpoint_save(model, ckpt)
+        write_features(tmp_path / "v.feat", "vis", {
+            "v1": np.array([1.0, 0.0, 0.5]), "v2": np.array([0.0, 1.0, 0.5]),
+            "vnan": np.array([0.2, np.nan, 0.1]),
+        })
+        write_features(tmp_path / "q.feat", "txt", {"q1": np.array([0.3, 0.7])})
+        out = tmp_path / "run.txt"
+        code = run_cli(
+            "search", "--checkpoint", ckpt, "--video-feats", tmp_path / "v.feat",
+            "--query-feats", tmp_path / "q.feat", "--out", out, "--top-k", 2,
+        )
+        assert code == 1
+        assert "'vnan'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_search_writes_valid_run(self, synth_dir, trained, tmp_path):
         out = tmp_path / "run.txt"
         assert self.search(synth_dir, trained, out) == 0

@@ -11,12 +11,14 @@ from avsearch.evaluation import (
     late_fuse,
     mean_metric,
     rank,
+    rank_many,
+    rank_scores,
     read_qrels,
     read_run,
     write_qrels,
     write_run,
 )
-from avsearch.fusion import similarity
+from avsearch.fusion import FeatureBundle, similarity
 
 from conftest import random_bundle, randomized_model
 
@@ -99,6 +101,21 @@ class TestRank:
         corpus = [FeatureBundle("zz", {"a": vec}), FeatureBundle("aa", {"a": vec})]
         entry = rank(model, random_bundle("q", {"t": 2}, rng), corpus, top_k=2)
         assert [i for i, _ in entry] == ["aa", "zz"]
+
+
+    def test_nan_feature_rejected_naming_query_and_item(self, rng):
+        # Sorting would put the NaN last and drop "bad" from every list.
+        model = randomized_model({"a": 3}, {"t": 2}, d=4, heads=2, seed=5)
+        corpus = [random_bundle(f"v{i}", {"a": 3}, rng) for i in range(5)]
+        corpus.insert(2, FeatureBundle("bad", {"a": np.array([0.1, np.nan, 0.3])}))
+        queries = [random_bundle(f"q{i}", {"t": 2}, rng) for i in range(3)]
+        with pytest.raises(FormatError, match=r"query 'q0': non-finite similarity nan at item 'bad'"):
+            rank_many(model, queries, corpus, top_k=2)
+
+    def test_infinite_score_rejected(self):
+        sims = np.array([[0.1, 0.2, 0.3], [0.1, -np.inf, 0.3]])
+        with pytest.raises(FormatError, match=r"query 'q1': non-finite similarity -inf at item 'b'"):
+            rank_scores(sims, ["q0", "q1"], ["c", "b", "a"], top_k=3)
 
 
 class TestAveragePrecision:
@@ -259,6 +276,23 @@ class TestRunFiles:
         write_run(p1, run)
         write_run(p2, read_run(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        p = tmp_path / "run.txt"
+        p.write_text("old run\n")
+        run = RankedRun({"q1": [("a", 0.5)]}, "t")
+        run.entries["q2"] = [("b", object())]  # fails to format after q1's line
+        with pytest.raises(TypeError):
+            write_run(p, run)
+        assert p.read_text() == "old run\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["run.txt"]
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        run = RankedRun({"q1": [("a", 0.5)]}, "t")
+        run.entries["q2"] = [("b", object())]
+        with pytest.raises(TypeError):
+            write_run(tmp_path / "run.txt", run)
+        assert list(tmp_path.iterdir()) == []
 
     def test_five_field_line_rejected_with_lineno(self, tmp_path):
         p = tmp_path / "bad.txt"

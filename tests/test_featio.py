@@ -1,4 +1,6 @@
 import hashlib
+import os
+import stat
 import struct
 
 import numpy as np
@@ -221,6 +223,34 @@ class TestCheckpoints:
             p = tmp_path / "model.ckpt"
             checkpoint_save(model, p)
             assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "model.ckpt"
+        checkpoint_save(self.make_model(seed=1), p)
+        before = p.read_bytes()
+        model = self.make_model(seed=2)
+
+        def fail():
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(model, "to_vector", fail)  # after the header is written
+        with pytest.raises(RuntimeError, match="disk full"):
+            checkpoint_save(model, p)
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
+        with pytest.raises(RuntimeError):
+            checkpoint_save(model, tmp_path / "new.ckpt")
+        assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_save_replaces_with_umask_permissions(self, tmp_path):
+        p = tmp_path / "model.ckpt"
+        p.write_bytes(b"stale")
+        checkpoint_save(self.make_model(), p)
+        checkpoint_load(p)
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(p.stat().st_mode) == 0o666 & ~umask
+        assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
 
     def test_version_mismatch(self, tmp_path):
         p = tmp_path / "model.ckpt"
