@@ -25,7 +25,13 @@ from .evaluation import (
     read_run,
     write_run,
 )
-from .featio import checkpoint_load, checkpoint_save, group_frame_features, read_features
+from .featio import (
+    atomic_open,
+    checkpoint_load,
+    checkpoint_save,
+    group_frame_features,
+    read_features,
+)
 # `similarity` is unused here but stays importable from this module: the
 # benchmark's tracer (perfbench/tracer.py) wraps it under this name.
 from .fusion import feature_importance, init_model, pair_similarities, similarity  # noqa: F401
@@ -175,7 +181,7 @@ def _cmd_negate(args) -> int:
     written = 0
     skipped_cue = 0
     skipped_flat = 0
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         for caption in captions.values():
             try:
                 negated = negate_caption(caption, rng, cue=args.cue)

@@ -344,7 +344,7 @@ def read_run(path) -> RankedRun:
 
 
 def write_qrels(path, judgments: JudgmentSet) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("#complete\n" if judgments.complete else "#sampled\n")
         for qid, labels in judgments.judgments.items():
             for item_id, rel in labels.items():

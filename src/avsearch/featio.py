@@ -21,9 +21,9 @@ Readers check the sizes a header claims against the bytes left in the file
 before allocating anything, so a corrupt header is a FormatError rather
 than an attempt to allocate gigabytes.
 
-Checkpoints (and run files, in `evaluation`) are written through
-`atomic_open`, so a failed write never leaves a truncated file under the
-final name.
+Every file the package writes, except the training log that `fit` appends
+to epoch by epoch, goes through `atomic_open`, so a failed write never
+leaves a truncated file under the final name.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def write_features(path, space_name: str, features: dict[str, np.ndarray]) -> No
             raise DimensionError(
                 f"feature {item_id!r} has shape {vec.shape}, expected ({dim},)"
             )
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<B", FORMAT_VERSION))
         fh.write(struct.pack("<I", dim))

@@ -10,11 +10,14 @@ embeddings.
 
 All numerics are batched. The inputs of n items are per-space (n, d_in)
 tables; a branch runs one GEMM per space, E_i = tanh(X_i W_iᵀ + b_i), then
-a row-wise softmax over the k spaces, and its backward pass forms weight
-gradients as dZ_iᵀ X_i. The per-item functions (similarity, laff_forward,
-laff_vjp, ...) are n=1 calls into the same path, and corpus embedding runs
-in fixed-size row blocks. Many (video, text) pairs are scored together by
-pair_similarities, which embeds each distinct bundle once.
+a row-wise softmax over the k spaces, and its backward pass writes the
+weight gradients dZ_iᵀ X_i straight into a gradient branch the caller owns,
+typically the views of a flat gradient vector (LaffModel.on_vector), so a
+training step allocates no per-branch gradient arrays. The per-item
+functions (similarity, laff_forward, laff_vjp, ...) are n=1 calls into the
+same path, and corpus embedding runs in fixed-size row blocks. Many (video,
+text) pairs are scored together by pair_similarities, which embeds each
+distinct bundle once.
 
 Iteration over feature spaces is always in sorted space-name order so that
 results are reproducible regardless of how bundles were assembled.
@@ -43,16 +46,6 @@ class FeatureBundle:
             name: as_vector(vec, f"feature {name!r}")
             for name, vec in self.features.items()
         }
-
-    @classmethod
-    def from_pairs(cls, item_id: str, pairs) -> "FeatureBundle":
-        """Build from (space_name, vector) pairs, rejecting duplicate names."""
-        features: dict[str, np.ndarray] = {}
-        for name, vec in pairs:
-            if name in features:
-                raise BundleMismatchError(f"duplicate feature space {name!r}")
-            features[name] = vec
-        return cls(item_id, features)
 
     @property
     def spaces(self) -> tuple[str, ...]:
@@ -236,11 +229,18 @@ class LaffModel:
         vec = as_vector(vec, "parameter vector").copy()
         return LaffModel.from_params(vec, self.video_dims(), self.text_dims(), self.d, self.h)
 
-    def zeros_like(self) -> "LaffModel":
-        """A model of identical structure with every parameter 0, into which
-        gradients are accumulated (see add_grads)."""
-        zeros = np.zeros(self.n_params())
-        return LaffModel.from_params(zeros, self.video_dims(), self.text_dims(), self.d, self.h)
+    def on_vector(self, vec: np.ndarray) -> "LaffModel":
+        """A model of identical structure whose parameters are views into vec,
+        a writable, contiguous float64 vector of n_params() entries, which is
+        not copied. Gradients are written into such a model (batch_backward)."""
+        if not (
+            isinstance(vec, np.ndarray)
+            and vec.dtype == np.float64
+            and vec.flags.c_contiguous
+            and vec.flags.writeable
+        ):
+            raise DimensionError("parameter buffer must be a writable, contiguous float64 array")
+        return LaffModel.from_params(vec, self.video_dims(), self.text_dims(), self.d, self.h)
 
     def n_params(self) -> int:
         return self.params.shape[0]
@@ -293,8 +293,8 @@ class BranchState:
 
 @dataclass
 class BranchGrads:
-    """Gradients w.r.t. one branch's parameters (summed over items) and,
-    from laff_vjp only, its input features."""
+    """What laff_vjp returns: gradients w.r.t. one branch's parameters and
+    its input features."""
 
     d_weight: dict[str, np.ndarray]
     d_bias: dict[str, np.ndarray]
@@ -357,16 +357,19 @@ def batch_forward(branch: LaffBranchParams, tables: list[np.ndarray]) -> BranchS
 
 
 def batch_backward(
-    branch: LaffBranchParams, state: BranchState, d_fused: np.ndarray
-) -> tuple[BranchGrads, list[np.ndarray]]:
+    branch: LaffBranchParams, state: BranchState, d_fused: np.ndarray, out: LaffBranchParams
+) -> list[np.ndarray]:
     """Backprop d_fused = dL/d(fused), (n, d), through the weighted sum,
-    the softmax attention and each linear+tanh.
+    the softmax attention and each linear+tanh, writing the parameter
+    gradients into out, a branch of the same structure.
 
     Each transformed feature receives both the direct a_i * d_fused path and
     the attention-score path through the softmax coupling. Parameter
     gradients are summed over the n items: dW_i = dZ_iᵀ X_i and
-    db_i = sum of dZ_i's rows. Also returns the per-space (n, d)
-    pre-activation gradients dZ_i; the input gradients are dZ_i W_i.
+    db_i = sum of dZ_i's rows overwrite out's W_i and b_i, and the attention
+    gradient overwrites out's u; out's previous contents are never read.
+    Returns the per-space (n, d) pre-activation gradients dZ_i; the input
+    gradients are dZ_i W_i.
     """
     d_fused = np.asarray(d_fused, dtype=np.float64)
     if d_fused.shape != state.fused.shape:
@@ -378,18 +381,17 @@ def batch_backward(
     d_a = (e @ d_fused[:, :, None])[:, :, 0]
     # softmax jacobian: ds_j = a_j (dA_j - sum_i a_i dA_i)
     ds = a * (d_a - (a[:, None, :] @ d_a[:, :, None])[:, 0])
-    d_attention = ds.reshape(-1) @ e.reshape(-1, e.shape[2])
-    d_weight: dict[str, np.ndarray] = {}
-    d_bias: dict[str, np.ndarray] = {}
+    np.matmul(ds.reshape(-1), e.reshape(-1, e.shape[2]), out=out.attention)
     d_z = []
     for i, (name, x) in enumerate(zip(state.spaces, state.inputs)):
         dz = (a[:, i, None] * d_fused + ds[:, i, None] * branch.attention) * (
             1.0 - e[:, i] * e[:, i]
         )
-        d_weight[name] = dz.T @ x
-        d_bias[name] = dz.sum(axis=0)
+        grad = out.transforms[name]
+        np.matmul(dz.T, x, out=grad.weight)
+        dz.sum(axis=0, out=grad.bias)
         d_z.append(dz)
-    return BranchGrads(d_weight, d_bias, d_attention), d_z
+    return d_z
 
 
 def branch_forward(branch: LaffBranchParams, bundle: FeatureBundle) -> BranchState:
@@ -419,12 +421,21 @@ def laff_vjp(
     given upstream = dL/d(fused)."""
     upstream = as_vector(upstream, "d_fused")
     state = batch_forward(branch, branch_tables(branch, [bundle]))
-    grads, d_z = batch_backward(branch, state, upstream[None, :])
-    grads.d_inputs = {
-        name: (dz @ branch.transforms[name].weight)[0]
-        for name, dz in zip(branch.spaces, d_z)
-    }
-    return grads
+    out = LaffBranchParams(
+        {
+            name: LinearTanhParams(np.empty_like(p.weight), np.empty_like(p.bias))
+            for name, p in branch.transforms.items()
+        },
+        np.empty_like(branch.attention),
+    )
+    d_z = batch_backward(branch, state, upstream[None, :], out)
+    spaces = branch.spaces
+    return BranchGrads(
+        {name: out.transforms[name].weight for name in spaces},
+        {name: out.transforms[name].bias for name in spaces},
+        out.attention,
+        {name: (dz @ branch.transforms[name].weight)[0] for name, dz in zip(spaces, d_z)},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -463,21 +474,11 @@ def text_text_similarity(model: LaffModel, q1: FeatureBundle, q2: FeatureBundle)
     return total / model.h
 
 
-def add_grads(branch: LaffBranchParams, grads: BranchGrads) -> None:
-    """Add a branch's parameter gradients into the parameters of branch,
-    the same branch of a gradient model (see LaffModel.zeros_like)."""
-    for name, d_weight in grads.d_weight.items():
-        p = branch.transforms[name]
-        p.weight += d_weight
-        p.bias += grads.d_bias[name]
-    branch.attention += grads.d_attention
-
-
 def similarity_with_grad(
     model: LaffModel, video: FeatureBundle, text: FeatureBundle
 ) -> tuple[float, np.ndarray]:
     """similarity() plus its gradient w.r.t. the flat model parameter vector."""
-    grad = model.zeros_like()
+    grad = model.on_vector(np.empty(model.n_params()))
     video_tables = branch_tables(model.heads[0].video, [video])
     text_tables = branch_tables(model.heads[0].text, [text])
     total = 0.0
@@ -487,10 +488,8 @@ def similarity_with_grad(
         tstate = batch_forward(head.text, text_tables)
         total += cosine_sim(vstate.fused[0], tstate.fused[0])
         dv, dt = cosine_sim_vjp(vstate.fused[0], tstate.fused[0], inv_h)
-        vgrads, _ = batch_backward(head.video, vstate, dv[None, :])
-        tgrads, _ = batch_backward(head.text, tstate, dt[None, :])
-        add_grads(grad_head.video, vgrads)
-        add_grads(grad_head.text, tgrads)
+        batch_backward(head.video, vstate, dv[None, :], grad_head.video)
+        batch_backward(head.text, tstate, dt[None, :], grad_head.text)
     return total * inv_h, grad.params
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import ConfigError, FormatError
 from .evaluation import JudgmentSet, read_qrels
-from .featio import read_features
+from .featio import atomic_open, read_features
 from .fusion import FeatureBundle
 from .negation import Caption, Triplet
 
@@ -88,9 +88,8 @@ def write_manifest(path, manifest: DatasetManifest) -> None:
         "qrels": rel(manifest.qrels),
     }
     payload = {k: v for k, v in payload.items() if v not in (None, [])}
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +125,7 @@ def read_captions(path) -> dict[str, Caption]:
 
 
 def write_captions(path, captions: dict[str, Caption]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for caption in captions.values():
             line = f"{caption.item_id}\t{caption.text}"
             if caption.pos_tags is not None:
@@ -153,7 +152,7 @@ def read_pairs(path) -> list[tuple[str, str, str | None]]:
 
 
 def write_pairs(path, pairs: list[tuple[str, str, str | None]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for video_id, caption_id, negated_id in pairs:
             if negated_id is None:
                 fh.write(f"{video_id}\t{caption_id}\n")

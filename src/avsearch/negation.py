@@ -10,7 +10,8 @@ margin window, from both the video anchor and the text anchor.
 The batch loss is computed in matrix form on the batched fusion engine:
 one cosine GEMM per head for the batch similarity matrix, column-wise
 hardest-negative mining (`hardest_negatives`), and one upstream matrix
-pulled back through a single backward pass per branch.
+pulled back through a single backward pass per branch, which writes its
+share of the gradient straight into a caller-owned flat vector.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from .errors import ConfigError, DegenerateSimilarityWarning
 from .fusion import (
     FeatureBundle,
     LaffModel,
-    add_grads,
     batch_backward,
     batch_forward,
     branch_tables,
     distinct_bundles,
-    similarity,
+    pair_similarities,
 )
 from .numeric import unit_rows
 
@@ -273,8 +273,14 @@ def bnl_loss(
     batch: list[Triplet],
     m: Margins,
     with_breakdown: bool = False,
+    out: np.ndarray | None = None,
 ):
     """Mean batch loss and its gradient w.r.t. the flat model parameters.
+
+    The gradient is written into out when given (a writable float64 vector
+    of model.n_params() entries, as LaffModel.on_vector takes) and returned;
+    otherwise into a new vector. Every entry of out is overwritten and none
+    is read, so a training loop reuses one buffer for every batch.
 
     Per pair (q, x+): a hinge against the hardest in-batch negative video,
     plus lambda1 times the two bounded losses whenever the negated caption
@@ -292,7 +298,9 @@ def bnl_loss(
     n = len(batch)
     if n < 2:
         raise ValueError(f"batch of {n}: hardest-negative mining needs >= 2 videos")
-    grad = model.zeros_like()
+    if out is None:
+        out = np.empty(model.n_params())
+    grad = model.on_vector(out)
     inv_h = 1.0 / model.h
     inv_n = 1.0 / n
     rows = np.arange(n)
@@ -342,6 +350,7 @@ def bnl_loss(
         and np.all(np.isfinite(s_ttneg))
     ):
         nan = float("nan")
+        out.fill(0.0)
         if with_breakdown:
             return nan, grad.params, BnlBreakdown([], [], [], [])
         return nan, grad.params
@@ -388,9 +397,11 @@ def bnl_loss(
         d_txt[n:] += dn
         d_vid[zv] = 0.0
         d_txt[zt] = 0.0
-        head = model.heads[hi]
-        add_grads(grad.heads[hi].video, batch_backward(head.video, vstate, d_vid)[0])
-        add_grads(grad.heads[hi].text, batch_backward(head.text, tstate, d_txt)[0])
+        # Each branch's backward runs once per batch and overwrites every
+        # gradient view of that branch, so `out` needs no zeroing.
+        head, grad_head = model.heads[hi], grad.heads[hi]
+        batch_backward(head.video, vstate, d_vid, grad_head.video)
+        batch_backward(head.text, tstate, d_txt, grad_head.text)
 
     if with_breakdown:
         breakdown = BnlBreakdown(
@@ -405,11 +416,7 @@ def gap_in_window_fraction(model: LaffModel, triplets, m: Margins) -> float:
     negated = [t for t in triplets if t.has_negated]
     if not negated:
         raise ValueError("no negated triplets in dataset")
-    hits = 0
-    for t in negated:
-        gap = similarity(model, t.video, t.caption_features) - similarity(
-            model, t.video, t.negated_features
-        )
-        if m.m1 <= gap <= m.m2:
-            hits += 1
-    return hits / len(negated)
+    videos = [t.video for t in negated]
+    gap = pair_similarities(model, videos, [t.caption_features for t in negated])
+    gap -= pair_similarities(model, videos, [t.negated_features for t in negated])
+    return int(np.count_nonzero((m.m1 <= gap) & (gap <= m.m2))) / len(negated)

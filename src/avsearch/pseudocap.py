@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import FormatError
+from .featio import atomic_open
 
 
 @dataclass
@@ -102,7 +103,7 @@ def read_candidates(path) -> list[CandidateSet]:
 
 def write_selection(path, rows: dict[str, list[tuple[str, float]]]) -> None:
     """Write selections as `video_id\trank\tscore\tcaption` lines."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for video_id, selected in rows.items():
             for rank, (caption, score) in enumerate(selected, start=1):
                 fh.write(f"{video_id}\t{rank}\t{score:.6f}\t{caption}\n")

@@ -5,10 +5,16 @@ decays multiplicatively per epoch and gradients are clipped at a global
 norm to guard against hinge-induced spikes. After every epoch the model is
 scored on a validation set (mAP or recall@K) and the best-scoring epoch's
 parameters are retained.
+
+A step allocates nothing of the parameter vector's size: each epoch owns
+one gradient vector that `bnl_loss` overwrites every batch, the clipped and
+scaled step is formed in that vector in place, and `fit` copies the best
+epoch's parameters into one vector of its own.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -77,11 +83,24 @@ class TrainReport:
     best_model: LaffModel
 
 
-def _clip(grad: np.ndarray, max_norm: float) -> np.ndarray:
+def _sgd_step(params: np.ndarray, grad: np.ndarray, lr: float, max_norm: float) -> bool:
+    """params -= lr * grad, with grad first scaled down to norm max_norm if
+    it is longer, computed in grad's own memory. Returns False, leaving
+    params untouched, when grad has a non-finite element.
+
+    The products run in the order of params -= lr * (grad * (max_norm /
+    norm)), so the step is bit-identical to that expression. An infinite
+    norm of finite elements (an overflow) gives the clip factor 0.
+    """
     norm = float(np.linalg.norm(grad))
+    # A finite norm proves every element finite; only otherwise scan them.
+    if not math.isfinite(norm) and not np.all(np.isfinite(grad)):
+        return False
     if norm > max_norm:
-        return grad * (max_norm / norm)
-    return grad
+        grad *= max_norm / norm
+    grad *= lr
+    params -= grad
+    return True
 
 
 def train_epoch(
@@ -95,8 +114,8 @@ def train_epoch(
     Returns the updated model and the pair-weighted mean batch loss. The
     model passed in is left as it was: the steps update a copy of it in
     place. Trailing batches of fewer than 2 triplets are skipped (no
-    negative to mine). A non-finite loss aborts with the offending batch
-    named.
+    negative to mine). A non-finite loss or gradient aborts with the
+    offending batch named.
     """
     if not dataset:
         raise ValueError("empty training dataset")
@@ -105,6 +124,7 @@ def train_epoch(
     lr = cfg.learning_rate * cfg.lr_decay**epoch_index
     model = LaffModel(model.heads)
     params = model.params
+    grad = np.empty_like(params)
     total = 0.0
     count = 0
     for batch_no, start in enumerate(range(0, len(order), cfg.batch_size)):
@@ -112,13 +132,12 @@ def train_epoch(
         if len(indices) < 2:
             continue
         batch = [dataset[i] for i in indices]
-        loss, grad = bnl_loss(model, batch, cfg.margins)
-        if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
+        loss, _ = bnl_loss(model, batch, cfg.margins, out=grad)
+        if not np.isfinite(loss) or not _sgd_step(params, grad, lr, cfg.clip_norm):
             ids = [t.caption.item_id for t in batch]
             raise TrainingError(
                 f"non-finite loss in epoch {epoch_index}, batch {batch_no} (captions {ids})"
             )
-        params -= lr * _clip(grad, cfg.clip_norm)
         total += loss * len(batch)
         count += len(batch)
     if count == 0:
@@ -177,7 +196,7 @@ def fit(
         stats: list[EpochStats] = []
         best_epoch = 0
         best_score = -np.inf
-        best_vec = model.to_vector()
+        best = model.params.copy()
         for epoch in range(1, cfg.epochs + 1):
             model, loss = train_epoch(model, train_set, cfg, epoch - 1)
             score = evaluate_validation(model, validation, cfg.validation_metric)
@@ -187,8 +206,8 @@ def fit(
             if score > best_score:
                 best_score = score
                 best_epoch = epoch
-                best_vec = model.to_vector()
-        best_model = model.with_vector(best_vec)
+                np.copyto(best, model.params)
+        best_model = model.on_vector(best)
         return model, TrainReport(stats, best_epoch, float(best_score), best_model)
     finally:
         if close:

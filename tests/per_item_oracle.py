@@ -2,11 +2,14 @@
 and post-search code.
 
 Item-at-a-time branch forward/backward, `bnl_loss`, `fused_matrix`, the
-per-frame rerank loop and per-pair pseudo-caption scoring. They run one
-bundle, one frame and one pair at a time through `linear_tanh`, the scalar
-cosine and its VJP, so tests can compare the batched path against an
-independent oracle. `rank_scores` sorts each query in Python on the key
-(-score, item_id), as the reference for `evaluation.rank_scores`.
+per-frame rerank loop, per-pair pseudo-caption scoring and the per-triplet
+`gap_in_window_fraction`. They run one bundle, one frame and one pair at a
+time through `linear_tanh`, the scalar cosine and its VJP, so tests can
+compare the batched path against an independent oracle. `rank_scores`
+sorts each query in Python on the key (-score, item_id), as the reference
+for `evaluation.rank_scores`. `train_epoch` adds each batch's gradient
+into a new zeroed vector and updates with one expression, as the reference
+for the trainer's in-place step.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from avsearch.evaluation import _minmax
-from avsearch.fusion import BranchGrads, FeatureBundle, LaffBranchParams, LaffModel, add_grads
+from avsearch.fusion import BranchGrads, FeatureBundle, LaffBranchParams, LaffModel
 from avsearch.fusion import fused_matrix as batched_fused_matrix
+from avsearch.negation import bnl_loss as batched_bnl_loss
 from avsearch.negation import (
     BnlBreakdown,
     Margins,
@@ -67,6 +71,21 @@ def item_backward(branch: LaffBranchParams, state: ItemState, d_fused: np.ndarra
     return BranchGrads(d_weight, d_bias, d_attention, d_inputs)
 
 
+def zeros_like(model: LaffModel) -> LaffModel:
+    """A model of the same structure with every parameter +0.0."""
+    return model.on_vector(np.zeros(model.n_params()))
+
+
+def add_grads(branch: LaffBranchParams, grads: BranchGrads) -> None:
+    """Add a branch's parameter gradients into branch, the same branch of a
+    gradient model (see zeros_like)."""
+    for name, d_weight in grads.d_weight.items():
+        p = branch.transforms[name]
+        p.weight += d_weight
+        p.bias += grads.d_bias[name]
+    branch.attention += grads.d_attention
+
+
 def fused_matrix(model: LaffModel, bundles, branch: str) -> list[np.ndarray]:
     out = []
     for head in model.heads:
@@ -78,7 +97,7 @@ def fused_matrix(model: LaffModel, bundles, branch: str) -> list[np.ndarray]:
 def bnl_loss(model: LaffModel, batch: list[Triplet], m: Margins):
     """(loss, flat gradient, breakdown), one item and one pair at a time."""
     n = len(batch)
-    grad = model.zeros_like()
+    grad = zeros_like(model)
     h = model.h
     inv_h = 1.0 / h
     inv_n = 1.0 / n
@@ -244,3 +263,53 @@ def rerank(entry, frame_store, query_vec, w_new=0.6, w_old=0.4, normalize_origin
         for (item, _), b in zip(entry, base)
     ]
     return sorted(rescored, key=lambda pair: -pair[1])
+
+
+def gap_in_window_fraction(model: LaffModel, triplets, m: Margins) -> tuple[float, list[float]]:
+    """(fraction of negated triplets whose gap lies in [m1, m2], the gaps),
+    one pair_similarity call per pair."""
+    gaps = [
+        pair_similarity(model, t.video, t.caption_features)
+        - pair_similarity(model, t.video, t.negated_features)
+        for t in triplets
+        if t.has_negated
+    ]
+    return sum(m.m1 <= gap <= m.m2 for gap in gaps) / len(gaps), gaps
+
+
+def clip(grad: np.ndarray, max_norm: float) -> np.ndarray:
+    """grad scaled to norm max_norm if it is longer, as a new array."""
+    norm = float(np.linalg.norm(grad))
+    if norm > max_norm:
+        return grad * (max_norm / norm)
+    return grad
+
+
+def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float, max_norm: float) -> None:
+    params -= lr * clip(grad, max_norm)
+
+
+def train_epoch(model: LaffModel, dataset, cfg, epoch_index: int) -> tuple[LaffModel, float]:
+    """trainer.train_epoch with the batched loss, but each batch's gradient
+    added into a new zeroed vector, which like add_grads into zeros_like
+    turns a -0.0 entry into +0.0, and stepped by sgd_step."""
+    rng = np.random.default_rng([cfg.seed, epoch_index])
+    order = rng.permutation(len(dataset))
+    lr = cfg.learning_rate * cfg.lr_decay**epoch_index
+    model = LaffModel(model.heads)
+    total = 0.0
+    count = 0
+    for start in range(0, len(order), cfg.batch_size):
+        indices = order[start : start + cfg.batch_size]
+        if len(indices) < 2:
+            continue
+        batch = [dataset[i] for i in indices]
+        loss, fresh = batched_bnl_loss(model, batch, cfg.margins)
+        grad = zeros_like(model).params
+        grad += fresh
+        if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
+            raise ValueError("non-finite loss or gradient")
+        sgd_step(model.params, grad, lr, cfg.clip_norm)
+        total += loss * len(batch)
+        count += len(batch)
+    return model, total / count

@@ -1,3 +1,5 @@
+import builtins
+import errno
 import hashlib
 import os
 import stat
@@ -6,7 +8,10 @@ import struct
 import numpy as np
 import pytest
 
+from avsearch import featio
+from avsearch.cli import main as cli_main
 from avsearch.errors import DimensionError, FormatError
+from avsearch.evaluation import JudgmentSet, write_qrels
 from avsearch.featio import (
     checkpoint_load,
     checkpoint_save,
@@ -15,6 +20,9 @@ from avsearch.featio import (
     write_features,
 )
 from avsearch.fusion import init_model, similarity
+from avsearch.manifest import DatasetManifest, write_captions, write_manifest, write_pairs
+from avsearch.negation import Caption
+from avsearch.pseudocap import write_selection
 
 from conftest import huge_d_checkpoint, random_bundle, randomized_model
 
@@ -289,3 +297,57 @@ class TestFrameGrouping:
             group_frame_features({"noframe": rng.normal(size=2)})
         with pytest.raises(FormatError):
             group_frame_features({"v#x": rng.normal(size=2)})
+
+
+class _DiskFullFile:
+    """A file whose first write stores half of its data and then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _negate_cli(path):
+    captions = path.parent / "captions.tsv"
+    captions.write_text("c1\ta man is holding a knife\n", encoding="utf-8")
+    assert cli_main(["negate", "--captions", str(captions), "--out", str(path)]) == 1
+    captions.unlink()
+
+
+WRITERS = {
+    "write_features": lambda p: write_features(p, "s", {"a": np.ones(3), "b": np.zeros(3)}),
+    "write_manifest": lambda p: write_manifest(p, DatasetManifest([p.parent / "v.feat"], [])),
+    "write_captions": lambda p: write_captions(p, {"c1": Caption("c1", ["a", "dog"])}),
+    "write_pairs": lambda p: write_pairs(p, [("v1", "c1", None), ("v1", "c2", "c2n")]),
+    "write_qrels": lambda p: write_qrels(p, JudgmentSet({"q1": {"v1": 1}})),
+    "write_selection": lambda p: write_selection(p, {"v1": [("a dog", 0.5)]}),
+    "negate": _negate_cli,
+}
+
+
+class TestAtomicWriters:
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, writer):
+        # Every file the writer opens fails halfway through its first write.
+        def failing_open(*args, **kwargs):
+            return _DiskFullFile(builtins.open(*args, **kwargs))
+
+        monkeypatch.setattr(featio, "open", failing_open, raising=False)
+        p = tmp_path / "out.txt"
+        p.write_bytes(b"old contents\n")
+        try:
+            WRITERS[writer](p)
+        except OSError as exc:
+            assert exc.errno == errno.ENOSPC
+        assert p.read_bytes() == b"old contents\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["out.txt"]

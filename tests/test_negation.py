@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from avsearch.errors import ConfigError
-from avsearch.fusion import similarity, text_text_similarity
+import per_item_oracle as oracle
+from avsearch.errors import ConfigError, DimensionError
+from avsearch.fusion import init_model, pair_similarities, similarity, text_text_similarity
+from avsearch.synth import synth_dataset
 from avsearch.negation import (
     AlreadyNegatedError,
     Caption,
@@ -19,6 +21,7 @@ from avsearch.negation import (
 from avsearch.numeric import grad_check
 
 from conftest import random_bundle, randomized_model
+from test_acceptance import ACCEPT_SPACES, _load_split
 
 SUBJECTS = ["man", "woman", "dog", "cat", "robot"]
 VERBS_ING = ["running", "cooking", "dancing", "reading"]
@@ -307,6 +310,48 @@ class TestBnlLoss:
             assert loss >= 0.0
 
 
+class TestBnlLossOut:
+    MIXED = [True, False, True, True, False, False]
+
+    def test_nan_filled_out_equals_fresh_gradient(self, rng):
+        # Every entry is overwritten: no NaN survives, and the bytes are
+        # those of a gradient computed into a new vector.
+        model = randomized_model({"a": 7, "b": 5}, {"t": 6, "u": 4}, d=8, heads=2, seed=30)
+        batch = make_batch(rng, model, 6, self.MIXED)
+        m = Margins(m0=0.3, lambda1=0.5)
+        want_loss, want = bnl_loss(model, batch, m)
+        out = np.full(model.n_params(), np.nan)
+        loss, got = bnl_loss(model, batch, m, out=out)
+        assert got is out
+        assert loss == want_loss
+        np.testing.assert_array_equal(out.view(np.int64), want.view(np.int64))
+
+    def test_nonfinite_similarity_zeroes_out(self, rng):
+        model = randomized_model({"a": 3}, {"t": 2}, d=4, heads=1, seed=31)
+        batch = make_batch(rng, model, 3, [True, False, True])
+        batch[1].video.features["a"][0] = np.nan
+        out = np.full(model.n_params(), np.nan)
+        loss, got = bnl_loss(model, batch, Margins(), out=out)
+        assert np.isnan(loss) and got is out
+        assert not np.signbit(out).any() and not out.any()
+
+    @pytest.mark.parametrize(
+        "make_out",
+        [
+            lambda n: np.zeros(n + 1),
+            lambda n: np.zeros(n, dtype=np.float32),
+            lambda n: np.zeros(2 * n)[::2],
+            lambda n: np.zeros(n).reshape(1, n),
+        ],
+        ids=["length", "dtype", "strided", "2-D"],
+    )
+    def test_unusable_out_rejected(self, rng, make_out):
+        model = randomized_model({"a": 3}, {"t": 2}, d=4, heads=1, seed=32)
+        batch = make_batch(rng, model, 3, [True, False, True])
+        with pytest.raises(DimensionError):
+            bnl_loss(model, batch, Margins(), out=make_out(model.n_params()))
+
+
 class TestGapFraction:
     def test_counts_only_negated(self, rng):
         model = randomized_model({"a": 3}, {"t": 2}, d=4, heads=1, seed=5)
@@ -327,3 +372,31 @@ class TestGapFraction:
         batch = make_batch(rng, model, 2, [False, False])
         with pytest.raises(ValueError):
             gap_in_window_fraction(model, batch, Margins())
+
+    def assert_matches_oracle(self, model, triplets, m):
+        want, want_gaps = oracle.gap_in_window_fraction(model, triplets, m)
+        negated = [t for t in triplets if t.has_negated]
+        videos = [t.video for t in negated]
+        gaps = pair_similarities(model, videos, [t.caption_features for t in negated])
+        gaps -= pair_similarities(model, videos, [t.negated_features for t in negated])
+        np.testing.assert_allclose(gaps, want_gaps, rtol=0.0, atol=1e-12)
+        assert gap_in_window_fraction(model, triplets, m) == want
+
+    def test_matches_per_triplet_oracle(self, rng):
+        model = randomized_model({"a": 7, "b": 5}, {"t": 6, "u": 4}, d=8, heads=2, seed=33)
+        batch = make_batch(rng, model, 40, [b % 3 != 0 for b in range(40)])
+        # A window around the median gap holds about a third of the gaps.
+        self.assert_matches_oracle(model, batch, Margins(m1=0.01, m2=0.3))
+
+    def test_matches_oracle_on_acceptance_data(self, tmp_path):
+        manifests = synth_dataset(
+            tmp_path, seed=0, n_videos=200, n_captions_per=2, latent_dim=8,
+            negate_fraction=0.5, **ACCEPT_SPACES,
+        )
+        train_data, triplets, _ = _load_split(manifests)
+        margins = Margins(m0=0.2, m1=0.2, m2=1.0, m3=0.2, m4=1.0, lambda1=0.1)
+        for model in (
+            init_model(train_data.video_dims, train_data.text_dims, d=16, heads=2, seed=0),
+            randomized_model(train_data.video_dims, train_data.text_dims, d=16, heads=2, seed=1),
+        ):
+            self.assert_matches_oracle(model, triplets, margins)

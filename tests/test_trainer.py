@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import per_item_oracle as oracle
+from avsearch import trainer
 from avsearch.errors import ConfigError, TrainingError
 from avsearch.evaluation import JudgmentSet
 from avsearch.fusion import FeatureBundle, init_model
@@ -10,10 +12,14 @@ from avsearch.synth import SpaceSpec, synth_dataset
 from avsearch.trainer import (
     TrainConfig,
     ValidationSet,
+    _sgd_step,
     evaluate_validation,
     fit,
     train_epoch,
 )
+
+from conftest import randomized_model
+from test_negation import make_batch
 
 
 def toy_triplets(rng, n=6, vdim=6, tdim=5):
@@ -132,6 +138,74 @@ class TestTrainEpoch:
         model = init_model({"vis": 6}, {"txt": 5}, d=4, heads=1, seed=0)
         with pytest.raises(ValueError):
             train_epoch(model, [], TrainConfig(), 0)
+
+
+class TestSgdStep:
+    """The in-place step against per_item_oracle's assembly into a new
+    zeroed gradient per batch, compared bit for bit."""
+
+    @staticmethod
+    def run_epochs(step, clip_norm):
+        rng = np.random.default_rng(7)
+        model = randomized_model({"a": 7, "b": 5}, {"t": 6, "u": 4}, d=8, heads=2, seed=40)
+        model.params[::5] = -0.0  # signed zeros must step exactly as in the oracle
+        triplets = make_batch(rng, model, 11, [b % 3 != 0 for b in range(11)])
+        cfg = TrainConfig(batch_size=4, learning_rate=0.3, clip_norm=clip_norm, seed=3)
+        losses = []
+        for epoch in range(2):
+            model, loss = step(model, triplets, cfg, epoch)
+            losses.append(loss)
+        return model.params, losses
+
+    def test_two_epochs_match_oracle(self):
+        results = {}
+        # Gradient norms here are O(1): 1e-3 clips every batch, 1e9 none.
+        for clip_norm in (1e-3, 1e9):
+            params, losses = self.run_epochs(train_epoch, clip_norm)
+            want_params, want_losses = self.run_epochs(oracle.train_epoch, clip_norm)
+            assert losses == want_losses
+            np.testing.assert_array_equal(params.view(np.int64), want_params.view(np.int64))
+            results[clip_norm] = params
+        assert not np.array_equal(results[1e-3], results[1e9])
+
+    def test_overflowing_norm_steps_as_oracle(self, rng):
+        # Finite elements whose squared norm overflows: the clip factor is
+        # clip / inf = 0, as in the one-expression step.
+        params = rng.normal(size=50)
+        params[::4] = -0.0
+        grad = rng.normal(size=50) * 1e300
+        want = params.copy()
+        with np.errstate(over="ignore"):
+            assert np.all(np.isfinite(grad)) and np.isinf(np.linalg.norm(grad))
+            oracle.sgd_step(want, grad.copy(), 0.1, 5.0)
+            assert _sgd_step(params, grad, 0.1, 5.0)
+        np.testing.assert_array_equal(params.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_element_refused(self, rng, bad):
+        params = rng.normal(size=20)
+        before = params.copy()
+        grad = rng.normal(size=20)
+        grad[7] = bad
+        assert not _sgd_step(params, grad, 0.1, 5.0)
+        np.testing.assert_array_equal(params, before)
+
+    def test_inf_gradient_with_finite_loss_aborts_with_batch_id(self, rng, monkeypatch):
+        calls = []
+        real_bnl_loss = trainer.bnl_loss
+
+        def inf_on_second_batch(model, batch, m, out):
+            loss, grad = real_bnl_loss(model, batch, m, out=out)
+            calls.append(loss)
+            if len(calls) == 2:
+                grad[3] = np.inf
+            return loss, grad
+
+        monkeypatch.setattr(trainer, "bnl_loss", inf_on_second_batch)
+        model = init_model({"vis": 6}, {"txt": 5}, d=4, heads=1, seed=0)
+        with pytest.raises(TrainingError, match="epoch 0, batch 1"):
+            train_epoch(model, toy_triplets(rng, n=8), TrainConfig(batch_size=3), 0)
+        assert np.isfinite(calls[1])
 
 
 def make_validation(triplets) -> ValidationSet:
