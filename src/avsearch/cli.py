@@ -292,12 +292,13 @@ def _cmd_synth(args) -> int:
 
 def _cmd_feat_rank(args) -> int:
     model = checkpoint_load(args.checkpoint)
-    data = load_dataset(
-        load_manifest(args.manifest),
-        list(model.video_spaces),
-        list(model.text_spaces),
+    manifest = load_manifest(args.manifest)
+    video = args.branch == "video"
+    _, bundles = load_feature_bundles(
+        manifest.video_features if video else manifest.text_features,
+        list(model.video_spaces if video else model.text_spaces),
+        args.branch,
     )
-    bundles = data.video_bundles if args.branch == "video" else data.text_bundles
     if not bundles:
         raise ConfigError(f"manifest has no complete {args.branch} bundles")
     for name, weight in feature_importance(model, bundles.values(), args.branch):

@@ -10,6 +10,7 @@ import configparser
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .featio import utf8_error
 from .negation import Margins
 from .trainer import TrainConfig
 
@@ -55,6 +56,8 @@ def load_settings(path=None) -> Settings:
             parser.read_file(fh, source=str(path))
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from None
+        except UnicodeDecodeError:
+            raise ConfigError(utf8_error(path)) from None
     for section in parser.sections():
         if section not in _KNOWN:
             raise ConfigError(f"{path}: unknown section [{section}]")
@@ -77,16 +80,9 @@ def load_settings(path=None) -> Settings:
     settings.heads = get("model", "heads", int, settings.heads)
     settings.model_seed = get("model", "seed", int, settings.model_seed)
 
-    defaults = Margins()
     try:
-        margins = Margins(
-            m0=get("margins", "m0", float, defaults.m0),
-            m1=get("margins", "m1", float, defaults.m1),
-            m2=get("margins", "m2", float, defaults.m2),
-            m3=get("margins", "m3", float, defaults.m3),
-            m4=get("margins", "m4", float, defaults.m4),
-            lambda1=get("margins", "lambda1", float, defaults.lambda1),
-        )
+        # Every margin is a float; vars() lists them in field order.
+        margins = Margins(**{k: get("margins", k, float, v) for k, v in vars(Margins()).items()})
         td = TrainConfig()
         settings.train = TrainConfig(
             epochs=get("train", "epochs", int, td.epochs),

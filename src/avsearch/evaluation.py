@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import FormatError, MetricError
-from .featio import atomic_open
+from .featio import atomic_open, read_fields
 from .fusion import FeatureBundle, LaffModel, fused_matrix
 from .numeric import unit_rows
 
@@ -111,12 +113,14 @@ def rank_scores(
 
     Order and the non-finite rule are `rank_many`'s. The columns are put in
     id order once, so a stable sort of a row on -score breaks ties by id.
-    When top_k < n, only the items scoring at least the top_k-th largest
-    score are sorted: that keeps every tie at the cut, in id order.
+    Only the items scoring at least the top_k-th largest score are sorted:
+    that keeps every tie at the cut, in id order. When top_k >= n that
+    score is the row's minimum, so every item is sorted, -0.0 included.
     """
     n = len(item_ids)
     by_id = np.array(sorted(range(n), key=item_ids.__getitem__), dtype=np.intp)
     ids_by_id = np.array(item_ids, dtype=object)[by_id]
+    cut = max(n - top_k, 0)
     out: dict[str, RunEntry] = {}
     for qid, row in zip(query_ids, sims):
         s = row[by_id]
@@ -126,10 +130,7 @@ def rank_scores(
             raise FormatError(
                 f"query {qid!r}: non-finite similarity {s[j]} at item {ids_by_id[j]!r}"
             )
-        if top_k < n:
-            kept = np.flatnonzero(s >= np.partition(s, n - top_k)[n - top_k])
-        else:
-            kept = np.arange(n)
+        kept = np.flatnonzero(s >= np.partition(s, cut)[cut])
         order = kept[np.argsort(-s[kept], kind="stable")[:top_k]]
         out[qid] = list(zip(ids_by_id[order].tolist(), s[order].tolist()))
     return out
@@ -284,12 +285,30 @@ def late_fuse(
 # ---------------------------------------------------------------------------
 
 
+def _check_ids(path, field: str, ids) -> None:
+    """Reject an empty id or one holding whitespace, as its line would not
+    read back; the error names the first such id in sorted order."""
+    bad = sorted(value for value in ids if value.split() != [value])
+    if bad:
+        raise FormatError(f"{path}: {field} {bad[0]!r} is empty or contains whitespace")
+
+
 def write_run(path, run: RankedRun) -> None:
-    """Write a run file; a failed write leaves `path` as it was (`atomic_open`)."""
+    """Write a run file; a failed write leaves `path` as it was (`atomic_open`).
+
+    The run tag, query ids and item ids must be non-empty and hold no
+    whitespace; each distinct one is checked once. Each query's lines go
+    out in one write, which pays for those checks."""
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
+        _check_ids(path, "run tag", [run.run_tag])
+        _check_ids(path, "query id", run.entries)
+        items = chain.from_iterable(map(itemgetter(0), e) for e in run.entries.values())
+        _check_ids(path, "item id", set(items))
         for qid, entry in run.entries.items():
-            for rank_pos, (item_id, score) in enumerate(entry, start=1):
-                fh.write(f"{qid} Q0 {item_id} {rank_pos} {score:.6f} {run.run_tag}\n")
+            fh.write("".join([
+                f"{qid} Q0 {item_id} {rank_pos} {score:.6f} {run.run_tag}\n"
+                for rank_pos, (item_id, score) in enumerate(entry, start=1)
+            ]))
 
 
 def read_run(path) -> RankedRun:
@@ -297,44 +316,30 @@ def read_run(path) -> RankedRun:
     run_tag: str | None = None
     current: str | None = None
     expected_rank = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                raise FormatError(f"{path}:{lineno}: empty line")
-            fields = line.split(" ")
-            if len(fields) != 6:
+    for lineno, (qid, q0, item_id, rank_str, score_str, tag) in read_fields(path, " ", (6,)):
+        if q0 != "Q0":
+            raise FormatError(f"{path}:{lineno}: second field must be Q0, got {q0!r}")
+        try:
+            rank_pos = int(rank_str)
+            score = float(score_str)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from None
+        if tag != run_tag:
+            if run_tag is not None:
+                raise FormatError(f"{path}:{lineno}: run tag changes from {run_tag!r} to {tag!r}")
+            run_tag = tag
+        if qid != current:
+            if qid in entries:
                 raise FormatError(
-                    f"{path}:{lineno}: expected 6 space-separated fields, got {len(fields)}"
+                    f"{path}:{lineno}: query {qid!r} reappears after another query"
                 )
-            qid, q0, item_id, rank_str, score_str, tag = fields
-            if q0 != "Q0":
-                raise FormatError(f"{path}:{lineno}: second field must be Q0, got {q0!r}")
-            try:
-                rank_pos = int(rank_str)
-                score = float(score_str)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-            if run_tag is None:
-                run_tag = tag
-            elif tag != run_tag:
-                raise FormatError(
-                    f"{path}:{lineno}: run tag changes from {run_tag!r} to {tag!r}"
-                )
-            if qid != current:
-                if qid in entries:
-                    raise FormatError(
-                        f"{path}:{lineno}: query {qid!r} reappears after another query"
-                    )
-                entries[qid] = []
-                current = qid
-                expected_rank = 1
-            if rank_pos != expected_rank:
-                raise FormatError(
-                    f"{path}:{lineno}: rank {rank_pos}, expected {expected_rank}"
-                )
-            expected_rank += 1
-            entries[qid].append((item_id, score))
+            entries[qid] = entry = []
+            current = qid
+            expected_rank = 1
+        if rank_pos != expected_rank:
+            raise FormatError(f"{path}:{lineno}: rank {rank_pos}, expected {expected_rank}")
+        expected_rank += 1
+        entry.append((item_id, score))
     if run_tag is None:
         raise FormatError(f"{path}: empty run file")
     try:
@@ -344,7 +349,10 @@ def read_run(path) -> RankedRun:
 
 
 def write_qrels(path, judgments: JudgmentSet) -> None:
+    """Write a qrels file; ids are checked as in `write_run`."""
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
+        _check_ids(path, "query id", judgments.judgments)
+        _check_ids(path, "item id", set(chain.from_iterable(judgments.judgments.values())))
         fh.write("#complete\n" if judgments.complete else "#sampled\n")
         for qid, labels in judgments.judgments.items():
             for item_id, rel in labels.items():
@@ -354,26 +362,15 @@ def write_qrels(path, judgments: JudgmentSet) -> None:
 def read_qrels(path) -> JudgmentSet:
     judgments: dict[str, dict[str, int]] = {}
     complete = True
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if lineno == 1 and line in ("#complete", "#sampled"):
-                complete = line == "#complete"
-                continue
-            if not line:
-                raise FormatError(f"{path}:{lineno}: empty line")
-            fields = line.split(" ")
-            if len(fields) != 4:
-                raise FormatError(
-                    f"{path}:{lineno}: expected 4 space-separated fields, got {len(fields)}"
-                )
-            qid, _, item_id, rel_str = fields
-            if rel_str not in ("0", "1"):
-                raise FormatError(
-                    f"{path}:{lineno}: relevance must be 0 or 1, got {rel_str!r}"
-                )
-            labels = judgments.setdefault(qid, {})
-            if item_id in labels:
-                raise FormatError(f"{path}:{lineno}: duplicate judgment for {item_id!r}")
-            labels[item_id] = int(rel_str)
+    for lineno, fields in read_fields(path, " ", (4,), header=("#complete", "#sampled")):
+        if len(fields) == 1:  # the optional header, on line 1 only
+            complete = fields[0] == "#complete"
+            continue
+        qid, _, item_id, rel_str = fields
+        if rel_str not in ("0", "1"):
+            raise FormatError(f"{path}:{lineno}: relevance must be 0 or 1, got {rel_str!r}")
+        labels = judgments.setdefault(qid, {})
+        if item_id in labels:
+            raise FormatError(f"{path}:{lineno}: duplicate judgment for {item_id!r}")
+        labels[item_id] = int(rel_str)
     return JudgmentSet(judgments, complete)

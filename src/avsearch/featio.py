@@ -24,6 +24,11 @@ than an attempt to allocate gigabytes.
 Every file the package writes, except the training log that `fit` appends
 to epoch by epoch, goes through `atomic_open`, so a failed write never
 leaves a truncated file under the final name.
+
+The line-oriented text formats (run, qrels, caption, pairing and
+candidate files) are all read through `read_fields`, which splits each
+line into its fields, checks their count and reports invalid UTF-8 as a
+FormatError at `path:line`; each reader adds only its own format's checks.
 """
 
 from __future__ import annotations
@@ -123,6 +128,48 @@ class _Reader:
             raise FormatError(
                 f"{self.path}: trailing data at byte offset {self.offset}"
             )
+
+
+def read_fields(path, sep: str, counts: tuple[int, ...], skip_blank=False, header=()):
+    """Yield (lineno, fields) for each line of a UTF-8 text file, split on sep.
+
+    The field count must be in counts, except that line 1 may instead be
+    one of the header strings. A blank line is skipped if skip_blank, else
+    rejected. Invalid UTF-8 is a FormatError naming its line.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    if skip_blank:
+                        continue
+                    raise FormatError(f"{path}:{lineno}: empty line")
+                fields = line.split(sep)
+                if len(fields) not in counts and not (lineno == 1 and line in header):
+                    kind = "space" if sep == " " else "TAB"
+                    raise FormatError(
+                        f"{path}:{lineno}: expected {' or '.join(map(str, counts))}"
+                        f" {kind}-separated fields, got {len(fields)}"
+                    )
+                yield lineno, fields
+        except UnicodeDecodeError:
+            raise FormatError(utf8_error(path)) from None
+
+
+def utf8_error(path) -> str:
+    """`path:line: invalid UTF-8 ...` for a text file that does not decode,
+    found by decoding the whole file again (only on the error path)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Text mode ends a line at \n, \r\n or a lone \r.
+        head = data[: exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        lineno = head.count("\n") + 1
+        return f"{path}:{lineno}: invalid UTF-8 at byte offset {exc.start} ({exc.reason})"
+    return f"{path}: invalid UTF-8"
 
 
 def _read_name(reader: _Reader, what: str) -> str:

@@ -5,7 +5,12 @@ file, a pairing file, and optionally a qrels file; relative paths resolve
 against the manifest's directory. Caption files are TAB-separated
 `item_id\ttext[\ttags]` lines (tokens lowercased on read, tags
 space-separated); pairing files are `video_id\tcaption_id` with an optional
-third column naming the negated caption.
+third column naming the negated caption. Both are read through
+`featio.read_fields`.
+
+`load_feature_bundles` is the one feature loader: `load_dataset` calls it
+once per modality, and the CLI and the synthetic-data oracle call it for
+just the files they need.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from pathlib import Path
 
 from .errors import ConfigError, FormatError
 from .evaluation import JudgmentSet, read_qrels
-from .featio import atomic_open, read_features
+from .featio import atomic_open, read_features, read_fields, utf8_error
 from .fusion import FeatureBundle
 from .negation import Caption, Triplet
 
@@ -36,6 +41,8 @@ def load_manifest(path) -> DatasetManifest:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from None
+    except UnicodeDecodeError:
+        raise FormatError(utf8_error(path)) from None
     if not isinstance(raw, dict):
         raise FormatError(f"{path}: manifest must be a JSON object")
     known = {"video_features", "text_features", "pairs", "captions", "qrels"}
@@ -99,28 +106,18 @@ def write_manifest(path, manifest: DatasetManifest) -> None:
 
 def read_captions(path) -> dict[str, Caption]:
     captions: dict[str, Caption] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) not in (2, 3):
-                raise FormatError(
-                    f"{path}:{lineno}: expected 2 or 3 TAB-separated fields,"
-                    f" got {len(fields)}"
-                )
-            item_id, text = fields[0], fields[1]
-            if item_id in captions:
-                raise FormatError(f"{path}:{lineno}: duplicate caption id {item_id!r}")
-            tokens = text.lower().split()
-            if not tokens:
-                raise FormatError(f"{path}:{lineno}: caption {item_id!r} is empty")
-            tags = fields[2].split() if len(fields) == 3 else None
-            try:
-                captions[item_id] = Caption(item_id, tokens, tags)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
+    for lineno, fields in read_fields(path, "\t", (2, 3), skip_blank=True):
+        item_id, text = fields[0], fields[1]
+        if item_id in captions:
+            raise FormatError(f"{path}:{lineno}: duplicate caption id {item_id!r}")
+        tokens = text.lower().split()
+        if not tokens:
+            raise FormatError(f"{path}:{lineno}: caption {item_id!r} is empty")
+        tags = fields[2].split() if len(fields) == 3 else None
+        try:
+            captions[item_id] = Caption(item_id, tokens, tags)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from None
     return captions
 
 
@@ -134,21 +131,10 @@ def write_captions(path, captions: dict[str, Caption]) -> None:
 
 
 def read_pairs(path) -> list[tuple[str, str, str | None]]:
-    pairs: list[tuple[str, str, str | None]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) not in (2, 3):
-                raise FormatError(
-                    f"{path}:{lineno}: expected 2 or 3 TAB-separated fields,"
-                    f" got {len(fields)}"
-                )
-            negated = fields[2] if len(fields) == 3 else None
-            pairs.append((fields[0], fields[1], negated))
-    return pairs
+    return [
+        (fields[0], fields[1], fields[2] if len(fields) == 3 else None)
+        for _, fields in read_fields(path, "\t", (2, 3), skip_blank=True)
+    ]
 
 
 def write_pairs(path, pairs: list[tuple[str, str, str | None]]) -> None:
@@ -176,11 +162,21 @@ class LoadedDataset:
     qrels: JudgmentSet | None
 
 
-def _load_spaces(paths: list[Path], subset, what: str, ids=None):
+def load_feature_bundles(
+    paths, subset=None, what: str = "feature", ids=None
+) -> tuple[dict[str, int], dict[str, FeatureBundle]]:
+    """Load one modality's feature files into (dims per space, bundles by item id).
+
+    Each file holds one space, and no space may come from two files. With
+    subset, only those spaces are kept, in that order, and each must be
+    present. Bundles cover the ids present in every kept space, in the
+    record order of the alphabetically first space. With ids, only those
+    records are decoded; the rest of each file is skipped.
+    """
     keep = None if ids is None else set(ids)
-    loaded = [read_features(path, keep) for path in paths]
     spaces: dict[str, dict] = {}
-    for (name, features), path in zip(loaded, paths):
+    for path in map(Path, paths):
+        name, features = read_features(path, keep)
         if name in spaces:
             raise ConfigError(f"{what} space {name!r} appears in more than one file")
         spaces[name] = features
@@ -189,35 +185,17 @@ def _load_spaces(paths: list[Path], subset, what: str, ids=None):
         if missing:
             raise ConfigError(f"requested {what} spaces not in manifest: {missing}")
         spaces = {name: spaces[name] for name in subset}
-    return spaces
-
-
-def _bundle_up(spaces: dict[str, dict]) -> dict[str, FeatureBundle]:
-    if not spaces:
-        return {}
-    names = sorted(spaces)
-    common = set(spaces[names[0]])
-    for name in names[1:]:
-        common &= set(spaces[name])
-    # Keep the first space's record order for reproducible iteration.
-    ordered = [i for i in spaces[names[0]] if i in common]
-    return {
-        item_id: FeatureBundle(item_id, {name: spaces[name][item_id] for name in names})
-        for item_id in ordered
-    }
-
-
-def load_feature_bundles(
-    paths, subset=None, what: str = "feature", ids=None
-) -> tuple[dict[str, int], dict[str, FeatureBundle]]:
-    """Load standalone feature files into (dims per space, bundles by item id).
-
-    Bundles cover the ids present in every loaded space. With ids, only
-    those records are decoded; the rest of each file is skipped.
-    """
-    spaces = _load_spaces([Path(p) for p in paths], subset, what, ids)
     dims = {n: len(next(iter(f.values()))) for n, f in spaces.items() if f}
-    return dims, _bundle_up(spaces)
+    if not spaces:
+        return dims, {}
+    names = sorted(spaces)
+    common = set(spaces[names[0]]).intersection(*map(spaces.get, names[1:]))
+    bundles = {
+        item_id: FeatureBundle(item_id, {name: spaces[name][item_id] for name in names})
+        for item_id in spaces[names[0]]
+        if item_id in common
+    }
+    return dims, bundles
 
 
 def load_dataset(
@@ -230,21 +208,16 @@ def load_dataset(
     Bundles are built for ids present in every space of their modality;
     pair rows referencing other ids fail later, by name, in build_triplets.
     """
-    vspaces = _load_spaces(manifest.video_features, video_spaces, "video")
-    tspaces = _load_spaces(manifest.text_features, text_spaces, "text")
-    video_dims = {n: len(next(iter(f.values()))) for n, f in vspaces.items() if f}
-    text_dims = {n: len(next(iter(f.values()))) for n, f in tspaces.items() if f}
-    captions = read_captions(manifest.captions) if manifest.captions else {}
-    pairs = read_pairs(manifest.pairs) if manifest.pairs else []
-    qrels = read_qrels(manifest.qrels) if manifest.qrels else None
+    video_dims, video_bundles = load_feature_bundles(manifest.video_features, video_spaces, "video")
+    text_dims, text_bundles = load_feature_bundles(manifest.text_features, text_spaces, "text")
     return LoadedDataset(
-        video_dims=video_dims,
-        text_dims=text_dims,
-        video_bundles=_bundle_up(vspaces),
-        text_bundles=_bundle_up(tspaces),
-        captions=captions,
-        pairs=pairs,
-        qrels=qrels,
+        video_dims,
+        text_dims,
+        video_bundles,
+        text_bundles,
+        captions=read_captions(manifest.captions) if manifest.captions else {},
+        pairs=read_pairs(manifest.pairs) if manifest.pairs else [],
+        qrels=read_qrels(manifest.qrels) if manifest.qrels else None,
     )
 
 

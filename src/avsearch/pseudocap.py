@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import FormatError
-from .featio import atomic_open
+from .featio import atomic_open, read_fields
 
 
 @dataclass
@@ -80,24 +80,15 @@ def select_pseudo_captions(
 def read_candidates(path) -> list[CandidateSet]:
     """Parse a candidate manifest, grouping rows by video in file order."""
     groups: dict[str, list[CaptionCandidate]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise FormatError(
-                    f"{path}:{lineno}: expected 3 TAB-separated fields, got {len(fields)}"
-                )
-            video_id, frame_str, caption = fields
-            try:
-                frame_index = int(frame_str)
-            except ValueError:
-                raise FormatError(
-                    f"{path}:{lineno}: frame index must be an integer, got {frame_str!r}"
-                ) from None
-            groups.setdefault(video_id, []).append(CaptionCandidate(frame_index, caption))
+    lines = read_fields(path, "\t", (3,), skip_blank=True)
+    for lineno, (video_id, frame_str, caption) in lines:
+        try:
+            frame_index = int(frame_str)
+        except ValueError:
+            raise FormatError(
+                f"{path}:{lineno}: frame index must be an integer, got {frame_str!r}"
+            ) from None
+        groups.setdefault(video_id, []).append(CaptionCandidate(frame_index, caption))
     return [CandidateSet(vid, cands) for vid, cands in groups.items()]
 
 

@@ -15,16 +15,18 @@ any model. Identical seeds produce byte-identical output.
 
 from __future__ import annotations
 
+from functools import reduce
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
-from .evaluation import JudgmentSet, average_precision, write_qrels
+from .evaluation import JudgmentSet, average_precision, rank_scores, write_qrels
 from .featio import write_features
 from .manifest import (
     DatasetManifest,
+    load_feature_bundles,
     load_manifest,
     read_pairs,
     write_captions,
@@ -212,28 +214,18 @@ def synth_dataset(
 # ---------------------------------------------------------------------------
 
 
-def _estimate_latents(
-    feature_files: list[Path], projections: dict[str, np.ndarray]
-) -> dict[str, np.ndarray]:
-    """Least-squares latent estimates from noisy features, averaged over spaces."""
-    from .featio import read_features
-
-    sums: dict[str, np.ndarray] = {}
-    counts: dict[str, int] = {}
-    for path in feature_files:
-        space, features = read_features(path)
-        p = projections[space]
-        ids = list(features)
-        stacked = np.stack([features[i] for i in ids])  # (n, dim)
-        z_hat, *_ = np.linalg.lstsq(p, stacked.T, rcond=None)  # (latent, n)
-        for idx, item_id in enumerate(ids):
-            if item_id in sums:
-                sums[item_id] += z_hat[:, idx]
-                counts[item_id] += 1
-            else:
-                sums[item_id] = z_hat[:, idx].copy()
-                counts[item_id] = 1
-    return {i: sums[i] / counts[i] for i in sums}
+def _estimate_latents(meta: Path, modality: str, paths: list[Path]) -> dict[str, np.ndarray]:
+    """Least-squares latent estimates from noisy features, through each
+    space's stored projection, averaged over spaces (summed in file order),
+    for the ids present in every space."""
+    dims, bundles = load_feature_bundles(paths)
+    z_hat = []
+    for name in dims:
+        proj = np.load(meta / f"proj_{modality}_{name}.npy")
+        rows = np.stack([b.features[name] for b in bundles.values()])  # (n, dim)
+        z_hat.append(np.linalg.lstsq(proj, rows.T, rcond=None)[0])  # (latent, n)
+    mean = reduce(np.add, z_hat) / len(z_hat)
+    return dict(zip(bundles, np.ascontiguousarray(mean.T)))
 
 
 def nearest_latent_map(out_dir, split: str = "val") -> float:
@@ -244,24 +236,20 @@ def nearest_latent_map(out_dir, split: str = "val") -> float:
     """
     out = Path(out_dir)
     manifest = load_manifest(out / f"manifest_{split}.json")
-    proj: dict[str, np.ndarray] = {}
-    for path in (out / "meta").glob("proj_*.npy"):
-        name = path.stem.split("_", 2)[2]
-        proj[name] = np.load(path)
-    video_z = _estimate_latents(manifest.video_features, proj)
-    text_z = _estimate_latents(manifest.text_features, proj)
+    video_z = _estimate_latents(out / "meta", "video", manifest.video_features)
+    text_z = _estimate_latents(out / "meta", "text", manifest.text_features)
     pairs = read_pairs(manifest.pairs)
 
     video_ids = sorted(video_z)
     vmat = np.stack([video_z[i] for i in video_ids])
     vnorm = np.linalg.norm(vmat, axis=1)
     vnorm[vnorm == 0.0] = 1.0
-    scores = []
-    for video_id, caption_id, _ in pairs:
+    query_ids = list(dict.fromkeys(caption_id for _, caption_id, _ in pairs))
+    sims = []
+    for caption_id in query_ids:
         q = text_z[caption_id]
         qn = np.linalg.norm(q) or 1.0
-        sims = (vmat @ q) / (vnorm * qn)
-        order = sorted(range(len(video_ids)), key=lambda i: (-sims[i], video_ids[i]))
-        entry = [(video_ids[i], float(sims[i])) for i in order]
-        scores.append(average_precision(entry, {video_id: 1}))
+        sims.append((vmat @ q) / (vnorm * qn))
+    entries = rank_scores(np.stack(sims), query_ids, video_ids, len(video_ids))
+    scores = [average_precision(entries[c], {v: 1}) for v, c, _ in pairs]
     return sum(scores) / len(scores)

@@ -6,10 +6,13 @@ norm to guard against hinge-induced spikes. After every epoch the model is
 scored on a validation set (mAP or recall@K) and the best-scoring epoch's
 parameters are retained.
 
-A step allocates nothing of the parameter vector's size: each epoch owns
-one gradient vector that `bnl_loss` overwrites every batch, the clipped and
-scaled step is formed in that vector in place, and `fit` copies the best
-epoch's parameters into one vector of its own.
+`fit` trains one working copy of the caller's model: `train_epoch` steps
+its parameter vector in place. A step allocates nothing of the parameter
+vector's size: each epoch owns one gradient vector that `bnl_loss`
+overwrites every batch, the clipped and scaled step is formed in that
+vector in place, and `fit` copies the best epoch's parameters into one
+vector of its own. A run therefore holds the caller's model, the working
+copy, the gradient and the best epoch's vector.
 """
 
 from __future__ import annotations
@@ -108,21 +111,19 @@ def train_epoch(
     dataset: list[Triplet],
     cfg: TrainConfig,
     epoch_index: int,
-) -> tuple[LaffModel, float]:
-    """One SGD pass over a seeded shuffle of the dataset.
+) -> float:
+    """One SGD pass over a seeded shuffle of the dataset, stepping
+    model.params in place.
 
-    Returns the updated model and the pair-weighted mean batch loss. The
-    model passed in is left as it was: the steps update a copy of it in
-    place. Trailing batches of fewer than 2 triplets are skipped (no
-    negative to mine). A non-finite loss or gradient aborts with the
-    offending batch named.
+    Returns the pair-weighted mean batch loss. Trailing batches of fewer
+    than 2 triplets are skipped (no negative to mine). A non-finite loss
+    or gradient aborts with the offending batch named.
     """
     if not dataset:
         raise ValueError("empty training dataset")
     rng = np.random.default_rng([cfg.seed, epoch_index])
     order = rng.permutation(len(dataset))
     lr = cfg.learning_rate * cfg.lr_decay**epoch_index
-    model = LaffModel(model.heads)
     params = model.params
     grad = np.empty_like(params)
     total = 0.0
@@ -144,7 +145,7 @@ def train_epoch(
         raise ValueError("dataset yielded no batch of size >= 2")
     if not np.all(np.isfinite(params)):
         raise TrainingError(f"non-finite parameters after epoch {epoch_index}")
-    return model, total / count
+    return total / count
 
 
 def _recall_at_k(entry, labels: dict[str, int], k: int) -> float:
@@ -185,6 +186,8 @@ def fit(
 ) -> tuple[LaffModel, TrainReport]:
     """Train for cfg.epochs epochs, keeping the best-validation checkpoint.
 
+    Trains one copy of the given model in place, so the caller's model is
+    left as it was; returns that copy after the last epoch and the report.
     log_file, when given, receives one `epoch\tloss\tval_score` line per
     epoch (a path or an open text handle).
     """
@@ -196,9 +199,11 @@ def fit(
         stats: list[EpochStats] = []
         best_epoch = 0
         best_score = -np.inf
+        model = LaffModel(model.heads)
         best = model.params.copy()
         for epoch in range(1, cfg.epochs + 1):
-            model, loss = train_epoch(model, train_set, cfg, epoch - 1)
+            # A module global, looked up per call, so that it can be wrapped.
+            loss = train_epoch(model, train_set, cfg, epoch - 1)
             score = evaluate_validation(model, validation, cfg.validation_metric)
             stats.append(EpochStats(loss, score))
             if log_file is not None:

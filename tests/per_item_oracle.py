@@ -289,14 +289,13 @@ def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float, max_norm: float) -
     params -= lr * clip(grad, max_norm)
 
 
-def train_epoch(model: LaffModel, dataset, cfg, epoch_index: int) -> tuple[LaffModel, float]:
+def train_epoch(model: LaffModel, dataset, cfg, epoch_index: int) -> float:
     """trainer.train_epoch with the batched loss, but each batch's gradient
     added into a new zeroed vector, which like add_grads into zeros_like
-    turns a -0.0 entry into +0.0, and stepped by sgd_step."""
+    turns a -0.0 entry into +0.0, and stepped by sgd_step on model.params."""
     rng = np.random.default_rng([cfg.seed, epoch_index])
     order = rng.permutation(len(dataset))
     lr = cfg.learning_rate * cfg.lr_decay**epoch_index
-    model = LaffModel(model.heads)
     total = 0.0
     count = 0
     for start in range(0, len(order), cfg.batch_size):
@@ -312,4 +311,4 @@ def train_epoch(model: LaffModel, dataset, cfg, epoch_index: int) -> tuple[LaffM
         sgd_step(model.params, grad, lr, cfg.clip_norm)
         total += loss * len(batch)
         count += len(batch)
-    return model, total / count
+    return total / count

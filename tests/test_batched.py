@@ -200,8 +200,9 @@ class TestRankManyOracle:
         sims = np.where(rng.random((2, n)) < 0.5, -0.0, 0.0)
         sims[:, ::5] = 0.25
         sims[1, ::7] = -0.25
-        got = assert_ranks_like_oracle(sims, ["q0", "q1"], ids, top_k=30)
-        assert any(np.signbit(score) for _, score in got["q0"])
+        for top_k in (30, n, n + 5):  # a cut, then every item kept
+            got = assert_ranks_like_oracle(sims, ["q0", "q1"], ids, top_k)
+            assert any(np.signbit(score) for _, score in got["q0"])
 
     def test_corpus_not_in_id_order(self, rng):
         n = 300

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,15 @@ class TestArgHandling:
     def test_missing_file_exits_1(self, capsys):
         assert run_cli("eval", "--run", "/nonexistent/run", "--qrels", "/nonexistent/q") == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_non_utf8_run_exits_1_naming_the_file(self, tmp_path, capsys):
+        run = tmp_path / "run.txt"
+        run.write_bytes(b"q1 Q0 a 1 0.900000 t\nq1 Q0 \xff 2 0.500000 t\n")
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("q1 0 a 1\n")
+        assert run_cli("eval", "--run", run, "--qrels", qrels) == 1
+        err = capsys.readouterr().err
+        assert f"error: {run}:2: invalid UTF-8" in err
 
 
 class TestSynthAndTrain:
@@ -152,6 +163,30 @@ class TestSearchEvalPipeline:
         assert code == 1
         assert "'vnan'" in capsys.readouterr().err
         assert not out.exists()
+
+    def unreadable_id_search(self, tmp_path, item_id="v1", tag="t"):
+        model = randomized_model({"vis": 3}, {"txt": 2}, d=4, heads=1, seed=8)
+        checkpoint_save(model, tmp_path / "m.ckpt")
+        write_features(tmp_path / "v.feat", "vis", {
+            item_id: np.array([1.0, 0.0, 0.5]), "v2": np.array([0.0, 1.0, 0.5]),
+        })
+        write_features(tmp_path / "q.feat", "txt", {"q1": np.array([0.3, 0.7])})
+        return run_cli(
+            "search", "--checkpoint", tmp_path / "m.ckpt", "--video-feats", tmp_path / "v.feat",
+            "--query-feats", tmp_path / "q.feat", "--out", tmp_path / "run.txt",
+            "--run-tag", tag,
+        )
+
+    def test_item_id_with_space_exits_1_and_writes_no_run(self, tmp_path, capsys):
+        # Its line would have 7 fields, which read_run (and eval) reject.
+        assert self.unreadable_id_search(tmp_path, item_id="a 1") == 1
+        assert "item id 'a 1'" in capsys.readouterr().err
+        assert not (tmp_path / "run.txt").exists()
+
+    def test_run_tag_with_space_exits_1(self, tmp_path, capsys):
+        assert self.unreadable_id_search(tmp_path, tag="a b") == 1
+        assert "run tag 'a b'" in capsys.readouterr().err
+        assert not (tmp_path / "run.txt").exists()
 
     def test_search_writes_valid_run(self, synth_dir, trained, tmp_path):
         out = tmp_path / "run.txt"
@@ -356,3 +391,21 @@ class TestFeatRank:
         weights = [float(line.split("\t")[1]) for line in lines]
         assert weights == sorted(weights, reverse=True)
         assert sum(weights) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("branch, other", [("video", "text"), ("text", "video")])
+    def test_reads_only_the_ranked_branch(
+        self, synth_dir, trained, tmp_path, capsys, branch, other
+    ):
+        # The other modality's files, the captions, pairs and qrels are missing.
+        full = json.loads((synth_dir / "manifest_train.json").read_text())
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            f"{branch}_features": [str(synth_dir / p) for p in full[f"{branch}_features"]],
+            f"{other}_features": [str(tmp_path / "missing.feat")],
+            "captions": "missing.tsv", "pairs": "missing.tsv", "qrels": "missing.txt",
+        }))
+        args = ["feat-rank", "--checkpoint", trained / "model.ckpt", "--branch", branch]
+        assert run_cli(*args, "--manifest", manifest) == 0
+        got = capsys.readouterr().out
+        assert run_cli(*args, "--manifest", synth_dir / "manifest_train.json") == 0
+        assert got == capsys.readouterr().out and len(got.splitlines()) == 2

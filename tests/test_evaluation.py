@@ -294,6 +294,27 @@ class TestRunFiles:
             write_run(tmp_path / "run.txt", run)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "run, named",
+        [
+            (RankedRun({"q1": [("a", 0.5), ("b 1", 0.4)]}, "t"), "item id 'b 1'"),
+            (RankedRun({"q1": [("a", 0.5)], "q2": [("a\tb", 0.4)]}, "t"), "item id 'a\\tb'"),
+            (RankedRun({"q1": [("", 0.5)]}, "t"), "item id ''"),
+            (RankedRun({"q 1": [("a", 0.5)]}, "t"), "query id 'q 1'"),
+            (RankedRun({"": [("a", 0.5)]}, "t"), "query id ''"),
+            (RankedRun({"q1": [("a", 0.5)]}, "a b"), "run tag 'a b'"),
+            (RankedRun({"q1": [("a", 0.5)]}, ""), "run tag ''"),
+        ],
+    )
+    def test_ids_that_would_not_read_back_rejected(self, tmp_path, run, named):
+        p = tmp_path / "run.txt"
+        p.write_text("old run\n")
+        with pytest.raises(FormatError) as exc:
+            write_run(p, run)
+        assert named in str(exc.value)
+        assert p.read_text() == "old run\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["run.txt"]
+
     def test_five_field_line_rejected_with_lineno(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("q1 Q0 a 1 0.500000 t\nq1 Q0 b 2 0.400000\n")
@@ -367,6 +388,30 @@ class TestQrelsFiles:
         p.write_text("q1 0 a\n")
         with pytest.raises(FormatError, match="4"):
             read_qrels(p)
+
+    def test_header_only_on_line_one(self, tmp_path):
+        p = tmp_path / "qrels.txt"
+        p.write_text("q1 0 a 1\n#sampled\n")
+        with pytest.raises(FormatError, match=r"qrels\.txt:2: expected 4"):
+            read_qrels(p)
+
+    @pytest.mark.parametrize(
+        "judgments, named",
+        [
+            ({"q1": {"a": 1}, "q2": {"b c": 0}}, "item id 'b c'"),
+            ({"q1": {"a\n": 1}}, "item id 'a\\n'"),
+            ({"q\t1": {"a": 1}}, "query id 'q\\t1'"),
+            ({"": {"a": 1}}, "query id ''"),
+        ],
+    )
+    def test_ids_that_would_not_read_back_rejected(self, tmp_path, judgments, named):
+        p = tmp_path / "qrels.txt"
+        p.write_text("old qrels\n")
+        with pytest.raises(FormatError) as exc:
+            write_qrels(p, JudgmentSet(judgments))
+        assert named in str(exc.value)
+        assert p.read_text() == "old qrels\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["qrels.txt"]
 
 
 class TestRankedRunInvariants:

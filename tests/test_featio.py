@@ -11,7 +11,7 @@ import pytest
 from avsearch import featio
 from avsearch.cli import main as cli_main
 from avsearch.errors import DimensionError, FormatError
-from avsearch.evaluation import JudgmentSet, write_qrels
+from avsearch.evaluation import JudgmentSet, read_qrels, read_run, write_qrels
 from avsearch.featio import (
     checkpoint_load,
     checkpoint_save,
@@ -20,9 +20,16 @@ from avsearch.featio import (
     write_features,
 )
 from avsearch.fusion import init_model, similarity
-from avsearch.manifest import DatasetManifest, write_captions, write_manifest, write_pairs
+from avsearch.manifest import (
+    DatasetManifest,
+    read_captions,
+    read_pairs,
+    write_captions,
+    write_manifest,
+    write_pairs,
+)
 from avsearch.negation import Caption
-from avsearch.pseudocap import write_selection
+from avsearch.pseudocap import read_candidates, write_selection
 
 from conftest import huge_d_checkpoint, random_bundle, randomized_model
 
@@ -300,7 +307,10 @@ class TestFrameGrouping:
 
 
 class _DiskFullFile:
-    """A file whose first write stores half of its data and then fails."""
+    """A file whose first write stores half of its data and then fails.
+
+    Reading lines passes through: `featio.open` also opens the text files
+    that `featio.read_fields` reads."""
 
     def __init__(self, fh):
         self._fh = fh
@@ -310,6 +320,9 @@ class _DiskFullFile:
 
     def __exit__(self, *exc_info):
         self._fh.close()
+
+    def __iter__(self):
+        return iter(self._fh)
 
     def write(self, data):
         self._fh.write(data[: len(data) // 2])
@@ -351,3 +364,28 @@ class TestAtomicWriters:
             assert exc.errno == errno.ENOSPC
         assert p.read_bytes() == b"old contents\n"
         assert [f.name for f in tmp_path.iterdir()] == ["out.txt"]
+
+
+# Per line format: its reader, valid lines, and a line holding an invalid
+# UTF-8 byte, which comes right after them.
+TEXT_READERS = {
+    "run": (read_run, b"q1 Q0 a 1 0.500000 t\n", b"q1 Q0 \xff 2 0.400000 t\n"),
+    "qrels": (read_qrels, b"#complete\nq1 0 a 1\n", b"q1 0 b\xe9 0\n"),
+    "captions": (read_captions, b"c1\ta dog\n\n", b"c2\ta \xc3\x28 cat\n"),
+    # Text mode also ends a line at \r\n or a lone \r.
+    "pairs": (read_pairs, b"v1\tc1\rv1\tc2\r\n", b"v2\tc\xff3\r\n"),
+    "candidates": (read_candidates, b"v1\t0\ta dog\n", b"v1\t1\ta \x80 dog\n"),
+    # The bad byte lies well past the reader's first decoded block.
+    "long_pairs": (read_pairs, b"".join(b"v%d\tc%d\n" % (i, i) for i in range(5000)), b"v\xff\tc\n"),
+}
+
+
+class TestTextLines:
+    @pytest.mark.parametrize("fmt", sorted(TEXT_READERS))
+    def test_invalid_utf8_names_file_and_line(self, tmp_path, fmt):
+        reader, good, bad = TEXT_READERS[fmt]
+        p = tmp_path / f"{fmt}.txt"
+        p.write_bytes(good + bad)
+        line = len(good.decode().splitlines()) + 1
+        with pytest.raises(FormatError, match=rf"{fmt}\.txt:{line}: invalid UTF-8"):
+            reader(p)

@@ -75,6 +75,12 @@ class TestManifest:
         with pytest.raises(FormatError, match="JSON"):
             load_manifest(p)
 
+    def test_non_utf8_rejected_naming_the_file(self, tmp_path):
+        p = tmp_path / "m.json"
+        p.write_bytes(b'{\n"video_features": ["\xff.feat"]}\n')
+        with pytest.raises(FormatError, match=r"m\.json:2: invalid UTF-8"):
+            load_manifest(p)
+
     def test_no_features_rejected(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text('{"video_features": [], "text_features": []}')
@@ -224,6 +230,12 @@ class TestConfig:
         p = tmp_path / "cfg.ini"
         p.write_text("[model]\nd = big\n")
         with pytest.raises(ConfigError, match="d"):
+            load_settings(p)
+
+    def test_non_utf8_rejected_naming_the_file(self, tmp_path):
+        p = tmp_path / "cfg.ini"
+        p.write_bytes(b"[model]\nd = 16\n# caf\xe9\n")
+        with pytest.raises(ConfigError, match=r"cfg\.ini:3: invalid UTF-8"):
             load_settings(p)
 
     def test_margin_invariants_enforced(self, tmp_path):

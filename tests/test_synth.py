@@ -3,6 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import per_item_oracle as oracle
+from avsearch import synth
 from avsearch.errors import ConfigError
 from avsearch.manifest import load_dataset, load_manifest, read_pairs
 from avsearch.negation import detect_negation, negation_sites
@@ -104,6 +106,26 @@ class TestSynthDataset:
     def test_noise_degrades_oracle_only_mildly(self, tmp_path):
         generate(tmp_path / "n", noise=0.05, n_videos=50)
         assert nearest_latent_map(tmp_path / "n", "val") >= 0.95
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_oracle_ranks_like_the_per_query_sort(self, tmp_path, monkeypatch, seed):
+        # Three spaces per modality, not in name order, and enough noise
+        # that the map is below 1.
+        synth_dataset(
+            tmp_path, seed=seed, n_videos=40, n_captions_per=3, latent_dim=4,
+            video_spaces=[SpaceSpec("b", 10, 0.8), SpaceSpec("a", 8, 0.8), SpaceSpec("c", 6, 1.0)],
+            text_spaces=[SpaceSpec("z", 9, 0.8), SpaceSpec("y", 7, 0.9), SpaceSpec("x", 5, 0.7)],
+        )
+        got = [nearest_latent_map(tmp_path, split) for split in ("val", "train")]
+        monkeypatch.setattr(synth, "rank_scores", oracle.rank_scores)
+        want = [nearest_latent_map(tmp_path, split) for split in ("val", "train")]
+        assert [g.hex() for g in got] == [w.hex() for w in want]
+        assert all(g < 1.0 for g in got)
+
+    def test_oracle_keeps_same_named_video_and_text_spaces_apart(self, tmp_path):
+        # Each modality's projection is looked up under its own name.
+        synth_dataset(tmp_path, 0, 30, 2, 4, [SpaceSpec("a", 12, 0.0)], [SpaceSpec("a", 10, 0.0)])
+        assert nearest_latent_map(tmp_path, "val") == 1.0
 
     def test_oracle_baseline_at_full_scale(self, tmp_path):
         # 200 videos, latent 8, noise 0.1: the model-free baseline computed

@@ -90,17 +90,17 @@ class TestTrainEpoch:
         model = init_model({"vis": 6}, {"txt": 5}, d=4, heads=1, seed=0)
         before = model.to_vector().copy()
         cfg = TrainConfig(learning_rate=0.0, batch_size=3, epochs=1)
-        updated, _ = train_epoch(model, triplets, cfg, 0)
-        np.testing.assert_array_equal(updated.to_vector(), before)
+        train_epoch(model, triplets, cfg, 0)
+        np.testing.assert_array_equal(model.to_vector(), before)
 
-    def test_input_model_left_unchanged(self, rng):
+    def test_steps_the_given_model_in_place(self, rng):
         triplets = toy_triplets(rng)
         model = init_model({"vis": 6}, {"txt": 5}, d=4, heads=1, seed=0)
-        before = model.to_vector()
-        cfg = TrainConfig(learning_rate=0.5, batch_size=3, epochs=1)
-        updated, _ = train_epoch(model, triplets, cfg, 0)
-        np.testing.assert_array_equal(model.to_vector(), before)
-        assert not np.array_equal(updated.to_vector(), before)
+        params = model.params
+        before = params.copy()
+        train_epoch(model, triplets, TrainConfig(learning_rate=0.5, batch_size=3), 0)
+        assert model.params is params
+        assert not np.array_equal(params, before)
 
     def test_deterministic_given_seed(self, rng):
         triplets = toy_triplets(rng)
@@ -109,8 +109,7 @@ class TestTrainEpoch:
         for losses in (losses1, losses2):
             model = init_model({"vis": 6}, {"txt": 5}, d=4, heads=1, seed=0)
             for e in range(3):
-                model, loss = train_epoch(model, triplets, cfg, e)
-                losses.append(loss)
+                losses.append(train_epoch(model, triplets, cfg, e))
         assert losses1 == losses2
 
     def test_loss_nonincreasing_on_repeated_separable_batch(self, rng):
@@ -121,8 +120,7 @@ class TestTrainEpoch:
         cfg = TrainConfig(learning_rate=0.02, batch_size=4, seed=0, lr_decay=1.0)
         losses = []
         for _ in range(50):
-            model, loss = train_epoch(model, triplets, cfg, 0)  # same shuffle seed
-            losses.append(loss)
+            losses.append(train_epoch(model, triplets, cfg, 0))  # same shuffle seed
         for a, b in zip(losses, losses[1:]):
             assert b <= a + 1e-9
 
@@ -151,10 +149,7 @@ class TestSgdStep:
         model.params[::5] = -0.0  # signed zeros must step exactly as in the oracle
         triplets = make_batch(rng, model, 11, [b % 3 != 0 for b in range(11)])
         cfg = TrainConfig(batch_size=4, learning_rate=0.3, clip_norm=clip_norm, seed=3)
-        losses = []
-        for epoch in range(2):
-            model, loss = step(model, triplets, cfg, epoch)
-            losses.append(loss)
+        losses = [step(model, triplets, cfg, epoch) for epoch in range(2)]
         return model.params, losses
 
     def test_two_epochs_match_oracle(self):
@@ -218,6 +213,17 @@ def make_validation(triplets) -> ValidationSet:
 
 
 class TestFit:
+    def test_input_model_left_unchanged(self, rng):
+        triplets = toy_triplets(rng)
+        model = init_model({"vis": 6}, {"txt": 5}, d=4, heads=1, seed=0)
+        before = model.params.copy()
+        cfg = TrainConfig(epochs=2, batch_size=3, learning_rate=0.5)
+        trained, report = fit(model, triplets, make_validation(triplets), cfg)
+        np.testing.assert_array_equal(model.params.view(np.int64), before.view(np.int64))
+        np.testing.assert_array_equal(model.to_vector(), before)
+        assert not np.array_equal(trained.params, before)
+        assert trained.params is not report.best_model.params
+
     def test_single_epoch_best_is_one(self, rng):
         triplets = toy_triplets(rng)
         model = init_model({"vis": 6}, {"txt": 5}, d=4, heads=1, seed=0)
