@@ -1,33 +1,19 @@
 """INI-style configuration with sections [model], [margins], [train], [features].
 
-Every default in the package is overridable here; unknown sections or keys
-are rejected so typos fail loudly.
+The keys of [margins] and [train] are the fields of `negation.Margins` and
+`trainer.TrainConfig`, each value cast to the type of the field's default.
+Unknown sections or keys are rejected so typos fail loudly.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
 from .featio import utf8_error
 from .negation import Margins
 from .trainer import TrainConfig
-
-_KNOWN = {
-    "model": {"d", "heads", "seed"},
-    "margins": {"m0", "m1", "m2", "m3", "m4", "lambda1"},
-    "train": {
-        "epochs",
-        "batch_size",
-        "learning_rate",
-        "lr_decay",
-        "seed",
-        "validation_metric",
-        "clip_norm",
-    },
-    "features": {"video_spaces", "text_spaces"},
-}
 
 
 @dataclass
@@ -45,6 +31,16 @@ def _space_list(raw: str) -> list[str] | None:
     return names or None
 
 
+# Section -> key -> the cast of its raw value, in the order read. A field of
+# Margins or TrainConfig is a key; TrainConfig.margins is [margins] itself.
+_SCHEMA = {
+    "model": {"d": int, "heads": int, "seed": int},
+    "margins": {k: type(v) for k, v in vars(Margins()).items()},
+    "train": {k: type(v) for k, v in vars(TrainConfig()).items() if k != "margins"},
+    "features": {"video_spaces": _space_list, "text_spaces": _space_list},
+}
+
+
 def load_settings(path=None) -> Settings:
     """Parse a config file; with path=None return pure defaults."""
     settings = Settings()
@@ -59,44 +55,31 @@ def load_settings(path=None) -> Settings:
         except UnicodeDecodeError:
             raise ConfigError(utf8_error(path)) from None
     for section in parser.sections():
-        if section not in _KNOWN:
+        if section not in _SCHEMA:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        unknown = sorted(set(parser[section]) - _KNOWN[section])
+        unknown = sorted(set(parser[section]) - set(_SCHEMA[section]))
         if unknown:
             raise ConfigError(f"{path}: unknown keys in [{section}]: {unknown}")
 
-    def get(section: str, key: str, cast, default):
-        if parser.has_option(section, key):
-            raw = parser.get(section, key)
-            try:
-                return cast(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}: [{section}] {key} = {raw!r} is not a valid {cast.__name__}"
-                ) from None
-        return default
-
-    settings.d = get("model", "d", int, settings.d)
-    settings.heads = get("model", "heads", int, settings.heads)
-    settings.model_seed = get("model", "seed", int, settings.model_seed)
+    def read(section: str) -> dict:
+        """The keys set in [section], each value cast as _SCHEMA says."""
+        values = {}
+        for key, cast in _SCHEMA[section].items():
+            if parser.has_option(section, key):
+                raw = parser.get(section, key)
+                try:
+                    values[key] = cast(raw)
+                except ValueError:
+                    raise ConfigError(
+                        f"[{section}] {key} = {raw!r} is not a valid {cast.__name__}"
+                    ) from None
+        return values
 
     try:
-        # Every margin is a float; vars() lists them in field order.
-        margins = Margins(**{k: get("margins", k, float, v) for k, v in vars(Margins()).items()})
-        td = TrainConfig()
-        settings.train = TrainConfig(
-            epochs=get("train", "epochs", int, td.epochs),
-            batch_size=get("train", "batch_size", int, td.batch_size),
-            learning_rate=get("train", "learning_rate", float, td.learning_rate),
-            lr_decay=get("train", "lr_decay", float, td.lr_decay),
-            seed=get("train", "seed", int, td.seed),
-            margins=margins,
-            validation_metric=get("train", "validation_metric", str, td.validation_metric),
-            clip_norm=get("train", "clip_norm", float, td.clip_norm),
-        )
+        model = read("model")
+        train = TrainConfig(margins=Margins(**read("margins")), **read("train"))
+        features = read("features")
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-
-    settings.video_spaces = get("features", "video_spaces", _space_list, None)
-    settings.text_spaces = get("features", "text_spaces", _space_list, None)
-    return settings
+    model_seed = model.pop("seed", settings.model_seed)  # [model] seed is Settings.model_seed
+    return replace(settings, model_seed=model_seed, train=train, **model, **features)

@@ -285,12 +285,12 @@ def late_fuse(
 # ---------------------------------------------------------------------------
 
 
-def _check_ids(path, field: str, ids) -> None:
+def _check_ids(where, field: str, ids) -> None:
     """Reject an empty id or one holding whitespace, as its line would not
-    read back; the error names the first such id in sorted order."""
+    read back; the error, at `where`, names the first in sorted order."""
     bad = sorted(value for value in ids if value.split() != [value])
     if bad:
-        raise FormatError(f"{path}: {field} {bad[0]!r} is empty or contains whitespace")
+        raise FormatError(f"{where}: {field} {bad[0]!r} is empty or contains whitespace")
 
 
 def write_run(path, run: RankedRun) -> None:
@@ -312,10 +312,12 @@ def write_run(path, run: RankedRun) -> None:
 
 
 def read_run(path) -> RankedRun:
+    """Read a run file; each distinct id and the tag are checked as in `write_run`."""
     entries: dict[str, RunEntry] = {}
     run_tag: str | None = None
     current: str | None = None
     expected_rank = 0
+    checked: set[str] = set()  # item ids already checked
     for lineno, (qid, q0, item_id, rank_str, score_str, tag) in read_fields(path, " ", (6,)):
         if q0 != "Q0":
             raise FormatError(f"{path}:{lineno}: second field must be Q0, got {q0!r}")
@@ -327,18 +329,23 @@ def read_run(path) -> RankedRun:
         if tag != run_tag:
             if run_tag is not None:
                 raise FormatError(f"{path}:{lineno}: run tag changes from {run_tag!r} to {tag!r}")
+            _check_ids(f"{path}:{lineno}", "run tag", [tag])
             run_tag = tag
         if qid != current:
             if qid in entries:
                 raise FormatError(
                     f"{path}:{lineno}: query {qid!r} reappears after another query"
                 )
+            _check_ids(f"{path}:{lineno}", "query id", [qid])
             entries[qid] = entry = []
             current = qid
             expected_rank = 1
         if rank_pos != expected_rank:
             raise FormatError(f"{path}:{lineno}: rank {rank_pos}, expected {expected_rank}")
         expected_rank += 1
+        if item_id not in checked:
+            _check_ids(f"{path}:{lineno}", "item id", [item_id])
+            checked.add(item_id)
         entry.append((item_id, score))
     if run_tag is None:
         raise FormatError(f"{path}: empty run file")
@@ -360,13 +367,19 @@ def write_qrels(path, judgments: JudgmentSet) -> None:
 
 
 def read_qrels(path) -> JudgmentSet:
+    """Read a qrels file; each distinct id is checked as in `write_qrels`."""
     judgments: dict[str, dict[str, int]] = {}
     complete = True
+    checked: set[str] = set()  # query and item ids already checked
     for lineno, fields in read_fields(path, " ", (4,), header=("#complete", "#sampled")):
         if len(fields) == 1:  # the optional header, on line 1 only
             complete = fields[0] == "#complete"
             continue
         qid, _, item_id, rel_str = fields
+        for field, value in (("query id", qid), ("item id", item_id)):
+            if value not in checked:
+                _check_ids(f"{path}:{lineno}", field, [value])
+                checked.add(value)
         if rel_str not in ("0", "1"):
             raise FormatError(f"{path}:{lineno}: relevance must be 0 or 1, got {rel_str!r}")
         labels = judgments.setdefault(qid, {})

@@ -14,10 +14,10 @@ a row-wise softmax over the k spaces, and its backward pass writes the
 weight gradients dZ_iᵀ X_i straight into a gradient branch the caller owns,
 typically the views of a flat gradient vector (LaffModel.on_vector), so a
 training step allocates no per-branch gradient arrays. The per-item
-functions (similarity, laff_forward, laff_vjp, ...) are n=1 calls into the
-same path, and corpus embedding runs in fixed-size row blocks. Many (video,
-text) pairs are scored together by pair_similarities, which embeds each
-distinct bundle once.
+functions laff_forward, laff_vjp, similarity and similarity_with_grad call
+batch_forward (and batch_backward) on one-row tables, and corpus embedding
+runs in fixed-size row blocks. Many (video, text) pairs are scored together
+by pair_similarities, which embeds each distinct bundle once.
 
 Iteration over feature spaces is always in sorted space-name order so that
 results are reproducible regardless of how bundles were assembled.
@@ -80,10 +80,6 @@ class LaffBranchParams:
     @property
     def spaces(self) -> tuple[str, ...]:
         return tuple(sorted(self.transforms))
-
-    @property
-    def k(self) -> int:
-        return len(self.transforms)
 
     @property
     def in_dims(self) -> dict[str, int]:
@@ -156,8 +152,8 @@ class LaffModel:
     All parameters live in one flat float64 vector, `params`, in the order
     of _heads_on: every weight, bias and attention vector of `heads` is a
     view into it, so writing into `params` updates the model in place.
-    Constructing a model copies the given arrays into a vector of its own;
-    no two models share parameter memory.
+    Constructing a model from heads copies their arrays into a vector of its
+    own; from_params builds one on a given vector without copying it.
     """
 
     heads: list[LaffHead]
@@ -182,12 +178,16 @@ class LaffModel:
 
     @classmethod
     def from_params(cls, params, video_dims, text_dims, d: int, heads: int) -> "LaffModel":
-        """A model of the given structure built on params without copying it:
-        the model's parameters are views into params."""
-        params = np.ascontiguousarray(as_vector(params, "parameter vector"))
+        """The only constructor that does not copy: a model of the given
+        structure whose every weight, bias and attention vector is a view into
+        params, a writable, contiguous float64 array of shape (n,), n =
+        param_count(video_dims, text_dims, d, heads); else a DimensionError."""
+        ok = isinstance(params, np.ndarray) and params.dtype == np.float64
+        if not (ok and params.flags.carray):  # C-contiguous, aligned and writable
+            raise DimensionError("parameter buffer must be a writable, contiguous float64 array")
         n = param_count(video_dims, text_dims, d, heads)
-        if params.shape[0] != n:
-            raise DimensionError(f"parameter vector has {params.shape[0]} entries, model needs {n}")
+        if params.shape != (n,):
+            raise DimensionError(f"parameter buffer has shape {params.shape}, model needs ({n},)")
         model = cls.__new__(cls)
         model.heads = _heads_on(params, video_dims, text_dims, d, heads)
         model.params = params
@@ -224,22 +224,13 @@ class LaffModel:
         """
         return LaffModel(self.heads).params
 
-    def with_vector(self, vec: np.ndarray) -> "LaffModel":
-        """A model of identical structure holding a copy of a flat parameter vector."""
-        vec = as_vector(vec, "parameter vector").copy()
-        return LaffModel.from_params(vec, self.video_dims(), self.text_dims(), self.d, self.h)
+    def with_vector(self, vec) -> "LaffModel":
+        """A model of identical structure on a float64 copy of vec (any array-like)."""
+        return self.on_vector(np.array(vec, dtype=np.float64))
 
     def on_vector(self, vec: np.ndarray) -> "LaffModel":
-        """A model of identical structure whose parameters are views into vec,
-        a writable, contiguous float64 vector of n_params() entries, which is
-        not copied. Gradients are written into such a model (batch_backward)."""
-        if not (
-            isinstance(vec, np.ndarray)
-            and vec.dtype == np.float64
-            and vec.flags.c_contiguous
-            and vec.flags.writeable
-        ):
-            raise DimensionError("parameter buffer must be a writable, contiguous float64 array")
+        """A model of identical structure built on vec without copying it, as
+        from_params. Gradients are written into such a model (batch_backward)."""
         return LaffModel.from_params(vec, self.video_dims(), self.text_dims(), self.d, self.h)
 
     def n_params(self) -> int:
@@ -281,8 +272,7 @@ BLOCK_ROWS = 256
 
 @dataclass
 class BranchState:
-    """Cached forward pass of one branch on n items (leading n axis dropped
-    by the per-item branch_forward)."""
+    """Cached forward pass of one branch on n items."""
 
     spaces: tuple[str, ...]
     inputs: list[np.ndarray]  # per space, (n, d_in)
@@ -394,14 +384,6 @@ def batch_backward(
     return d_z
 
 
-def branch_forward(branch: LaffBranchParams, bundle: FeatureBundle) -> BranchState:
-    """Run one branch on one bundle; the state's arrays drop the item axis."""
-    s = batch_forward(branch, branch_tables(branch, [bundle]))
-    return BranchState(
-        s.spaces, [x[0] for x in s.inputs], s.transformed[0], s.weights[0], s.fused[0]
-    )
-
-
 def laff_forward(
     branch: LaffBranchParams, bundle: FeatureBundle
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -410,8 +392,8 @@ def laff_forward(
     Weights are positive and sum to 1; the fused vector is their convex
     combination of the transformed features.
     """
-    state = branch_forward(branch, bundle)
-    return state.fused, state.weights
+    state = batch_forward(branch, branch_tables(branch, [bundle]))
+    return state.fused[0], state.weights[0]
 
 
 def laff_vjp(

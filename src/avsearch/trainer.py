@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,14 +189,11 @@ def fit(
 
     Trains one copy of the given model in place, so the caller's model is
     left as it was; returns that copy after the last epoch and the report.
-    log_file, when given, receives one `epoch\tloss\tval_score` line per
-    epoch (a path or an open text handle).
+    log_file, when given, is the path of a file that receives one
+    `epoch\tloss\tval_score` line per epoch.
     """
-    close = False
-    if isinstance(log_file, (str, bytes)) or hasattr(log_file, "__fspath__"):
-        log_file = open(log_file, "w", encoding="utf-8", newline="\n")
-        close = True
-    try:
+    log = nullcontext() if log_file is None else open(log_file, "w", encoding="utf-8", newline="\n")
+    with log:
         stats: list[EpochStats] = []
         best_epoch = 0
         best_score = -np.inf
@@ -207,13 +205,10 @@ def fit(
             score = evaluate_validation(model, validation, cfg.validation_metric)
             stats.append(EpochStats(loss, score))
             if log_file is not None:
-                log_file.write(f"{epoch}\t{loss:.6f}\t{score:.6f}\n")
+                log.write(f"{epoch}\t{loss:.6f}\t{score:.6f}\n")
             if score > best_score:
                 best_score = score
                 best_epoch = epoch
                 np.copyto(best, model.params)
         best_model = model.on_vector(best)
         return model, TrainReport(stats, best_epoch, float(best_score), best_model)
-    finally:
-        if close:
-            log_file.close()

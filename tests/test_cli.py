@@ -75,6 +75,23 @@ class TestArgHandling:
         err = capsys.readouterr().err
         assert f"error: {run}:2: invalid UTF-8" in err
 
+    def test_id_the_writer_refuses_exits_1_naming_the_line(self, tmp_path, capsys):
+        run = tmp_path / "run.txt"
+        run.write_text("q1 Q0 a 1 0.900000 t\nq1 Q0  2 0.500000 t\n")
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("q1 0 a 1\n")
+        bad_qrels = tmp_path / "bad_qrels.txt"
+        bad_qrels.write_text("q1 0 a 1\nq1 0 b\tc 0\n")
+        out = tmp_path / "fused.txt"
+        assert run_cli("eval", "--run", run, "--qrels", qrels) == 1
+        assert f"error: {run}:2: item id ''" in capsys.readouterr().err
+        assert run_cli("fuse", "--runs", run, "--weights", 1.0, "--out", out) == 1
+        assert f"error: {run}:2: item id ''" in capsys.readouterr().err
+        assert not out.exists()
+        run.write_text("q1 Q0 a 1 0.900000 t\n")
+        assert run_cli("eval", "--run", run, "--qrels", bad_qrels) == 1
+        assert f"error: {bad_qrels}:2: item id 'b\\tc'" in capsys.readouterr().err
+
 
 class TestSynthAndTrain:
     def test_synth_writes_manifests(self, synth_dir, capsys):

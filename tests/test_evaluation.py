@@ -361,6 +361,25 @@ class TestRunFiles:
         with pytest.raises(FormatError):
             read_run(p)
 
+    @pytest.mark.parametrize(
+        "text, where, named",
+        [
+            ("q1 Q0 a 1 0.5 t\nq1 Q0  2 0.4 t\n", 2, "item id ''"),
+            ("q1 Q0 a 1 0.5 t\nq1 Q0 b\tc 2 0.4 t\n", 2, "item id 'b\\tc'"),
+            ("q1 Q0 a\u00a0 1 0.5 t\n", 1, "item id 'a\\xa0'"),
+            ("q1 Q0 a 1 0.5 t\n Q0 a 1 0.4 t\n", 2, "query id ''"),
+            ("q1 Q0 a 1 0.5 t\nq\t2 Q0 a 1 0.4 t\n", 2, "query id 'q\\t2'"),
+            ("q1 Q0 a 1 0.5 t\u00a0x\n", 1, "run tag 't\\xa0x'"),
+            ("q1 Q0 a 1 0.5 \n", 1, "run tag ''"),
+        ],
+    )
+    def test_ids_the_writer_refuses_rejected_at_line(self, tmp_path, text, where, named):
+        p = tmp_path / "bad.txt"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError) as exc:
+            read_run(p)
+        assert str(exc.value) == f"{p}:{where}: {named} is empty or contains whitespace"
+
 
 class TestQrelsFiles:
     def test_roundtrip_with_flags(self, tmp_path):
@@ -412,6 +431,22 @@ class TestQrelsFiles:
         assert named in str(exc.value)
         assert p.read_text() == "old qrels\n"
         assert [f.name for f in tmp_path.iterdir()] == ["qrels.txt"]
+
+    @pytest.mark.parametrize(
+        "text, where, named",
+        [
+            ("q1 0 a 1\nq1 0  0\n", 2, "item id ''"),
+            ("#sampled\nq1 0 a\u00a0b 1\n", 2, "item id 'a\\xa0b'"),
+            (" 0 a 1\n", 1, "query id ''"),
+            ("q1 0 a 1\nq\t2 0 a 1\n", 2, "query id 'q\\t2'"),
+        ],
+    )
+    def test_ids_the_writer_refuses_rejected_at_line(self, tmp_path, text, where, named):
+        p = tmp_path / "qrels.txt"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError) as exc:
+            read_qrels(p)
+        assert str(exc.value) == f"{p}:{where}: {named} is empty or contains whitespace"
 
 
 class TestRankedRunInvariants:

@@ -13,6 +13,7 @@ from avsearch.fusion import (
     init_model,
     laff_forward,
     laff_vjp,
+    param_count,
     similarity,
     similarity_with_grad,
     text_text_similarity,
@@ -243,7 +244,6 @@ class TestSimilarity:
         assert s == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_per_head_loop(self):
-        from avsearch.fusion import branch_forward
         from avsearch.numeric import cosine_sim
 
         rng = np.random.default_rng(2)
@@ -254,7 +254,7 @@ class TestSimilarity:
         expected = 0.0
         for head in model.heads:
             expected += cosine_sim(
-                branch_forward(head.video, video).fused, branch_forward(head.text, text).fused
+                laff_forward(head.video, video)[0], laff_forward(head.text, text)[0]
             )
         expected /= model.h
         assert similarity(model, video, text) == pytest.approx(expected, abs=1e-15)
@@ -269,7 +269,6 @@ class TestSimilarity:
     def test_cosine_level_scale_invariance(self, rng):
         # Scaling both fused vectors of every head by the same positive
         # constant leaves each head's cosine, hence the mean, unchanged.
-        from avsearch.fusion import branch_forward
         from avsearch.numeric import cosine_sim
 
         vdims, tdims = {"a": 4}, {"t": 3}
@@ -278,8 +277,8 @@ class TestSimilarity:
         text = random_bundle("q", tdims, rng)
         scaled_mean = 0.0
         for head in model.heads:
-            v = branch_forward(head.video, video).fused
-            t = branch_forward(head.text, text).fused
+            v = laff_forward(head.video, video)[0]
+            t = laff_forward(head.text, text)[0]
             scaled_mean += cosine_sim(3.7 * v, 3.7 * t)
         scaled_mean /= model.h
         assert similarity(model, video, text) == pytest.approx(scaled_mean, abs=1e-12)
@@ -322,7 +321,6 @@ class TestTextTextSimilarity:
         assert text_text_similarity(model, q1, q2) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_per_head_loop(self):
-        from avsearch.fusion import branch_forward
         from avsearch.numeric import cosine_sim
 
         rng = np.random.default_rng(6)
@@ -333,7 +331,7 @@ class TestTextTextSimilarity:
         expected = np.mean(
             [
                 cosine_sim(
-                    branch_forward(h.text, q1).fused, branch_forward(h.text, q2).fused
+                    laff_forward(h.text, q1)[0], laff_forward(h.text, q2)[0]
                 )
                 for h in model.heads
             ]
@@ -433,6 +431,53 @@ class TestModelStructure:
         model.params[:] = 0.0
         assert not model.heads[1].text.transforms["t"].weight.any()
         assert copy.params.any()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: np.zeros(n, dtype=np.float32),
+            lambda n: np.frombuffer(bytes(8 * n)),
+            lambda n: np.zeros(2 * n)[::2],
+            lambda n: np.zeros((1, n)),
+            lambda n: np.zeros(n + 1),
+            lambda n: np.zeros(n - 1),
+            lambda n: list(np.zeros(n)),
+        ],
+        ids=["float32", "read-only", "strided", "2-D", "long", "short", "list"],
+    )
+    def test_from_params_refuses_what_it_cannot_view(self, make):
+        vdims, tdims = {"a": 3, "b": 2}, {"t": 4}
+        n = param_count(vdims, tdims, 5, 2)
+        with pytest.raises(DimensionError):
+            LaffModel.from_params(make(n), vdims, tdims, 5, 2)
+        LaffModel.from_params(np.zeros(n), vdims, tdims, 5, 2)
+
+    def test_checkpoint_load_builds_on_the_vector_it_read(self, tmp_path, monkeypatch):
+        from avsearch import featio
+
+        model = randomized_model({"a": 3, "b": 2}, {"t": 4}, d=5, heads=2, seed=19)
+        featio.checkpoint_save(model, tmp_path / "m.ckpt")
+        read = []
+        real = featio._Reader.read_array
+
+        def spy(self, *args):
+            read.append(real(self, *args))
+            return read[-1]
+
+        monkeypatch.setattr(featio._Reader, "read_array", spy)
+        loaded = featio.checkpoint_load(tmp_path / "m.ckpt")
+        assert len(read) == 1 and loaded.params is read[0]
+        np.testing.assert_array_equal(loaded.params, model.params)
+
+    @pytest.mark.parametrize("convert", [list, lambda v: v.astype(np.float32), np.asarray])
+    def test_with_vector_copies_any_vector(self, convert):
+        model = randomized_model({"a": 3, "b": 2}, {"t": 4}, d=5, heads=2, seed=20)
+        vec = convert(model.to_vector())
+        rebuilt = model.with_vector(vec)
+        assert rebuilt.params.dtype == np.float64
+        np.testing.assert_array_equal(rebuilt.params, np.asarray(vec, dtype=np.float64))
+        if isinstance(vec, np.ndarray):
+            assert not np.shares_memory(rebuilt.params, vec)
 
     def test_init_bounds_and_zeros(self):
         model = init_model({"a": 9}, {"t": 4}, d=6, heads=2, seed=15)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from avsearch.config import load_settings
+from avsearch.config import Settings, load_settings
 from avsearch.errors import ConfigError, FormatError
 from avsearch.featio import write_features
 from avsearch.manifest import (
@@ -16,7 +16,8 @@ from avsearch.manifest import (
     write_manifest,
     write_pairs,
 )
-from avsearch.negation import Caption
+from avsearch.negation import Caption, Margins
+from avsearch.trainer import TrainConfig
 
 
 def small_dataset(tmp_path, rng, negated=False):
@@ -216,6 +217,46 @@ class TestConfig:
         assert s.train.epochs == 5 and s.train.validation_metric == "recall@10"
         assert s.video_spaces == ["clip", "wsl"]
         assert s.text_spaces == ["bow"]
+
+    def test_every_key_loads_as_the_dataclasses_built_directly(self, tmp_path):
+        p = tmp_path / "cfg.ini"
+        p.write_text(
+            "[model]\nd = 16\nheads = 3\nseed = 7\n"
+            "[margins]\nm0 = 0.3\nm1 = 0.1\nm2 = 0.9\nm3 = 0.25\nm4 = 1.5\nlambda1 = 0.4\n"
+            "[train]\nepochs = 5\nbatch_size = 8\nlearning_rate = 0.5\nlr_decay = 0.9\n"
+            "seed = 11\nvalidation_metric = recall@10\nclip_norm = 2.5\n"
+            "[features]\nvideo_spaces = clip, wsl\ntext_spaces = bow\n"
+        )
+        margins = Margins(m0=0.3, m1=0.1, m2=0.9, m3=0.25, m4=1.5, lambda1=0.4)
+        train = TrainConfig(
+            epochs=5, batch_size=8, learning_rate=0.5, lr_decay=0.9, seed=11,
+            margins=margins, validation_metric="recall@10", clip_norm=2.5,
+        )
+        expected = Settings(16, 3, 7, train, ["clip", "wsl"], ["bow"])
+        loaded = load_settings(p)
+        assert loaded == expected
+        assert type(loaded.train.epochs) is int and type(loaded.train.margins.m0) is float
+        # Every value differs from its default, so no key was skipped.
+        defaults = Settings()
+        for got, default in ((loaded, defaults), (train, defaults.train), (margins, Margins())):
+            for name, value in vars(got).items():
+                assert value != vars(default)[name], name
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[margins]\nm0 = abc\n", "[margins] m0 = 'abc' is not a valid float"),
+            ("[train]\nlearning_rate = abc\n", "[train] learning_rate = 'abc' is not a valid float"),
+            ("[train]\nepochs = 1.5\n", "[train] epochs = '1.5' is not a valid int"),
+            ("[model]\nheads = 1.5\n", "[model] heads = '1.5' is not a valid int"),
+        ],
+    )
+    def test_bad_value_names_the_type_of_the_default(self, tmp_path, text, message):
+        p = tmp_path / "cfg.ini"
+        p.write_text(text)
+        with pytest.raises(ConfigError) as exc:
+            load_settings(p)
+        assert str(exc.value) == f"{p}: {message}"
 
     def test_unknown_section_and_key_rejected(self, tmp_path):
         p = tmp_path / "cfg.ini"
