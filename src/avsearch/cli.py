@@ -136,40 +136,43 @@ def _cmd_rerank(args) -> int:
             for item, arr in group_frame_features(features).items()
         }
 
-    store = load_frame_store(args.frames)
+    # Route every query first, then rerank the queries of one frame store
+    # at a time, so only one frame table is in memory at once.
     _, query_vecs = read_features(args.query_feats)
-    alt_store = alt_vecs = None
-    captions = None
+    sources = [(args.frames, query_vecs)]
+    route = dict.fromkeys(run.entries, 0)
     if args.query_tokens:
         captions = read_captions(args.query_tokens)
-        alt_store = load_frame_store(args.alt_frames)
         _, alt_vecs = read_features(args.alt_query_feats)
-
-    entries = {}
-    routed = 0
-    for qid, entry in run.entries.items():
-        use_alt = False
-        if captions is not None:
+        sources.append((args.alt_frames, alt_vecs))
+        for qid in run.entries:
             caption = captions.get(qid)
             if caption is None:
                 raise ConfigError(f"no query tokens for query {qid!r}")
-            use_alt, _ = detect_negation(caption)
-        vecs = alt_vecs if use_alt else query_vecs
-        frames = alt_store if use_alt else store
-        if qid not in vecs:
+            route[qid] = int(detect_negation(caption)[0])
+    for qid, source in route.items():
+        if qid not in sources[source][1]:
             raise ConfigError(f"no query feature vector for query {qid!r}")
-        routed += int(use_alt)
-        entries[qid] = rerank(
-            entry,
-            frames,
-            vecs[qid],
-            w_new=args.w_new,
-            w_old=args.w_old,
-            normalize_original=not args.no_normalize,
-        )
+
+    reranked = {}
+    for source, (frames_path, vecs) in enumerate(sources):
+        store = load_frame_store(frames_path)
+        for qid, entry in run.entries.items():
+            if route[qid] == source:
+                reranked[qid] = rerank(
+                    entry,
+                    store,
+                    vecs[qid],
+                    w_new=args.w_new,
+                    w_old=args.w_old,
+                    normalize_original=not args.no_normalize,
+                )
+        del store
+    entries = {qid: reranked[qid] for qid in run.entries}
     tag = args.run_tag or f"{run.run_tag}-re"
     write_run(args.out, RankedRun(entries, tag))
-    if captions is not None:
+    if args.query_tokens:
+        routed = sum(route.values())
         print(f"negation routing used the alternate features for {routed} queries")
     print(f"reranked {len(entries)} queries -> {args.out}")
     return 0

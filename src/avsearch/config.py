@@ -2,7 +2,9 @@
 
 The keys of [margins] and [train] are the fields of `negation.Margins` and
 `trainer.TrainConfig`, each value cast to the type of the field's default.
-Unknown sections or keys are rejected so typos fail loudly.
+Unknown sections or keys are rejected so typos fail loudly; so is
+`[DEFAULT]`, whose keys configparser would otherwise copy into every
+section (`seed` there would set both `[model]` and `[train]` seeds).
 """
 
 from __future__ import annotations
@@ -46,7 +48,10 @@ def load_settings(path=None) -> Settings:
     settings = Settings()
     if path is None:
         return settings
-    parser = configparser.ConfigParser(interpolation=None)
+    # No header can name the empty section, so [DEFAULT] is an ordinary
+    # section here and is refused as unknown, instead of configparser
+    # copying its keys into every section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     with open(path, encoding="utf-8") as fh:
         try:
             parser.read_file(fh, source=str(path))

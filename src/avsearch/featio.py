@@ -12,6 +12,14 @@ Feature file layout (all integers little-endian):
 Values are stored as 32-bit floats and widened to 64-bit on load. Frame
 features reuse the same container with ids of the form `item_id#frame_index`.
 
+`read_features` decodes column-wise, through one staging buffer of about
+1 MiB plus the longest possible record, so the file's bytes are never all
+in memory at once. One Python pass over the buffer unpacks each id's length, decodes
+the id and checks it for duplicates and against `keep`. Before each refill,
+the kept values in the buffer are widened into one (n, dim) float64 table,
+through one strided float32 view per run of equally spaced records. The
+result, a `FeatureTable`, maps each id to a view of its row of that table.
+
 Checkpoints (magic "AVSC") store h, d and both space lists with their input
 dims, then the model's flat parameter vector (`LaffModel.params`, in the
 canonical order of `fusion._heads_on`) as little-endian float64, so a
@@ -35,6 +43,7 @@ from __future__ import annotations
 
 import os
 import struct
+from collections.abc import Mapping
 from contextlib import contextmanager
 
 import numpy as np
@@ -45,6 +54,8 @@ from .fusion import LaffModel, param_count
 FEATURE_MAGIC = b"AVSF"
 CHECKPOINT_MAGIC = b"AVSC"
 FORMAT_VERSION = 1
+# Bytes of a feature file read into memory at a time, besides one record.
+_STAGING_BYTES = 1 << 20
 
 
 @contextmanager
@@ -68,6 +79,13 @@ def atomic_open(path, mode: str = "wb", **kwargs):
         raise
 
 
+def _truncated(path, what: str, offset: int, wanted: int, got: int) -> FormatError:
+    return FormatError(
+        f"{path}: truncated while reading {what}"
+        f" at byte offset {offset} (wanted {wanted} bytes, got {got})"
+    )
+
+
 class _Reader:
     """Tracks the byte offset so parse errors can point at it."""
 
@@ -75,28 +93,20 @@ class _Reader:
         self.fh = fh
         self.path = path
         self.offset = 0
-        self._size = None
+        self.size = os.fstat(fh.fileno()).st_size
 
     def read(self, n: int, what: str) -> bytes:
         data = self.fh.read(n)
         if len(data) != n:
-            raise FormatError(
-                f"{self.path}: truncated while reading {what}"
-                f" at byte offset {self.offset} (wanted {n} bytes, got {len(data)})"
-            )
+            raise _truncated(self.path, what, self.offset, n, len(data))
         self.offset += n
         return data
 
     def need(self, n: int, what: str) -> None:
         """Fail unless at least n more bytes remain, without reading them."""
-        if self._size is None:
-            self._size = os.fstat(self.fh.fileno()).st_size
-        left = self._size - self.offset
+        left = self.size - self.offset
         if n > left:
-            raise FormatError(
-                f"{self.path}: truncated while reading {what}"
-                f" at byte offset {self.offset} (wanted {n} bytes, got {left})"
-            )
+            raise _truncated(self.path, what, self.offset, n, left)
 
     def read_array(self, n: int, what: str) -> np.ndarray:
         """Read n little-endian float64 values straight into a new array,
@@ -105,18 +115,9 @@ class _Reader:
         out = np.empty(n, dtype="<f8")
         got = self.fh.readinto(memoryview(out).cast("B"))
         if got != out.nbytes:
-            raise FormatError(
-                f"{self.path}: truncated while reading {what}"
-                f" at byte offset {self.offset} (wanted {out.nbytes} bytes, got {got})"
-            )
+            raise _truncated(self.path, what, self.offset, out.nbytes, got)
         self.offset += got
         return out
-
-    def skip(self, n: int, what: str) -> None:
-        """Move past n bytes without reading them."""
-        self.need(n, what)
-        self.fh.seek(n, os.SEEK_CUR)
-        self.offset += n
 
     def unpack(self, fmt: str, what: str):
         values = struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
@@ -188,7 +189,7 @@ def _pack_name(name: str) -> bytes:
     return struct.pack("<H", len(raw)) + raw
 
 
-def write_features(path, space_name: str, features: dict[str, np.ndarray]) -> None:
+def write_features(path, space_name: str, features: Mapping[str, np.ndarray]) -> None:
     """Write one feature space; record order follows dict insertion order."""
     items = list(features.items())
     if items:
@@ -212,8 +213,49 @@ def write_features(path, space_name: str, features: dict[str, np.ndarray]) -> No
             fh.write(np.asarray(vec, dtype="<f4").tobytes())
 
 
-def read_features(path, keep=None) -> tuple[str, dict[str, np.ndarray]]:
-    """Read one feature space; vectors come back as float64.
+class FeatureTable(Mapping):
+    """The decoded records of one feature file, as a read-only mapping.
+
+    `rows` is one (n, dim) float64 table and `ids[i]` labels `rows[i]`, in
+    record order; looking an id up returns a view of its row.
+    """
+
+    def __init__(self, index: dict[str, int], rows: np.ndarray):
+        self._index = index
+        self.ids = list(index)
+        self.rows = rows
+
+    def __getitem__(self, item_id: str) -> np.ndarray:
+        return self.rows[self._index[item_id]]
+
+    def __contains__(self, item_id) -> bool:
+        return item_id in self._index
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def _widen(rows: np.ndarray, row: int, buf: bytearray, starts: list[int]) -> None:
+    """Widen the float32 records at byte positions `starts` of `buf` into
+    `rows[row:]`, through one strided view per run of equally spaced records."""
+    if not starts:
+        return
+    dim = rows.shape[1]
+    steps = np.diff(starts)
+    # A new run starts at each record whose spacing to the next one changes.
+    bounds = [0, *(np.flatnonzero(np.diff(steps)) + 1).tolist(), len(starts)]
+    for a, b in zip(bounds, bounds[1:]):
+        stride = starts[a + 1] - starts[a] if b - a > 1 else 4 * dim
+        rows[row + a : row + b] = np.ndarray(
+            (b - a, dim), "<f4", buffer=buf, offset=starts[a], strides=(stride, 4)
+        )
+
+
+def read_features(path, keep=None) -> tuple[str, FeatureTable]:
+    """Read one feature space; vectors come back as float64 rows of one table.
 
     With keep (a set of ids), only those records are decoded; the values
     of the others are skipped unread, though their ids are still checked
@@ -233,21 +275,52 @@ def read_features(path, keep=None) -> tuple[str, dict[str, np.ndarray]]:
         space_name = _read_name(reader, "space name")
         # Each record holds at least a u16 id length and dim float32 values.
         reader.need(count * (2 + 4 * dim), f"{count} records of {dim} values")
-        features: dict[str, np.ndarray] = {}
+        width = 4 * dim
+        longest = 2 + 0xFFFF + width
+        # With keep, at most len(keep) rows are filled; the pages of the
+        # rest of a large table are never touched, so never made resident.
+        rows = np.empty((count if keep is None else min(count, len(keep)), dim))
+        index: dict[str, int] = {}
         skipped: set[str] = set()
+        # buf[:end] holds the file from byte offset base; the next record
+        # starts at buf[p]. Kept records' values wait at buf[starts] until
+        # the buffer is refilled.
+        base = reader.offset
+        buf = bytearray(min(_STAGING_BYTES + longest, reader.size - base))
+        p = end = 0
+        starts: list[int] = []
         for i in range(count):
-            item_id = _read_name(reader, f"record {i} id")
-            what = f"record {i} ({item_id!r}) values"
-            if item_id in features or item_id in skipped:
+            if end - p < longest and base + end < reader.size:
+                _widen(rows, len(index) - len(starts), buf, starts)
+                starts = []
+                buf[: end - p] = buf[p:end]
+                base, end, p = base + p, end - p, 0
+                end += fh.readinto(memoryview(buf)[end:])
+            if end - p < 2:
+                raise _truncated(path, f"record {i} id length", base + p, 2, end - p)
+            n = buf[p] | buf[p + 1] << 8
+            p += 2
+            if end - p < n:
+                raise _truncated(path, f"record {i} id", base + p, n, end - p)
+            try:
+                item_id = buf[p : p + n].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: invalid UTF-8 in record {i} id: {exc}") from None
+            p += n
+            if item_id in index or item_id in skipped:
                 raise FormatError(f"{path}: duplicate record id {item_id!r}")
-            if keep is not None and item_id not in keep:
-                reader.skip(4 * dim, what)
+            if end - p < width:
+                raise _truncated(path, f"record {i} ({item_id!r}) values", base + p, width, end - p)
+            if keep is None or item_id in keep:
+                index[item_id] = len(index)
+                starts.append(p)
+            else:
                 skipped.add(item_id)
-                continue
-            raw = reader.read(4 * dim, what)
-            features[item_id] = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-        reader.expect_eof()
-    return space_name, features
+            p += width
+        _widen(rows, len(index) - len(starts), buf, starts)
+        if p < end or fh.read(1):
+            raise FormatError(f"{path}: trailing data at byte offset {base + p}")
+    return space_name, FeatureTable(index, rows[: len(index)])
 
 
 # ---------------------------------------------------------------------------
@@ -301,32 +374,52 @@ def checkpoint_load(path) -> LaffModel:
     return LaffModel.from_params(params, video_dims, text_dims, d, h)
 
 
-def group_frame_features(features: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+def group_frame_features(features: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Group `item_id#frame_index` records into per-item (n, dim) arrays,
-    ordered by frame index. Two records of the same frame (`v#1`, `v#01`)
-    are rejected."""
-    grouped: dict[str, list[tuple[int, str]]] = {}
-    for rec_id in features:
+    ordered by frame index, with items in the order of their first record.
+    Two records of the same frame (`v#1`, `v#01`) are rejected.
+
+    Every array is a slice of one table. For a FeatureTable whose records
+    are already grouped and in frame order, that is the table itself;
+    otherwise it is one reordered copy of it.
+    """
+    if not features:
+        return {}
+    ids = list(features)
+    items: dict[str, int] = {}
+    codes, frames = [], []
+    for rec_id in ids:
         item_id, sep, frame_str = rec_id.rpartition("#")
         if not sep:
             raise FormatError(
                 f"frame record id {rec_id!r} is not of the form item_id#frame_index"
             )
         try:
-            frame_index = int(frame_str)
+            frames.append(int(frame_str))
         except ValueError:
             raise FormatError(
                 f"frame record id {rec_id!r} has non-integer frame index"
             ) from None
-        grouped.setdefault(item_id, []).append((frame_index, rec_id))
-    out = {}
-    for item_id, frames in grouped.items():
-        frames.sort(key=lambda frame: frame[0])
-        for (index, first), (next_index, second) in zip(frames, frames[1:]):
-            if index == next_index:
-                raise FormatError(
-                    f"frame records {first!r} and {second!r} both hold"
-                    f" frame {index} of {item_id!r}"
-                )
-        out[item_id] = np.stack([features[rec_id] for _, rec_id in frames])
-    return out
+        codes.append(items.setdefault(item_id, len(items)))
+    if isinstance(features, FeatureTable):
+        table = features.rows
+    else:
+        table = np.stack([features[rec_id] for rec_id in ids])
+    try:
+        keys = np.array(frames, dtype=np.int64)
+    except OverflowError:  # frame indices past int64 sort by rank
+        keys = np.unique(np.array(frames, dtype=object), return_inverse=True)[1]
+    order = np.lexsort((keys, codes))
+    codes, keys = np.asarray(codes)[order], keys[order]
+    same_item = codes[1:] == codes[:-1]
+    clash = np.flatnonzero(same_item & (keys[1:] == keys[:-1]))
+    if clash.size:
+        first, second = ids[order[clash[0]]], ids[order[clash[0] + 1]]
+        raise FormatError(
+            f"frame records {first!r} and {second!r} both hold"
+            f" frame {frames[order[clash[0]]]} of {first.rpartition('#')[0]!r}"
+        )
+    if (np.diff(order) != 1).any():
+        table = table[order]
+    bounds = [0, *(np.flatnonzero(~same_item) + 1).tolist(), len(ids)]
+    return {item_id: table[a:b] for item_id, a, b in zip(items, bounds, bounds[1:])}

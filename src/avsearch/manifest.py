@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .errors import ConfigError, FormatError
 from .evaluation import JudgmentSet, read_qrels
-from .featio import atomic_open, read_features, read_fields, utf8_error
+from .featio import FeatureTable, atomic_open, read_features, read_fields, utf8_error
 from .fusion import FeatureBundle
 from .negation import Caption, Triplet
 
@@ -174,7 +174,7 @@ def load_feature_bundles(
     records are decoded; the rest of each file is skipped.
     """
     keep = None if ids is None else set(ids)
-    spaces: dict[str, dict] = {}
+    spaces: dict[str, FeatureTable] = {}
     for path in map(Path, paths):
         name, features = read_features(path, keep)
         if name in spaces:

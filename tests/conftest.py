@@ -2,9 +2,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from avsearch.featio import checkpoint_save
 from avsearch.fusion import FeatureBundle, LaffModel, init_model
+
+# CI runs `pytest --hypothesis-profile=ci`: the same examples on every run,
+# and no deadline, since a slow runner is not a failing test.
+settings.register_profile("ci", derandomize=True, max_examples=100, deadline=None)
 
 
 def randomized_model(

@@ -5,7 +5,10 @@ Item-at-a-time branch forward/backward, `bnl_loss`, `fused_matrix`, the
 per-frame rerank loop, per-pair pseudo-caption scoring and the per-triplet
 `gap_in_window_fraction`. They run one bundle, one frame and one pair at a
 time through `linear_tanh`, the scalar cosine and its VJP, so tests can
-compare the batched path against an independent oracle. `rank_scores`
+compare the batched path against an independent oracle. `read_features`
+decodes a feature file record by record into a dict of vectors, and
+`group_frame_features` restacks its frame records item by item, as the
+references for the columnar decoder and the one-sort grouping. `rank_scores`
 sorts each query in Python on the key (-score, item_id), as the reference
 for `evaluation.rank_scores`. `train_epoch` adds each batch's gradient
 into a new zeroed vector and updates with one expression, as the reference
@@ -14,9 +17,13 @@ for the trainer's in-place step.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
+
+from avsearch.errors import FormatError
+from avsearch.featio import FEATURE_MAGIC, FORMAT_VERSION, _read_name, _Reader
 
 from avsearch.evaluation import _minmax
 from avsearch.fusion import BranchGrads, FeatureBundle, LaffBranchParams, LaffModel
@@ -312,3 +319,68 @@ def train_epoch(model: LaffModel, dataset, cfg, epoch_index: int) -> float:
         total += loss * len(batch)
         count += len(batch)
     return total / count
+
+
+def read_features(path, keep=None) -> tuple[str, dict[str, np.ndarray]]:
+    """Read one feature space record by record, each vector its own array."""
+    with open(path, "rb") as fh:
+        reader = _Reader(fh, path)
+        magic = reader.read(4, "magic")
+        if magic != FEATURE_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}, expected {FEATURE_MAGIC!r}")
+        version = reader.unpack("<B", "version")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        dim = reader.unpack("<I", "dim")
+        if dim < 1:
+            raise FormatError(f"{path}: dim must be >= 1, got {dim}")
+        count = reader.unpack("<Q", "count")
+        space_name = _read_name(reader, "space name")
+        reader.need(count * (2 + 4 * dim), f"{count} records of {dim} values")
+        features: dict[str, np.ndarray] = {}
+        skipped: set[str] = set()
+        for i in range(count):
+            item_id = _read_name(reader, f"record {i} id")
+            what = f"record {i} ({item_id!r}) values"
+            if item_id in features or item_id in skipped:
+                raise FormatError(f"{path}: duplicate record id {item_id!r}")
+            if keep is not None and item_id not in keep:
+                reader.need(4 * dim, what)
+                fh.seek(4 * dim, os.SEEK_CUR)
+                reader.offset += 4 * dim
+                skipped.add(item_id)
+                continue
+            raw = reader.read(4 * dim, what)
+            features[item_id] = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        reader.expect_eof()
+    return space_name, features
+
+
+def group_frame_features(features: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Group `item_id#frame_index` records item by item, each item's frames
+    sorted by index and stacked into a new array."""
+    grouped: dict[str, list[tuple[int, str]]] = {}
+    for rec_id in features:
+        item_id, sep, frame_str = rec_id.rpartition("#")
+        if not sep:
+            raise FormatError(
+                f"frame record id {rec_id!r} is not of the form item_id#frame_index"
+            )
+        try:
+            frame_index = int(frame_str)
+        except ValueError:
+            raise FormatError(
+                f"frame record id {rec_id!r} has non-integer frame index"
+            ) from None
+        grouped.setdefault(item_id, []).append((frame_index, rec_id))
+    out = {}
+    for item_id, frames in grouped.items():
+        frames.sort(key=lambda frame: frame[0])
+        for (index, first), (next_index, second) in zip(frames, frames[1:]):
+            if index == next_index:
+                raise FormatError(
+                    f"frame records {first!r} and {second!r} both hold"
+                    f" frame {index} of {item_id!r}"
+                )
+        out[item_id] = np.stack([features[rec_id] for _, rec_id in frames])
+    return out

@@ -328,6 +328,40 @@ class TestRerankCli:
         assert [i for i, _ in read_run(out).entries["q"]] == ["A", "B", "C"]
         assert "alternate features for 1 queries" in capsys.readouterr().out
 
+    def test_mixed_routing_keeps_run_order(self, tmp_path, capsys):
+        # A routed query before a plain one: each is scored with its own
+        # store, and the written run keeps the input's query order.
+        _, frames, _ = self.write_inputs(tmp_path)
+        run = tmp_path / "mixed.txt"
+        run.write_text("".join(
+            f"{q} Q0 {item} {rank} {score:.6f} t\n"
+            for q in ("neg", "pos")
+            for rank, (item, score) in enumerate([("A", 10), ("B", 5), ("C", 0)], 1)
+        ))
+
+        def unit(c):
+            return np.array([c, np.sqrt(1 - c * c)])
+
+        alt_frames = tmp_path / "alt_frames.feat"
+        write_features(alt_frames, "fr", {"A#0": unit(0.9), "B#0": unit(0.2), "C#0": unit(0.1)})
+        qf, alt_qf = tmp_path / "qf2.feat", tmp_path / "alt_qf2.feat"
+        for path in (qf, alt_qf):
+            write_features(path, "fr", {"neg": np.array([1.0, 0.0]), "pos": np.array([1.0, 0.0])})
+        tokens = tmp_path / "tokens.tsv"
+        tokens.write_text("neg\ta man is not cooking\npos\ta man is cooking\n")
+        out = tmp_path / "out.txt"
+        assert run_cli(
+            "rerank", "--run", run, "--frames", frames, "--query-feats", qf,
+            "--query-tokens", tokens, "--alt-frames", alt_frames,
+            "--alt-query-feats", alt_qf,
+            "--out", out, "--w-new", 1, "--w-old", 0,
+        ) == 0
+        result = read_run(out)
+        assert list(result.entries) == ["neg", "pos"]
+        assert [i for i, _ in result.entries["neg"]] == ["A", "B", "C"]
+        assert [i for i, _ in result.entries["pos"]] == ["B", "C", "A"]
+        assert "alternate features for 1 queries" in capsys.readouterr().out
+
     def test_nan_frame_exits_1_naming_the_video(self, tmp_path, capsys):
         run, _, qf = self.write_inputs(tmp_path)
         frames = tmp_path / "nan_frames.feat"

@@ -7,11 +7,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import per_item_oracle as oracle
 from avsearch import featio
 from avsearch.cli import main as cli_main
 from avsearch.errors import DimensionError, FormatError
-from avsearch.evaluation import JudgmentSet, read_qrels, read_run, write_qrels
+from avsearch.evaluation import JudgmentSet, RankedRun, read_qrels, read_run, write_qrels, write_run
 from avsearch.featio import (
     checkpoint_load,
     checkpoint_save,
@@ -299,11 +302,251 @@ class TestFrameGrouping:
         with pytest.raises(FormatError, match=r"'v#1'.*'v#01'"):
             group_frame_features(feats)
 
+    def interleaved_frames(self, rng) -> dict[str, np.ndarray]:
+        """Frames of three items, interleaved and out of order, with `#`
+        inside an item id and 1- and 2-digit frame indices."""
+        order = [("shot#1", 12), ("v2", 3), ("shot#1", 0), ("v10", 11), ("v2", 10),
+                 ("shot#1", 9), ("v10", 1), ("v2", 0), ("shot#1", 10), ("v10", 2)]
+        return {f"{item}#{frame}": rng.normal(size=4) for item, frame in order}
+
+    def test_interleaved_frames_match_the_restack_oracle(self, tmp_path, rng):
+        p = tmp_path / "frames.feat"
+        write_features(p, "fr", self.interleaved_frames(rng))
+        want = oracle.group_frame_features(oracle.read_features(p)[1])
+        got = group_frame_features(read_features(p)[1])
+        assert list(got) == list(want) == ["shot#1", "v2", "v10"]
+        for item_id in want:
+            np.testing.assert_array_equal(got[item_id], want[item_id])
+        # Reordered once: every item is a slice of the same new table.
+        bases = {id(arr.base) for arr in got.values()}
+        assert len(bases) == 1 and None not in bases
+
+    def test_frame_indices_past_int64_sort_like_the_oracle(self, rng):
+        feats = {f"v#{f}": rng.normal(size=2) for f in (10**30, 5, -(10**20), 7)}
+        want = oracle.group_frame_features(feats)
+        got = group_frame_features(feats)
+        np.testing.assert_array_equal(got["v"], want["v"])
+        clash = {f"v#{10**21}": np.ones(2), "v#1_000_000_000_000_000_000_000": np.ones(2)}
+        with pytest.raises(FormatError) as want:
+            oracle.group_frame_features(clash)
+        with pytest.raises(FormatError) as got:
+            group_frame_features(clash)
+        assert str(got.value) == str(want.value)
+
+    def test_grouped_file_is_sliced_without_a_copy(self, tmp_path, rng):
+        p = tmp_path / "frames.feat"
+        write_features(p, "fr", {f"v{i}#{f}": rng.normal(size=3) for i in range(3) for f in range(12)})
+        _, table = read_features(p)
+        grouped = group_frame_features(table)
+        assert [arr.shape for arr in grouped.values()] == [(12, 3)] * 3
+        assert all(np.shares_memory(arr, table.rows) for arr in grouped.values())
+
+    def test_rerank_cli_writes_the_run_the_oracle_path_writes(self, tmp_path, rng, monkeypatch):
+        frames = tmp_path / "frames.feat"
+        write_features(frames, "fr", self.interleaved_frames(rng))
+        queries = tmp_path / "queries.feat"
+        write_features(queries, "fr", {"q1": rng.normal(size=4), "q2": rng.normal(size=4)})
+        run = tmp_path / "base.run"
+        items = ["v10", "shot#1", "v2"]
+        write_run(run, RankedRun({q: [(i, 1.0 - 0.1 * k) for k, i in enumerate(items)] for q in ("q1", "q2")}, "t"))
+
+        def rerank_run(out):
+            argv = ["rerank", "--run", run, "--frames", frames, "--query-feats", queries, "--out", out]
+            assert cli_main([str(a) for a in argv]) == 0
+            return out.read_bytes()
+
+        columnar = rerank_run(tmp_path / "columnar.run")
+        monkeypatch.setattr("avsearch.cli.read_features", oracle.read_features)
+        monkeypatch.setattr("avsearch.cli.group_frame_features", oracle.group_frame_features)
+        assert rerank_run(tmp_path / "oracle.run") == columnar
+
     def test_bad_ids_rejected(self, rng):
         with pytest.raises(FormatError):
             group_frame_features({"noframe": rng.normal(size=2)})
         with pytest.raises(FormatError):
             group_frame_features({"v#x": rng.normal(size=2)})
+
+
+def feat_bytes(records, dim=3, count=None, name=b"s", magic=b"AVSF", version=1) -> bytes:
+    """A feature file of (raw id, values) records, with the header as given."""
+    count = len(records) if count is None else count
+    header = magic + struct.pack("<BIQH", version, dim, count, len(name)) + name
+    return header + b"".join(
+        struct.pack("<H", len(rec_id)) + rec_id + np.asarray(vals, dtype="<f4").tobytes()
+        for rec_id, vals in records
+    )
+
+
+# Three records whose ids are long enough that a file cut inside the middle
+# or last record still passes the header's minimum-size check, so the cut is
+# found by the per-record reads.
+RECORDS = [(bytes([c]) * n, np.arange(3) + k) for k, (c, n) in enumerate(((97, 40), (98, 50), (99, 60)))]
+VALID = feat_bytes(RECORDS)
+
+
+def record_offset(i: int) -> int:
+    """Byte offset of record i's id length in VALID."""
+    return len(VALID) - sum(2 + len(rec_id) + 12 for rec_id, _ in RECORDS[i:])
+
+
+def cut(i: int, part: str) -> bytes:
+    """VALID cut one byte into record i's id length, id or values."""
+    start = record_offset(i)
+    inside = {"id length": 1, "id": 2 + 1, "values": 2 + len(RECORDS[i][0]) + 5}[part]
+    return VALID[: start + inside]
+
+
+CORRUPT = {
+    "bad magic": feat_bytes(RECORDS, magic=b"AVSX"),
+    "bad version": feat_bytes(RECORDS, version=2),
+    "dim 0": feat_bytes([], dim=0),
+    "header larger than file": feat_bytes(RECORDS, count=4),
+    "empty file": b"",
+    "truncated header": VALID[:11],
+    "truncated space name length": VALID[:18],
+    "truncated space name": VALID[:19],
+    **{f"truncated in record {i} {part}": cut(i, part)
+       for i in (0, 1, 2) for part in ("id length", "id", "values")},
+    "duplicate id": feat_bytes(RECORDS + [RECORDS[1]]),
+    "invalid UTF-8 in space name": feat_bytes(RECORDS, name=b"s\xff"),
+    "invalid UTF-8 in first id": feat_bytes([(b"\xc3\x28", [0, 1, 2])] + RECORDS),
+    "invalid UTF-8 in last id": feat_bytes(RECORDS + [(b"ok\xe9", [0, 1, 2])]),
+    "trailing bytes": VALID + b"\x00",
+    "record past the count": feat_bytes(RECORDS, count=2),
+}
+# Decode every record, none, or only the middle (duplicated) one.
+KEEPS = {"all": None, "none": set(), "middle": {"b" * 50, "absent"}}
+
+
+def outcome(read, path, keep):
+    """What a reader makes of a file: the error, or the space, ids and values."""
+    try:
+        name, features = read(path, keep)
+    except FormatError as exc:
+        return type(exc), str(exc)
+    return name, list(features), [features[i] for i in features]
+
+
+def assert_same_outcome(path, keep):
+    """read_features fails as the per-record oracle does, with the same
+    message, or returns the same ids and values. Any error other than a
+    FormatError escapes and fails the test."""
+    want = outcome(oracle.read_features, path, keep)
+    got = outcome(read_features, path, keep)
+    assert got[:2] == want[:2]
+    if len(want) == 3:
+        for got_row, want_row in zip(got[2], want[2]):
+            np.testing.assert_array_equal(got_row, want_row)
+
+
+class TestColumnarDecoder:
+    @pytest.mark.parametrize("keep", sorted(KEEPS))
+    @pytest.mark.parametrize("case", sorted(CORRUPT))
+    def test_errors_match_the_per_record_oracle(self, tmp_path, case, keep):
+        p = tmp_path / "bad.feat"
+        p.write_bytes(CORRUPT[case])
+        with pytest.raises(FormatError) as want:
+            oracle.read_features(p, KEEPS[keep])
+        with pytest.raises(FormatError) as got:
+            read_features(p, KEEPS[keep])
+        assert str(got.value) == str(want.value)
+
+    def test_cuts_are_found_by_the_record_reads(self, tmp_path):
+        p = tmp_path / "bad.feat"
+        for i, part in ((1, "id length"), (2, "id"), (0, "values")):
+            p.write_bytes(cut(i, part))
+            with pytest.raises(FormatError, match=f"truncated while reading record {i}"):
+                read_features(p)
+
+    @pytest.mark.parametrize("keep", sorted(KEEPS))
+    def test_values_match_the_per_record_oracle(self, tmp_path, keep):
+        p = tmp_path / "good.feat"
+        p.write_bytes(VALID)
+        assert_same_outcome(p, KEEPS[keep])
+
+    def test_rows_are_views_of_one_table(self, tmp_path, rng):
+        p = tmp_path / "t.feat"
+        write_features(p, "s", {f"v{i}": rng.normal(size=4) for i in range(5)})
+        _, table = read_features(p)
+        assert table.ids == [f"v{i}" for i in range(5)]
+        assert table.rows.shape == (5, 4) and table.rows.dtype == np.float64
+        assert all(np.shares_memory(table[i], table.rows) for i in table)
+        assert "v3" in table and "v9" not in table and len(table) == 5
+
+    @pytest.mark.parametrize("every", [None, 3])
+    def test_refilled_buffer_decodes_like_the_oracle(self, tmp_path, monkeypatch, rng, every):
+        # With no staging beyond the longest record, a 1 MB file refills the
+        # buffer about 15 times, cutting runs and records at buffer ends.
+        monkeypatch.setattr(featio, "_STAGING_BYTES", 0)
+        p = tmp_path / "big.feat"
+        ids = [f"v{i}#{f}" for i in range(60) for f in range(64)]
+        write_features(p, "f", dict(zip(ids, rng.normal(size=(len(ids), 64)))))
+        keep = None if every is None else set(ids[::every])
+        assert_same_outcome(p, keep)
+        raw = p.read_bytes()
+        for size in (len(raw) // 2, len(raw) - 100):
+            p.write_bytes(raw[:size])
+            assert_same_outcome(p, keep)
+
+
+@st.composite
+def feature_files(draw) -> tuple[bytes, list[str]]:
+    """The bytes of a valid feature file, and its ids."""
+    dim = draw(st.integers(1, 4))
+    ids = draw(st.lists(st.text(max_size=5), max_size=6, unique=True))
+    values = draw(st.lists(st.floats(width=32), min_size=dim * len(ids), max_size=dim * len(ids)))
+    records = [(i.encode(), values[k * dim: (k + 1) * dim]) for k, i in enumerate(ids)]
+    return feat_bytes(records, dim=dim, name=draw(st.text(max_size=3)).encode()), ids
+
+
+@st.composite
+def mutated(draw, files) -> bytes:
+    """Bytes of a valid file, cut, extended or with some bytes overwritten."""
+    raw, _ = draw(files)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(raw)))
+        kind = draw(st.sampled_from(["cut", "extend", "overwrite"]))
+        if kind == "cut":
+            raw = raw[:at]
+        elif kind == "extend":
+            raw = raw[:at] + draw(st.binary(min_size=1, max_size=8)) + raw[at:]
+        elif at < len(raw):
+            raw = raw[:at] + bytes([draw(st.integers(0, 255))]) + raw[at + 1:]
+    return raw
+
+
+def keeps(ids):
+    return st.one_of(st.none(), st.sets(st.sampled_from(ids + ["absent"])))
+
+
+class TestReaderFuzzing:
+    @given(raw=st.binary(max_size=200), keep=keeps(["", "a"]))
+    def test_arbitrary_bytes(self, tmp_path_factory, raw, keep):
+        p = tmp_path_factory.getbasetemp() / "fuzz_arbitrary.feat"
+        p.write_bytes(raw)
+        assert_same_outcome(p, keep)
+
+    @given(raw=st.binary(max_size=120), keep=keeps(["", "a"]))
+    def test_arbitrary_bytes_after_a_valid_header(self, tmp_path_factory, raw, keep):
+        p = tmp_path_factory.getbasetemp() / "fuzz_header.feat"
+        p.write_bytes(feat_bytes([], dim=1)[:9] + raw)
+        assert_same_outcome(p, keep)
+
+    @given(data=st.data())
+    def test_valid_files_match_the_oracle(self, tmp_path_factory, data):
+        raw, ids = data.draw(feature_files())
+        p = tmp_path_factory.getbasetemp() / "fuzz_valid.feat"
+        p.write_bytes(raw)
+        keep = data.draw(keeps(ids))
+        _, features = read_features(p, keep)
+        assert list(features) == [i for i in ids if keep is None or i in keep]
+        assert_same_outcome(p, keep)
+
+    @given(raw=mutated(feature_files()), keep=keeps(["", "a", "b"]))
+    def test_mutated_files(self, tmp_path_factory, raw, keep):
+        p = tmp_path_factory.getbasetemp() / "fuzz_mutated.feat"
+        p.write_bytes(raw)
+        assert_same_outcome(p, keep)
 
 
 class _DiskFullFile:

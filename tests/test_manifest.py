@@ -267,6 +267,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="dd"):
             load_settings(p)
 
+    def test_default_section_rejected(self, tmp_path):
+        # configparser would copy [DEFAULT] keys into every section, so a
+        # seed there would set both the model seed and the training seed.
+        p = tmp_path / "cfg.ini"
+        p.write_text("[DEFAULT]\nseed = 1\n[model]\nd = 16\n[train]\nepochs = 2\n")
+        with pytest.raises(ConfigError) as exc:
+            load_settings(p)
+        assert str(exc.value) == f"{p}: unknown section [DEFAULT]"
+
     def test_bad_value_types_rejected(self, tmp_path):
         p = tmp_path / "cfg.ini"
         p.write_text("[model]\nd = big\n")
