@@ -312,12 +312,17 @@ def write_run(path, run: RankedRun) -> None:
 
 
 def read_run(path) -> RankedRun:
-    """Read a run file; each distinct id and the tag are checked as in `write_run`."""
+    """Read a run file; each distinct id and the tag are checked as in `write_run`.
+
+    Every entry that lists an item holds the same str object for its id.
+    """
     entries: dict[str, RunEntry] = {}
     run_tag: str | None = None
     current: str | None = None
     expected_rank = 0
-    checked: set[str] = set()  # item ids already checked
+    # Each item id checked so far, mapped to the one str object that every
+    # entry listing it shares.
+    checked: dict[str, str] = {}
     for lineno, (qid, q0, item_id, rank_str, score_str, tag) in read_fields(path, " ", (6,)):
         if q0 != "Q0":
             raise FormatError(f"{path}:{lineno}: second field must be Q0, got {q0!r}")
@@ -343,10 +348,11 @@ def read_run(path) -> RankedRun:
         if rank_pos != expected_rank:
             raise FormatError(f"{path}:{lineno}: rank {rank_pos}, expected {expected_rank}")
         expected_rank += 1
-        if item_id not in checked:
+        canonical = checked.get(item_id)
+        if canonical is None:
             _check_ids(f"{path}:{lineno}", "item id", [item_id])
-            checked.add(item_id)
-        entry.append((item_id, score))
+            checked[item_id] = canonical = item_id
+        entry.append((canonical, score))
     if run_tag is None:
         raise FormatError(f"{path}: empty run file")
     try:

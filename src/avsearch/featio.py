@@ -9,16 +9,18 @@ Feature file layout (all integers little-endian):
     name    u16 length + UTF-8 space name
     records count times: u16 id length, UTF-8 id, dim float32 values
 
-Values are stored as 32-bit floats and widened to 64-bit on load. Frame
-features reuse the same container with ids of the form `item_id#frame_index`.
+Values are stored as 32-bit floats and stay 32-bit in memory; code that
+computes on them widens them to 64-bit in the copy it makes anyway (see
+`fusion.branch_tables`). Frame features reuse the same container with ids
+of the form `item_id#frame_index`.
 
 `read_features` decodes column-wise, through one staging buffer of about
 1 MiB plus the longest possible record, so the file's bytes are never all
 in memory at once. One Python pass over the buffer unpacks each id's length, decodes
 the id and checks it for duplicates and against `keep`. Before each refill,
-the kept values in the buffer are widened into one (n, dim) float64 table,
-through one strided float32 view per run of equally spaced records. The
-result, a `FeatureTable`, maps each id to a view of its row of that table.
+the kept values in the buffer are copied into one (n, dim) float32 table,
+through one strided view per run of equally spaced records. The result, a
+`FeatureTable`, maps each id to a view of its row of that table.
 
 Checkpoints (magic "AVSC") store h, d and both space lists with their input
 dims, then the model's flat parameter vector (`LaffModel.params`, in the
@@ -216,8 +218,9 @@ def write_features(path, space_name: str, features: Mapping[str, np.ndarray]) ->
 class FeatureTable(Mapping):
     """The decoded records of one feature file, as a read-only mapping.
 
-    `rows` is one (n, dim) float64 table and `ids[i]` labels `rows[i]`, in
-    record order; looking an id up returns a view of its row.
+    `rows` is one (n, dim) float32 table, the file's own precision, and
+    `ids[i]` labels `rows[i]`, in record order; looking an id up returns a
+    view of its row.
     """
 
     def __init__(self, index: dict[str, int], rows: np.ndarray):
@@ -238,8 +241,8 @@ class FeatureTable(Mapping):
         return len(self.ids)
 
 
-def _widen(rows: np.ndarray, row: int, buf: bytearray, starts: list[int]) -> None:
-    """Widen the float32 records at byte positions `starts` of `buf` into
+def _copy_records(rows: np.ndarray, row: int, buf: bytearray, starts: list[int]) -> None:
+    """Copy the float32 records at byte positions `starts` of `buf` into
     `rows[row:]`, through one strided view per run of equally spaced records."""
     if not starts:
         return
@@ -255,7 +258,7 @@ def _widen(rows: np.ndarray, row: int, buf: bytearray, starts: list[int]) -> Non
 
 
 def read_features(path, keep=None) -> tuple[str, FeatureTable]:
-    """Read one feature space; vectors come back as float64 rows of one table.
+    """Read one feature space; vectors come back as float32 rows of one table.
 
     With keep (a set of ids), only those records are decoded; the values
     of the others are skipped unread, though their ids are still checked
@@ -279,7 +282,7 @@ def read_features(path, keep=None) -> tuple[str, FeatureTable]:
         longest = 2 + 0xFFFF + width
         # With keep, at most len(keep) rows are filled; the pages of the
         # rest of a large table are never touched, so never made resident.
-        rows = np.empty((count if keep is None else min(count, len(keep)), dim))
+        rows = np.empty((count if keep is None else min(count, len(keep)), dim), np.float32)
         index: dict[str, int] = {}
         skipped: set[str] = set()
         # buf[:end] holds the file from byte offset base; the next record
@@ -291,7 +294,7 @@ def read_features(path, keep=None) -> tuple[str, FeatureTable]:
         starts: list[int] = []
         for i in range(count):
             if end - p < longest and base + end < reader.size:
-                _widen(rows, len(index) - len(starts), buf, starts)
+                _copy_records(rows, len(index) - len(starts), buf, starts)
                 starts = []
                 buf[: end - p] = buf[p:end]
                 base, end, p = base + p, end - p, 0
@@ -317,7 +320,7 @@ def read_features(path, keep=None) -> tuple[str, FeatureTable]:
             else:
                 skipped.add(item_id)
             p += width
-        _widen(rows, len(index) - len(starts), buf, starts)
+        _copy_records(rows, len(index) - len(starts), buf, starts)
         if p < end or fh.read(1):
             raise FormatError(f"{path}: trailing data at byte offset {base + p}")
     return space_name, FeatureTable(index, rows[: len(index)])

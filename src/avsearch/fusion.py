@@ -9,14 +9,16 @@ a sentence is the mean over heads of the cosine between their fused
 embeddings.
 
 All numerics are batched. The inputs of n items are per-space (n, d_in)
-tables; a branch runs one GEMM per space, E_i = tanh(X_i W_iᵀ + b_i), then
-a row-wise softmax over the k spaces, and its backward pass writes the
-weight gradients dZ_iᵀ X_i straight into a gradient branch the caller owns,
-typically the views of a flat gradient vector (LaffModel.on_vector), so a
-training step allocates no per-branch gradient arrays. The per-item
-functions laff_forward, laff_vjp, similarity and similarity_with_grad call
-batch_forward (and batch_backward) on one-row tables, and corpus embedding
-runs in fixed-size row blocks. Many (video, text) pairs are scored together
+float64 tables, stacked from the bundles' vectors; float32 vectors, as
+decoded from a feature file, are widened in that copy. A branch runs one
+GEMM per space, E_i = tanh(X_i W_iᵀ + b_i), then a row-wise softmax over
+the k spaces, and its backward pass writes the weight gradients dZ_iᵀ X_i
+straight into a gradient branch the caller owns, typically the views of a
+flat gradient vector (LaffModel.on_vector), so a training step allocates
+no per-branch gradient arrays. The per-item functions laff_forward,
+laff_vjp, similarity and similarity_with_grad call batch_forward (and
+batch_backward) on one-row tables, and corpus embedding runs in fixed-size
+row blocks. Many (video, text) pairs are scored together
 by pair_similarities, which embeds each distinct bundle once.
 
 Iteration over feature spaces is always in sorted space-name order so that
@@ -31,19 +33,32 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BundleMismatchError, DimensionError
-from .numeric import LinearTanhParams, as_vector, cosine_sim, cosine_sim_vjp, row_cosines
+from .numeric import (
+    LinearTanhParams,
+    as_features,
+    as_vector,
+    cosine_sim,
+    cosine_sim_vjp,
+    row_cosines,
+)
 
 
 @dataclass
 class FeatureBundle:
-    """Named per-space feature vectors for one item (video, frame or sentence)."""
+    """Named per-space feature vectors for one item (video, frame or sentence).
+
+    A 1-D float32 or float64 ndarray is kept as given, without a copy, so a
+    bundle can hold row views of a decoded float32 feature table; anything
+    else becomes a float64 vector. The code that computes on bundles
+    (branch_tables) widens them to float64 in the table it builds anyway.
+    """
 
     item_id: str
     features: dict[str, np.ndarray]
 
     def __post_init__(self):
         self.features = {
-            name: as_vector(vec, f"feature {name!r}")
+            name: as_features(vec, 1, f"feature {name!r}")
             for name, vec in self.features.items()
         }
 
@@ -305,14 +320,17 @@ def _check_bundle(branch: LaffBranchParams, bundle: FeatureBundle) -> None:
 
 
 def branch_tables(branch: LaffBranchParams, bundles) -> list[np.ndarray]:
-    """Per-space (n, d_in) input tables of a nonempty bundle list, in sorted
-    space order. Every bundle must carry exactly the branch's spaces."""
+    """Per-space (n, d_in) float64 input tables of a nonempty bundle list, in
+    sorted space order; stacking widens float32 vectors exactly. Every bundle
+    must carry exactly the branch's spaces."""
     for bundle in bundles:
         _check_bundle(branch, bundle)
     tables = []
     for name in branch.spaces:
         try:
-            tables.append(np.stack([bundle.features[name] for bundle in bundles]))
+            tables.append(
+                np.stack([bundle.features[name] for bundle in bundles], dtype=np.float64)
+            )
         except ValueError:
             raise DimensionError(
                 f"feature {name!r} has different lengths across bundles"
@@ -509,8 +527,10 @@ def distinct_bundles(bundles) -> tuple[list[FeatureBundle], np.ndarray]:
 
     A GEMM can round two identical input rows differently, depending on
     where they sit in the block, and so break an exact tie; code that needs
-    such ties embeds each distinct content once. A bundle object listed
-    again is matched by identity, without re-reading its features.
+    such ties embeds each distinct content once. Content is compared as
+    float64, so equal values match whatever their storage dtype. A bundle
+    object listed again is matched by identity, without re-reading its
+    features.
     """
     bundles = list(bundles)  # keeps every object alive, so ids stay unique
     slots: dict[tuple, int] = {}
@@ -520,7 +540,10 @@ def distinct_bundles(bundles) -> tuple[list[FeatureBundle], np.ndarray]:
     for bundle in bundles:
         slot = by_object.get(id(bundle))
         if slot is None:
-            key = tuple((name, vec.tobytes()) for name, vec in sorted(bundle.features.items()))
+            key = tuple(
+                (name, vec.astype(np.float64, copy=False).tobytes())
+                for name, vec in sorted(bundle.features.items())
+            )
             slot = slots.setdefault(key, len(distinct))
             if slot == len(distinct):
                 distinct.append(bundle)

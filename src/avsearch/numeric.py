@@ -3,7 +3,8 @@ their vector-Jacobian products, and a central finite-difference gradient checker
 
 Everything here is a pure function over numpy float64 arrays. Vectors are
 1-D arrays, matrices are 2-D row-major arrays. Feature files store 32-bit
-floats; they are widened to 64-bit on load so that gradient checks have
+floats, and features stay 32-bit in memory (`as_features`); they are
+widened to 64-bit wherever they are computed on, so gradient checks have
 enough headroom.
 """
 
@@ -19,10 +20,21 @@ from .errors import DegenerateSimilarityWarning, DimensionError
 
 def as_vector(x, name: str = "vector") -> np.ndarray:
     """Coerce to a 1-D float64 array, rejecting anything else."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 1:
-        raise DimensionError(f"{name} must be 1-D, got shape {a.shape}")
-    return a
+    return as_features(np.asarray(x, dtype=np.float64), 1, name)
+
+
+def as_features(x, ndim: int, name: str) -> np.ndarray:
+    """Coerce feature values to an ndim-D array, rejecting anything else.
+
+    A float32 or float64 ndarray is returned as given, without a copy, so
+    features keep the precision they were stored at; anything else becomes
+    float64. Code that computes on features widens them to float64 itself.
+    """
+    if not (isinstance(x, np.ndarray) and x.dtype in (np.float32, np.float64)):
+        x = np.asarray(x, dtype=np.float64)
+    if x.ndim != ndim:
+        raise DimensionError(f"{name} must be {ndim}-D, got shape {x.shape}")
+    return x
 
 
 @dataclass

@@ -5,10 +5,12 @@ frames and the query vector. The new relevance score is a weighted linear
 fusion of that frame score (default weight 0.6) and the min-max normalized
 original score (default weight 0.4), and the list is re-sorted.
 
-The frames of every listed video are scored in one pass: they are gathered
-into one (total frames, dim) table, their cosines against the query are
-stacked row products (bit-identical to the per-frame cosine), and each
-video's maximum is a segmented reduction over its rows.
+Frames are kept at their stored precision (float32 when decoded from a
+feature file). The frames of every listed video are scored in one pass:
+they are gathered into one (total frames, dim) table, widened to float64 in
+that copy; their cosines against the query are stacked row products
+(bit-identical to the per-frame cosine), and each video's maximum is a
+segmented reduction over its rows.
 """
 
 from __future__ import annotations
@@ -19,22 +21,22 @@ import numpy as np
 
 from .errors import DimensionError, FormatError
 from .evaluation import RunEntry, _minmax
-from .numeric import as_vector, row_cosines
+from .numeric import as_features, as_vector, row_cosines
 
 
 @dataclass
 class FrameFeatures:
-    """Per-frame vectors of one video, all in a single feature space."""
+    """Per-frame vectors of one video, all in a single feature space.
+
+    A float32 or float64 frame table is kept as given, without a copy (as
+    `FeatureBundle` keeps its vectors); frame_scores widens it to float64.
+    """
 
     item_id: str
     frames: np.ndarray  # (n_frames, dim)
 
     def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float64)
-        if self.frames.ndim != 2:
-            raise DimensionError(
-                f"frames of {self.item_id!r} must be 2-D, got shape {self.frames.shape}"
-            )
+        self.frames = as_features(self.frames, 2, f"frames of {self.item_id!r}")
         if self.frames.shape[0] < 1:
             raise DimensionError(f"video {self.item_id!r} has zero frames")
 
@@ -51,7 +53,8 @@ def frame_scores(videos: list[FrameFeatures], query_vec: np.ndarray) -> np.ndarr
     frames would keep or drop a NaN depending on the frame order.
     """
     query = as_vector(query_vec, "query vector")
-    cosines = row_cosines(np.concatenate([video.frames for video in videos]), query)
+    frames = np.concatenate([video.frames for video in videos], dtype=np.float64)
+    cosines = row_cosines(frames, query)
     starts = np.cumsum([0] + [video.frame_count for video in videos[:-1]])
     bad = ~np.isfinite(cosines)
     if bad.any():

@@ -222,7 +222,7 @@ def _estimate_latents(meta: Path, modality: str, paths: list[Path]) -> dict[str,
     z_hat = []
     for name in dims:
         proj = np.load(meta / f"proj_{modality}_{name}.npy")
-        rows = np.stack([b.features[name] for b in bundles.values()])  # (n, dim)
+        rows = np.stack([b.features[name] for b in bundles.values()], dtype=np.float64)
         z_hat.append(np.linalg.lstsq(proj, rows.T, rcond=None)[0])  # (latent, n)
     mean = reduce(np.add, z_hat) / len(z_hat)
     return dict(zip(bundles, np.ascontiguousarray(mean.T)))

@@ -3,13 +3,31 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
+from avsearch import errors
 from avsearch.featio import checkpoint_save
 from avsearch.fusion import FeatureBundle, LaffModel, init_model
 
 # CI runs `pytest --hypothesis-profile=ci`: the same examples on every run,
 # and no deadline, since a slow runner is not a failing test.
 settings.register_profile("ci", derandomize=True, max_examples=100, deadline=None)
+
+# The package's own error types: the only exceptions a reader may raise on
+# malformed input.
+AVSEARCH_ERRORS = tuple(
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, Exception) and not issubclass(cls, Warning)
+)
+
+
+def typed_outcome(read, path):
+    """read(path), or None when it raises one of the package's own error
+    types; any other exception escapes and fails the test."""
+    try:
+        return read(path)
+    except AVSEARCH_ERRORS:
+        return None
 
 
 def randomized_model(
@@ -42,3 +60,20 @@ def random_bundle(item_id: str, dims: dict[str, int], rng) -> FeatureBundle:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@st.composite
+def mutated(draw, files) -> bytes:
+    """Bytes of a valid file, cut, extended or with some bytes overwritten;
+    files draws (bytes, anything)."""
+    raw, _ = draw(files)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(raw)))
+        kind = draw(st.sampled_from(["cut", "extend", "overwrite"]))
+        if kind == "cut":
+            raw = raw[:at]
+        elif kind == "extend":
+            raw = raw[:at] + draw(st.binary(min_size=1, max_size=8)) + raw[at:]
+        elif at < len(raw):
+            raw = raw[:at] + bytes([draw(st.integers(0, 255))]) + raw[at + 1:]
+    return raw

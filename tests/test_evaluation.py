@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from avsearch.errors import FormatError, MetricError
 from avsearch.evaluation import (
@@ -20,7 +22,7 @@ from avsearch.evaluation import (
 )
 from avsearch.fusion import FeatureBundle, similarity
 
-from conftest import random_bundle, randomized_model
+from conftest import mutated, random_bundle, randomized_model, typed_outcome
 
 
 def bruteforce_ap(entry, judgments):
@@ -477,3 +479,78 @@ class TestRankedRunInvariants:
         p.write_text("q1 Q0 a 1 0.500000 t\nq1 Q0 b 2 nan t\nq1 Q0 c 3 0.900000 t\n")
         with pytest.raises(FormatError, match=r"nan\.txt: .*non-finite.*'b'"):
             read_run(p)
+
+
+# Ids of one to three letters, some shared between queries.
+IDS = st.text("abQ0", min_size=1, max_size=3)
+
+
+@st.composite
+def run_files(draw) -> tuple[bytes, RankedRun]:
+    """The bytes of a valid run file, and the run it holds."""
+    queries = draw(st.lists(IDS, min_size=1, max_size=3, unique=True))
+    entries = {}
+    for qid in queries:
+        items = draw(st.lists(IDS, min_size=1, max_size=4, unique=True))
+        micros = st.lists(st.integers(-10**6, 10**6), min_size=len(items), max_size=len(items))
+        scores = sorted(draw(micros), reverse=True)
+        entries[qid] = [(item, score / 1e6) for item, score in zip(items, scores)]
+    lines = [
+        f"{qid} Q0 {item} {rank} {score:.6f} t\n"
+        for qid, entry in entries.items()
+        for rank, (item, score) in enumerate(entry, start=1)
+    ]
+    return "".join(lines).encode(), RankedRun(entries, "t")
+
+
+@st.composite
+def qrels_files(draw) -> tuple[bytes, JudgmentSet]:
+    """The bytes of a valid qrels file, and the judgments it holds."""
+    judgments = draw(st.dictionaries(IDS, st.dictionaries(IDS, st.integers(0, 1), min_size=1), max_size=3))
+    header = draw(st.sampled_from(["", "#complete\n", "#sampled\n"]))
+    lines = [f"{qid} 0 {item} {rel}\n" for qid, labels in judgments.items() for item, rel in labels.items()]
+    return (header + "".join(lines)).encode(), JudgmentSet(judgments, header != "#sampled\n")
+
+
+class TestTextReaderFuzzing:
+    @pytest.mark.parametrize("read", [read_run, read_qrels])
+    @given(raw=st.binary(max_size=200))
+    def test_arbitrary_bytes(self, tmp_path_factory, read, raw):
+        p = tmp_path_factory.getbasetemp() / "fuzz_arbitrary.txt"
+        p.write_bytes(raw)
+        typed_outcome(read, p)
+
+    @given(data=run_files())
+    def test_valid_run_files_read_back(self, tmp_path_factory, data):
+        raw, run = data
+        p = tmp_path_factory.getbasetemp() / "fuzz_valid.run"
+        p.write_bytes(raw)
+        assert read_run(p) == run
+
+    @given(data=qrels_files())
+    def test_valid_qrels_files_read_back(self, tmp_path_factory, data):
+        raw, judgments = data
+        p = tmp_path_factory.getbasetemp() / "fuzz_valid.qrels"
+        p.write_bytes(raw)
+        assert read_qrels(p) == judgments
+
+    @given(raw=mutated(run_files()))
+    def test_mutated_run_files(self, tmp_path_factory, raw):
+        p = tmp_path_factory.getbasetemp() / "fuzz_mutated.run"
+        p.write_bytes(raw)
+        typed_outcome(read_run, p)
+
+    @given(raw=mutated(qrels_files()))
+    def test_mutated_qrels_files(self, tmp_path_factory, raw):
+        p = tmp_path_factory.getbasetemp() / "fuzz_mutated.qrels"
+        p.write_bytes(raw)
+        typed_outcome(read_qrels, p)
+
+
+class TestReadRunInterning:
+    def test_a_shared_item_is_one_object(self, tmp_path):
+        p = tmp_path / "run.txt"
+        p.write_text("q1 Q0 video12 1 0.5 t\nq1 Q0 b 2 0.4 t\nq2 Q0 video12 1 0.9 t\n")
+        run = read_run(p)
+        assert run.entries == {"q1": [("video12", 0.5), ("b", 0.4)], "q2": [("video12", 0.9)]}
+        assert run.entries["q1"][0][0] is run.entries["q2"][0][0]

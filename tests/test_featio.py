@@ -34,7 +34,7 @@ from avsearch.manifest import (
 from avsearch.negation import Caption
 from avsearch.pseudocap import read_candidates, write_selection
 
-from conftest import huge_d_checkpoint, random_bundle, randomized_model
+from conftest import huge_d_checkpoint, mutated, random_bundle, randomized_model, typed_outcome
 
 
 class TestFeatureFiles:
@@ -69,7 +69,7 @@ class TestFeatureFiles:
         np.testing.assert_array_equal(
             feats["v"], np.array([0.1, 0.2], dtype=np.float32).astype(np.float64)
         )
-        assert feats["v"].dtype == np.float64
+        assert feats["v"].dtype == np.float32
 
     def test_truncated_record_reports_offset(self, tmp_path, rng):
         p = tmp_path / "trunc.feat"
@@ -469,7 +469,7 @@ class TestColumnarDecoder:
         write_features(p, "s", {f"v{i}": rng.normal(size=4) for i in range(5)})
         _, table = read_features(p)
         assert table.ids == [f"v{i}" for i in range(5)]
-        assert table.rows.shape == (5, 4) and table.rows.dtype == np.float64
+        assert table.rows.shape == (5, 4) and table.rows.dtype == np.float32
         assert all(np.shares_memory(table[i], table.rows) for i in table)
         assert "v3" in table and "v9" not in table and len(table) == 5
 
@@ -497,22 +497,6 @@ def feature_files(draw) -> tuple[bytes, list[str]]:
     values = draw(st.lists(st.floats(width=32), min_size=dim * len(ids), max_size=dim * len(ids)))
     records = [(i.encode(), values[k * dim: (k + 1) * dim]) for k, i in enumerate(ids)]
     return feat_bytes(records, dim=dim, name=draw(st.text(max_size=3)).encode()), ids
-
-
-@st.composite
-def mutated(draw, files) -> bytes:
-    """Bytes of a valid file, cut, extended or with some bytes overwritten."""
-    raw, _ = draw(files)
-    for _ in range(draw(st.integers(1, 3))):
-        at = draw(st.integers(0, len(raw)))
-        kind = draw(st.sampled_from(["cut", "extend", "overwrite"]))
-        if kind == "cut":
-            raw = raw[:at]
-        elif kind == "extend":
-            raw = raw[:at] + draw(st.binary(min_size=1, max_size=8)) + raw[at:]
-        elif at < len(raw):
-            raw = raw[:at] + bytes([draw(st.integers(0, 255))]) + raw[at + 1:]
-    return raw
 
 
 def keeps(ids):
@@ -547,6 +531,57 @@ class TestReaderFuzzing:
         p = tmp_path_factory.getbasetemp() / "fuzz_mutated.feat"
         p.write_bytes(raw)
         assert_same_outcome(p, keep)
+
+
+def checkpoint_bytes(h: int, d: int, video_dims, text_dims, params) -> bytes:
+    """A checkpoint file of the given structure and parameter vector."""
+    spaces = b"".join(
+        struct.pack("<H", len(dims))
+        + b"".join(struct.pack("<H", len(n)) + n + struct.pack("<I", k) for n, k in dims.items())
+        for dims in (video_dims, text_dims)
+    )
+    head = b"AVSC" + struct.pack("<BII", 1, h, d)
+    return head + spaces + np.asarray(params, dtype="<f8").tobytes()
+
+
+@st.composite
+def checkpoint_files(draw) -> tuple[bytes, list[float]]:
+    """The bytes of a valid checkpoint, and its parameter vector."""
+    h, d = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    names = st.binary(min_size=1, max_size=3).filter(lambda b: b.isascii())
+    dims = st.dictionaries(names, st.integers(1, 3), min_size=1, max_size=2)
+    video_dims, text_dims = draw(dims), draw(dims)
+    n = h * d * sum(sum(s.values()) + len(s) + 1 for s in (video_dims, text_dims))
+    params = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n))
+    return checkpoint_bytes(h, d, video_dims, text_dims, params), params
+
+
+class TestCheckpointFuzzing:
+    @given(raw=st.binary(max_size=200))
+    def test_arbitrary_bytes(self, tmp_path_factory, raw):
+        p = tmp_path_factory.getbasetemp() / "fuzz_arbitrary.ckpt"
+        p.write_bytes(raw)
+        typed_outcome(checkpoint_load, p)
+
+    @given(raw=st.binary(max_size=120))
+    def test_arbitrary_bytes_after_a_valid_header(self, tmp_path_factory, raw):
+        p = tmp_path_factory.getbasetemp() / "fuzz_header.ckpt"
+        p.write_bytes(b"AVSC" + struct.pack("<BII", 1, 1, 2) + raw)
+        typed_outcome(checkpoint_load, p)
+
+    @given(data=checkpoint_files())
+    def test_valid_files_load(self, tmp_path_factory, data):
+        raw, params = data
+        p = tmp_path_factory.getbasetemp() / "fuzz_valid.ckpt"
+        p.write_bytes(raw)
+        got = checkpoint_load(p).params
+        assert got.view(np.int64).tolist() == np.array(params).view(np.int64).tolist()
+
+    @given(raw=mutated(checkpoint_files()))
+    def test_mutated_files(self, tmp_path_factory, raw):
+        p = tmp_path_factory.getbasetemp() / "fuzz_mutated.ckpt"
+        p.write_bytes(raw)
+        typed_outcome(checkpoint_load, p)
 
 
 class _DiskFullFile:
