@@ -25,7 +25,8 @@ through one strided view per run of equally spaced records. The result, a
 Checkpoints (magic "AVSC") store h, d and both space lists with their input
 dims, then the model's flat parameter vector (`LaffModel.params`, in the
 canonical order of `fusion._heads_on`) as little-endian float64, so a
-reloaded model reproduces similarities bit-identically.
+reloaded model reproduces similarities bit-identically. A NaN or infinite
+parameter is a FormatError that names its head, branch and array.
 
 Readers check the sizes a header claims against the bytes left in the file
 before allocating anything, so a corrupt header is a FormatError rather
@@ -43,6 +44,7 @@ FormatError at `path:line`; each reader adds only its own format's checks.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from collections.abc import Mapping
@@ -51,7 +53,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import DimensionError, FormatError
-from .fusion import LaffModel, param_count
+from .fusion import LaffModel, named_parameters, param_count
 
 FEATURE_MAGIC = b"AVSF"
 CHECKPOINT_MAGIC = b"AVSC"
@@ -374,7 +376,20 @@ def checkpoint_load(path) -> LaffModel:
         video_dims, text_dims = space_dims
         params = reader.read_array(param_count(video_dims, text_dims, d, h), "parameters")
         reader.expect_eof()
-    return LaffModel.from_params(params, video_dims, text_dims, d, h)
+    model = LaffModel.from_params(params, video_dims, text_dims, d, h)
+    # A finite sum proves every value finite; only otherwise scan them. The
+    # sum of finite values may overflow, and inf + -inf is nan: no warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = params.sum()
+    if not math.isfinite(total):
+        for place, array in named_parameters(model.heads):
+            bad = np.flatnonzero(~np.isfinite(array))
+            if bad.size:
+                at = ", ".join(map(str, np.unravel_index(bad[0], array.shape)))
+                raise FormatError(
+                    f"{path}: non-finite parameter {array.flat[bad[0]]} at {place}[{at}]"
+                )
+    return model
 
 
 def group_frame_features(features: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:

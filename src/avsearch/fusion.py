@@ -150,14 +150,23 @@ def _heads_on(params: np.ndarray, video_dims, text_dims, d: int, heads: int) -> 
     return [LaffHead(branch(video_dims), branch(text_dims)) for _ in range(heads)]
 
 
+def named_parameters(heads: list[LaffHead]):
+    """Yield (place, array) for every weight, bias and attention vector of
+    heads, in the canonical order of _heads_on. place names the array, as in
+    "head 0, video branch, space 'clip' W" or "head 1, text branch, attention u"."""
+    for i, head in enumerate(heads):
+        for what, branch in (("video", head.video), ("text", head.text)):
+            for name in branch.spaces:
+                p = branch.transforms[name]
+                yield f"head {i}, {what} branch, space {name!r} W", p.weight
+                yield f"head {i}, {what} branch, space {name!r} b", p.bias
+            yield f"head {i}, {what} branch, attention u", branch.attention
+
+
 def _assign(dst: list[LaffHead], src: list[LaffHead]) -> None:
     """Copy every parameter of src into the same parameter of dst."""
-    for dst_head, src_head in zip(dst, src):
-        for into, source in ((dst_head.video, src_head.video), (dst_head.text, src_head.text)):
-            for name, p in into.transforms.items():
-                p.weight[...] = source.transforms[name].weight
-                p.bias[...] = source.transforms[name].bias
-            into.attention[...] = source.attention
+    for (_, into), (_, source) in zip(named_parameters(dst), named_parameters(src)):
+        into[...] = source
 
 
 @dataclass

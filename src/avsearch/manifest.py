@@ -39,10 +39,12 @@ def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from None
     except UnicodeDecodeError:
         raise FormatError(utf8_error(path)) from None
+    except (ValueError, RecursionError) as exc:
+        # Besides a JSONDecodeError: an integer of more digits than Python
+        # converts, or arrays nested deeper than the recursion limit.
+        raise FormatError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise FormatError(f"{path}: manifest must be a JSON object")
     known = {"video_features", "text_features", "pairs", "captions", "qrels"}
@@ -51,14 +53,20 @@ def load_manifest(path) -> DatasetManifest:
         raise FormatError(f"{path}: unknown manifest keys {unknown}")
     base = path.parent
 
-    def resolve(p) -> Path:
-        return base / p
+    def resolve(key: str, value: str) -> Path:
+        try:
+            ok = b"\0" not in os.fsencode(value)
+        except UnicodeEncodeError:  # a lone surrogate, from a JSON escape
+            ok = False
+        if not ok:
+            raise FormatError(f"{path}: {key} holds {value!r}, which is not a file path")
+        return base / value
 
     def path_list(key: str) -> list[Path]:
         value = raw.get(key, [])
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise FormatError(f"{path}: {key} must be a list of paths")
-        return [resolve(v) for v in value]
+        return [resolve(key, v) for v in value]
 
     def optional(key: str) -> Path | None:
         value = raw.get(key)
@@ -66,7 +74,7 @@ def load_manifest(path) -> DatasetManifest:
             return None
         if not isinstance(value, str):
             raise FormatError(f"{path}: {key} must be a path string")
-        return resolve(value)
+        return resolve(key, value)
 
     manifest = DatasetManifest(
         video_features=path_list("video_features"),

@@ -101,9 +101,9 @@ class Margins:
             raise ConfigError(f"need 0 < m1 < m2 < 2, got m1={self.m1}, m2={self.m2}")
         if not (0.0 < self.m3 < self.m4 < 2.0):
             raise ConfigError(f"need 0 < m3 < m4 < 2, got m3={self.m3}, m4={self.m4}")
-        if self.m0 < 0.0:
+        if not self.m0 >= 0.0:  # rather than m0 < 0, so that NaN is refused too
             raise ConfigError(f"m0 must be >= 0, got {self.m0}")
-        if self.lambda1 < 0.0:
+        if not self.lambda1 >= 0.0:
             raise ConfigError(f"lambda1 must be >= 0, got {self.lambda1}")
 
 

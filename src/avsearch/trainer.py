@@ -6,13 +6,13 @@ norm to guard against hinge-induced spikes. After every epoch the model is
 scored on a validation set (mAP or recall@K) and the best-scoring epoch's
 parameters are retained.
 
-`fit` trains one working copy of the caller's model: `train_epoch` steps
-its parameter vector in place. A step allocates nothing of the parameter
-vector's size: each epoch owns one gradient vector that `bnl_loss`
-overwrites every batch, the clipped and scaled step is formed in that
-vector in place, and `fit` copies the best epoch's parameters into one
-vector of its own. A run therefore holds the caller's model, the working
-copy, the gradient and the best epoch's vector.
+`fit` trains the caller's model in place: `train_epoch` steps its parameter
+vector. A step allocates nothing of the parameter vector's size: each epoch
+owns one gradient vector that `bnl_loss` overwrites every batch, the
+clipped and scaled step is formed in that vector in place, and `fit` copies
+the best epoch's parameters into one vector of its own. A run therefore
+holds three parameter-sized vectors: the model's, the gradient and the best
+epoch's.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, MetricError, TrainingError
+from .errors import ConfigError, DimensionError, MetricError, TrainingError
 from .evaluation import JudgmentSet, average_precision, rank_many
-from .fusion import FeatureBundle, LaffModel
+from .fusion import FeatureBundle, LaffModel, named_parameters
 from .negation import Margins, Triplet, bnl_loss
 
 _RECALL_RE = re.compile(r"^recall@(\d+)$")
@@ -48,11 +48,12 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.learning_rate < 0:
+        # `not x >= 0` rather than `x < 0`, so that NaN is refused too.
+        if not self.learning_rate >= 0:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if not (0 < self.lr_decay <= 1):
             raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
-        if self.clip_norm <= 0:
+        if not self.clip_norm > 0:
             raise ConfigError(f"clip_norm must be > 0, got {self.clip_norm}")
         if self.validation_metric != "mAP" and not _RECALL_RE.match(self.validation_metric):
             raise ConfigError(
@@ -187,17 +188,24 @@ def fit(
 ) -> tuple[LaffModel, TrainReport]:
     """Train for cfg.epochs epochs, keeping the best-validation checkpoint.
 
-    Trains one copy of the given model in place, so the caller's model is
-    left as it was; returns that copy after the last epoch and the report.
+    Steps model.params in place and returns the same model, after the last
+    epoch, with the report; report.best_model holds the best epoch's
+    parameters in a vector of its own. A caller that needs the untrained
+    model copies it first (model.with_vector(model.params)). Every array of
+    model.heads must be a view into model.params, as in any model that
+    LaffModel or from_params built; a model whose head arrays were replaced
+    is refused with a DimensionError before anything is written.
     log_file, when given, is the path of a file that receives one
     `epoch\tloss\tval_score` line per epoch.
     """
+    for place, array in named_parameters(model.heads):
+        if not np.may_share_memory(array, model.params):
+            raise DimensionError(f"cannot train in place: {place} is not a view into params")
     log = nullcontext() if log_file is None else open(log_file, "w", encoding="utf-8", newline="\n")
     with log:
         stats: list[EpochStats] = []
         best_epoch = 0
         best_score = -np.inf
-        model = LaffModel(model.heads)
         best = model.params.copy()
         for epoch in range(1, cfg.epochs + 1):
             # A module global, looked up per call, so that it can be wrapped.

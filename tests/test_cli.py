@@ -6,6 +6,7 @@ import pytest
 from avsearch.cli import main
 from avsearch.evaluation import read_run
 from avsearch.featio import checkpoint_load, checkpoint_save, write_features
+from avsearch.fusion import init_model
 
 from conftest import huge_d_checkpoint, randomized_model
 
@@ -179,6 +180,27 @@ class TestSearchEvalPipeline:
         )
         assert code == 1
         assert "'vnan'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_checkpoint_parameter_exits_1_naming_the_checkpoint(self, tmp_path, capsys):
+        model = init_model({"vis": 3}, {"txt": 2}, d=4, heads=1, seed=0)
+        model.params[13] = np.nan  # the video branch's bias b[1]: W (4, 3) comes first
+        ckpt = tmp_path / "nan.ckpt"
+        checkpoint_save(model, ckpt)
+        write_features(tmp_path / "v.feat", "vis", {
+            f"v{i}": np.array([1.0, 0.5 * i, 0.2]) for i in range(5)
+        })
+        write_features(tmp_path / "q.feat", "txt", {
+            "q0": np.array([0.3, 0.7]), "q1": np.array([0.9, 0.1]),
+        })
+        out = tmp_path / "run.txt"
+        code = run_cli(
+            "search", "--checkpoint", ckpt, "--video-feats", tmp_path / "v.feat",
+            "--query-feats", tmp_path / "q.feat", "--out", out,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{ckpt}: non-finite parameter nan at head 0, video branch, space 'vis' b[1]" in err
         assert not out.exists()
 
     def unreadable_id_search(self, tmp_path, item_id="v1", tag="t"):

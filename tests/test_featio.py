@@ -4,6 +4,7 @@ import hashlib
 import os
 import stat
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,47 @@ class TestCheckpoints:
         os.umask(umask)
         assert stat.S_IMODE(p.stat().st_mode) == 0o666 & ~umask
         assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
+
+    @pytest.mark.parametrize("index, value, place", [
+        # Per head: video clip W (6, 3), b, wsl W (6, 5), b, u; then text bow
+        # W (6, 4), b, clip W (6, 2), b, u. One head holds 120 parameters.
+        (0, np.nan, "head 0, video branch, space 'clip' W[0, 0]"),
+        (19, np.inf, "head 0, video branch, space 'clip' b[1]"),
+        (35, -np.inf, "head 0, video branch, space 'wsl' W[2, 1]"),
+        (62, np.nan, "head 0, video branch, attention u[2]"),
+        (93, np.nan, "head 0, text branch, space 'bow' b[3]"),
+        (239, np.inf, "head 1, text branch, attention u[5]"),
+    ])
+    def test_non_finite_parameter_named_by_place(self, tmp_path, index, value, place):
+        model = self.make_model()
+        model.params[index] = value
+        p = tmp_path / "model.ckpt"
+        checkpoint_save(model, p)
+        with pytest.raises(FormatError) as exc:
+            checkpoint_load(p)
+        assert str(exc.value) == f"{p}: non-finite parameter {value} at {place}"
+
+    def test_first_non_finite_parameter_reported(self, tmp_path):
+        model = self.make_model()
+        model.params[[93, 200]] = [np.inf, np.nan]
+        p = tmp_path / "model.ckpt"
+        checkpoint_save(model, p)
+        with pytest.raises(FormatError, match=r"inf at head 0, text branch, space 'bow' b\[3\]$"):
+            checkpoint_load(p)
+
+    def test_finite_parameters_whose_sum_overflows_load(self, tmp_path):
+        model = self.make_model()
+        half = model.n_params() // 2
+        model.params[:half] = 1e308
+        model.params[half:] = -1e308
+        with np.errstate(all="ignore"):  # the halves overflow, +inf + -inf is nan
+            assert np.isnan(model.params.sum())
+        p = tmp_path / "model.ckpt"
+        checkpoint_save(model, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = checkpoint_load(p)
+        np.testing.assert_array_equal(loaded.params, model.params)
 
     def test_version_mismatch(self, tmp_path):
         p = tmp_path / "model.ckpt"

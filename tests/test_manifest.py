@@ -1,5 +1,10 @@
+import json
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from avsearch.config import Settings, load_settings
 from avsearch.errors import ConfigError, FormatError
@@ -16,8 +21,10 @@ from avsearch.manifest import (
     write_manifest,
     write_pairs,
 )
-from avsearch.negation import Caption, Margins
+from avsearch.negation import COARSE_TAGS, Caption, Margins
 from avsearch.trainer import TrainConfig
+
+from conftest import mutated, typed_outcome
 
 
 def small_dataset(tmp_path, rng, negated=False):
@@ -75,6 +82,24 @@ class TestManifest:
         p.write_text("{nope")
         with pytest.raises(FormatError, match="JSON"):
             load_manifest(p)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 100_000, "invalid JSON: maximum recursion depth"),
+        pytest.param(
+            '{"video_features": ' + "1" * 5000 + "}", "invalid JSON: Exceeds the limit",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit"
+            ),
+        ),
+        ('{"video_features": ["a\\u0000.feat"]}', "video_features holds 'a\\x00.feat', which is not a file path"),
+        ('{"video_features": ["v"], "qrels": "\\ud800"}', "qrels holds '\\ud800', which is not a file path"),
+    ], ids=["deep-nesting", "long-integer", "nul-in-path", "lone-surrogate"])
+    def test_unparseable_json_and_bad_paths_rejected(self, tmp_path, text, message):
+        p = tmp_path / "m.json"
+        p.write_text(text)
+        with pytest.raises(FormatError) as exc:
+            load_manifest(p)
+        assert str(exc.value).startswith(f"{p}: {message}")
 
     def test_non_utf8_rejected_naming_the_file(self, tmp_path):
         p = tmp_path / "m.json"
@@ -288,8 +313,145 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"cfg\.ini:3: invalid UTF-8"):
             load_settings(p)
 
+    @pytest.mark.parametrize("section, key", [
+        ("train", "learning_rate"), ("train", "clip_norm"), ("margins", "m0"), ("margins", "lambda1"),
+    ])
+    def test_nan_rejected(self, tmp_path, section, key):
+        p = tmp_path / "cfg.ini"
+        p.write_text(f"[{section}]\n{key} = nan\n")
+        with pytest.raises(ConfigError, match=f"{key} must be .* got nan"):
+            load_settings(p)
+
     def test_margin_invariants_enforced(self, tmp_path):
         p = tmp_path / "cfg.ini"
         p.write_text("[margins]\nm1 = 1.5\nm2 = 0.5\n")
         with pytest.raises(ConfigError):
             load_settings(p)
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: only the package's own error types may escape a reader
+# ---------------------------------------------------------------------------
+
+IDS = st.text("ab#1", min_size=1, max_size=3)
+WORDS = st.text("abXY", min_size=1, max_size=4)
+
+
+@st.composite
+def caption_files(draw) -> tuple[bytes, dict[str, Caption]]:
+    """The bytes of a valid caption file, and the captions it holds."""
+    lines, captions = [], {}
+    for cid in draw(st.lists(IDS, max_size=4, unique=True)):
+        words = draw(st.lists(WORDS, min_size=1, max_size=3))
+        tags = draw(st.none() | st.lists(
+            st.sampled_from(sorted(COARSE_TAGS)), min_size=len(words), max_size=len(words)
+        ))
+        lines.append(f"{cid}\t{' '.join(words)}" + ("" if tags is None else "\t" + " ".join(tags)))
+        captions[cid] = Caption(cid, [w.lower() for w in words], tags)
+    return "".join(line + "\n" for line in lines).encode(), captions
+
+
+@st.composite
+def pair_files(draw) -> tuple[bytes, list]:
+    """The bytes of a valid pairing file, and the rows it holds."""
+    pairs = draw(st.lists(st.tuples(IDS, IDS, st.none() | IDS), max_size=4))
+    lines = ["\t".join(p for p in pair if p is not None) + "\n" for pair in pairs]
+    return "".join(lines).encode(), pairs
+
+
+@st.composite
+def manifest_files(draw) -> tuple[bytes, dict]:
+    """The bytes of a valid manifest, and its fields as relative paths."""
+    paths = st.text("ab./", min_size=1, max_size=4)
+    fields = {
+        "video_features": draw(st.lists(paths, min_size=1, max_size=2)),
+        "text_features": draw(st.lists(paths, max_size=2)),
+    }
+    for key in ("pairs", "captions", "qrels"):
+        value = draw(st.none() | paths)
+        if value is not None:
+            fields[key] = value
+    return json.dumps(fields).encode(), fields
+
+
+@st.composite
+def settings_files(draw) -> tuple[bytes, Settings]:
+    """The bytes of a valid config file, and the settings it holds."""
+    d, heads, seed = draw(st.tuples(st.integers(1, 64), st.integers(1, 4), st.integers(0, 99)))
+    m1 = draw(st.floats(0.05, 0.9))
+    margins = Margins(m0=draw(st.floats(0, 1)), m1=m1, m2=draw(st.floats(1.0, 1.9)),
+                      lambda1=draw(st.floats(0, 1)))
+    train = TrainConfig(
+        epochs=draw(st.integers(1, 50)), batch_size=draw(st.integers(2, 64)),
+        learning_rate=draw(st.floats(0, 2)), clip_norm=draw(st.floats(0.1, 10)),
+        validation_metric=draw(st.sampled_from(["mAP", "recall@5"])), margins=margins,
+    )
+    spaces = draw(st.none() | st.lists(st.text("ab", min_size=1, max_size=2), min_size=1, max_size=2))
+    text = (
+        f"[model]\nd = {d}\nheads = {heads}\nseed = {seed}\n"
+        f"[margins]\nm0 = {margins.m0!r}\nm1 = {margins.m1!r}\nm2 = {margins.m2!r}\n"
+        f"lambda1 = {margins.lambda1!r}\n"
+        f"[train]\nepochs = {train.epochs}\nbatch_size = {train.batch_size}\n"
+        f"learning_rate = {train.learning_rate!r}\nclip_norm = {train.clip_norm!r}\n"
+        f"validation_metric = {train.validation_metric}\n"
+    )
+    if spaces is not None:
+        text += f"[features]\nvideo_spaces = {', '.join(spaces)}\n"
+    return text.encode(), Settings(d, heads, seed, train, spaces)
+
+
+class TestReaderFuzzing:
+    """Arbitrary, valid and mutated inputs: a valid file reads back as
+    written, and on any other input only avsearch.errors types escape."""
+
+    @pytest.mark.parametrize("read", [read_captions, read_pairs, load_manifest, load_settings])
+    @given(raw=st.binary(max_size=200))
+    def test_arbitrary_bytes(self, tmp_path_factory, read, raw):
+        p = tmp_path_factory.getbasetemp() / "fuzz_arbitrary.txt"
+        p.write_bytes(raw)
+        typed_outcome(read, p)
+
+    @given(data=caption_files())
+    def test_valid_caption_files_read_back(self, tmp_path_factory, data):
+        raw, captions = data
+        p = tmp_path_factory.getbasetemp() / "fuzz_valid.captions"
+        p.write_bytes(raw)
+        assert read_captions(p) == captions
+
+    @given(data=pair_files())
+    def test_valid_pair_files_read_back(self, tmp_path_factory, data):
+        raw, pairs = data
+        p = tmp_path_factory.getbasetemp() / "fuzz_valid.pairs"
+        p.write_bytes(raw)
+        assert read_pairs(p) == pairs
+
+    @given(data=manifest_files())
+    def test_valid_manifests_read_back(self, tmp_path_factory, data):
+        raw, fields = data
+        p = tmp_path_factory.getbasetemp() / "fuzz_valid.json"
+        p.write_bytes(raw)
+        base = p.parent
+        assert load_manifest(p) == DatasetManifest(
+            video_features=[base / v for v in fields["video_features"]],
+            text_features=[base / t for t in fields["text_features"]],
+            **{k: base / fields[k] for k in ("pairs", "captions", "qrels") if k in fields},
+        )
+
+    @given(data=settings_files())
+    def test_valid_settings_read_back(self, tmp_path_factory, data):
+        raw, settings = data
+        p = tmp_path_factory.getbasetemp() / "fuzz_valid.ini"
+        p.write_bytes(raw)
+        assert load_settings(p) == settings
+
+    @pytest.mark.parametrize("read, files", [
+        (read_captions, caption_files()),
+        (read_pairs, pair_files()),
+        (load_manifest, manifest_files()),
+        (load_settings, settings_files()),
+    ], ids=["captions", "pairs", "manifest", "settings"])
+    @given(data=st.data())
+    def test_mutated_files(self, tmp_path_factory, read, files, data):
+        p = tmp_path_factory.getbasetemp() / "fuzz_mutated.txt"
+        p.write_bytes(data.draw(mutated(files)))
+        typed_outcome(read, p)

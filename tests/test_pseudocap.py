@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from avsearch.errors import FormatError
 from avsearch.pseudocap import (
@@ -11,6 +13,8 @@ from avsearch.pseudocap import (
     select_pseudo_captions,
     write_selection,
 )
+
+from conftest import mutated, typed_outcome
 
 
 def bruteforce_select(cands, score, k):
@@ -145,3 +149,41 @@ class TestManifestIO:
         lines = p.read_text().splitlines()
         assert lines[0] == "v1\t1\t0.910000\tbest cap"
         assert lines[1] == "v1\t2\t0.500000\tnext"
+
+
+@st.composite
+def candidate_files(draw) -> tuple[bytes, list[CandidateSet]]:
+    """The bytes of a valid candidate manifest, and the sets it holds."""
+    rows = draw(st.lists(
+        st.tuples(st.text("ab#", min_size=1, max_size=2), st.integers(-9, 10**6),
+                  st.text("aB c", max_size=6)),
+        max_size=5,
+    ))
+    groups: dict[str, list[CaptionCandidate]] = {}
+    for video_id, frame, caption in rows:
+        groups.setdefault(video_id, []).append(CaptionCandidate(frame, caption))
+    raw = "".join(f"{v}\t{f}\t{c}\n" for v, f, c in rows).encode()
+    return raw, [CandidateSet(v, cands) for v, cands in groups.items()]
+
+
+class TestCandidateFuzzing:
+    """Only avsearch.errors types may escape read_candidates."""
+
+    @given(raw=st.binary(max_size=200))
+    def test_arbitrary_bytes(self, tmp_path_factory, raw):
+        p = tmp_path_factory.getbasetemp() / "fuzz_arbitrary.tsv"
+        p.write_bytes(raw)
+        typed_outcome(read_candidates, p)
+
+    @given(data=candidate_files())
+    def test_valid_files_read_back(self, tmp_path_factory, data):
+        raw, sets = data
+        p = tmp_path_factory.getbasetemp() / "fuzz_valid.tsv"
+        p.write_bytes(raw)
+        assert read_candidates(p) == sets
+
+    @given(raw=mutated(candidate_files()))
+    def test_mutated_files(self, tmp_path_factory, raw):
+        p = tmp_path_factory.getbasetemp() / "fuzz_mutated.tsv"
+        p.write_bytes(raw)
+        typed_outcome(read_candidates, p)

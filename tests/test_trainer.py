@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import per_item_oracle as oracle
 from avsearch import trainer
-from avsearch.errors import ConfigError, TrainingError
+from avsearch.errors import ConfigError, DimensionError, TrainingError
 from avsearch.evaluation import JudgmentSet
 from avsearch.fusion import FeatureBundle, init_model
 from avsearch.manifest import build_triplets, load_dataset, load_manifest
 from avsearch.negation import Caption, Margins, Triplet, hardest_negatives
+from avsearch.numeric import LinearTanhParams
 from avsearch.synth import SpaceSpec, synth_dataset
 from avsearch.trainer import (
     TrainConfig,
@@ -213,16 +216,63 @@ def make_validation(triplets) -> ValidationSet:
 
 
 class TestFit:
-    def test_input_model_left_unchanged(self, rng):
+    def test_given_model_stepped_in_place(self, rng):
         triplets = toy_triplets(rng)
         model = init_model({"vis": 6}, {"txt": 5}, d=4, heads=1, seed=0)
-        before = model.params.copy()
+        params = model.params
+        before = params.copy()
         cfg = TrainConfig(epochs=2, batch_size=3, learning_rate=0.5)
         trained, report = fit(model, triplets, make_validation(triplets), cfg)
-        np.testing.assert_array_equal(model.params.view(np.int64), before.view(np.int64))
-        np.testing.assert_array_equal(model.to_vector(), before)
-        assert not np.array_equal(trained.params, before)
-        assert trained.params is not report.best_model.params
+        assert trained is model and trained.params is params
+        assert not np.array_equal(params, before)
+        np.testing.assert_array_equal(model.to_vector(), params)
+        assert not np.may_share_memory(report.best_model.params, params)
+
+    @pytest.mark.parametrize("replace, place", [
+        (lambda head: setattr(head.video, "attention", np.ones(4)),
+         "head 0, video branch, attention u"),
+        (lambda head: head.text.transforms.update(txt=LinearTanhParams(np.ones((4, 5)), np.zeros(4))),
+         "head 0, text branch, space 'txt' W"),
+    ], ids=["attention", "transform"])
+    def test_replaced_head_array_refused(self, rng, tmp_path, replace, place):
+        # Training params in place would step a vector the forward pass no
+        # longer reads.
+        triplets = toy_triplets(rng)
+        model = init_model({"vis": 6}, {"txt": 5}, d=4, heads=1, seed=0)
+        replace(model.heads[0])
+        before = model.params.copy()
+        log = tmp_path / "train.log"
+        with pytest.raises(DimensionError, match=f"{place} is not a view into params"):
+            fit(model, triplets, make_validation(triplets), TrainConfig(epochs=1, batch_size=3),
+                log_file=log)
+        np.testing.assert_array_equal(model.params, before)
+        assert not log.exists()
+
+    def test_peak_memory_is_three_parameter_vectors(self, rng):
+        # The parameter vector dominates: 256 * (3072 + 768 + 4) = 984064
+        # float64, 7.9 MB. fit holds the model's vector, the best epoch's and
+        # one gradient, plus the features and small per-batch temporaries.
+        tracemalloc.start()
+        try:
+            triplets = toy_triplets(rng, n=8, vdim=3072, tdim=768)
+            validation = make_validation(triplets)
+            model = init_model({"vis": 3072}, {"txt": 768}, d=256, heads=1, seed=0)
+            feature_bytes = sum(
+                vec.nbytes
+                for t in triplets
+                for bundle in (t.video, t.caption_features)
+                for vec in bundle.features.values()
+            )
+            tracemalloc.reset_peak()
+            trained, report = fit(model, triplets, validation, TrainConfig(epochs=2, batch_size=4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        vector = model.params.nbytes
+        assert vector == 984064 * 8
+        assert peak < 3.5 * vector + feature_bytes
+        assert trained is model
+        assert not np.may_share_memory(report.best_model.params, model.params)
 
     def test_single_epoch_best_is_one(self, rng):
         triplets = toy_triplets(rng)
