@@ -85,8 +85,12 @@ def _cmd_train(args) -> int:
             heads=settings.heads,
             seed=settings.model_seed,
         )
-    _, report = fit(model, triplets, validation, settings.train, log_file=args.log)
-    checkpoint_save(report.best_model, args.out)
+    # Each new best epoch replaces --out as it happens, so a run that fails
+    # later leaves its best finished epoch there.
+    _, report = fit(
+        model, triplets, validation, settings.train,
+        lambda best: checkpoint_save(best, args.out), log_file=args.log,
+    )
     print(f"best_epoch\t{report.best_epoch}")
     print(f"best_{settings.train.validation_metric}\t{report.best_score:.4f}")
     print(f"checkpoint\t{args.out}")
@@ -320,7 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a fusion model on a dataset manifest")
     p.add_argument("--train-manifest", required=True)
     p.add_argument("--val-manifest", required=True)
-    p.add_argument("--out", required=True, help="path of the best-epoch checkpoint")
+    p.add_argument(
+        "--out", required=True,
+        help="best-epoch checkpoint, rewritten after each epoch that improves validation",
+    )
     p.add_argument("--config", help="INI config ([model]/[margins]/[train]/[features])")
     p.add_argument("--init-checkpoint", help="warm-start from an existing checkpoint")
     p.add_argument("--log", help="write per-epoch `epoch\\tloss\\tval_score` lines here")

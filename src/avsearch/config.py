@@ -82,6 +82,9 @@ def load_settings(path=None) -> Settings:
 
     try:
         model = read("model")
+        for key in ("d", "heads"):
+            if model.get(key, 1) < 1:
+                raise ConfigError(f"[model] {key} must be >= 1, got {model[key]}")
         train = TrainConfig(margins=Margins(**read("margins")), **read("train"))
         features = read("features")
     except ConfigError as exc:

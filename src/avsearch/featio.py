@@ -23,8 +23,9 @@ through one strided view per run of equally spaced records. The result, a
 `FeatureTable`, maps each id to a view of its row of that table.
 
 Checkpoints (magic "AVSC") store h, d and both space lists with their input
-dims, then the model's flat parameter vector (`LaffModel.params`, in the
-canonical order of `fusion._heads_on`) as little-endian float64, so a
+dims, then the model's parameters in the canonical order of
+`fusion._heads_on` as little-endian float64, written array by array from
+the model's heads without a copy of the flat vector, so a
 reloaded model reproduces similarities bit-identically. A NaN or infinite
 parameter is a FormatError that names its head, branch and array.
 
@@ -53,7 +54,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import DimensionError, FormatError
-from .fusion import LaffModel, named_parameters, param_count
+from .fusion import LaffModel, check_layout, named_parameters, param_count
 
 FEATURE_MAGIC = b"AVSF"
 CHECKPOINT_MAGIC = b"AVSC"
@@ -334,6 +335,7 @@ def read_features(path, keep=None) -> tuple[str, FeatureTable]:
 
 
 def checkpoint_save(model: LaffModel, path) -> None:
+    check_layout(model.heads)
     with atomic_open(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<B", FORMAT_VERSION))
@@ -343,7 +345,10 @@ def checkpoint_save(model: LaffModel, path) -> None:
             for name in sorted(dims):
                 fh.write(_pack_name(name))
                 fh.write(struct.pack("<I", dims[name]))
-        fh.write(model.to_vector().astype("<f8", copy=False))
+        # Each head array in turn, not model.to_vector(): no copy of the
+        # parameter vector, and a replaced array is saved as it now is.
+        for _, array in named_parameters(model.heads):
+            fh.write(np.ascontiguousarray(array, dtype="<f8"))
 
 
 def checkpoint_load(path) -> LaffModel:

@@ -163,6 +163,23 @@ def named_parameters(heads: list[LaffHead]):
             yield f"head {i}, {what} branch, attention u", branch.attention
 
 
+def check_layout(heads: list[LaffHead]) -> None:
+    """Refuse, with a DimensionError, heads whose arrays are not in the
+    places and shapes of the canonical layout of heads[0]'s structure. A
+    LaffModel's arrays always are; a replaced array of another shape is not."""
+    first = heads[0]
+    structure = (first.video.in_dims, first.text.in_dims, first.d, len(heads))
+    # A zero-strided stand-in for the parameter vector: the layout's views, in no memory.
+    layout = _heads_on(np.broadcast_to(0.0, (param_count(*structure),)), *structure)
+    # Each branch ends with its attention vector, so heads with other
+    # feature spaces differ in a place before either sequence ends.
+    for (place, array), (want, like) in zip(named_parameters(heads), named_parameters(layout)):
+        if (place, array.shape) != (want, like.shape):
+            raise DimensionError(
+                f"{place} has shape {array.shape}, the layout needs {want} {like.shape}"
+            )
+
+
 def _assign(dst: list[LaffHead], src: list[LaffHead]) -> None:
     """Copy every parameter of src into the same parameter of dst."""
     for (_, into), (_, source) in zip(named_parameters(dst), named_parameters(src)):
@@ -242,9 +259,10 @@ class LaffModel:
     def to_vector(self) -> np.ndarray:
         """A copy of all parameters in the canonical order (see _heads_on).
 
-        Reads the head objects' arrays, not `params`, so that code which
-        replaces a transform or attention vector on a model's heads (as
-        perfbench's aligned checkpoint does) still saves what it set.
+        Reads the head objects' arrays, not `params`, as checkpoint_save
+        does, so that a model whose heads had a transform or attention
+        vector replaced (as perfbench's aligned checkpoint does) gives what
+        was set.
         """
         return LaffModel(self.heads).params
 

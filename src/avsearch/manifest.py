@@ -6,7 +6,8 @@ against the manifest's directory. Caption files are TAB-separated
 `item_id\ttext[\ttags]` lines (tokens lowercased on read, tags
 space-separated); pairing files are `video_id\tcaption_id` with an optional
 third column naming the negated caption. Both are read through
-`featio.read_fields`.
+`featio.read_fields`; an empty id is a FormatError, on reading at
+`path:line` and on writing.
 
 `load_feature_bundles` is the one feature loader: `load_dataset` calls it
 once per modality, and the CLI and the synthetic-data oracle call it for
@@ -112,10 +113,22 @@ def write_manifest(path, manifest: DatasetManifest) -> None:
 # ---------------------------------------------------------------------------
 
 
+_PAIR_FIELDS = ("video id", "caption id", "negated caption id")
+
+
+def _refuse_empty(where: str, fields, names) -> None:
+    """A FormatError at `where` naming the first empty one of fields: a
+    line without an id would otherwise fail later, under another name."""
+    for value, name in zip(fields, names):
+        if not value:
+            raise FormatError(f"{where}: empty {name}")
+
+
 def read_captions(path) -> dict[str, Caption]:
     captions: dict[str, Caption] = {}
     for lineno, fields in read_fields(path, "\t", (2, 3), skip_blank=True):
         item_id, text = fields[0], fields[1]
+        _refuse_empty(f"{path}:{lineno}", [item_id], ["caption id"])
         if item_id in captions:
             raise FormatError(f"{path}:{lineno}: duplicate caption id {item_id!r}")
         tokens = text.lower().split()
@@ -132,6 +145,7 @@ def read_captions(path) -> dict[str, Caption]:
 def write_captions(path, captions: dict[str, Caption]) -> None:
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for caption in captions.values():
+            _refuse_empty(path, [caption.item_id], ["caption id"])
             line = f"{caption.item_id}\t{caption.text}"
             if caption.pos_tags is not None:
                 line += "\t" + " ".join(caption.pos_tags)
@@ -139,19 +153,19 @@ def write_captions(path, captions: dict[str, Caption]) -> None:
 
 
 def read_pairs(path) -> list[tuple[str, str, str | None]]:
-    return [
-        (fields[0], fields[1], fields[2] if len(fields) == 3 else None)
-        for _, fields in read_fields(path, "\t", (2, 3), skip_blank=True)
-    ]
+    pairs = []
+    for lineno, fields in read_fields(path, "\t", (2, 3), skip_blank=True):
+        _refuse_empty(f"{path}:{lineno}", fields, _PAIR_FIELDS)
+        pairs.append((fields[0], fields[1], fields[2] if len(fields) == 3 else None))
+    return pairs
 
 
 def write_pairs(path, pairs: list[tuple[str, str, str | None]]) -> None:
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for video_id, caption_id, negated_id in pairs:
-            if negated_id is None:
-                fh.write(f"{video_id}\t{caption_id}\n")
-            else:
-                fh.write(f"{video_id}\t{caption_id}\t{negated_id}\n")
+            fields = [video_id, caption_id] + ([] if negated_id is None else [negated_id])
+            _refuse_empty(path, fields, _PAIR_FIELDS)
+            fh.write("\t".join(fields) + "\n")
 
 
 # ---------------------------------------------------------------------------

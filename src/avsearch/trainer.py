@@ -3,22 +3,23 @@
 Plain SGD keeps the hand-derived gradients auditable; the learning rate
 decays multiplicatively per epoch and gradients are clipped at a global
 norm to guard against hinge-induced spikes. After every epoch the model is
-scored on a validation set (mAP or recall@K) and the best-scoring epoch's
-parameters are retained.
+scored on a validation set (mAP or recall@K), and each epoch that beats
+every earlier one is handed to the caller, who saves it.
 
 `fit` trains the caller's model in place: `train_epoch` steps its parameter
 vector. A step allocates nothing of the parameter vector's size: each epoch
-owns one gradient vector that `bnl_loss` overwrites every batch, the
-clipped and scaled step is formed in that vector in place, and `fit` copies
-the best epoch's parameters into one vector of its own. A run therefore
-holds three parameter-sized vectors: the model's, the gradient and the best
-epoch's.
+owns one gradient vector that `bnl_loss` overwrites every batch, and the
+clipped and scaled step is formed in that vector in place. `fit` keeps no
+copy of the best epoch; it calls `on_best` while the model holds it. A run
+therefore holds two parameter-sized vectors during an epoch, the model's
+and the gradient, and the model's alone between epochs.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -85,7 +86,6 @@ class TrainReport:
     epochs: list[EpochStats]
     best_epoch: int  # 1-based; argmax of validation score (first on ties)
     best_score: float
-    best_model: LaffModel
 
 
 def _sgd_step(params: np.ndarray, grad: np.ndarray, lr: float, max_norm: float) -> bool:
@@ -184,17 +184,21 @@ def fit(
     train_set: list[Triplet],
     validation: ValidationSet,
     cfg: TrainConfig,
+    on_best: Callable[[LaffModel], object],
     log_file=None,
 ) -> tuple[LaffModel, TrainReport]:
-    """Train for cfg.epochs epochs, keeping the best-validation checkpoint.
+    """Train for cfg.epochs epochs, handing each new best epoch to on_best.
 
     Steps model.params in place and returns the same model, after the last
-    epoch, with the report; report.best_model holds the best epoch's
-    parameters in a vector of its own. A caller that needs the untrained
-    model copies it first (model.with_vector(model.params)). Every array of
+    epoch, with the report. After each epoch whose validation score beats
+    every earlier one, fit calls on_best(model) while model.params holds
+    that epoch; a caller that keeps the model beyond the call copies it
+    (model.with_vector(model.params)) or saves it. So when a later epoch
+    raises, the caller has already seen the best finished epoch. A caller
+    that needs the untrained model copies it first. Every array of
     model.heads must be a view into model.params, as in any model that
     LaffModel or from_params built; a model whose head arrays were replaced
-    is refused with a DimensionError before anything is written.
+    is refused with a DimensionError before on_best or the log is touched.
     log_file, when given, is the path of a file that receives one
     `epoch\tloss\tval_score` line per epoch.
     """
@@ -206,7 +210,6 @@ def fit(
         stats: list[EpochStats] = []
         best_epoch = 0
         best_score = -np.inf
-        best = model.params.copy()
         for epoch in range(1, cfg.epochs + 1):
             # A module global, looked up per call, so that it can be wrapped.
             loss = train_epoch(model, train_set, cfg, epoch - 1)
@@ -217,6 +220,5 @@ def fit(
             if score > best_score:
                 best_score = score
                 best_epoch = epoch
-                np.copyto(best, model.params)
-        best_model = model.on_vector(best)
-        return model, TrainReport(stats, best_epoch, float(best_score), best_model)
+                on_best(model)
+        return model, TrainReport(stats, best_epoch, float(best_score))

@@ -369,7 +369,7 @@ def test_criterion_3_synthetic_retrieval(tmp_path):
             epochs=20, batch_size=32, learning_rate=0.5,
             margins=Margins(lambda1=0.0), seed=0,
         )
-        _, report = fit(model, triplets, validation, cfg)
+        _, report = fit(model, triplets, validation, cfg, lambda m: None)
         assert report.best_score >= 0.90, f"best validation mAP {report.best_score:.4f}"
         elapsed = time.time() - start
         assert elapsed < 300.0, f"retrieval suite took {elapsed:.1f}s"
@@ -391,8 +391,9 @@ def test_criterion_4_negation_suite(tmp_path):
         model = init_model(train_data.video_dims, train_data.text_dims, d=16, heads=2, seed=0)
         untrained = gap_in_window_fraction(model, triplets, margins)
         cfg = TrainConfig(epochs=25, batch_size=8, learning_rate=0.3, margins=margins, seed=0)
-        _, report = fit(model, triplets, validation, cfg)
-        trained_frac = gap_in_window_fraction(report.best_model, triplets, margins)
+        best = []
+        fit(model, triplets, validation, cfg, lambda m: best.append(m.with_vector(m.params)))
+        trained_frac = gap_in_window_fraction(best[-1], triplets, margins)
         assert trained_frac >= 0.80, f"fraction in window {trained_frac:.3f}"
         assert trained_frac > untrained, (
             f"trained {trained_frac:.3f} not above untrained {untrained:.3f}"
@@ -630,9 +631,8 @@ def test_criterion_10_feature_selection(tmp_path):
             epochs=15, batch_size=16, learning_rate=0.5,
             margins=Margins(lambda1=0.0), seed=0,
         )
-        _, report = fit(model, triplets, validation, cfg)
-        ranked = feature_importance(
-            report.best_model, list(train_data.video_bundles.values()), "video"
-        )
+        best = []
+        fit(model, triplets, validation, cfg, lambda m: best.append(m.with_vector(m.params)))
+        ranked = feature_importance(best[-1], list(train_data.video_bundles.values()), "video")
         assert ranked[0][0] == "clean", f"ranking was {ranked}"
         assert ranked[0][1] > ranked[1][1]

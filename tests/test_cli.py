@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from avsearch import trainer
 from avsearch.cli import main
+from avsearch.errors import TrainingError
 from avsearch.evaluation import read_run
 from avsearch.featio import checkpoint_load, checkpoint_save, write_features
 from avsearch.fusion import init_model
@@ -131,6 +133,37 @@ class TestSynthAndTrain:
             ) == 0
             outs.append((tmp_path / name).read_bytes())
         assert outs[0] == outs[1]
+
+    def test_failure_in_a_later_epoch_leaves_the_best_finished_epoch(
+        self, synth_dir, tmp_path, monkeypatch, capsys
+    ):
+        scores = iter([0.2, 0.4])
+        monkeypatch.setattr(trainer, "evaluate_validation", lambda *a, **k: next(scores))
+        epoch_ends = []
+        real_epoch = trainer.train_epoch
+
+        def failing_third_epoch(model, dataset, cfg, epoch_index):
+            if epoch_index == 2:
+                raise TrainingError("non-finite loss in epoch 2, batch 0 (captions [])")
+            loss = real_epoch(model, dataset, cfg, epoch_index)
+            epoch_ends.append(model.params.copy())
+            return loss
+
+        monkeypatch.setattr(trainer, "train_epoch", failing_third_epoch)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[model]\nd = 8\n[train]\nepochs = 3\nbatch_size = 6\n")
+        ckpt = tmp_path / "m.ckpt"
+        assert run_cli(
+            "train",
+            "--train-manifest", synth_dir / "manifest_train.json",
+            "--val-manifest", synth_dir / "manifest_val.json",
+            "--config", cfg, "--out", ckpt, "--log", tmp_path / "train.log",
+        ) == 1
+        assert "epoch 2, batch 0" in capsys.readouterr().err
+        np.testing.assert_array_equal(checkpoint_load(ckpt).params, epoch_ends[1])
+        assert not np.array_equal(epoch_ends[0], epoch_ends[1])
+        assert len((tmp_path / "train.log").read_text().splitlines()) == 2
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.ini", "m.ckpt", "train.log"]
 
     def test_finetune_from_checkpoint(self, trained, synth_dir, tmp_path):
         assert run_cli(

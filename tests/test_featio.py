@@ -33,6 +33,7 @@ from avsearch.manifest import (
     write_pairs,
 )
 from avsearch.negation import Caption
+from avsearch.numeric import LinearTanhParams
 from avsearch.pseudocap import read_candidates, write_selection
 
 from conftest import huge_d_checkpoint, mutated, random_bundle, randomized_model, typed_outcome
@@ -252,7 +253,8 @@ class TestCheckpoints:
         def fail():
             raise RuntimeError("disk full")
 
-        monkeypatch.setattr(model, "to_vector", fail)  # after the header is written
+        # The parameters are written after the header.
+        monkeypatch.setattr("avsearch.featio.named_parameters", lambda heads: fail())
         with pytest.raises(RuntimeError, match="disk full"):
             checkpoint_save(model, p)
         assert p.read_bytes() == before
@@ -260,6 +262,36 @@ class TestCheckpoints:
         with pytest.raises(RuntimeError):
             checkpoint_save(model, tmp_path / "new.ckpt")
         assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_replaced_head_array_saved_as_set(self, tmp_path):
+        # The save reads the head arrays, not params, as to_vector does.
+        model = self.make_model()
+        head = model.heads[1]
+        head.video.transforms["wsl"] = LinearTanhParams(np.full((6, 5), 0.25), np.arange(6.0))
+        head.text.attention = np.linspace(-1, 1, 6, dtype=np.float32)
+        p = tmp_path / "model.ckpt"
+        checkpoint_save(model, p)
+        np.testing.assert_array_equal(checkpoint_load(p).params, model.to_vector())
+        header = len(p.read_bytes()) - 8 * model.n_params()
+        assert p.read_bytes()[header:] == model.to_vector().astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("replace, message", [
+        (lambda head: setattr(head.text, "attention", np.ones(5)),
+         r"head 1, text branch, attention u has shape \(5,\), the layout needs"
+         r" head 1, text branch, attention u \(6,\)"),
+        (lambda head: head.video.transforms.update(wsl=LinearTanhParams(np.ones((6, 4)), np.ones(6))),
+         r"head 1, video branch, space 'wsl' W has shape \(6, 4\)"),
+        (lambda head: head.video.transforms.pop("clip"),
+         r"head 1, video branch, space 'wsl' W has shape \(6, 5\), the layout needs"
+         r" head 1, video branch, space 'clip' W \(6, 3\)"),
+    ], ids=["attention", "transform", "space"])
+    def test_head_array_of_another_shape_refused(self, tmp_path, replace, message):
+        # Written array by array, it would leave a file that does not load.
+        model = self.make_model()
+        replace(model.heads[1])
+        with pytest.raises(DimensionError, match=message):
+            checkpoint_save(model, tmp_path / "model.ckpt")
+        assert list(tmp_path.iterdir()) == []
 
     def test_save_replaces_with_umask_permissions(self, tmp_path):
         p = tmp_path / "model.ckpt"

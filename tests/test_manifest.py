@@ -156,6 +156,46 @@ class TestCaptionsAndPairs:
         with pytest.raises(FormatError, match=r"pairs\.tsv:1"):
             read_pairs(p)
 
+    @pytest.mark.parametrize("text, lineno, field", [
+        ("\t\n", 1, "video id"),
+        ("v1\tc1\n\tc2\n", 2, "video id"),
+        ("v1\t\n", 1, "caption id"),
+        ("v1\t\tc1n\n", 1, "caption id"),
+        ("v1\tc1\t\n", 1, "negated caption id"),
+    ])
+    def test_pairs_empty_id_located(self, tmp_path, text, lineno, field):
+        p = tmp_path / "pairs.tsv"
+        p.write_text(text)
+        with pytest.raises(FormatError) as exc:
+            read_pairs(p)
+        assert str(exc.value) == f"{p}:{lineno}: empty {field}"
+
+    def test_captions_empty_id_located(self, tmp_path):
+        p = tmp_path / "caps.tsv"
+        p.write_text("c1\tok caption\n\thello world\n")
+        with pytest.raises(FormatError) as exc:
+            read_captions(p)
+        assert str(exc.value) == f"{p}:2: empty caption id"
+
+    @pytest.mark.parametrize("row, field", [
+        (("", "c1", None), "video id"),
+        (("v1", "", None), "caption id"),
+        (("v1", "c1", ""), "negated caption id"),
+    ])
+    def test_write_pairs_refuses_empty_id(self, tmp_path, row, field):
+        p = tmp_path / "pairs.tsv"
+        with pytest.raises(FormatError) as exc:
+            write_pairs(p, [("v0", "c0", None), row])
+        assert str(exc.value) == f"{p}: empty {field}"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_captions_refuses_empty_id(self, tmp_path):
+        p = tmp_path / "caps.tsv"
+        with pytest.raises(FormatError) as exc:
+            write_captions(p, {"c0": Caption("c0", ["a"]), "": Caption("", ["hello", "world"])})
+        assert str(exc.value) == f"{p}: empty caption id"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestLoadDataset:
     def test_bundles_cover_all_spaces(self, tmp_path, rng):
@@ -321,6 +361,14 @@ class TestConfig:
         p.write_text(f"[{section}]\n{key} = nan\n")
         with pytest.raises(ConfigError, match=f"{key} must be .* got nan"):
             load_settings(p)
+
+    @pytest.mark.parametrize("key, value", [("d", -3), ("d", 0), ("heads", 0), ("heads", -1)])
+    def test_model_sizes_below_one_rejected_naming_the_key(self, tmp_path, key, value):
+        p = tmp_path / "cfg.ini"
+        p.write_text(f"[model]\n{key} = {value}\n")
+        with pytest.raises(ConfigError) as exc:
+            load_settings(p)
+        assert str(exc.value) == f"{p}: [model] {key} must be >= 1, got {value}"
 
     def test_margin_invariants_enforced(self, tmp_path):
         p = tmp_path / "cfg.ini"

@@ -7,6 +7,7 @@ import per_item_oracle as oracle
 from avsearch import trainer
 from avsearch.errors import ConfigError, DimensionError, TrainingError
 from avsearch.evaluation import JudgmentSet
+from avsearch.featio import checkpoint_load, checkpoint_save
 from avsearch.fusion import FeatureBundle, init_model
 from avsearch.manifest import build_triplets, load_dataset, load_manifest
 from avsearch.negation import Caption, Margins, Triplet, hardest_negatives
@@ -215,6 +216,16 @@ def make_validation(triplets) -> ValidationSet:
     return ValidationSet(queries, corpus, judgments)
 
 
+def discard(model):
+    """An on_best that keeps nothing."""
+
+
+def best_copies():
+    """An on_best that keeps a copy of each model it is given, and that list."""
+    best = []
+    return best, lambda m: best.append(m.with_vector(m.params))
+
+
 class TestFit:
     def test_given_model_stepped_in_place(self, rng):
         triplets = toy_triplets(rng)
@@ -222,11 +233,12 @@ class TestFit:
         params = model.params
         before = params.copy()
         cfg = TrainConfig(epochs=2, batch_size=3, learning_rate=0.5)
-        trained, report = fit(model, triplets, make_validation(triplets), cfg)
+        given = []
+        trained, report = fit(model, triplets, make_validation(triplets), cfg, given.append)
         assert trained is model and trained.params is params
         assert not np.array_equal(params, before)
         np.testing.assert_array_equal(model.to_vector(), params)
-        assert not np.may_share_memory(report.best_model.params, params)
+        assert given and all(m is model for m in given)
 
     @pytest.mark.parametrize("replace, place", [
         (lambda head: setattr(head.video, "attention", np.ones(4)),
@@ -242,16 +254,19 @@ class TestFit:
         replace(model.heads[0])
         before = model.params.copy()
         log = tmp_path / "train.log"
+        given = []
         with pytest.raises(DimensionError, match=f"{place} is not a view into params"):
             fit(model, triplets, make_validation(triplets), TrainConfig(epochs=1, batch_size=3),
-                log_file=log)
+                given.append, log_file=log)
         np.testing.assert_array_equal(model.params, before)
         assert not log.exists()
+        assert given == []
 
-    def test_peak_memory_is_three_parameter_vectors(self, rng):
+    def test_peak_memory_is_two_parameter_vectors(self, rng, tmp_path):
         # The parameter vector dominates: 256 * (3072 + 768 + 4) = 984064
-        # float64, 7.9 MB. fit holds the model's vector, the best epoch's and
-        # one gradient, plus the features and small per-batch temporaries.
+        # float64, 7.9 MB. fit holds the model's vector and one gradient,
+        # plus the features and small per-batch temporaries; the checkpoint
+        # that on_best saves writes the model's arrays without copying them.
         tracemalloc.start()
         try:
             triplets = toy_triplets(rng, n=8, vdim=3072, tdim=768)
@@ -263,22 +278,26 @@ class TestFit:
                 for bundle in (t.video, t.caption_features)
                 for vec in bundle.features.values()
             )
+            ckpt = tmp_path / "best.ckpt"
             tracemalloc.reset_peak()
-            trained, report = fit(model, triplets, validation, TrainConfig(epochs=2, batch_size=4))
+            trained, report = fit(
+                model, triplets, validation, TrainConfig(epochs=2, batch_size=4),
+                lambda m: checkpoint_save(m, ckpt),
+            )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         vector = model.params.nbytes
         assert vector == 984064 * 8
-        assert peak < 3.5 * vector + feature_bytes
+        assert peak < 2.5 * vector + feature_bytes
         assert trained is model
-        assert not np.may_share_memory(report.best_model.params, model.params)
+        assert checkpoint_load(ckpt).n_params() == 984064
 
     def test_single_epoch_best_is_one(self, rng):
         triplets = toy_triplets(rng)
         model = init_model({"vis": 6}, {"txt": 5}, d=4, heads=1, seed=0)
         cfg = TrainConfig(epochs=1, batch_size=3)
-        _, report = fit(model, triplets, make_validation(triplets), cfg)
+        _, report = fit(model, triplets, make_validation(triplets), cfg, discard)
         assert report.best_epoch == 1
         assert len(report.epochs) == 1
 
@@ -290,10 +309,34 @@ class TestFit:
         triplets = toy_triplets(rng)
         model = init_model({"vis": 6}, {"txt": 5}, d=4, heads=1, seed=0)
         cfg = TrainConfig(epochs=3, batch_size=3)
-        _, report = fit(model, triplets, make_validation(triplets), cfg)
+        _, report = fit(model, triplets, make_validation(triplets), cfg, discard)
         assert report.best_epoch == 2
         assert report.best_score == 0.5
         assert [e.validation_score for e in report.epochs] == [0.3, 0.5, 0.4]
+
+    def test_on_best_sees_each_improving_epoch_as_it_ends(self, rng, monkeypatch):
+        scores = iter([0.3, 0.5, 0.4])
+        monkeypatch.setattr(
+            "avsearch.trainer.evaluate_validation", lambda *a, **k: next(scores)
+        )
+        epoch_ends = []
+        real_epoch = trainer.train_epoch
+
+        def recorded_epoch(model, *args):
+            loss = real_epoch(model, *args)
+            epoch_ends.append(model.params.copy())
+            return loss
+
+        monkeypatch.setattr(trainer, "train_epoch", recorded_epoch)
+        triplets = toy_triplets(rng)
+        model = init_model({"vis": 6}, {"txt": 5}, d=4, heads=1, seed=0)
+        calls = []
+        fit(model, triplets, make_validation(triplets), TrainConfig(epochs=3, batch_size=3),
+            lambda m: calls.append((len(epoch_ends), m.params.copy())))
+        assert [epoch for epoch, _ in calls] == [1, 2]
+        for epoch, params in calls:
+            np.testing.assert_array_equal(params, epoch_ends[epoch - 1])
+        assert not np.array_equal(epoch_ends[1], epoch_ends[2])
 
     def test_identical_seeds_identical_reports(self, rng):
         triplets = toy_triplets(rng)
@@ -301,11 +344,13 @@ class TestFit:
 
         def run():
             model = init_model({"vis": 6}, {"txt": 5}, d=4, heads=2, seed=3)
-            _, report = fit(model, triplets, val, TrainConfig(epochs=3, batch_size=3, seed=7))
+            best, on_best = best_copies()
+            _, report = fit(model, triplets, val, TrainConfig(epochs=3, batch_size=3, seed=7),
+                            on_best)
             return (
                 [(e.train_loss, e.validation_score) for e in report.epochs],
                 report.best_epoch,
-                report.best_model.to_vector(),
+                best[-1].to_vector(),
             )
 
         stats1, best1, vec1 = run()
@@ -317,16 +362,17 @@ class TestFit:
         triplets = toy_triplets(rng)
         model = init_model({"vis": 6}, {"txt": 5}, d=4, heads=1, seed=0)
         cfg = TrainConfig(epochs=5, batch_size=3, learning_rate=0.5)
-        trained, report = fit(model, triplets, make_validation(triplets), cfg)
+        best, on_best = best_copies()
+        trained, report = fit(model, triplets, make_validation(triplets), cfg, on_best)
         assert np.all(np.isfinite(trained.to_vector()))
-        assert np.all(np.isfinite(report.best_model.to_vector()))
+        assert np.all(np.isfinite(best[-1].to_vector()))
 
     def test_log_file_lines(self, rng, tmp_path):
         triplets = toy_triplets(rng)
         model = init_model({"vis": 6}, {"txt": 5}, d=4, heads=1, seed=0)
         log = tmp_path / "train.log"
         cfg = TrainConfig(epochs=2, batch_size=3)
-        _, report = fit(model, triplets, make_validation(triplets), cfg, log_file=log)
+        _, report = fit(model, triplets, make_validation(triplets), cfg, discard, log_file=log)
         lines = log.read_text().splitlines()
         assert len(lines) == 2
         epoch, loss, score = lines[0].split("\t")
@@ -358,7 +404,7 @@ class TestFit:
             epochs=12, batch_size=8, learning_rate=0.4,
             margins=Margins(lambda1=0.0), seed=0,
         )
-        _, report = fit(model, triplets, validation, cfg)
+        _, report = fit(model, triplets, validation, cfg, discard)
         assert report.best_score >= 0.9
 
 
