@@ -14,15 +14,19 @@ import sys
 from . import __version__
 from .config import load_settings
 from .errors import ConfigError, TrainingError
+# `rank_many` and `similarity` are unused here but stay importable from this
+# module: the benchmark's tracer (perfbench/tracer.py) wraps them by name.
 from .evaluation import (
     RankedRun,
     average_precision,
     inf_ap,
     late_fuse,
     mean_metric,
-    rank_many,
+    rank_many,  # noqa: F401
+    rank_rows,
     read_qrels,
     read_run,
+    write_rows,
     write_run,
 )
 from .featio import (
@@ -32,8 +36,6 @@ from .featio import (
     group_frame_features,
     read_features,
 )
-# `similarity` is unused here but stays importable from this module: the
-# benchmark's tracer (perfbench/tracer.py) wraps it under this name.
 from .fusion import feature_importance, init_model, pair_similarities, similarity  # noqa: F401
 from .manifest import (
     build_triplets,
@@ -117,10 +119,11 @@ def _cmd_search(args) -> int:
     _, queries = load_feature_bundles(args.query_feats, list(model.text_spaces), "text")
     if not queries:
         raise ConfigError("no query has features in every text space")
-    entries = rank_many(
-        model, list(queries.values()), list(corpus.values()), top_k=args.top_k
-    )
-    write_run(args.out, RankedRun(entries, args.run_tag))
+    # rank_rows raises any ranking error before the first row, and its rows
+    # are what `RankedRun` checks for (ordered, finite, distinct ids), so
+    # they stream into the file with no per-item tuples.
+    rows = rank_rows(model, list(queries.values()), list(corpus.values()), args.top_k)
+    write_rows(args.out, rows, args.run_tag)
     print(f"ranked {len(queries)} queries over {len(corpus)} videos -> {args.out}")
     return 0
 

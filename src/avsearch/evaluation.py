@@ -1,5 +1,10 @@
 """Corpus ranking, TREC-style run/qrels files, AP and inferred AP, late fusion.
 
+Ranking yields one row per query, `(query id, item ids, scores)` as lists
+(`ranked_rows`); `rank_scores` and `rank_many` collect the rows into
+`(item_id, score)` lists, and `search` streams them into its run file
+through `write_rows`, the one run writer.
+
 Run files are line-oriented: `query_id Q0 item_id rank score run_tag` with
 single spaces, ranks from 1, scores printed with 6 decimals. Qrels lines are
 `query_id 0 item_id rel` with binary relevance; an optional first line
@@ -9,6 +14,7 @@ single spaces, ranks from 1, scores printed with 6 decimals. Qrels lines are
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -23,6 +29,8 @@ from .numeric import unit_rows
 INF_AP_EPS = 1e-5
 
 RunEntry = list[tuple[str, float]]
+# One query's ranking: (query id, item ids, scores), best first.
+RankedRow = tuple[str, list[str], list[float]]
 
 
 @dataclass
@@ -76,64 +84,107 @@ class JudgmentSet:
 # ---------------------------------------------------------------------------
 
 
-def rank_many(
+def similarity_matrix(
+    model: LaffModel, queries: list[FeatureBundle], corpus: list[FeatureBundle]
+) -> np.ndarray:
+    """The (queries, corpus) similarities: per head, the cosine of the fused
+    embeddings clipped to [-1, 1]; then the mean over heads."""
+    vid = fused_matrix(model, corpus, "video")  # per head (n, d)
+    txt = fused_matrix(model, queries, "text")  # per head (m, d)
+    sims = np.zeros((len(queries), len(corpus)))
+    for hv, ht in zip(vid, txt):
+        sims += np.clip(unit_rows(ht)[0] @ unit_rows(hv)[0].T, -1.0, 1.0)
+    sims /= model.h
+    return sims
+
+
+def rank_rows(
     model: LaffModel,
     queries: list[FeatureBundle],
     corpus: list[FeatureBundle],
     top_k: int,
-) -> dict[str, RunEntry]:
-    """Rank the corpus for every query and keep the top_k of each.
+) -> Iterator[RankedRow]:
+    """Rank the corpus for every query and keep the top_k of each, as the
+    rows of `ranked_rows`.
 
     Items come in descending score, ties by ascending item_id (Python string
     order), so -0.0 ties with 0.0 and a query whose scores are all equal
     lists the corpus in id order. A non-finite similarity, as one NaN
     feature value gives, raises FormatError naming the query and the item:
     sorting would put NaN last and silently drop the item from every list.
+    Every error is raised at the call, before the first row is taken.
     """
     if not corpus:
         raise ValueError("empty corpus")
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    vid = fused_matrix(model, corpus, "video")  # per head (n, d)
-    txt = fused_matrix(model, queries, "text")  # per head (m, d)
-
-    sims = np.zeros((len(queries), len(corpus)))
-    for hv, ht in zip(vid, txt):
-        sims += np.clip(unit_rows(ht)[0] @ unit_rows(hv)[0].T, -1.0, 1.0)
-    sims /= model.h
-    return rank_scores(
-        sims, [q.item_id for q in queries], [b.item_id for b in corpus], top_k
+    return ranked_rows(
+        similarity_matrix(model, queries, corpus),
+        [q.item_id for q in queries],
+        [b.item_id for b in corpus],
+        top_k,
     )
+
+
+def rank_many(
+    model: LaffModel,
+    queries: list[FeatureBundle],
+    corpus: list[FeatureBundle],
+    top_k: int,
+) -> dict[str, RunEntry]:
+    """`rank_rows` as (item_id, score) lists by query id."""
+    rows = rank_rows(model, queries, corpus, top_k)
+    return {qid: list(zip(ids, scores)) for qid, ids, scores in rows}
+
+
+def ranked_rows(
+    sims: np.ndarray, query_ids: list[str], item_ids: list[str], top_k: int
+) -> Iterator[RankedRow]:
+    """(query id, item ids, scores) of the top_k items of each row of a
+    (queries, items) matrix, one row at a time.
+
+    Order and the non-finite rule are `rank_rows`'. The item ids must be
+    distinct. Both are checked at the call, for the whole matrix, so a
+    caller that writes the rows as they come has nothing to undo. The
+    columns are put in id order once, so a stable sort of a row on -score
+    breaks ties by id. Only the items scoring at least the top_k-th largest
+    score are sorted: that keeps every tie at the cut, in id order. When
+    top_k >= n that score is the row's minimum, so every item is sorted,
+    -0.0 included. So each row lists distinct ids, by non-increasing
+    finite scores.
+    """
+    n = len(item_ids)
+    by_id = np.array(sorted(range(n), key=item_ids.__getitem__), dtype=np.intp)
+    ids_by_id = np.array(item_ids, dtype=object)[by_id]
+    if len(set(item_ids)) < n:
+        same = np.flatnonzero(ids_by_id[1:] == ids_by_id[:-1])
+        raise ValueError(f"duplicate item id {ids_by_id[same[0]]!r}")
+    finite = np.isfinite(sims[: len(query_ids)]).all(axis=1)
+    if not finite.all():
+        q = int(np.argmin(finite))
+        s = sims[q, by_id]
+        j = int(np.argmin(np.isfinite(s)))
+        raise FormatError(
+            f"query {query_ids[q]!r}: non-finite similarity {s[j]} at item {ids_by_id[j]!r}"
+        )
+    return _top_k_rows(sims, query_ids, by_id, ids_by_id, top_k)
+
+
+def _top_k_rows(sims, query_ids, by_id, ids_by_id, top_k) -> Iterator[RankedRow]:
+    cut = max(len(by_id) - top_k, 0)
+    for qid, row in zip(query_ids, sims):
+        s = row[by_id]
+        kept = np.flatnonzero(s >= np.partition(s, cut)[cut])
+        order = kept[np.argsort(-s[kept], kind="stable")[:top_k]]
+        yield qid, ids_by_id[order].tolist(), s[order].tolist()
 
 
 def rank_scores(
     sims: np.ndarray, query_ids: list[str], item_ids: list[str], top_k: int
 ) -> dict[str, RunEntry]:
-    """The top_k (item_id, score) of each row of a (queries, items) matrix.
-
-    Order and the non-finite rule are `rank_many`'s. The columns are put in
-    id order once, so a stable sort of a row on -score breaks ties by id.
-    Only the items scoring at least the top_k-th largest score are sorted:
-    that keeps every tie at the cut, in id order. When top_k >= n that
-    score is the row's minimum, so every item is sorted, -0.0 included.
-    """
-    n = len(item_ids)
-    by_id = np.array(sorted(range(n), key=item_ids.__getitem__), dtype=np.intp)
-    ids_by_id = np.array(item_ids, dtype=object)[by_id]
-    cut = max(n - top_k, 0)
-    out: dict[str, RunEntry] = {}
-    for qid, row in zip(query_ids, sims):
-        s = row[by_id]
-        finite = np.isfinite(s)
-        if not finite.all():
-            j = int(np.argmin(finite))
-            raise FormatError(
-                f"query {qid!r}: non-finite similarity {s[j]} at item {ids_by_id[j]!r}"
-            )
-        kept = np.flatnonzero(s >= np.partition(s, cut)[cut])
-        order = kept[np.argsort(-s[kept], kind="stable")[:top_k]]
-        out[qid] = list(zip(ids_by_id[order].tolist(), s[order].tolist()))
-    return out
+    """`ranked_rows` as (item_id, score) lists by query id."""
+    rows = ranked_rows(sims, query_ids, item_ids, top_k)
+    return {qid: list(zip(ids, scores)) for qid, ids, scores in rows}
 
 
 def rank(
@@ -294,21 +345,48 @@ def _check_ids(where, field: str, ids) -> None:
 
 
 def write_run(path, run: RankedRun) -> None:
-    """Write a run file; a failed write leaves `path` as it was (`atomic_open`).
+    """Write a run file through `write_rows`."""
+    write_rows(
+        path,
+        (
+            (qid, list(map(itemgetter(0), entry)), list(map(itemgetter(1), entry)))
+            for qid, entry in run.entries.items()
+        ),
+        run.run_tag,
+    )
 
-    The run tag, query ids and item ids must be non-empty and hold no
-    whitespace; each distinct one is checked once. Each query's lines go
-    out in one write, which pays for those checks."""
+
+def write_rows(path, rows: Iterable[RankedRow], run_tag: str) -> None:
+    """Write a run file from (query id, item ids, scores) rows, as they come.
+
+    Each query's lines are one `%` format, whose template repeats
+    `{qid} Q0 %s {rank} %.6f {run_tag}` and whose arguments are the item
+    ids and scores, interleaved. After the last row, `_check_ids` checks
+    the run tag, the query ids and the listed item ids, in that order. A
+    failed write or check leaves `path` as it was (`atomic_open`). The rows
+    are written as given: ordering, finite scores and distinct ids are the
+    caller's to guarantee (`RankedRun`, `ranked_rows`).
+    """
+    tail = " " + run_tag.replace("%", "%%") + "\n"
+    fields: list[str] = []  # fields[r - 1] == "%s {r} %.6f"
+    query_ids = []
+    listed: set[str] = set()
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _check_ids(path, "run tag", [run.run_tag])
-        _check_ids(path, "query id", run.entries)
-        items = chain.from_iterable(map(itemgetter(0), e) for e in run.entries.values())
-        _check_ids(path, "item id", set(items))
-        for qid, entry in run.entries.items():
-            fh.write("".join([
-                f"{qid} Q0 {item_id} {rank_pos} {score:.6f} {run.run_tag}\n"
-                for rank_pos, (item_id, score) in enumerate(entry, start=1)
-            ]))
+        for qid, ids, scores in rows:
+            query_ids.append(qid)
+            n = len(ids)
+            if not n:
+                continue
+            fields.extend(f"%s {r} %.6f" for r in range(len(fields) + 1, n + 1))
+            head = qid.replace("%", "%%") + " Q0 "
+            values = [None] * (2 * n)
+            values[::2] = ids
+            values[1::2] = scores
+            fh.write((head + (tail + head).join(fields[:n]) + tail) % tuple(values))
+            listed.update(ids)
+        _check_ids(path, "run tag", [run_tag])
+        _check_ids(path, "query id", query_ids)
+        _check_ids(path, "item id", listed)
 
 
 def read_run(path) -> RankedRun:

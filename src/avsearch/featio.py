@@ -19,7 +19,8 @@ of the form `item_id#frame_index`.
 in memory at once. One Python pass over the buffer unpacks each id's length, decodes
 the id and checks it for duplicates and against `keep`. Before each refill,
 the kept values in the buffer are copied into one (n, dim) float32 table,
-through one strided view per run of equally spaced records. The result, a
+through one strided view per run of equally spaced records, and checked
+for NaN and infinite values while they are in cache. The result, a
 `FeatureTable`, maps each id to a view of its row of that table.
 
 Checkpoints (magic "AVSC") store h, d and both space lists with their input
@@ -244,11 +245,13 @@ class FeatureTable(Mapping):
         return len(self.ids)
 
 
-def _copy_records(rows: np.ndarray, row: int, buf: bytearray, starts: list[int]) -> None:
+def _copy_records(rows: np.ndarray, row: int, buf: bytearray, starts: list[int]) -> bool:
     """Copy the float32 records at byte positions `starts` of `buf` into
-    `rows[row:]`, through one strided view per run of equally spaced records."""
+    `rows[row:]`, through one strided view per run of equally spaced records.
+    Return whether every copied value is finite, checked while the rows are
+    in cache."""
     if not starts:
-        return
+        return True
     dim = rows.shape[1]
     steps = np.diff(starts)
     # A new run starts at each record whose spacing to the next one changes.
@@ -258,6 +261,7 @@ def _copy_records(rows: np.ndarray, row: int, buf: bytearray, starts: list[int])
         rows[row + a : row + b] = np.ndarray(
             (b - a, dim), "<f4", buffer=buf, offset=starts[a], strides=(stride, 4)
         )
+    return bool(np.isfinite(rows[row : row + len(starts)]).all())
 
 
 def read_features(path, keep=None) -> tuple[str, FeatureTable]:
@@ -265,7 +269,9 @@ def read_features(path, keep=None) -> tuple[str, FeatureTable]:
 
     With keep (a set of ids), only those records are decoded; the values
     of the others are skipped unread, though their ids are still checked
-    for duplicates."""
+    for duplicates. Once the whole file has passed those checks, a decoded
+    record that holds a NaN or an infinity is a FormatError naming the
+    first such record."""
     with open(path, "rb") as fh:
         reader = _Reader(fh, path)
         magic = reader.read(4, "magic")
@@ -295,9 +301,10 @@ def read_features(path, keep=None) -> tuple[str, FeatureTable]:
         buf = bytearray(min(_STAGING_BYTES + longest, reader.size - base))
         p = end = 0
         starts: list[int] = []
+        finite = True
         for i in range(count):
             if end - p < longest and base + end < reader.size:
-                _copy_records(rows, len(index) - len(starts), buf, starts)
+                finite &= _copy_records(rows, len(index) - len(starts), buf, starts)
                 starts = []
                 buf[: end - p] = buf[p:end]
                 base, end, p = base + p, end - p, 0
@@ -323,10 +330,15 @@ def read_features(path, keep=None) -> tuple[str, FeatureTable]:
             else:
                 skipped.add(item_id)
             p += width
-        _copy_records(rows, len(index) - len(starts), buf, starts)
+        finite &= _copy_records(rows, len(index) - len(starts), buf, starts)
         if p < end or fh.read(1):
             raise FormatError(f"{path}: trailing data at byte offset {base + p}")
-    return space_name, FeatureTable(index, rows[: len(index)])
+    table = FeatureTable(index, rows[: len(index)])
+    if not finite:
+        bad = int(np.argmin(np.isfinite(table.rows).all(axis=1)))
+        value = table.rows[bad][~np.isfinite(table.rows[bad])][0]
+        raise FormatError(f"{path}: non-finite value {value} in record {table.ids[bad]!r}")
+    return space_name, table
 
 
 # ---------------------------------------------------------------------------

@@ -116,19 +116,23 @@ def write_manifest(path, manifest: DatasetManifest) -> None:
 _PAIR_FIELDS = ("video id", "caption id", "negated caption id")
 
 
-def _refuse_empty(where: str, fields, names) -> None:
-    """A FormatError at `where` naming the first empty one of fields: a
-    line without an id would otherwise fail later, under another name."""
+def _check_ids(where: str, fields, names) -> None:
+    """A FormatError at `where` naming the first of fields that is empty or
+    holds a TAB or line break. A line without an id would fail later, under
+    another name, and one with a TAB or line break in an id would read back
+    as other fields or lines."""
     for value, name in zip(fields, names):
         if not value:
             raise FormatError(f"{where}: empty {name}")
+        if "\t" in value or "\n" in value or "\r" in value:
+            raise FormatError(f"{where}: {name} {value!r} holds a TAB or line break")
 
 
 def read_captions(path) -> dict[str, Caption]:
     captions: dict[str, Caption] = {}
     for lineno, fields in read_fields(path, "\t", (2, 3), skip_blank=True):
         item_id, text = fields[0], fields[1]
-        _refuse_empty(f"{path}:{lineno}", [item_id], ["caption id"])
+        _check_ids(f"{path}:{lineno}", [item_id], ["caption id"])
         if item_id in captions:
             raise FormatError(f"{path}:{lineno}: duplicate caption id {item_id!r}")
         tokens = text.lower().split()
@@ -145,7 +149,7 @@ def read_captions(path) -> dict[str, Caption]:
 def write_captions(path, captions: dict[str, Caption]) -> None:
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for caption in captions.values():
-            _refuse_empty(path, [caption.item_id], ["caption id"])
+            _check_ids(path, [caption.item_id], ["caption id"])
             line = f"{caption.item_id}\t{caption.text}"
             if caption.pos_tags is not None:
                 line += "\t" + " ".join(caption.pos_tags)
@@ -155,7 +159,7 @@ def write_captions(path, captions: dict[str, Caption]) -> None:
 def read_pairs(path) -> list[tuple[str, str, str | None]]:
     pairs = []
     for lineno, fields in read_fields(path, "\t", (2, 3), skip_blank=True):
-        _refuse_empty(f"{path}:{lineno}", fields, _PAIR_FIELDS)
+        _check_ids(f"{path}:{lineno}", fields, _PAIR_FIELDS)
         pairs.append((fields[0], fields[1], fields[2] if len(fields) == 3 else None))
     return pairs
 
@@ -164,7 +168,7 @@ def write_pairs(path, pairs: list[tuple[str, str, str | None]]) -> None:
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for video_id, caption_id, negated_id in pairs:
             fields = [video_id, caption_id] + ([] if negated_id is None else [negated_id])
-            _refuse_empty(path, fields, _PAIR_FIELDS)
+            _check_ids(path, fields, _PAIR_FIELDS)
             fh.write("\t".join(fields) + "\n")
 
 

@@ -6,26 +6,31 @@ per-frame rerank loop, per-pair pseudo-caption scoring and the per-triplet
 `gap_in_window_fraction`. They run one bundle, one frame and one pair at a
 time through `linear_tanh`, the scalar cosine and its VJP, so tests can
 compare the batched path against an independent oracle. `read_features`
-decodes a feature file record by record into a dict of vectors, and
+decodes a feature file record by record into a dict of vectors, then
+refuses the first record holding a non-finite value, and
 `group_frame_features` restacks its frame records item by item, as the
 references for the columnar decoder and the one-sort grouping. `rank_scores`
 sorts each query in Python on the key (-score, item_id), as the reference
-for `evaluation.rank_scores`. `train_epoch` adds each batch's gradient
-into a new zeroed vector and updates with one expression, as the reference
-for the trainer's in-place step.
+for `evaluation.rank_scores`, and `write_run` writes each line of a run
+with its own f-string, as the reference for `evaluation.write_rows`.
+`train_epoch` adds each batch's gradient into a new zeroed vector and
+updates with one expression, as the reference for the trainer's in-place
+step.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
 from avsearch.errors import FormatError
-from avsearch.featio import FEATURE_MAGIC, FORMAT_VERSION, _read_name, _Reader
+from avsearch.featio import FEATURE_MAGIC, FORMAT_VERSION, _read_name, _Reader, atomic_open
 
-from avsearch.evaluation import _minmax
+from avsearch.evaluation import _check_ids, _minmax
 from avsearch.fusion import BranchGrads, FeatureBundle, LaffBranchParams, LaffModel
 from avsearch.fusion import fused_matrix as batched_fused_matrix
 from avsearch.negation import bnl_loss as batched_bnl_loss
@@ -231,6 +236,21 @@ def rank_many(model: LaffModel, queries, corpus, top_k):
     return rank_scores(sims, [q.item_id for q in queries], [b.item_id for b in corpus], top_k)
 
 
+def write_run(path, run) -> None:
+    """One f-string per line, the ids checked before the first line is
+    written: the reference for `evaluation.write_rows`."""
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
+        _check_ids(path, "run tag", [run.run_tag])
+        _check_ids(path, "query id", run.entries)
+        items = chain.from_iterable(map(itemgetter(0), e) for e in run.entries.values())
+        _check_ids(path, "item id", set(items))
+        for qid, entry in run.entries.items():
+            fh.write("".join([
+                f"{qid} Q0 {item_id} {rank_pos} {score:.6f} {run.run_tag}\n"
+                for rank_pos, (item_id, score) in enumerate(entry, start=1)
+            ]))
+
+
 def pair_similarity(model: LaffModel, video: FeatureBundle, text: FeatureBundle) -> float:
     """Mean over heads of the scalar cosine of one video's and one text's
     fused embeddings."""
@@ -353,6 +373,10 @@ def read_features(path, keep=None) -> tuple[str, dict[str, np.ndarray]]:
             raw = reader.read(4 * dim, what)
             features[item_id] = np.frombuffer(raw, dtype="<f4").astype(np.float64)
         reader.expect_eof()
+    for item_id, vec in features.items():
+        for value in vec:
+            if not np.isfinite(value):
+                raise FormatError(f"{path}: non-finite value {value} in record {item_id!r}")
     return space_name, features
 
 

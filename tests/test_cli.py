@@ -212,7 +212,9 @@ class TestSearchEvalPipeline:
             "--query-feats", tmp_path / "q.feat", "--out", out, "--top-k", 2,
         )
         assert code == 1
-        assert "'vnan'" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'v.feat'}: non-finite value nan in record 'vnan'\n"
+        )
         assert not out.exists()
 
     def test_nan_checkpoint_parameter_exits_1_naming_the_checkpoint(self, tmp_path, capsys):
@@ -428,7 +430,9 @@ class TestRerankCli:
             "rerank", "--run", run, "--frames", frames, "--query-feats", qf,
             "--out", tmp_path / "o.txt",
         ) == 1
-        assert "'B'" in capsys.readouterr().err
+        # Refused as the frame file is read, so the error names the record.
+        assert capsys.readouterr().err == f"error: {frames}: non-finite value nan in record 'B#1'\n"
+        assert not (tmp_path / "o.txt").exists()
 
     def test_partial_routing_flags_rejected(self, tmp_path):
         run, frames, qf = self.write_inputs(tmp_path)

@@ -563,12 +563,65 @@ class TestColumnarDecoder:
             assert_same_outcome(p, keep)
 
 
+class TestNonFiniteValues:
+    def write(self, p, bad: dict, n=5, dim=3):
+        """Records v0..v{n-1}; bad maps a record's index to the value put
+        in its column 1."""
+        vecs = {f"v{i}": np.arange(float(dim)) + i for i in range(n)}
+        for i, value in bad.items():
+            vecs[f"v{i}"][1] = value
+        write_features(p, "s", vecs)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [0, 2, 4], ids=["first", "middle", "last"])
+    def test_refused_naming_the_file_and_the_record(self, tmp_path, bad, value):
+        p = tmp_path / "f.feat"
+        self.write(p, {bad: value})
+        with pytest.raises(FormatError) as exc:
+            read_features(p)
+        assert str(exc.value) == f"{p}: non-finite value {np.float32(value)} in record 'v{bad}'"
+
+    def test_the_first_bad_record_is_named(self, tmp_path):
+        p = tmp_path / "f.feat"
+        self.write(p, {3: np.inf, 1: np.nan})
+        with pytest.raises(FormatError, match=r"non-finite value nan in record 'v1'$"):
+            read_features(p)
+
+    @pytest.mark.parametrize("bad", [{13: np.nan}, {13: np.nan, 31: -np.inf, 59: np.nan}])
+    def test_the_first_bad_record_across_refills(self, tmp_path, monkeypatch, bad):
+        # With no staging beyond the longest record, the buffer is refilled
+        # after each 16 KiB record, so nearly every record is its own block.
+        monkeypatch.setattr(featio, "_STAGING_BYTES", 0)
+        p = tmp_path / "f.feat"
+        self.write(p, bad, n=60, dim=4096)
+        with pytest.raises(FormatError, match=r"non-finite value nan in record 'v13'$"):
+            read_features(p)
+
+    def test_a_skipped_record_is_not_checked(self, tmp_path):
+        p = tmp_path / "f.feat"
+        self.write(p, {2: np.nan})
+        _, table = read_features(p, keep={"v1", "v3"})
+        assert table.ids == ["v1", "v3"]
+        np.testing.assert_array_equal(table["v3"], [3.0, 4.0, 5.0])
+        with pytest.raises(FormatError, match=r"in record 'v2'$"):
+            read_features(p, keep={"v1", "v2"})
+
+    def test_a_malformed_file_is_reported_as_such_first(self, tmp_path):
+        p = tmp_path / "f.feat"
+        self.write(p, {0: np.nan})
+        p.write_bytes(p.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="trailing data"):
+            read_features(p)
+
+
 @st.composite
-def feature_files(draw) -> tuple[bytes, list[str]]:
-    """The bytes of a valid feature file, and its ids."""
+def feature_files(draw, finite=True) -> tuple[bytes, list[str]]:
+    """The bytes of a well-formed feature file, and its ids; with finite,
+    every value is finite, so the file is valid."""
     dim = draw(st.integers(1, 4))
     ids = draw(st.lists(st.text(max_size=5), max_size=6, unique=True))
-    values = draw(st.lists(st.floats(width=32), min_size=dim * len(ids), max_size=dim * len(ids)))
+    floats = st.floats(width=32, allow_nan=not finite, allow_infinity=not finite)
+    values = draw(st.lists(floats, min_size=dim * len(ids), max_size=dim * len(ids)))
     records = [(i.encode(), values[k * dim: (k + 1) * dim]) for k, i in enumerate(ids)]
     return feat_bytes(records, dim=dim, name=draw(st.text(max_size=3)).encode()), ids
 
@@ -600,7 +653,14 @@ class TestReaderFuzzing:
         assert list(features) == [i for i in ids if keep is None or i in keep]
         assert_same_outcome(p, keep)
 
-    @given(raw=mutated(feature_files()), keep=keeps(["", "a", "b"]))
+    @given(data=st.data())
+    def test_non_finite_values_match_the_oracle(self, tmp_path_factory, data):
+        raw, ids = data.draw(feature_files(finite=False))
+        p = tmp_path_factory.getbasetemp() / "fuzz_non_finite.feat"
+        p.write_bytes(raw)
+        assert_same_outcome(p, data.draw(keeps(ids)))
+
+    @given(raw=mutated(feature_files(finite=False)), keep=keeps(["", "a", "b"]))
     def test_mutated_files(self, tmp_path_factory, raw, keep):
         p = tmp_path_factory.getbasetemp() / "fuzz_mutated.feat"
         p.write_bytes(raw)

@@ -196,6 +196,38 @@ class TestCaptionsAndPairs:
         assert str(exc.value) == f"{p}: empty caption id"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("row, field, value", [
+        (("v\t1", "c1", None), "video id", "v\t1"),  # read back as ('v', '1', 'c1')
+        (("v1", "c\n1", None), "caption id", "c\n1"),
+        (("v1", "c1", "n\r1"), "negated caption id", "n\r1"),
+    ])
+    def test_write_pairs_refuses_an_id_that_would_not_read_back(self, tmp_path, row, field, value):
+        p = tmp_path / "pairs.tsv"
+        p.write_text("old\n")
+        with pytest.raises(FormatError) as exc:
+            write_pairs(p, [("v0", "c0", None), row])
+        assert str(exc.value) == f"{p}: {field} {value!r} holds a TAB or line break"
+        assert p.read_text() == "old\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["pairs.tsv"]
+
+    @pytest.mark.parametrize("item_id", ["c\t2", "c\n2", "c\r2", "\r"])
+    def test_write_captions_refuses_an_id_that_would_not_read_back(self, tmp_path, item_id):
+        p = tmp_path / "caps.tsv"
+        p.write_text("old\n")
+        caps = {"c0": Caption("c0", ["a"]), item_id: Caption(item_id, ["hello", "world"])}
+        with pytest.raises(FormatError) as exc:
+            write_captions(p, caps)
+        assert str(exc.value) == f"{p}: caption id {item_id!r} holds a TAB or line break"
+        assert p.read_text() == "old\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["caps.tsv"]
+
+    def test_ids_with_other_characters_round_trip(self, tmp_path):
+        # Spaces and other line-break-like characters read back: only TAB,
+        # \n and \r end a field or a line in these files.
+        rows = [("v 1", "c\x0b1", None), ("v\x852", "c\u20282", "n 2")]
+        write_pairs(tmp_path / "pairs.tsv", rows)
+        assert read_pairs(tmp_path / "pairs.tsv") == rows
+
 
 class TestLoadDataset:
     def test_bundles_cover_all_spaces(self, tmp_path, rng):
