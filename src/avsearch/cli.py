@@ -419,6 +419,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # NumPy's MemoryError says which allocation failed; a bare one says nothing.
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory in {args.command}{detail}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

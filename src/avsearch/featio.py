@@ -195,8 +195,28 @@ def _pack_name(name: str) -> bytes:
     return struct.pack("<H", len(raw)) + raw
 
 
+def _float32_record(path, item_id: str, vec) -> np.ndarray:
+    """vec as the file's little-endian float32 values. A NaN or infinite
+    value, or a finite one beyond float32's range (which the cast makes
+    infinite), is a FormatError naming the record: read_features refuses it.
+    The caller ignores floating-point overflow."""
+    values = np.asarray(vec, dtype="<f4")
+    # The sum of squares is finite only if every value is; it can also
+    # overflow on large finite values, which the exact test then lets pass.
+    if math.isfinite(values.dot(values)) or np.isfinite(values).all():
+        return values
+    value = np.asarray(vec)[np.flatnonzero(~np.isfinite(values))[0]]
+    if np.isfinite(value):
+        raise FormatError(f"{path}: value {value} in record {item_id!r} overflows float32")
+    raise FormatError(f"{path}: non-finite value {value} in record {item_id!r}")
+
+
 def write_features(path, space_name: str, features: Mapping[str, np.ndarray]) -> None:
-    """Write one feature space; record order follows dict insertion order."""
+    """Write one feature space; record order follows dict insertion order.
+
+    A value that read_features would refuse (see _float32_record) is raised
+    inside atomic_open, so whatever was at path stays.
+    """
     items = list(features.items())
     if items:
         dim = int(np.asarray(items[0][1]).shape[0])
@@ -208,7 +228,7 @@ def write_features(path, space_name: str, features: Mapping[str, np.ndarray]) ->
             raise DimensionError(
                 f"feature {item_id!r} has shape {vec.shape}, expected ({dim},)"
             )
-    with atomic_open(path) as fh:
+    with atomic_open(path) as fh, np.errstate(over="ignore"):
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<B", FORMAT_VERSION))
         fh.write(struct.pack("<I", dim))
@@ -216,7 +236,7 @@ def write_features(path, space_name: str, features: Mapping[str, np.ndarray]) ->
         fh.write(_pack_name(space_name))
         for item_id, vec in items:
             fh.write(_pack_name(item_id))
-            fh.write(np.asarray(vec, dtype="<f4").tobytes())
+            fh.write(_float32_record(path, item_id, vec).tobytes())
 
 
 class FeatureTable(Mapping):

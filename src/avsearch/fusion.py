@@ -12,13 +12,14 @@ All numerics are batched. The inputs of n items are per-space (n, d_in)
 float64 tables, stacked from the bundles' vectors; float32 vectors, as
 decoded from a feature file, are widened in that copy. A branch runs one
 GEMM per space, E_i = tanh(X_i W_iᵀ + b_i), then a row-wise softmax over
-the k spaces, and its backward pass writes the weight gradients dZ_iᵀ X_i
-straight into a gradient branch the caller owns, typically the views of a
-flat gradient vector (LaffModel.on_vector), so a training step allocates
-no per-branch gradient arrays. The per-item functions laff_forward,
-laff_vjp, similarity and similarity_with_grad call batch_forward (and
-batch_backward) on one-row tables, and corpus embedding runs in fixed-size
-row blocks. Many (video, text) pairs are scored together
+the k spaces. Its backward pass leaves each weight gradient dZ_iᵀ X_i as
+its two factors, the (n, d) pre-activation gradients and the input table
+the forward pass already holds (GradFactors); form_gradient forms one such
+product where its caller wants it: in a flat gradient vector or, in the
+trainer, in a scratch array that steps one weight. The per-item functions
+laff_forward, laff_vjp, similarity and similarity_with_grad call
+batch_forward (and batch_backward) on one-row tables, and corpus embedding
+runs in fixed-size row blocks. Many (video, text) pairs are scored together
 by pair_similarities, which embeds each distinct bundle once.
 
 Iteration over feature spaces is always in sorted space-name order so that
@@ -272,7 +273,7 @@ class LaffModel:
 
     def on_vector(self, vec: np.ndarray) -> "LaffModel":
         """A model of identical structure built on vec without copying it, as
-        from_params. Gradients are written into such a model (batch_backward)."""
+        from_params. Gradients are formed into such a model (GradFactors.to_vector)."""
         return LaffModel.from_params(vec, self.video_dims(), self.text_dims(), self.d, self.h)
 
     def n_params(self) -> int:
@@ -316,8 +317,7 @@ BLOCK_ROWS = 256
 class BranchState:
     """Cached forward pass of one branch on n items."""
 
-    spaces: tuple[str, ...]
-    inputs: list[np.ndarray]  # per space, (n, d_in)
+    inputs: list[np.ndarray]  # per space in sorted order, (n, d_in)
     transformed: np.ndarray  # (n, k, d); transformed[:, i] = E_i for space i
     weights: np.ndarray  # (n, k) convex attention weights
     fused: np.ndarray  # (n, d)
@@ -332,6 +332,42 @@ class BranchGrads:
     d_bias: dict[str, np.ndarray]
     d_attention: np.ndarray
     d_inputs: dict[str, np.ndarray] = field(default_factory=dict)
+
+
+@dataclass
+class GradFactors:
+    """A gradient w.r.t. a model's flat parameter vector, kept as the factors
+    that the backward pass computes.
+
+    terms holds one entry per array of named_parameters, in that order. For
+    a weight W it is the pair (dz, x) of the (n, d) pre-activation
+    gradients and the (n, d_in) input table, whose product dzᵀx is W's
+    gradient; the heads share the input tables. For a bias b or an
+    attention vector u it is the (d,) gradient itself.
+    """
+
+    terms: list
+
+    def to_vector(self, model: LaffModel, out: np.ndarray | None = None) -> np.ndarray:
+        """The formed gradient in model's parameter order, written into out
+        (a vector as LaffModel.on_vector takes it, every entry overwritten)
+        or into a new vector."""
+        if out is None:
+            out = np.empty(model.n_params())
+        for term, (_, view) in zip(self.terms, named_parameters(model.on_vector(out).heads)):
+            form_gradient(term, view)
+        return out
+
+
+def form_gradient(term, out: np.ndarray) -> np.ndarray:
+    """Write the gradient of one GradFactors term into out, an array of its
+    parameter's shape, and return out: dzᵀx for a weight's (dz, x), else a
+    copy of the bias or attention gradient."""
+    if isinstance(term, tuple):
+        dz, x = term
+        return np.matmul(dz.T, x, out=out)
+    out[...] = term
+    return out
 
 
 def _check_bundle(branch: LaffBranchParams, bundle: FeatureBundle) -> None:
@@ -388,23 +424,19 @@ def batch_forward(branch: LaffBranchParams, tables: list[np.ndarray]) -> BranchS
     weights = np.exp(scores - scores.max(axis=1, keepdims=True))
     weights /= weights.sum(axis=1, keepdims=True)
     fused = (weights[:, None, :] @ transformed)[:, 0]
-    return BranchState(spaces, tables, transformed, weights, fused)
+    return BranchState(tables, transformed, weights, fused)
 
 
-def batch_backward(
-    branch: LaffBranchParams, state: BranchState, d_fused: np.ndarray, out: LaffBranchParams
-) -> list[np.ndarray]:
+def batch_backward(branch: LaffBranchParams, state: BranchState, d_fused: np.ndarray) -> list:
     """Backprop d_fused = dL/d(fused), (n, d), through the weighted sum,
-    the softmax attention and each linear+tanh, writing the parameter
-    gradients into out, a branch of the same structure.
+    the softmax attention and each linear+tanh.
 
     Each transformed feature receives both the direct a_i * d_fused path and
-    the attention-score path through the softmax coupling. Parameter
-    gradients are summed over the n items: dW_i = dZ_iᵀ X_i and
-    db_i = sum of dZ_i's rows overwrite out's W_i and b_i, and the attention
-    gradient overwrites out's u; out's previous contents are never read.
-    Returns the per-space (n, d) pre-activation gradients dZ_i; the input
-    gradients are dZ_i W_i.
+    the attention-score path through the softmax coupling. Returns the
+    branch's GradFactors terms, in the order of named_parameters: for each
+    space, (dZ_i, X_i), whose product dZ_iᵀ X_i is W_i's gradient summed
+    over the n items, and b_i's gradient, the sum of dZ_i's rows; then u's
+    gradient. The input gradients are dZ_i W_i.
     """
     d_fused = np.asarray(d_fused, dtype=np.float64)
     if d_fused.shape != state.fused.shape:
@@ -416,17 +448,14 @@ def batch_backward(
     d_a = (e @ d_fused[:, :, None])[:, :, 0]
     # softmax jacobian: ds_j = a_j (dA_j - sum_i a_i dA_i)
     ds = a * (d_a - (a[:, None, :] @ d_a[:, :, None])[:, 0])
-    np.matmul(ds.reshape(-1), e.reshape(-1, e.shape[2]), out=out.attention)
-    d_z = []
-    for i, (name, x) in enumerate(zip(state.spaces, state.inputs)):
+    terms = []
+    for i, x in enumerate(state.inputs):
         dz = (a[:, i, None] * d_fused + ds[:, i, None] * branch.attention) * (
             1.0 - e[:, i] * e[:, i]
         )
-        grad = out.transforms[name]
-        np.matmul(dz.T, x, out=grad.weight)
-        dz.sum(axis=0, out=grad.bias)
-        d_z.append(dz)
-    return d_z
+        terms += [(dz, x), dz.sum(axis=0)]
+    terms.append(np.matmul(ds.reshape(-1), e.reshape(-1, e.shape[2])))
+    return terms
 
 
 def laff_forward(
@@ -448,20 +477,14 @@ def laff_vjp(
     given upstream = dL/d(fused)."""
     upstream = as_vector(upstream, "d_fused")
     state = batch_forward(branch, branch_tables(branch, [bundle]))
-    out = LaffBranchParams(
-        {
-            name: LinearTanhParams(np.empty_like(p.weight), np.empty_like(p.bias))
-            for name, p in branch.transforms.items()
-        },
-        np.empty_like(branch.attention),
-    )
-    d_z = batch_backward(branch, state, upstream[None, :], out)
-    spaces = branch.spaces
+    terms = batch_backward(branch, state, upstream[None, :])
+    weights = {name: branch.transforms[name].weight for name in branch.spaces}
+    factors = dict(zip(weights, terms[0:-1:2]))
     return BranchGrads(
-        {name: out.transforms[name].weight for name in spaces},
-        {name: out.transforms[name].bias for name in spaces},
-        out.attention,
-        {name: (dz @ branch.transforms[name].weight)[0] for name, dz in zip(spaces, d_z)},
+        {name: form_gradient(factors[name], np.empty_like(w)) for name, w in weights.items()},
+        dict(zip(weights, terms[1:-1:2])),
+        terms[-1],
+        {name: (factors[name][0] @ w)[0] for name, w in weights.items()},
     )
 
 
@@ -505,19 +528,19 @@ def similarity_with_grad(
     model: LaffModel, video: FeatureBundle, text: FeatureBundle
 ) -> tuple[float, np.ndarray]:
     """similarity() plus its gradient w.r.t. the flat model parameter vector."""
-    grad = model.on_vector(np.empty(model.n_params()))
+    terms = []
     video_tables = branch_tables(model.heads[0].video, [video])
     text_tables = branch_tables(model.heads[0].text, [text])
     total = 0.0
     inv_h = 1.0 / model.h
-    for head, grad_head in zip(model.heads, grad.heads):
+    for head in model.heads:
         vstate = batch_forward(head.video, video_tables)
         tstate = batch_forward(head.text, text_tables)
         total += cosine_sim(vstate.fused[0], tstate.fused[0])
         dv, dt = cosine_sim_vjp(vstate.fused[0], tstate.fused[0], inv_h)
-        batch_backward(head.video, vstate, dv[None, :], grad_head.video)
-        batch_backward(head.text, tstate, dt[None, :], grad_head.text)
-    return total * inv_h, grad.params
+        terms += batch_backward(head.video, vstate, dv[None, :])
+        terms += batch_backward(head.text, tstate, dt[None, :])
+    return total * inv_h, GradFactors(terms).to_vector(model)
 
 
 def _head_branches(model: LaffModel, branch: str) -> list[LaffBranchParams]:

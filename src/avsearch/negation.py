@@ -10,8 +10,9 @@ margin window, from both the video anchor and the text anchor.
 The batch loss is computed in matrix form on the batched fusion engine:
 one cosine GEMM per head for the batch similarity matrix, column-wise
 hardest-negative mining (`hardest_negatives`), and one upstream matrix
-pulled back through a single backward pass per branch, which writes its
-share of the gradient straight into a caller-owned flat vector.
+pulled back through a single backward pass per branch. The gradient comes
+back as a flat vector, or, for the trainer, as its factors (GradFactors),
+which it steps from one weight at a time.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateSimilarityWarning
 from .fusion import (
     FeatureBundle,
+    GradFactors,
     LaffModel,
     batch_backward,
     batch_forward,
@@ -274,13 +276,16 @@ def bnl_loss(
     m: Margins,
     with_breakdown: bool = False,
     out: np.ndarray | None = None,
+    factored: bool = False,
 ):
     """Mean batch loss and its gradient w.r.t. the flat model parameters.
 
     The gradient is written into out when given (a writable float64 vector
     of model.n_params() entries, as LaffModel.on_vector takes) and returned;
     otherwise into a new vector. Every entry of out is overwritten and none
-    is read, so a training loop reuses one buffer for every batch.
+    is read. With factored, out is not used: the gradient is returned
+    unformed, as a GradFactors, which holds no parameter-sized array (None
+    with a non-finite loss).
 
     Per pair (q, x+): a hinge against the hardest in-batch negative video,
     plus lambda1 times the two bounded losses whenever the negated caption
@@ -298,9 +303,9 @@ def bnl_loss(
     n = len(batch)
     if n < 2:
         raise ValueError(f"batch of {n}: hardest-negative mining needs >= 2 videos")
-    if out is None:
-        out = np.empty(model.n_params())
-    grad = model.on_vector(out)
+    if not factored:
+        # A given out that is no parameter vector is refused before any work.
+        out = np.empty(model.n_params()) if out is None else model.on_vector(out).params
     inv_h = 1.0 / model.h
     inv_n = 1.0 / n
     rows = np.arange(n)
@@ -350,10 +355,12 @@ def bnl_loss(
         and np.all(np.isfinite(s_ttneg))
     ):
         nan = float("nan")
-        out.fill(0.0)
+        if not factored:
+            out.fill(0.0)
+        grad = None if factored else out
         if with_breakdown:
-            return nan, grad.params, BnlBreakdown([], [], [], [])
-        return nan, grad.params
+            return nan, grad, BnlBreakdown([], [], [], [])
+        return nan, grad
 
     hardest = hardest_negatives(sim)
     s_pos = sim[rows, rows]
@@ -378,8 +385,10 @@ def bnl_loss(
     g_vneg *= scale * inv_h
     g_ttneg *= scale * inv_h
 
-    # Cosine VJPs on the fused embeddings, then one backward pass per branch.
-    # Rows of the upstream matrix are summed onto their distinct video.
+    # Cosine VJPs on the fused embeddings, then one backward pass per branch,
+    # in the order of the parameters. Rows of the upstream matrix are summed
+    # onto their distinct video.
+    terms = []
     video_upstream = np.zeros((len(videos), n))
     np.add.at(video_upstream, video_of, upstream)
     for hi, (vstate, tstate, v, nv, zv, t, nt, zt, cross) in enumerate(heads):
@@ -397,18 +406,18 @@ def bnl_loss(
         d_txt[n:] += dn
         d_vid[zv] = 0.0
         d_txt[zt] = 0.0
-        # Each branch's backward runs once per batch and overwrites every
-        # gradient view of that branch, so `out` needs no zeroing.
-        head, grad_head = model.heads[hi], grad.heads[hi]
-        batch_backward(head.video, vstate, d_vid, grad_head.video)
-        batch_backward(head.text, tstate, d_txt, grad_head.text)
+        terms += batch_backward(model.heads[hi].video, vstate, d_vid)
+        terms += batch_backward(model.heads[hi].text, tstate, d_txt)
+    grad = GradFactors(terms)
+    if not factored:
+        grad = grad.to_vector(model, out)
 
     if with_breakdown:
         breakdown = BnlBreakdown(
             primary.tolist(), video_anchor.tolist(), text_anchor.tolist(), hardest.tolist()
         )
-        return loss, grad.params, breakdown
-    return loss, grad.params
+        return loss, grad, breakdown
+    return loss, grad
 
 
 def gap_in_window_fraction(model: LaffModel, triplets, m: Margins) -> float:

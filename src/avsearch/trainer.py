@@ -7,12 +7,16 @@ scored on a validation set (mAP or recall@K), and each epoch that beats
 every earlier one is handed to the caller, who saves it.
 
 `fit` trains the caller's model in place: `train_epoch` steps its parameter
-vector. A step allocates nothing of the parameter vector's size: each epoch
-owns one gradient vector that `bnl_loss` overwrites every batch, and the
-clipped and scaled step is formed in that vector in place. `fit` keeps no
-copy of the best epoch; it calls `on_best` while the model holds it. A run
-therefore holds two parameter-sized vectors during an epoch, the model's
-and the gradient, and the model's alone between epochs.
+vector. `bnl_loss` hands each batch's gradient over as its factors (a
+weight's gradient is dZᵀX, see fusion.GradFactors). When a bound on the
+gradient's norm proves that the step cannot clip, the step is formed one
+array at a time in a scratch array the size of the largest weight, so the
+gradient vector is never formed. Otherwise the gradient is formed into one
+vector, allocated at most once per epoch, and clipped, scaled and
+subtracted in place. Both paths step the parameters bit-identically. `fit`
+keeps no copy of the best epoch; it calls `on_best` while the model holds
+it. A run whose steps never clip therefore holds one parameter-sized
+vector, the model's.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, MetricError, TrainingError
 from .evaluation import JudgmentSet, average_precision, rank_many
-from .fusion import FeatureBundle, LaffModel, named_parameters
+from .fusion import FeatureBundle, GradFactors, LaffModel, form_gradient, named_parameters
 from .negation import Margins, Triplet, bnl_loss
 
 _RECALL_RE = re.compile(r"^recall@(\d+)$")
@@ -108,6 +112,75 @@ def _sgd_step(params: np.ndarray, grad: np.ndarray, lr: float, max_norm: float) 
     return True
 
 
+# _cannot_clip proves, from a gradient's factors alone, that _sgd_step would
+# not clip it. Let u = 2^-53 and γ(k) = k·u/(1 - k·u). Take one weight term
+# (dz, x) of shapes (n, d) and (n, m), its exact gradient G = dzᵀx, and
+# S = Σ_r ‖dz_r‖·‖x_r‖ over the rows r, which bounds both ‖G‖_F and
+# ‖|dz|ᵀ|x|‖_F.
+#  - The formed Ĝ = fl(dzᵀx), in any summation order, has
+#    |Ĝ - G| ≤ γ(n)·|dz|ᵀ|x|, so ‖Ĝ‖² ≤ ‖G‖² + (2γ(n) + γ(n)²)·S².
+#  - ‖G‖² = Σ_rs P_rs·K_rs with the Gram matrices P = dz·dzᵀ and K = x·xᵀ.
+#    Their computed forms have |fl(P) - P| ≤ γ(d)·|dz||dz|ᵀ and
+#    |fl(K) - K| ≤ γ(m)·|x||x|ᵀ, and Σ_rs (|dz||dz|ᵀ)_rs·(|x||x|ᵀ)_rs ≤ S²
+#    by Cauchy-Schwarz, so T = fl(Σ_rs fl(P)_rs·fl(K)_rs) has
+#    ‖G‖² ≤ T + (γ(d) + γ(m) + γ(n²) + their products)·S².
+#  So ‖Ĝ‖² ≤ T + c·S² with c = 2·(n² + 2n + d + m)·u: twice the first-order
+# terms, which covers the products while k·u < 0.01 for every k above
+# (any array that fits in memory), and S's own rounding, since S is computed
+# from the Gram diagonals, fl(Σ_r sqrt(P_rr·K_rr)), with S² to within
+# (d + m + 2n + 4)·u. A bias or attention gradient v enters the vector as
+# it is, and ‖v‖² ≤ fl(v·v)·(1 + 2γ(d)). math.fsum adds the terms to within
+# u. np.linalg.norm of the formed vector of N entries is
+# fl(sqrt(fl(ĝ·ĝ))) ≤ sqrt(‖ĝ‖²·(1 + γ(N)))·(1 + u). Hence if
+# fsum·(1 + ρ) ≤ max_norm², where ρ = 2·(N + 8)·u covers γ(N), 2γ(d) (N
+# is more than 3d), these roundings and those of the comparison itself,
+# then the norm is at most max_norm and _sgd_step would not clip.
+# The γ bounds leave out underflow, which adds at most 2^-1074 per
+# operation. With every Gram diagonal at most 2^400, no factor entry
+# exceeds 2^200 and no product or sum overflows, so those additions,
+# magnified at most 2^400·n·√(d·m) times over fewer than 2^60 operations,
+# stay far below the 2^-500 that the bound adds. A non-finite factor makes
+# a Gram diagonal or the sum non-finite, so a finite bound also proves
+# every formed entry finite.
+_U = 2.0**-53
+_GRAM_LIMIT = 2.0**400
+
+
+def _cannot_clip(factors: GradFactors, max_norm: float, n_params: int) -> bool:
+    """True only if the gradient that factors stand for, once formed into a
+    vector, has finite entries and a norm of at most max_norm, so that
+    _sgd_step would step it unclipped; see the derivation above."""
+    grams = {}  # x·xᵀ once per input table, which the heads share
+    squares = []
+    for term in factors.terms:
+        if not isinstance(term, tuple):
+            squares.append(float(np.dot(term, term)))
+            continue
+        dz, x = term
+        if id(x) not in grams:
+            grams[id(x)] = x @ x.T
+        xx, zz = grams[id(x)], dz @ dz.T
+        if not (zz.diagonal().max() <= _GRAM_LIMIT and xx.diagonal().max() <= _GRAM_LIMIT):
+            return False
+        n, d = dz.shape
+        s = float(np.sqrt(zz.diagonal() * xx.diagonal()).sum())
+        c = 2.0 * (n * n + 2 * n + d + x.shape[1]) * _U
+        squares.append(float(np.dot(zz.ravel(), xx.ravel())) + c * s * s)
+    total = math.fsum(squares)
+    bound = total * (1.0 + 2.0 * (n_params + 8) * _U) + 2.0**-500
+    return math.isfinite(total) and bound <= max_norm * max_norm
+
+
+def _unclipped_step(model: LaffModel, factors: GradFactors, lr: float, scratch: np.ndarray) -> None:
+    """model.params -= lr * the gradient that factors stand for, one array at
+    a time: each array's gradient is formed in scratch, scaled there and
+    subtracted, as _sgd_step does with a gradient that it does not clip."""
+    for term, (_, param) in zip(factors.terms, named_parameters(model.heads)):
+        step = form_gradient(term, scratch[: param.size].reshape(param.shape))
+        step *= lr
+        param -= step
+
+
 def train_epoch(
     model: LaffModel,
     dataset: list[Triplet],
@@ -127,7 +200,10 @@ def train_epoch(
     order = rng.permutation(len(dataset))
     lr = cfg.learning_rate * cfg.lr_decay**epoch_index
     params = model.params
-    grad = np.empty_like(params)
+    largest = max(p.size for _, p in named_parameters(model.heads))
+    # The scratch of unclipped steps or, once a step may clip, the formed
+    # gradient, whose first entries then serve as the scratch.
+    buffer = np.empty(0)
     total = 0.0
     count = 0
     for batch_no, start in enumerate(range(0, len(order), cfg.batch_size)):
@@ -135,8 +211,18 @@ def train_epoch(
         if len(indices) < 2:
             continue
         batch = [dataset[i] for i in indices]
-        loss, _ = bnl_loss(model, batch, cfg.margins, out=grad)
-        if not np.isfinite(loss) or not _sgd_step(params, grad, lr, cfg.clip_norm):
+        loss, factors = bnl_loss(model, batch, cfg.margins, factored=True)
+        stepped = bool(np.isfinite(loss))
+        if stepped and _cannot_clip(factors, cfg.clip_norm, params.size):
+            if buffer.size < largest:
+                buffer = np.empty(largest)
+            _unclipped_step(model, factors, lr, buffer)
+        elif stepped:
+            if buffer.size < params.size:
+                buffer = None  # free the scratch before allocating its successor
+                buffer = np.empty_like(params)
+            stepped = _sgd_step(params, factors.to_vector(model, buffer), lr, cfg.clip_norm)
+        if not stepped:
             ids = [t.caption.item_id for t in batch]
             raise TrainingError(
                 f"non-finite loss in epoch {epoch_index}, batch {batch_no} (captions {ids})"

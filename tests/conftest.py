@@ -53,6 +53,25 @@ def huge_d_checkpoint(path) -> None:
     path.write_bytes(bytes(raw))
 
 
+def feat_bytes(records, dim=3, count=None, name=b"s", magic=b"AVSF", version=1) -> bytes:
+    """A feature file of (raw id, values) records, with the header as given;
+    the values are cast to float32 unchecked."""
+    count = len(records) if count is None else count
+    header = magic + struct.pack("<BIQH", version, dim, count, len(name)) + name
+    return header + b"".join(
+        struct.pack("<H", len(rec_id)) + rec_id + np.asarray(vals, dtype="<f4").tobytes()
+        for rec_id, vals in records
+    )
+
+
+def write_unchecked_features(path, space_name: str, features: dict) -> None:
+    """Write a feature file laid out as write_features lays it out, but
+    with its values unchecked, so that it can hold the NaN and infinite
+    values that write_features refuses and read_features must catch."""
+    records = [(item_id.encode(), vec) for item_id, vec in features.items()]
+    path.write_bytes(feat_bytes(records, dim=len(records[0][1]), name=space_name.encode()))
+
+
 def random_bundle(item_id: str, dims: dict[str, int], rng) -> FeatureBundle:
     return FeatureBundle(item_id, {name: rng.normal(size=dim) for name, dim in dims.items()})
 

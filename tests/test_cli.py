@@ -10,7 +10,7 @@ from avsearch.evaluation import read_run
 from avsearch.featio import checkpoint_load, checkpoint_save, write_features
 from avsearch.fusion import init_model
 
-from conftest import huge_d_checkpoint, randomized_model
+from conftest import huge_d_checkpoint, randomized_model, write_unchecked_features
 
 
 def run_cli(*argv):
@@ -165,6 +165,26 @@ class TestSynthAndTrain:
         assert len((tmp_path / "train.log").read_text().splitlines()) == 2
         assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.ini", "m.ckpt", "train.log"]
 
+    @pytest.mark.parametrize("exc, detail", [
+        (MemoryError("Unable to allocate 38.1 MiB for an array with shape (4987904,)"),
+         ": Unable to allocate 38.1 MiB for an array with shape (4987904,)"),
+        (MemoryError(), ""),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_exits_1(self, synth_dir, tmp_path, monkeypatch, capsys, exc, detail):
+        def exhausted(*args):
+            raise exc
+
+        monkeypatch.setattr(trainer, "train_epoch", exhausted)
+        ckpt = tmp_path / "m.ckpt"
+        assert run_cli(
+            "train",
+            "--train-manifest", synth_dir / "manifest_train.json",
+            "--val-manifest", synth_dir / "manifest_val.json",
+            "--out", ckpt,
+        ) == 1
+        assert capsys.readouterr().err == f"error: out of memory in train{detail}\n"
+        assert not ckpt.exists()
+
     def test_finetune_from_checkpoint(self, trained, synth_dir, tmp_path):
         assert run_cli(
             "train",
@@ -201,7 +221,7 @@ class TestSearchEvalPipeline:
         model = randomized_model({"vis": 3}, {"txt": 2}, d=4, heads=1, seed=8)
         ckpt = tmp_path / "m.ckpt"
         checkpoint_save(model, ckpt)
-        write_features(tmp_path / "v.feat", "vis", {
+        write_unchecked_features(tmp_path / "v.feat", "vis", {
             "v1": np.array([1.0, 0.0, 0.5]), "v2": np.array([0.0, 1.0, 0.5]),
             "vnan": np.array([0.2, np.nan, 0.1]),
         })
@@ -422,7 +442,7 @@ class TestRerankCli:
     def test_nan_frame_exits_1_naming_the_video(self, tmp_path, capsys):
         run, _, qf = self.write_inputs(tmp_path)
         frames = tmp_path / "nan_frames.feat"
-        write_features(frames, "fr", {
+        write_unchecked_features(frames, "fr", {
             "A#0": np.array([1.0, 0.0]), "B#0": np.array([0.0, 1.0]),
             "B#1": np.array([np.nan, 0.0]), "C#0": np.array([0.5, 0.5]),
         })

@@ -36,7 +36,15 @@ from avsearch.negation import Caption
 from avsearch.numeric import LinearTanhParams
 from avsearch.pseudocap import read_candidates, write_selection
 
-from conftest import huge_d_checkpoint, mutated, random_bundle, randomized_model, typed_outcome
+from conftest import (
+    feat_bytes,
+    huge_d_checkpoint,
+    mutated,
+    random_bundle,
+    randomized_model,
+    typed_outcome,
+    write_unchecked_features,
+)
 
 
 class TestFeatureFiles:
@@ -441,16 +449,6 @@ class TestFrameGrouping:
             group_frame_features({"v#x": rng.normal(size=2)})
 
 
-def feat_bytes(records, dim=3, count=None, name=b"s", magic=b"AVSF", version=1) -> bytes:
-    """A feature file of (raw id, values) records, with the header as given."""
-    count = len(records) if count is None else count
-    header = magic + struct.pack("<BIQH", version, dim, count, len(name)) + name
-    return header + b"".join(
-        struct.pack("<H", len(rec_id)) + rec_id + np.asarray(vals, dtype="<f4").tobytes()
-        for rec_id, vals in records
-    )
-
-
 # Three records whose ids are long enough that a file cut inside the middle
 # or last record still passes the header's minimum-size check, so the cut is
 # found by the per-record reads.
@@ -570,7 +568,7 @@ class TestNonFiniteValues:
         vecs = {f"v{i}": np.arange(float(dim)) + i for i in range(n)}
         for i, value in bad.items():
             vecs[f"v{i}"][1] = value
-        write_features(p, "s", vecs)
+        write_unchecked_features(p, "s", vecs)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("bad", [0, 2, 4], ids=["first", "middle", "last"])
@@ -612,6 +610,36 @@ class TestNonFiniteValues:
         p.write_bytes(p.read_bytes() + b"\x00")
         with pytest.raises(FormatError, match="trailing data"):
             read_features(p)
+
+
+class TestWriterRefusesWhatTheReaderRefuses:
+    F32_MAX = float(np.finfo(np.float32).max)
+
+    @pytest.mark.parametrize("value, message", [
+        (np.nan, "non-finite value nan in record 'v1'"),
+        (np.inf, "non-finite value inf in record 'v1'"),
+        (-np.inf, "non-finite value -inf in record 'v1'"),
+        (1e300, "value 1e+300 in record 'v1' overflows float32"),
+        (-F32_MAX - 2.0**103, "value -3.4028235677973366e+38 in record 'v1' overflows float32"),
+    ])
+    def test_refused_naming_the_record_and_the_old_file_kept(self, tmp_path, value, message):
+        p = tmp_path / "f.feat"
+        write_features(p, "s", {"old": np.zeros(3)})
+        before = p.read_bytes()
+        vecs = {"v0": np.ones(3), "v1": np.array([0.5, value, np.nan]), "v2": np.ones(3)}
+        with pytest.raises(FormatError) as exc:
+            write_features(p, "s", vecs)
+        assert str(exc.value) == f"{p}: {message}"
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["f.feat"]
+
+    def test_values_that_round_to_the_float32_maximum_are_kept(self, tmp_path):
+        # Below half an ulp (2**103) past the maximum, the cast rounds down.
+        p = tmp_path / "f.feat"
+        big = [self.F32_MAX, self.F32_MAX + 2.0**102, -self.F32_MAX]
+        write_features(p, "s", {"a": np.array(big), "b": np.full(3, 3e38, dtype=np.float32)})
+        _, table = read_features(p)
+        np.testing.assert_array_equal(table["a"], np.float32([self.F32_MAX, self.F32_MAX, -self.F32_MAX]))
 
 
 @st.composite

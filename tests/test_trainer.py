@@ -2,13 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import per_item_oracle as oracle
 from avsearch import trainer
 from avsearch.errors import ConfigError, DimensionError, TrainingError
 from avsearch.evaluation import JudgmentSet
 from avsearch.featio import checkpoint_load, checkpoint_save
-from avsearch.fusion import FeatureBundle, init_model
+from avsearch.fusion import FeatureBundle, GradFactors, form_gradient, init_model
 from avsearch.manifest import build_triplets, load_dataset, load_manifest
 from avsearch.negation import Caption, Margins, Triplet, hardest_negatives
 from avsearch.numeric import LinearTanhParams
@@ -16,6 +18,7 @@ from avsearch.synth import SpaceSpec, synth_dataset
 from avsearch.trainer import (
     TrainConfig,
     ValidationSet,
+    _cannot_clip,
     _sgd_step,
     evaluate_validation,
     fit,
@@ -189,22 +192,130 @@ class TestSgdStep:
         assert not _sgd_step(params, grad, 0.1, 5.0)
         np.testing.assert_array_equal(params, before)
 
-    def test_inf_gradient_with_finite_loss_aborts_with_batch_id(self, rng, monkeypatch):
+    @pytest.mark.parametrize("poison", [
+        lambda terms: terms[0][0].__setitem__((0, 1), np.inf),  # W's factor dz
+        lambda terms: terms[1].__setitem__(3, np.inf),  # b's gradient
+    ], ids=["weight-factor", "bias"])
+    def test_inf_gradient_with_finite_loss_aborts_with_batch_id(self, rng, monkeypatch, poison):
         calls = []
         real_bnl_loss = trainer.bnl_loss
 
-        def inf_on_second_batch(model, batch, m, out):
-            loss, grad = real_bnl_loss(model, batch, m, out=out)
+        def inf_on_second_batch(model, batch, m, factored):
+            loss, factors = real_bnl_loss(model, batch, m, factored=factored)
             calls.append(loss)
             if len(calls) == 2:
-                grad[3] = np.inf
-            return loss, grad
+                poison(factors.terms)
+            return loss, factors
 
         monkeypatch.setattr(trainer, "bnl_loss", inf_on_second_batch)
         model = init_model({"vis": 6}, {"txt": 5}, d=4, heads=1, seed=0)
-        with pytest.raises(TrainingError, match="epoch 0, batch 1"):
+        # BLAS may flag an invalid operation while forming the poisoned product.
+        with pytest.raises(TrainingError, match="epoch 0, batch 1"), np.errstate(invalid="ignore"):
             train_epoch(model, toy_triplets(rng, n=8), TrainConfig(batch_size=3), 0)
         assert np.isfinite(calls[1])
+
+
+def spy_sgd_step(monkeypatch) -> list:
+    """Patch trainer._sgd_step to record its calls (the steps that may clip)."""
+    calls = []
+    real = trainer._sgd_step
+
+    def recorded(*args):
+        calls.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(trainer, "_sgd_step", recorded)
+    return calls
+
+
+@st.composite
+def factor_terms(draw) -> list:
+    """GradFactors terms of one or two weights, each with its bias, and
+    maybe an attention vector, at one drawn scale. A weight's gradient may
+    nearly cancel (a row of dz repeated negated, up to a small change,
+    against the same row of x), so that the Gram sum is all rounding."""
+    scale = 2.0 ** draw(st.integers(-560, 220))
+    values = st.floats(-4.0, 4.0, allow_subnormal=False)
+    terms = []
+    for _ in range(draw(st.integers(1, 2))):
+        n, d, m = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+        dz = np.array(draw(st.lists(values, min_size=n * d, max_size=n * d))).reshape(n, d)
+        x = np.array(draw(st.lists(values, min_size=n * m, max_size=n * m))).reshape(n, m)
+        if draw(st.booleans()):
+            dz = np.vstack([dz, -dz * (1.0 + draw(st.sampled_from([1e-15, 1e-12, 1e-9])))])
+            x = np.vstack([x, x])
+        terms += [(dz * scale, x), dz.sum(axis=0) * scale]
+    if draw(st.booleans()):
+        terms.append(np.array(draw(st.lists(values, min_size=1, max_size=4))) * scale)
+    return terms
+
+
+class TestFactoredStep:
+    """train_epoch steps straight from bnl_loss's factors when the step
+    provably cannot clip, and forms the gradient for _sgd_step otherwise."""
+
+    @staticmethod
+    def one_batch(clip_at):
+        """A model, its training set of one batch and a config whose
+        clip_norm is clip_at(norm of that batch's formed gradient)."""
+        rng = np.random.default_rng(7)
+        model = randomized_model({"a": 7, "b": 5}, {"t": 6, "u": 4}, d=8, heads=2, seed=40)
+        model.params[::5] = -0.0
+        triplets = make_batch(rng, model, 6, [b % 3 != 0 for b in range(6)])
+        cfg = TrainConfig(batch_size=6, learning_rate=0.3, seed=3)
+        order = np.random.default_rng([cfg.seed, 0]).permutation(len(triplets))
+        _, grad = trainer.bnl_loss(model, [triplets[i] for i in order], cfg.margins)
+        cfg.clip_norm = clip_at(float(np.linalg.norm(grad)))
+        return model, triplets, cfg
+
+    @pytest.mark.parametrize("clip_at, may_clip", [
+        (lambda norm: norm, True),
+        (lambda norm: np.nextafter(norm, 0.0), True),
+        (lambda norm: np.nextafter(norm, np.inf), True),
+        (lambda norm: norm * (1 - 1e-9), True),
+        (lambda norm: norm * (1 + 1e-9), False),
+    ], ids=["norm", "below", "above", "1-1e-9", "1+1e-9"])
+    def test_clip_norm_at_the_gradient_norm_steps_as_oracle(self, monkeypatch, clip_at, may_clip):
+        model, triplets, cfg = self.one_batch(clip_at)
+        want = model.with_vector(model.params)
+        want_loss = oracle.train_epoch(want, triplets, cfg, 0)
+        calls = spy_sgd_step(monkeypatch)
+        assert train_epoch(model, triplets, cfg, 0) == want_loss
+        np.testing.assert_array_equal(model.params.view(np.int64), want.params.view(np.int64))
+        # Only the factored path steps without _sgd_step; a clip_norm a
+        # rounding away from the norm is left to the formed vector.
+        assert calls == ([cfg.clip_norm] if may_clip else [])
+
+    def test_unclipped_epoch_allocates_less_than_the_parameters(self, rng, monkeypatch):
+        # 256 * (3 * (1024 + 1) + 1 + 768 + 1 + 256 + 1 + 1) = 1050368
+        # float64, 8.4 MB; the largest weight, the scratch, is 2.1 MB.
+        model = init_model({"a": 1024, "b": 1024, "c": 1024}, {"t": 768, "u": 256}, d=256, heads=1)
+        triplets = make_batch(rng, model, 8, [b % 2 == 0 for b in range(8)])
+        cfg = TrainConfig(batch_size=4, clip_norm=1e9)
+        calls = spy_sgd_step(monkeypatch)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            train_epoch(model, triplets, cfg, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        assert model.params.nbytes == 1050368 * 8
+        assert peak < model.params.nbytes
+
+    @given(terms=factor_terms(), offset=st.sampled_from([-1e-3, -1e-9, 0.0, 1e-13, 1e-9, 1e-6]),
+           ulps=st.integers(-2, 2))
+    def test_cannot_clip_is_never_wrong(self, terms, offset, ulps):
+        grad = np.concatenate([form_gradient(t, np.empty((t[0].shape[1], t[1].shape[1])))
+                               if isinstance(t, tuple) else t for t in terms], axis=None)
+        norm = float(np.linalg.norm(grad))
+        max_norm = norm * (1 + offset)
+        for _ in range(abs(ulps)):
+            max_norm = np.nextafter(max_norm, np.inf if ulps > 0 else 0.0)
+        if max_norm > 0 and _cannot_clip(GradFactors(terms), max_norm, grad.size):
+            assert np.all(np.isfinite(grad))
+            assert float(np.linalg.norm(grad)) <= max_norm
 
 
 def make_validation(triplets) -> ValidationSet:
@@ -264,9 +375,11 @@ class TestFit:
 
     def test_peak_memory_is_two_parameter_vectors(self, rng, tmp_path):
         # The parameter vector dominates: 256 * (3072 + 768 + 4) = 984064
-        # float64, 7.9 MB. fit holds the model's vector and one gradient,
-        # plus the features and small per-batch temporaries; the checkpoint
-        # that on_best saves writes the model's arrays without copying them.
+        # float64, 7.9 MB. fit holds the model's vector and, in each epoch,
+        # the 6.3 MB scratch of unclipped steps or, once a step may clip
+        # (one of these four does), the formed gradient in its place, plus
+        # the features and small per-batch temporaries; the checkpoint that
+        # on_best saves writes the model's arrays without copying them.
         tracemalloc.start()
         try:
             triplets = toy_triplets(rng, n=8, vdim=3072, tdim=768)
