@@ -64,9 +64,15 @@ def _cmd_train(args) -> int:
         video_spaces = settings.video_spaces
         text_spaces = settings.text_spaces
 
-    train_data = load_dataset(load_manifest(args.train_manifest), video_spaces, text_spaces)
+    # Files that both manifests name are decoded once; each dataset builds
+    # its own bundles on the shared tables. Dropping the dict afterwards
+    # frees the tables of spaces that neither dataset keeps.
+    decoded = {}
+    train_manifest = load_manifest(args.train_manifest)
+    train_data = load_dataset(train_manifest, video_spaces, text_spaces, decoded)
     triplets = build_triplets(train_data)
-    val_data = load_dataset(load_manifest(args.val_manifest), video_spaces, text_spaces)
+    val_data = load_dataset(load_manifest(args.val_manifest), video_spaces, text_spaces, decoded)
+    del decoded
     if val_data.qrels is None:
         raise ConfigError(f"{args.val_manifest}: validation manifest has no qrels")
     val_queries = [

@@ -3,7 +3,10 @@
 Ranking yields one row per query, `(query id, item ids, scores)` as lists
 (`ranked_rows`); `rank_scores` and `rank_many` collect the rows into
 `(item_id, score)` lists, and `search` streams them into its run file
-through `write_rows`, the one run writer.
+through `write_rows`, the one run writer. Code that needs only where the
+relevant items land (validation, the nearest-latent oracle) counts their
+ranks with `relevant_ranks` instead of sorting each row, and scores them
+with `ap_from_ranks`, the AP formula that `average_precision` also ends in.
 
 Run files are line-oriented: `query_id Q0 item_id rank score run_tag` with
 single spaces, ranks from 1, scores printed with 6 decimals. Qrels lines are
@@ -153,6 +156,13 @@ def ranked_rows(
     -0.0 included. So each row lists distinct ids, by non-increasing
     finite scores.
     """
+    return _top_k_rows(sims, query_ids, *_id_order(sims, query_ids, item_ids), top_k)
+
+
+def _id_order(sims, query_ids, item_ids) -> tuple[np.ndarray, np.ndarray]:
+    """(the column indices of sims in item-id order, the ids in that order),
+    after refusing duplicate item ids and then non-finite similarities in
+    the rows of query_ids, as `ranked_rows` documents."""
     n = len(item_ids)
     by_id = np.array(sorted(range(n), key=item_ids.__getitem__), dtype=np.intp)
     ids_by_id = np.array(item_ids, dtype=object)[by_id]
@@ -167,7 +177,7 @@ def ranked_rows(
         raise FormatError(
             f"query {query_ids[q]!r}: non-finite similarity {s[j]} at item {ids_by_id[j]!r}"
         )
-    return _top_k_rows(sims, query_ids, by_id, ids_by_id, top_k)
+    return by_id, ids_by_id
 
 
 def _top_k_rows(sims, query_ids, by_id, ids_by_id, top_k) -> Iterator[RankedRow]:
@@ -194,27 +204,64 @@ def rank(
     return rank_many(model, [query], corpus, top_k)[query.item_id]
 
 
+def relevant_ranks(
+    sims: np.ndarray, query_ids: list[str], item_ids: list[str], targets
+) -> list[list[int]]:
+    """For each (row, relevant item ids) of targets, the ascending 1-based
+    ranks that `ranked_rows` gives, in that row of sims, to those of the ids
+    that label its columns; ids that label none are left out.
+
+    The ranks are counted, not sorted: in a row s, item j ranks
+    1 + #(s > s_j) + #(s == s_j and id < id_j), which is `ranked_rows`'
+    order, -0.0 tying with 0.0. The matrix and the ids are checked at the
+    call as in `ranked_rows`, with its errors.
+    """
+    by_id, ids_by_id = _id_order(sims, query_ids, item_ids)
+    position = {item: p for p, item in enumerate(ids_by_id.tolist())}
+    out = []
+    for row, relevant in targets:
+        s = sims[row, by_id]
+        ranks = []
+        for item in relevant:
+            p = position.get(item)
+            if p is not None:
+                v = s[p]
+                ranks.append(1 + int(np.count_nonzero(s > v) + np.count_nonzero(s[:p] == v)))
+        out.append(sorted(ranks))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
+
+
+def ap_from_ranks(ranks: list[int], total_relevant: int) -> float:
+    """AP = (1/R) sum over relevant hits at rank k of (hits through k)/k,
+    from the ascending ranks of the retrieved relevant items and R."""
+    acc = 0.0
+    for hits, k in enumerate(ranks, start=1):
+        acc += hits / k
+    return acc / total_relevant
 
 
 def average_precision(entry: RunEntry, judgments: dict[str, int]) -> float:
     """AP = (1/R) sum over relevant hits at rank k of (hits through k)/k.
 
     R counts every judged-relevant item, retrieved or not; unjudged items
-    count as nonrelevant (only meaningful on fully judged queries).
+    count as nonrelevant (only meaningful on fully judged queries). The
+    scan stops at the last judged-relevant item.
     """
     total_relevant = sum(1 for rel in judgments.values() if rel == 1)
     if total_relevant == 0:
         raise MetricError("average precision undefined: no relevant items")
-    hits = 0
-    acc = 0.0
+    ranks = []
     for k, (item_id, _) in enumerate(entry, start=1):
         if judgments.get(item_id, 0) == 1:
-            hits += 1
-            acc += hits / k
-    return acc / total_relevant
+            ranks.append(k)
+            if len(ranks) == total_relevant:
+                break
+    return ap_from_ranks(ranks, total_relevant)
 
 
 def inf_ap(entry: RunEntry, judgments: dict[str, int]) -> float:
@@ -224,7 +271,8 @@ def inf_ap(entry: RunEntry, judgments: dict[str, int]) -> float:
     1/k + ((k-1)/k) * (d/(k-1)) * ((r + eps)/(r + n + 2 eps)) where d, r, n
     count judged / judged-relevant / judged-nonrelevant items above rank k
     (the rank-1 term is exactly 1). The sum is divided by the number of
-    judged-relevant items. Collapses to AP when the pool is complete.
+    judged-relevant items. Collapses to AP when the pool is complete. The
+    scan stops at the last judged-relevant item.
     """
     total_relevant = sum(1 for rel in judgments.values() if rel == 1)
     if total_relevant == 0:
@@ -247,6 +295,8 @@ def inf_ap(entry: RunEntry, judgments: dict[str, int]) -> float:
             judged_above += 1
             if rel == 1:
                 relevant_above += 1
+                if relevant_above == total_relevant:
+                    break
     return acc / total_relevant
 
 

@@ -19,8 +19,9 @@ product where its caller wants it: in a flat gradient vector or, in the
 trainer, in a scratch array that steps one weight. The per-item functions
 laff_forward, laff_vjp, similarity and similarity_with_grad call
 batch_forward (and batch_backward) on one-row tables, and corpus embedding
-runs in fixed-size row blocks. Many (video, text) pairs are scored together
-by pair_similarities, which embeds each distinct bundle once.
+runs in fixed-size row blocks, one head at a time on each block's tables.
+Many (video, text) pairs are scored together by pair_similarities, which
+embeds each distinct bundle once.
 
 Iteration over feature spaces is always in sorted space-name order so that
 results are reproducible regardless of how bundles were assembled.
@@ -291,6 +292,8 @@ def init_model(
 
     Zero attention vectors start every branch at uniform attention, the
     unbiased prior. Heads draw independent weights, in the canonical order.
+    Each weight is drawn in place, as rng.uniform(-bound, bound, size=shape)
+    computes it (-bound + 2·bound·x from the same stream), with no copy.
     """
     zeros = np.zeros(param_count(video_dims, text_dims, d, heads))
     model = LaffModel.from_params(zeros, video_dims, text_dims, d, heads)
@@ -300,7 +303,9 @@ def init_model(
             for name in branch.spaces:
                 weight = branch.transforms[name].weight
                 bound = 1.0 / np.sqrt(weight.shape[1])
-                weight[...] = rng.uniform(-bound, bound, size=weight.shape)
+                rng.random(out=weight)
+                weight *= 2.0 * bound
+                weight -= bound
     return model
 
 
@@ -549,11 +554,12 @@ def _head_branches(model: LaffModel, branch: str) -> list[LaffBranchParams]:
     return [head.video if branch == "video" else head.text for head in model.heads]
 
 
-def _branch_blocks(branches: list[LaffBranchParams], bundles: list):
-    """Yield (first row, per-head BranchState) over blocks of BLOCK_ROWS bundles."""
+def _branch_blocks(branch: LaffBranchParams, bundles: list):
+    """Yield (first row, per-space input tables) over blocks of BLOCK_ROWS
+    bundles. The heads share the tables; a caller runs one head on them at a
+    time, so only one head's BranchState is alive."""
     for start in range(0, len(bundles), BLOCK_ROWS):
-        tables = branch_tables(branches[0], bundles[start : start + BLOCK_ROWS])
-        yield start, [batch_forward(bp, tables) for bp in branches]
+        yield start, branch_tables(branch, bundles[start : start + BLOCK_ROWS])
 
 
 def fused_matrix(model: LaffModel, bundles, branch: str) -> list[np.ndarray]:
@@ -565,9 +571,9 @@ def fused_matrix(model: LaffModel, bundles, branch: str) -> list[np.ndarray]:
     branches = _head_branches(model, branch)
     bundles = list(bundles)
     out = [np.empty((len(bundles), model.d)) for _ in branches]
-    for start, states in _branch_blocks(branches, bundles):
-        for mat, state in zip(out, states):
-            mat[start : start + state.fused.shape[0]] = state.fused
+    for start, tables in _branch_blocks(branches[0], bundles):
+        for mat, bp in zip(out, branches):
+            mat[start : start + BLOCK_ROWS] = batch_forward(bp, tables).fused
     return out
 
 
@@ -617,9 +623,9 @@ def feature_importance(
         raise ValueError("feature_importance needs a nonempty dataset")
     spaces = branches[0].spaces
     acc = np.zeros(len(spaces))
-    for _, states in _branch_blocks(branches, dataset):
-        for state in states:
-            acc += state.weights.sum(axis=0)
+    for _, tables in _branch_blocks(branches[0], dataset):
+        for bp in branches:
+            acc += batch_forward(bp, tables).weights.sum(axis=0)
     means = acc / (len(dataset) * model.h)
     ranked = sorted(zip(spaces, means), key=lambda kv: (-kv[1], kv[0]))
     return [(name, float(w)) for name, w in ranked]

@@ -11,7 +11,9 @@ third column naming the negated caption. Both are read through
 
 `load_feature_bundles` is the one feature loader: `load_dataset` calls it
 once per modality, and the CLI and the synthetic-data oracle call it for
-just the files they need.
+just the files they need. Both take a `decoded` dict that carries decoded
+files from one call to the next, so that manifests sharing a file (as
+`train` and `val` of a synthetic dataset do) decode it once.
 """
 
 from __future__ import annotations
@@ -189,7 +191,7 @@ class LoadedDataset:
 
 
 def load_feature_bundles(
-    paths, subset=None, what: str = "feature", ids=None
+    paths, subset=None, what: str = "feature", ids=None, decoded=None
 ) -> tuple[dict[str, int], dict[str, FeatureBundle]]:
     """Load one modality's feature files into (dims per space, bundles by item id).
 
@@ -197,12 +199,21 @@ def load_feature_bundles(
     subset, only those spaces are kept, in that order, and each must be
     present. Bundles cover the ids present in every kept space, in the
     record order of the alphabetically first space. With ids, only those
-    records are decoded; the rest of each file is skipped.
+    records are decoded; the rest of each file is skipped. decoded, when
+    given, maps each file's resolved path to what read_features returned
+    for it: a file found there is not read again, and one read is added.
+    Its tables are whole files, so it cannot be combined with ids.
     """
+    if ids is not None and decoded is not None:
+        raise ValueError("ids and decoded cannot be given together")
     keep = None if ids is None else set(ids)
+    decoded = {} if decoded is None else decoded
     spaces: dict[str, FeatureTable] = {}
     for path in map(Path, paths):
-        name, features = read_features(path, keep)
+        key = path.resolve()
+        if key not in decoded:
+            decoded[key] = read_features(path, keep)
+        name, features = decoded[key]
         if name in spaces:
             raise ConfigError(f"{what} space {name!r} appears in more than one file")
         spaces[name] = features
@@ -228,14 +239,21 @@ def load_dataset(
     manifest: DatasetManifest,
     video_spaces: list[str] | None = None,
     text_spaces: list[str] | None = None,
+    decoded: dict | None = None,
 ) -> LoadedDataset:
     """Load every file a manifest references and assemble feature bundles.
 
     Bundles are built for ids present in every space of their modality;
     pair rows referencing other ids fail later, by name, in build_triplets.
+    decoded is passed on to load_feature_bundles, so datasets loaded with
+    one dict share the decoded tables of the files they share.
     """
-    video_dims, video_bundles = load_feature_bundles(manifest.video_features, video_spaces, "video")
-    text_dims, text_bundles = load_feature_bundles(manifest.text_features, text_spaces, "text")
+    video_dims, video_bundles = load_feature_bundles(
+        manifest.video_features, video_spaces, "video", decoded=decoded
+    )
+    text_dims, text_bundles = load_feature_bundles(
+        manifest.text_features, text_spaces, "text", decoded=decoded
+    )
     return LoadedDataset(
         video_dims,
         text_dims,

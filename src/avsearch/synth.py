@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .evaluation import JudgmentSet, average_precision, rank_scores, write_qrels
+from .evaluation import JudgmentSet, ap_from_ranks, relevant_ranks, write_qrels
 from .featio import write_features
 from .manifest import (
     DatasetManifest,
@@ -250,6 +250,8 @@ def nearest_latent_map(out_dir, split: str = "val") -> float:
         q = text_z[caption_id]
         qn = np.linalg.norm(q) or 1.0
         sims.append((vmat @ q) / (vnorm * qn))
-    entries = rank_scores(np.stack(sims), query_ids, video_ids, len(video_ids))
-    scores = [average_precision(entries[c], {v: 1}) for v, c, _ in pairs]
+    row = {caption_id: i for i, caption_id in enumerate(query_ids)}
+    targets = [(row[c], [v]) for v, c, _ in pairs]
+    ranks = relevant_ranks(np.stack(sims), query_ids, video_ids, targets)
+    scores = [ap_from_ranks(r, 1) for r in ranks]
     return sum(scores) / len(scores)

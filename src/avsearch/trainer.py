@@ -3,8 +3,9 @@
 Plain SGD keeps the hand-derived gradients auditable; the learning rate
 decays multiplicatively per epoch and gradients are clipped at a global
 norm to guard against hinge-induced spikes. After every epoch the model is
-scored on a validation set (mAP or recall@K), and each epoch that beats
-every earlier one is handed to the caller, who saves it.
+scored on a validation set (mAP or recall@K, from the relevant items' ranks,
+counted in the similarity matrix), and each epoch that beats every earlier
+one is handed to the caller, who saves it.
 
 `fit` trains the caller's model in place: `train_epoch` steps its parameter
 vector. `bnl_loss` hands each batch's gradient over as its factors (a
@@ -30,7 +31,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, MetricError, TrainingError
-from .evaluation import JudgmentSet, average_precision, rank_many
+# `rank_many` is unused here but stays importable from this module: the
+# benchmark's tracer (perfbench/tracer.py) wraps it by name.
+from .evaluation import (
+    JudgmentSet,
+    ap_from_ranks,
+    rank_many,  # noqa: F401
+    relevant_ranks,
+    similarity_matrix,
+)
 from .fusion import FeatureBundle, GradFactors, LaffModel, form_gradient, named_parameters
 from .negation import Margins, Triplet, bnl_loss
 
@@ -231,37 +240,42 @@ def train_epoch(
         count += len(batch)
     if count == 0:
         raise ValueError("dataset yielded no batch of size >= 2")
-    if not np.all(np.isfinite(params)):
+    # NaN propagates through min and max, so both are finite exactly when
+    # every parameter is, and neither allocates or can overflow.
+    if not (math.isfinite(params.min()) and math.isfinite(params.max())):
         raise TrainingError(f"non-finite parameters after epoch {epoch_index}")
     return total / count
 
 
-def _recall_at_k(entry, labels: dict[str, int], k: int) -> float:
-    relevant = {i for i, rel in labels.items() if rel == 1}
-    if not relevant:
-        raise MetricError("recall undefined: no relevant items")
-    hits = sum(1 for item, _ in entry[:k] if item in relevant)
-    return hits / len(relevant)
-
-
 def evaluate_validation(model: LaffModel, val: ValidationSet, metric: str = "mAP") -> float:
-    """Mean retrieval score of the model on a validation set."""
+    """Mean retrieval score of the model on a validation set.
+
+    Scores each judged query from the ranks of its relevant items, counted
+    in the similarity matrix (relevant_ranks), so the corpus is never
+    sorted; the ranks, errors and scores are those of ranking the whole
+    corpus per query (rank_many) and scoring the rankings. A query id listed
+    twice is scored twice, both times on its last row.
+    """
     match = _RECALL_RE.match(metric)
     if metric != "mAP" and not match:
         raise ConfigError(f"unknown validation metric {metric!r}")
-    entries = rank_many(model, val.queries, val.corpus, top_k=len(val.corpus))
-    scores = []
-    for query in val.queries:
-        labels = val.judgments.judgments.get(query.item_id)
-        if labels is None or not any(rel == 1 for rel in labels.values()):
-            continue
-        entry = entries[query.item_id]
-        if match:
-            scores.append(_recall_at_k(entry, labels, int(match.group(1))))
-        else:
-            scores.append(average_precision(entry, labels))
-    if not scores:
+    query_ids = [query.item_id for query in val.queries]
+    last_row = {qid: row for row, qid in enumerate(query_ids)}
+    targets = []
+    for qid in query_ids:
+        labels = val.judgments.judgments.get(qid, {})
+        relevant = [item for item, rel in labels.items() if rel == 1]
+        if relevant:
+            targets.append((last_row[qid], relevant))
+    sims = similarity_matrix(model, val.queries, val.corpus)
+    ranked = relevant_ranks(sims, query_ids, [item.item_id for item in val.corpus], targets)
+    if not targets:
         raise MetricError("no validation query has relevant judgments")
+    if match:
+        k = int(match.group(1))
+        scores = [sum(r <= k for r in ranks) / len(rel) for ranks, (_, rel) in zip(ranked, targets)]
+    else:
+        scores = [ap_from_ranks(ranks, len(rel)) for ranks, (_, rel) in zip(ranked, targets)]
     return sum(scores) / len(scores)
 
 

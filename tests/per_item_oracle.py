@@ -11,9 +11,12 @@ refuses the first record holding a non-finite value, and
 `group_frame_features` restacks its frame records item by item, as the
 references for the columnar decoder and the one-sort grouping. `rank_scores`
 sorts each query in Python on the key (-score, item_id), as the reference
-for `evaluation.rank_scores`, and `write_run` writes each line of a run
+for `evaluation.rank_scores`; `relevant_ranks` reads ranks off its lists,
+as the reference for the counted ranks, and `write_run` writes each line of a run
 with its own f-string, as the reference for `evaluation.write_rows`.
-`train_epoch` adds each batch's gradient into a new zeroed vector and
+`average_precision`, `inf_ap` and `recall_at_k` scan a whole ranked list,
+as the references for the metrics that stop at the last relevant item or
+count ranks. `train_epoch` adds each batch's gradient into a new zeroed vector and
 updates with one expression, as the reference for the trainer's in-place
 step.
 """
@@ -30,7 +33,7 @@ import numpy as np
 from avsearch.errors import FormatError
 from avsearch.featio import FEATURE_MAGIC, FORMAT_VERSION, _read_name, _Reader, atomic_open
 
-from avsearch.evaluation import _check_ids, _minmax
+from avsearch.evaluation import INF_AP_EPS, _check_ids, _minmax
 from avsearch.fusion import BranchGrads, FeatureBundle, LaffBranchParams, LaffModel
 from avsearch.fusion import fused_matrix as batched_fused_matrix
 from avsearch.negation import bnl_loss as batched_bnl_loss
@@ -222,6 +225,60 @@ def rank_scores(sims, query_ids, item_ids, top_k):
         order = sorted(range(len(item_ids)), key=lambda i: (-sims[qi, i], item_ids[i]))
         out[qid] = [(item_ids[i], float(sims[qi, i])) for i in order[:top_k]]
     return out
+
+
+def relevant_ranks(sims, query_ids, item_ids, targets):
+    """For each (row, relevant ids), the ascending positions of those ids in
+    that row's full `rank_scores` list."""
+    out = []
+    for row, relevant in targets:
+        entry = rank_scores(sims[row : row + 1], [query_ids[row]], item_ids, len(item_ids))
+        rank_of = {item: k for k, (item, _) in enumerate(entry[query_ids[row]], start=1)}
+        out.append(sorted(rank_of[item] for item in relevant if item in rank_of))
+    return out
+
+
+def average_precision(entry, judgments) -> float:
+    """AP over the whole list, one hit at a time."""
+    total_relevant = sum(1 for rel in judgments.values() if rel == 1)
+    hits = 0
+    acc = 0.0
+    for k, (item_id, _) in enumerate(entry, start=1):
+        if judgments.get(item_id, 0) == 1:
+            hits += 1
+            acc += hits / k
+    return acc / total_relevant
+
+
+def inf_ap(entry, judgments) -> float:
+    """Inferred AP over the whole list, with `evaluation.inf_ap`'s estimator."""
+    total_relevant = sum(1 for rel in judgments.values() if rel == 1)
+    acc = 0.0
+    judged_above = 0
+    relevant_above = 0
+    for k, (item_id, _) in enumerate(entry, start=1):
+        rel = judgments.get(item_id)
+        if rel == 1:
+            if k == 1:
+                acc += 1.0
+            else:
+                d = judged_above
+                r = relevant_above
+                n = d - r
+                est = (d / (k - 1)) * ((r + INF_AP_EPS) / (r + n + 2 * INF_AP_EPS))
+                acc += 1.0 / k + ((k - 1) / k) * est
+        if rel is not None:
+            judged_above += 1
+            if rel == 1:
+                relevant_above += 1
+    return acc / total_relevant
+
+
+def recall_at_k(entry, labels, k: int) -> float:
+    """The share of the relevant items that the first k entries list."""
+    relevant = {i for i, rel in labels.items() if rel == 1}
+    hits = sum(1 for item, _ in entry[:k] if item in relevant)
+    return hits / len(relevant)
 
 
 def rank_many(model: LaffModel, queries, corpus, top_k):

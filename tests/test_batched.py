@@ -6,6 +6,7 @@ code must agree with them to 1e-12 relative, pick exactly the same hardest
 negatives, and rerank bit-identically.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -133,6 +134,29 @@ class TestFusedMatrixOracle:
         want = oracle.fused_matrix(model, bundles, "video")
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=RTOL, atol=RTOL)
+
+    def test_holds_one_block_and_one_heads_state(self, rng):
+        # Beyond its output, fused_matrix holds a block's input tables (two
+        # while the next block is stacked) and one head's forward pass, whose
+        # transformed features, (BLOCK_ROWS, 3, 128) float64, dominate. Two
+        # heads' states, or a block's states kept while the next block is
+        # embedded, exceed the bound.
+        dims = {"a": 64, "b": 48, "c": 40}
+        model = init_model(dims, {"t": 8}, d=128, heads=2, seed=0)
+        bundles = [
+            FeatureBundle(f"v{i}", {k: rng.random(n, np.float32) for k, n in dims.items()})
+            for i in range(2 * BLOCK_ROWS)
+        ]
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            out = fused_matrix(model, bundles, "video")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tables = BLOCK_ROWS * sum(dims.values()) * 8
+        transformed = BLOCK_ROWS * len(dims) * model.d * 8
+        assert peak < sum(m.nbytes for m in out) + tables + 2 * transformed
 
     def test_text_branch(self, rng):
         model = paper_like_model(31)

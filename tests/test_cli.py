@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from avsearch import trainer
+from avsearch import manifest, trainer
 from avsearch.cli import main
 from avsearch.errors import TrainingError
 from avsearch.evaluation import read_run
@@ -119,6 +119,28 @@ class TestSynthAndTrain:
         ) == 0
         out = capsys.readouterr().out
         assert "best_epoch\t" in out and "best_mAP\t" in out
+
+    def test_train_decodes_each_feature_file_once(self, synth_dir, tmp_path, monkeypatch):
+        # The train and val manifests of a synthetic dataset name the same
+        # feature files.
+        reads = []
+        real = manifest.read_features
+
+        def spy(path, keep=None):
+            reads.append(path)
+            return real(path, keep)
+
+        monkeypatch.setattr(manifest, "read_features", spy)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[model]\nd = 8\n[train]\nepochs = 1\nbatch_size = 6\n")
+        assert run_cli(
+            "train",
+            "--train-manifest", synth_dir / "manifest_train.json",
+            "--val-manifest", synth_dir / "manifest_val.json",
+            "--config", cfg, "--out", tmp_path / "m.ckpt",
+        ) == 0
+        assert sorted(p.name for p in reads) == sorted(p.name for p in synth_dir.glob("*.feat"))
+        assert len(reads) == 4
 
     def test_train_deterministic_checkpoints(self, synth_dir, tmp_path):
         cfg = tmp_path / "cfg.ini"

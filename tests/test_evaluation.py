@@ -1,7 +1,11 @@
+from itertools import chain
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+
+import per_item_oracle as oracle
 
 from avsearch.errors import FormatError, MetricError
 from avsearch.evaluation import (
@@ -16,6 +20,7 @@ from avsearch.evaluation import (
     rank_many,
     rank_scores,
     read_qrels,
+    relevant_ranks,
     read_run,
     write_qrels,
     write_run,
@@ -120,6 +125,60 @@ class TestRank:
             rank_scores(sims, ["q0", "q1"], ["c", "b", "a"], top_k=3)
 
 
+# Few distinct values, so rows tie often, -0.0 and 0.0 among them.
+TIED_SCORES = st.sampled_from([-1.0, -0.25, -0.0, 0.0, 0.25, 1.0])
+# Ids whose Python string order is not their length or column order.
+ITEM_IDS = ["b", "a", "ab", "B", "a0", "aa", "10", "9"]
+
+
+@st.composite
+def tied_rankings(draw):
+    """(sims, query ids, item ids, targets) with ties across ids, repeated
+    query ids, and relevant ids that label no column."""
+    n = draw(st.integers(1, len(ITEM_IDS)))
+    m = draw(st.integers(1, 4))
+    item_ids = draw(st.permutations(ITEM_IDS))[:n]
+    sims = np.array(
+        draw(st.lists(st.lists(TIED_SCORES, min_size=n, max_size=n), min_size=m, max_size=m))
+    )
+    query_ids = draw(st.lists(st.sampled_from(["q0", "q1"]), min_size=m, max_size=m))
+    relevant = st.lists(st.sampled_from(item_ids + ["gone", "zz"]), unique=True)
+    targets = draw(st.lists(st.tuples(st.integers(0, m - 1), relevant), max_size=6))
+    return sims, query_ids, item_ids, targets
+
+
+class TestRelevantRanks:
+    @given(case=tied_rankings())
+    def test_counted_ranks_are_positions_in_the_sorted_lists(self, case):
+        assert relevant_ranks(*case) == oracle.relevant_ranks(*case)
+
+    def test_constant_row_ranks_by_id(self):
+        sims = np.array([[0.5, 0.5, 0.5, 0.5]])
+        ranks = relevant_ranks(sims, ["q"], ["c", "a", "d", "b"], [(0, ["d", "a", "b"])])
+        assert ranks == [[1, 2, 4]]
+
+    def test_signed_zeros_tie(self):
+        sims = np.array([[-0.0, 0.0, 0.0, -0.0]])
+        ranks = relevant_ranks(sims, ["q"], ["d", "c", "b", "a"], [(0, ["d", "a"]), (0, ["b"])])
+        assert ranks == [[1, 4], [2]]
+
+    @pytest.mark.parametrize(
+        "sims, item_ids",
+        [
+            (np.array([[0.1, np.nan, 0.3], [0.1, 0.2, -np.inf]]), ["c", "b", "a"]),
+            (np.array([[0.1, 0.2, 0.3], [np.inf, 0.2, np.nan]]), ["c", "b", "a"]),
+            (np.array([[0.1, 0.2, np.nan]]), ["a", "b", "a"]),
+        ],
+    )
+    def test_errors_are_ranked_rows_errors(self, sims, item_ids):
+        query_ids = [f"q{i}" for i in range(len(sims))]
+        with pytest.raises((FormatError, ValueError)) as want:
+            rank_scores(sims, query_ids, item_ids, len(item_ids))
+        with pytest.raises(type(want.value)) as got:
+            relevant_ranks(sims, query_ids, item_ids, [(0, ["a"])])
+        assert str(got.value) == str(want.value)
+
+
 class TestAveragePrecision:
     def test_single_relevant_at_rank_one(self):
         assert average_precision([("a", 1.0)], {"a": 1}) == 1.0
@@ -155,6 +214,35 @@ class TestAveragePrecision:
             labels2["tail"] = 0
             ap2 = average_precision(entry + [("tail", -2.0)], labels2)
             assert ap2 <= ap1 + 1e-15
+
+
+class TestScanStopsAtLastRelevant:
+    @staticmethod
+    def entry(items):
+        """The (item, score) pairs of items, then an error if read further."""
+        def past_the_end():
+            raise AssertionError("scanned past the last relevant item")
+            yield
+        return chain(((item, 1.0 - k / 10) for k, item in enumerate(items)), past_the_end())
+
+    def test_average_precision(self):
+        labels = {"r": 1, "s": 1, "b": 0}
+        assert average_precision(self.entry(["a", "r", "b", "s"]), labels) == (1 / 2 + 2 / 4) / 2
+
+    def test_inf_ap(self):
+        labels = {"r": 1, "s": 1, "b": 0}
+        want = oracle.inf_ap([(i, 0.0) for i in ["a", "r", "b", "s", "t"]], labels)
+        assert inf_ap(self.entry(["a", "r", "b", "s"]), labels) == want
+
+    @pytest.mark.parametrize("judged_fraction", [1.0, 0.5])
+    def test_bit_identical_to_the_full_scan(self, rng, judged_fraction):
+        for _ in range(300):
+            entry, labels = random_run_and_judgments(rng, judged_fraction=judged_fraction)
+            if not any(r == 1 for r in labels.values()):
+                continue
+            for metric, full_scan in ((average_precision, oracle.average_precision),
+                                      (inf_ap, oracle.inf_ap)):
+                assert metric(entry, labels).hex() == full_scan(entry, labels).hex()
 
 
 class TestInfAp:

@@ -489,6 +489,22 @@ class TestModelStructure:
                     bound = 1.0 / math.sqrt(p.in_dim)
                     assert np.all(np.abs(p.weight) <= bound)
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_init_draws_each_weight_as_one_uniform_call(self, seed):
+        # Odd shapes: the in-place draw must take the same stream, in the
+        # same order, and round as rng.uniform(-bound, bound, size) does.
+        video, text = {"b": 13, "a": 7, "c": 1}, {"t": 5, "s": 11}
+        model = init_model(video, text, d=3, heads=2, seed=seed)
+        rng = np.random.default_rng(seed)
+        want = LaffModel.from_params(np.zeros(model.n_params()), video, text, d=3, heads=2)
+        for head in want.heads:
+            for branch in (head.video, head.text):
+                for name in branch.spaces:
+                    weight = branch.transforms[name].weight
+                    bound = 1.0 / np.sqrt(weight.shape[1])
+                    weight[...] = rng.uniform(-bound, bound, size=weight.shape)
+        assert model.params.tobytes() == want.params.tobytes()
+
     def test_mismatched_heads_rejected(self, rng):
         h1 = LaffHead(make_branch({"a": 3}, 4, rng), make_branch({"t": 2}, 4, rng))
         h2 = LaffHead(make_branch({"a": 3}, 5, rng), make_branch({"t": 2}, 5, rng))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from avsearch import manifest as manifest_module
 from avsearch.config import Settings, load_settings
 from avsearch.errors import ConfigError, FormatError
 from avsearch.featio import write_features
@@ -290,6 +291,52 @@ class TestLoadDataset:
         for item_id, bundle in bundles.items():
             for name, vec in bundle.features.items():
                 np.testing.assert_array_equal(vec, full[item_id].features[name])
+
+
+class TestSharedDecode:
+    @staticmethod
+    def spy_reads(monkeypatch) -> list:
+        """The paths that read_features is called with, in order."""
+        reads = []
+        real = manifest_module.read_features
+
+        def spy(path, keep=None):
+            reads.append(path.name)
+            return real(path, keep)
+
+        monkeypatch.setattr(manifest_module, "read_features", spy)
+        return reads
+
+    def test_datasets_sharing_files_decode_each_once(self, tmp_path, rng, monkeypatch):
+        path = small_dataset(tmp_path, rng)
+        write_pairs(tmp_path / "pairs_val.tsv", [("v1", "v1c0", None)])
+        other = load_manifest(path)
+        other.pairs = tmp_path / "pairs_val.tsv"
+        write_manifest(tmp_path / "manifest_val.json", other)
+        reads = self.spy_reads(monkeypatch)
+        decoded = {}
+        train = load_dataset(load_manifest(path), decoded=decoded)
+        val = load_dataset(load_manifest(tmp_path / "manifest_val.json"), ["clip"], None, decoded)
+        assert reads == ["va.feat", "vb.feat", "t.feat"]
+        assert val.pairs == [("v1", "v1c0", None)] and val.video_dims == {"clip": 2}
+        # Each dataset has bundles of its own, on the same decoded rows.
+        for item_id, bundle in val.video_bundles.items():
+            same = train.video_bundles[item_id]
+            assert bundle is not same
+            assert bundle.features["clip"].base is same.features["clip"].base
+
+    def test_path_spellings_of_one_file_share_a_decode(self, tmp_path, rng, monkeypatch):
+        small_dataset(tmp_path, rng)
+        reads = self.spy_reads(monkeypatch)
+        decoded = {}
+        load_feature_bundles([tmp_path / "va.feat"], decoded=decoded)
+        load_feature_bundles([tmp_path / "sub" / ".." / "va.feat"], decoded=decoded)
+        assert reads == ["va.feat"]
+
+    def test_ids_and_decoded_refused_together(self, tmp_path, rng):
+        small_dataset(tmp_path, rng)
+        with pytest.raises(ValueError, match="cannot be given together"):
+            load_feature_bundles([tmp_path / "va.feat"], ids=["v0"], decoded={})
 
 
 class TestConfig:

@@ -2,6 +2,7 @@
 per-line f-string writer and per-query Python sort of `per_item_oracle`."""
 
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -71,7 +72,9 @@ def runs(draw, ids=valid_ids) -> RankedRun:
     for qid in draw(st.lists(ids, max_size=4, unique=True)):
         items = draw(st.lists(ids, max_size=8, unique=True))
         drawn = draw(st.lists(scores, min_size=len(items), max_size=len(items)))
-        entries[qid] = list(zip(items, sorted(drawn, key=float, reverse=True)))
+        # Sorted by exact value: float() would tie an int with the float it
+        # rounds to, and RankedRun then sees the larger int as an increase.
+        entries[qid] = list(zip(items, sorted(drawn, key=Fraction, reverse=True)))
     return RankedRun(entries, draw(ids))
 
 

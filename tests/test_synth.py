@@ -117,7 +117,7 @@ class TestSynthDataset:
             text_spaces=[SpaceSpec("z", 9, 0.8), SpaceSpec("y", 7, 0.9), SpaceSpec("x", 5, 0.7)],
         )
         got = [nearest_latent_map(tmp_path, split) for split in ("val", "train")]
-        monkeypatch.setattr(synth, "rank_scores", oracle.rank_scores)
+        monkeypatch.setattr(synth, "relevant_ranks", oracle.relevant_ranks)
         want = [nearest_latent_map(tmp_path, split) for split in ("val", "train")]
         assert [g.hex() for g in got] == [w.hex() for w in want]
         assert all(g < 1.0 for g in got)

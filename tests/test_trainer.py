@@ -1,4 +1,6 @@
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,10 +9,16 @@ from hypothesis import strategies as st
 
 import per_item_oracle as oracle
 from avsearch import trainer
-from avsearch.errors import ConfigError, DimensionError, TrainingError
-from avsearch.evaluation import JudgmentSet
+from avsearch.errors import ConfigError, DimensionError, FormatError, MetricError, TrainingError
+from avsearch.evaluation import JudgmentSet, average_precision, rank_many, rank_scores
 from avsearch.featio import checkpoint_load, checkpoint_save
-from avsearch.fusion import FeatureBundle, GradFactors, form_gradient, init_model
+from avsearch.fusion import (
+    FeatureBundle,
+    GradFactors,
+    form_gradient,
+    init_model,
+    named_parameters,
+)
 from avsearch.manifest import build_triplets, load_dataset, load_manifest
 from avsearch.negation import Caption, Margins, Triplet, hardest_negatives
 from avsearch.numeric import LinearTanhParams
@@ -26,6 +34,7 @@ from avsearch.trainer import (
 )
 
 from conftest import randomized_model
+from test_evaluation import ITEM_IDS, tied_rankings
 from test_negation import make_batch
 
 
@@ -143,6 +152,61 @@ class TestTrainEpoch:
         model = init_model({"vis": 6}, {"txt": 5}, d=4, heads=1, seed=0)
         with pytest.raises(ValueError):
             train_epoch(model, [], TrainConfig(), 0)
+
+
+def zero_step_loss(model):
+    """A stand-in for trainer.bnl_loss whose every batch has loss 0 and a
+    zero gradient, given as one-row factors, so that an epoch leaves the
+    parameters as they are."""
+    terms = [
+        (np.zeros((1, p.shape[0])), np.zeros((1, p.shape[1]))) if p.ndim == 2 else np.zeros(p.shape)
+        for _, p in named_parameters(model.heads)
+    ]
+    factors = GradFactors(terms)
+    return lambda *args, **kwargs: (0.0, factors)
+
+
+class TestEpochEndCheck:
+    """The finiteness check of the parameters after each epoch."""
+
+    def test_allocates_no_parameter_sized_array(self, rng, monkeypatch):
+        # 32 * (256 * (32 + 1) + 1 + 32 + 1 + 1) = 271456 float64; a boolean
+        # mask of them would be 271 kB. The largest weight, the scratch of
+        # the zero steps, is 8 kB; the per-array bookkeeping of the 516
+        # arrays' steps brings the peak to about 71 kB.
+        model = init_model({f"s{i:03d}": 32 for i in range(256)}, {"t": 32}, d=32, heads=1)
+        monkeypatch.setattr(trainer, "bnl_loss", zero_step_loss(model))
+        triplets = toy_triplets(rng, n=4)
+        cfg = TrainConfig(batch_size=4)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            train_epoch(model, triplets, cfg, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.params.size == 271456
+        assert peak < model.params.size // 2
+
+    def test_huge_finite_parameters_pass_without_a_warning(self, rng, monkeypatch):
+        model = init_model({"vis": 6}, {"txt": 5}, d=4, heads=2, seed=0)
+        model.params[::2] = np.finfo(np.float64).max
+        model.params[1::2] = -np.finfo(np.float64).max
+        monkeypatch.setattr(trainer, "bnl_loss", zero_step_loss(model))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert train_epoch(model, toy_triplets(rng, n=4), TrainConfig(batch_size=4), 0) == 0.0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 17, -1])
+    def test_non_finite_parameter_aborts(self, rng, monkeypatch, value, where):
+        model = init_model({"vis": 6}, {"txt": 5}, d=4, heads=2, seed=0)
+        model.params[where] = value
+        monkeypatch.setattr(trainer, "bnl_loss", zero_step_loss(model))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingError, match="non-finite parameters after epoch 3"):
+                train_epoch(model, toy_triplets(rng, n=4), TrainConfig(batch_size=4), 3)
 
 
 class TestSgdStep:
@@ -521,7 +585,91 @@ class TestFit:
         assert report.best_score >= 0.9
 
 
+def scored_by_sorting(entries, val: ValidationSet, metric: str) -> float:
+    """evaluate_validation as it was before it counted ranks: each judged
+    query's whole-corpus ranking, by query id, scored by average_precision
+    or recall@K."""
+    match = trainer._RECALL_RE.match(metric)
+    scores = []
+    for query in val.queries:
+        labels = val.judgments.judgments.get(query.item_id)
+        if labels is None or not any(rel == 1 for rel in labels.values()):
+            continue
+        entry = entries[query.item_id]
+        if match:
+            scores.append(oracle.recall_at_k(entry, labels, int(match.group(1))))
+        else:
+            scores.append(average_precision(entry, labels))
+    if not scores:
+        raise MetricError("no validation query has relevant judgments")
+    return sum(scores) / len(scores)
+
+
+def outcome(score):
+    """score(), as its hex digits, or the type and text of what it raised."""
+    try:
+        return score().hex()
+    except (ConfigError, FormatError, MetricError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+VALIDATION_METRICS = ["mAP", "recall@1", "recall@2", "recall@100"]
+
+
 class TestEvaluateValidation:
+    @given(case=tied_rankings(), data=st.data())
+    def test_counting_equals_sorting_on_tied_scores(self, case, data):
+        # Rows with ties and signed zeros, repeated query ids, and qrels
+        # with several relevant ids, ids missing from the corpus, or none.
+        sims, query_ids, item_ids, _ = case
+        labels = st.dictionaries(st.sampled_from(ITEM_IDS + ["gone"]), st.integers(0, 1))
+        judgments = data.draw(
+            st.dictionaries(st.sampled_from(sorted(set(query_ids))), labels)
+        )
+        metric = data.draw(st.sampled_from(VALIDATION_METRICS))
+        blank = {"x": np.zeros(1)}
+        val = ValidationSet(
+            [FeatureBundle(q, blank) for q in query_ids],
+            [FeatureBundle(i, blank) for i in item_ids],
+            JudgmentSet(judgments),
+        )
+        entries = rank_scores(sims, query_ids, item_ids, len(item_ids))
+        with mock.patch.object(trainer, "similarity_matrix", lambda *args: sims):
+            got = outcome(lambda: evaluate_validation(None, val, metric))
+        assert got == outcome(lambda: scored_by_sorting(entries, val, metric))
+
+    @pytest.mark.parametrize("metric", VALIDATION_METRICS)
+    @pytest.mark.parametrize("constant", [False, True])
+    def test_counting_equals_rank_many(self, rng, metric, constant):
+        model = randomized_model({"vis": 6}, {"txt": 5}, d=4, heads=2, seed=3)
+        if constant:  # every similarity 0: all rows tie
+            model.params[:] = 0.0
+        triplets = toy_triplets(rng, n=7)
+        val = make_validation(triplets)
+        # A query listed twice, a video twice under two ids, a query with
+        # three relevant videos, one of them not in the corpus.
+        val.queries.append(val.queries[2])
+        val.corpus.append(FeatureBundle("v9", val.corpus[0].features))
+        val.judgments.judgments["q4"] = {"v4": 1, "v9": 1, "v5": 0, "gone": 1}
+        entries = rank_many(model, val.queries, val.corpus, len(val.corpus))
+        assert evaluate_validation(model, val, metric).hex() == scored_by_sorting(
+            entries, val, metric
+        ).hex()
+
+    @pytest.mark.parametrize("fault", ["nan feature", "duplicate video id"])
+    def test_errors_are_rank_many_errors(self, rng, fault):
+        model = randomized_model({"vis": 6}, {"txt": 5}, d=4, heads=1, seed=3)
+        val = make_validation(toy_triplets(rng, n=4))
+        if fault == "nan feature":
+            val.corpus[2] = FeatureBundle("v2", {"vis": np.full(6, np.nan)})
+        else:
+            val.corpus[3] = FeatureBundle("v1", val.corpus[3].features)
+        with pytest.raises((FormatError, ValueError)) as want:
+            rank_many(model, val.queries, val.corpus, len(val.corpus))
+        with pytest.raises(type(want.value)) as got:
+            evaluate_validation(model, val)
+        assert str(got.value) == str(want.value)
+
     def test_recall_at_k(self, rng):
         triplets = toy_triplets(rng, n=5)
         val = make_validation(triplets)
