@@ -1,12 +1,13 @@
 """Corpus ranking, TREC-style run/qrels files, AP and inferred AP, late fusion.
 
 Ranking yields one row per query, `(query id, item ids, scores)` as lists
-(`ranked_rows`); `rank_scores` and `rank_many` collect the rows into
-`(item_id, score)` lists, and `search` streams them into its run file
-through `write_rows`, the one run writer. Code that needs only where the
-relevant items land (validation, the nearest-latent oracle) counts their
-ranks with `relevant_ranks` instead of sorting each row, and scores them
-with `ap_from_ranks`, the AP formula that `average_precision` also ends in.
+(`ranked_rows`, and `rank_rows` from a model); `rank_many` collects them
+into `(item_id, score)` lists by query, and `search` streams them into its
+run file through `write_rows`, the one run writer. Code that needs only
+where the relevant items land (validation, the nearest-latent oracle)
+counts their ranks with `relevant_ranks` instead of sorting each row, and
+scores them with `ap_from_ranks`, the AP formula that `average_precision`
+also ends in.
 
 Run files are line-oriented: `query_id Q0 item_id rank score run_tag` with
 single spaces, ranks from 1, scores printed with 6 decimals. Qrels lines are
@@ -187,21 +188,6 @@ def _top_k_rows(sims, query_ids, by_id, ids_by_id, top_k) -> Iterator[RankedRow]
         kept = np.flatnonzero(s >= np.partition(s, cut)[cut])
         order = kept[np.argsort(-s[kept], kind="stable")[:top_k]]
         yield qid, ids_by_id[order].tolist(), s[order].tolist()
-
-
-def rank_scores(
-    sims: np.ndarray, query_ids: list[str], item_ids: list[str], top_k: int
-) -> dict[str, RunEntry]:
-    """`ranked_rows` as (item_id, score) lists by query id."""
-    rows = ranked_rows(sims, query_ids, item_ids, top_k)
-    return {qid: list(zip(ids, scores)) for qid, ids, scores in rows}
-
-
-def rank(
-    model: LaffModel, query: FeatureBundle, corpus: list[FeatureBundle], top_k: int
-) -> RunEntry:
-    """Rank the corpus for one query."""
-    return rank_many(model, [query], corpus, top_k)[query.item_id]
 
 
 def relevant_ranks(

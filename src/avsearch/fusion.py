@@ -30,6 +30,7 @@ results are reproducible regardless of how bundles were assembled.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,26 +70,66 @@ class FeatureBundle:
         return tuple(sorted(self.features))
 
 
-@dataclass
+class BranchTransforms(Mapping):
+    """A branch's linear+tanh transforms by space name. The spaces are fixed:
+    the one write, `transforms[name] = LinearTanhParams(W, b)`, copies W and
+    b into that space's arrays, so a model's arrays stay views of its
+    `params`. An unknown space or another shape is a DimensionError, raised
+    before anything is written: equal weight shapes imply equal biases."""
+
+    def __init__(self, transforms: dict[str, LinearTanhParams]):
+        self._by_name = dict(transforms)
+
+    def __getitem__(self, name: str) -> LinearTanhParams:
+        return self._by_name[name]
+
+    def __iter__(self):
+        return iter(self._by_name)
+
+    def __len__(self) -> int:
+        return len(self._by_name)
+
+    def __setitem__(self, name: str, value: LinearTanhParams) -> None:
+        if name not in self._by_name:
+            raise DimensionError(f"no space {name!r}: the branch has {sorted(self._by_name)}")
+        into = self._by_name[name]
+        into.weight, into.bias = value.weight, value.bias
+
+
 class LaffBranchParams:
     """One fusion branch: a linear+tanh transform per space plus an attention vector.
 
-    All transforms share the output dimension d == len(attention).
+    All transforms share the output dimension d == len(attention). Assigning
+    a transform (see BranchTransforms) or the attention vector writes into
+    the arrays the branch was built with, in their shapes.
     """
 
-    transforms: dict[str, LinearTanhParams]
-    attention: np.ndarray
-
-    def __post_init__(self):
-        self.attention = as_vector(self.attention, "attention")
-        if not self.transforms:
+    def __init__(self, transforms: dict[str, LinearTanhParams], attention):
+        self._attention = as_vector(attention, "attention")
+        if not transforms:
             raise DimensionError("a branch needs at least one feature space")
-        d = self.attention.shape[0]
-        for name, p in self.transforms.items():
+        d = self._attention.shape[0]
+        for name, p in transforms.items():
             if p.out_dim != d:
                 raise DimensionError(
                     f"transform {name!r} maps to {p.out_dim} dims, expected {d}"
                 )
+        self._transforms = BranchTransforms(transforms)
+
+    @property
+    def transforms(self) -> BranchTransforms:
+        return self._transforms
+
+    @property
+    def attention(self) -> np.ndarray:
+        return self._attention
+
+    @attention.setter
+    def attention(self, u) -> None:
+        u = as_vector(u, "attention")
+        if u.shape != self._attention.shape:
+            raise DimensionError(f"attention has shape {self._attention.shape}, got {u.shape}")
+        self._attention[...] = u
 
     @property
     def d(self) -> int:
@@ -103,7 +144,7 @@ class LaffBranchParams:
         return {name: self.transforms[name].in_dim for name in self.spaces}
 
 
-@dataclass
+@dataclass(frozen=True)
 class LaffHead:
     """A paired video branch and text branch sharing the embedding dimension."""
 
@@ -128,7 +169,7 @@ def param_count(video_dims: dict[str, int], text_dims: dict[str, int], d: int, h
     return heads * d * sum(sum(dims.values()) + len(dims) + 1 for dims in (video_dims, text_dims))
 
 
-def _heads_on(params: np.ndarray, video_dims, text_dims, d: int, heads: int) -> list[LaffHead]:
+def _heads_on(params, video_dims, text_dims, d: int, heads: int) -> tuple[LaffHead, ...]:
     """Heads whose every parameter is a view into the flat vector params.
 
     This is the canonical parameter order: head by head, the video branch
@@ -149,7 +190,7 @@ def _heads_on(params: np.ndarray, video_dims, text_dims, d: int, heads: int) -> 
             transforms[name] = LinearTanhParams(weight, take(d))
         return LaffBranchParams(transforms, take(d))
 
-    return [LaffHead(branch(video_dims), branch(text_dims)) for _ in range(heads)]
+    return tuple(LaffHead(branch(video_dims), branch(text_dims)) for _ in range(heads))
 
 
 def named_parameters(heads: list[LaffHead]):
@@ -165,41 +206,21 @@ def named_parameters(heads: list[LaffHead]):
             yield f"head {i}, {what} branch, attention u", branch.attention
 
 
-def check_layout(heads: list[LaffHead]) -> None:
-    """Refuse, with a DimensionError, heads whose arrays are not in the
-    places and shapes of the canonical layout of heads[0]'s structure. A
-    LaffModel's arrays always are; a replaced array of another shape is not."""
-    first = heads[0]
-    structure = (first.video.in_dims, first.text.in_dims, first.d, len(heads))
-    # A zero-strided stand-in for the parameter vector: the layout's views, in no memory.
-    layout = _heads_on(np.broadcast_to(0.0, (param_count(*structure),)), *structure)
-    # Each branch ends with its attention vector, so heads with other
-    # feature spaces differ in a place before either sequence ends.
-    for (place, array), (want, like) in zip(named_parameters(heads), named_parameters(layout)):
-        if (place, array.shape) != (want, like.shape):
-            raise DimensionError(
-                f"{place} has shape {array.shape}, the layout needs {want} {like.shape}"
-            )
-
-
-def _assign(dst: list[LaffHead], src: list[LaffHead]) -> None:
-    """Copy every parameter of src into the same parameter of dst."""
-    for (_, into), (_, source) in zip(named_parameters(dst), named_parameters(src)):
-        into[...] = source
-
-
-@dataclass
+@dataclass(frozen=True)
 class LaffModel:
     """h paired fusion branches; similarity is the mean cosine over heads.
 
     All parameters live in one flat float64 vector, `params`, in the order
     of _heads_on: every weight, bias and attention vector of `heads` is a
-    view into it, so writing into `params` updates the model in place.
-    Constructing a model from heads copies their arrays into a vector of its
-    own; from_params builds one on a given vector without copying it.
+    view into it, so writing into `params` updates the model in place, and
+    assigning a head's transform or attention vector writes into `params`
+    (see LaffBranchParams), so the arrays stay views of it; `heads` and
+    `params` cannot be rebound. Constructing a model from a sequence of
+    heads copies their arrays into a vector of its own; from_params builds
+    one on a given vector without copying it.
     """
 
-    heads: list[LaffHead]
+    heads: tuple[LaffHead, ...]
     params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -215,9 +236,10 @@ class LaffModel:
                 raise DimensionError(f"head {i} has different text spaces or input dims")
         given = self.heads
         structure = (self.video_dims(), self.text_dims(), self.d, self.h)
-        self.params = np.empty(param_count(*structure))
-        self.heads = _heads_on(self.params, *structure)
-        _assign(self.heads, given)
+        object.__setattr__(self, "params", np.empty(param_count(*structure)))
+        object.__setattr__(self, "heads", _heads_on(self.params, *structure))
+        for (_, into), (_, source) in zip(named_parameters(self.heads), named_parameters(given)):
+            into[...] = source
 
     @classmethod
     def from_params(cls, params, video_dims, text_dims, d: int, heads: int) -> "LaffModel":
@@ -232,8 +254,8 @@ class LaffModel:
         if params.shape != (n,):
             raise DimensionError(f"parameter buffer has shape {params.shape}, model needs ({n},)")
         model = cls.__new__(cls)
-        model.heads = _heads_on(params, video_dims, text_dims, d, heads)
-        model.params = params
+        object.__setattr__(model, "heads", _heads_on(params, video_dims, text_dims, d, heads))
+        object.__setattr__(model, "params", params)
         return model
 
     @property
@@ -259,14 +281,8 @@ class LaffModel:
         return self.heads[0].text.in_dims
 
     def to_vector(self) -> np.ndarray:
-        """A copy of all parameters in the canonical order (see _heads_on).
-
-        Reads the head objects' arrays, not `params`, as checkpoint_save
-        does, so that a model whose heads had a transform or attention
-        vector replaced (as perfbench's aligned checkpoint does) gives what
-        was set.
-        """
-        return LaffModel(self.heads).params
+        """A copy of all parameters in the canonical order (see _heads_on)."""
+        return self.params.copy()
 
     def with_vector(self, vec) -> "LaffModel":
         """A model of identical structure on a float64 copy of vec (any array-like)."""

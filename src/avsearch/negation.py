@@ -275,17 +275,13 @@ def bnl_loss(
     batch: list[Triplet],
     m: Margins,
     with_breakdown: bool = False,
-    out: np.ndarray | None = None,
     factored: bool = False,
 ):
     """Mean batch loss and its gradient w.r.t. the flat model parameters.
 
-    The gradient is written into out when given (a writable float64 vector
-    of model.n_params() entries, as LaffModel.on_vector takes) and returned;
-    otherwise into a new vector. Every entry of out is overwritten and none
-    is read. With factored, out is not used: the gradient is returned
-    unformed, as a GradFactors, which holds no parameter-sized array (None
-    with a non-finite loss).
+    The gradient is a new vector, all zeros with a non-finite loss. With
+    factored it is returned unformed, as a GradFactors, which holds no
+    parameter-sized array (None with a non-finite loss).
 
     Per pair (q, x+): a hinge against the hardest in-batch negative video,
     plus lambda1 times the two bounded losses whenever the negated caption
@@ -303,9 +299,6 @@ def bnl_loss(
     n = len(batch)
     if n < 2:
         raise ValueError(f"batch of {n}: hardest-negative mining needs >= 2 videos")
-    if not factored:
-        # A given out that is no parameter vector is refused before any work.
-        out = np.empty(model.n_params()) if out is None else model.on_vector(out).params
     inv_h = 1.0 / model.h
     inv_n = 1.0 / n
     rows = np.arange(n)
@@ -355,9 +348,7 @@ def bnl_loss(
         and np.all(np.isfinite(s_ttneg))
     ):
         nan = float("nan")
-        if not factored:
-            out.fill(0.0)
-        grad = None if factored else out
+        grad = None if factored else np.zeros(model.n_params())
         if with_breakdown:
             return nan, grad, BnlBreakdown([], [], [], [])
         return nan, grad
@@ -410,7 +401,7 @@ def bnl_loss(
         terms += batch_backward(model.heads[hi].text, tstate, d_txt)
     grad = GradFactors(terms)
     if not factored:
-        grad = grad.to_vector(model, out)
+        grad = grad.to_vector(model)
 
     if with_breakdown:
         breakdown = BnlBreakdown(

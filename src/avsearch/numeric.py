@@ -41,15 +41,17 @@ def as_features(x, ndim: int, name: str) -> np.ndarray:
 class LinearTanhParams:
     """Weights of one fully connected layer followed by tanh.
 
-    weight has shape (d, d_in), bias has shape (d,).
+    weight has shape (d, d_in), bias has shape (d,). Assigning either after
+    construction writes into the array already there, and another shape is
+    a DimensionError, so arrays that view a model's `params` stay views.
     """
 
     weight: np.ndarray
     bias: np.ndarray
 
     def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
+        object.__setattr__(self, "weight", np.asarray(self.weight, dtype=np.float64))
+        object.__setattr__(self, "bias", np.asarray(self.bias, dtype=np.float64))
         if self.weight.ndim != 2:
             raise DimensionError(f"weight must be 2-D, got shape {self.weight.shape}")
         if self.bias.ndim != 1:
@@ -61,6 +63,15 @@ class LinearTanhParams:
             raise DimensionError(
                 f"bias length {self.bias.shape[0]} does not match weight rows {d}"
             )
+
+    def __setattr__(self, name: str, value) -> None:
+        held = self.__dict__.get(name)
+        if held is None:  # the first assignment, by __init__
+            return object.__setattr__(self, name, value)
+        value = np.asarray(value, dtype=np.float64)
+        if value.shape != held.shape:
+            raise DimensionError(f"{name} has shape {held.shape}, got {value.shape}")
+        held[...] = value
 
     @property
     def out_dim(self) -> int:

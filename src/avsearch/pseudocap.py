@@ -93,8 +93,13 @@ def read_candidates(path) -> list[CandidateSet]:
 
 
 def write_selection(path, rows: dict[str, list[tuple[str, float]]]) -> None:
-    """Write selections as `video_id\trank\tscore\tcaption` lines."""
+    """Write selections as `video_id\trank\tscore\tcaption` lines. A video id
+    or caption holding a TAB or line break is a FormatError, raised inside
+    atomic_open, so whatever was at path stays."""
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for video_id, selected in rows.items():
             for rank, (caption, score) in enumerate(selected, start=1):
+                for name, value in (("video id", video_id), ("caption", caption)):
+                    if "\t" in value or "\n" in value or "\r" in value:
+                        raise FormatError(f"{path}: {name} {value!r} holds a TAB or line break")
                 fh.write(f"{video_id}\t{rank}\t{score:.6f}\t{caption}\n")

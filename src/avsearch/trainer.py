@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, MetricError, TrainingError
+from .errors import ConfigError, MetricError, TrainingError
 # `rank_many` is unused here but stays importable from this module: the
 # benchmark's tracer (perfbench/tracer.py) wraps it by name.
 from .evaluation import (
@@ -295,16 +295,10 @@ def fit(
     that epoch; a caller that keeps the model beyond the call copies it
     (model.with_vector(model.params)) or saves it. So when a later epoch
     raises, the caller has already seen the best finished epoch. A caller
-    that needs the untrained model copies it first. Every array of
-    model.heads must be a view into model.params, as in any model that
-    LaffModel or from_params built; a model whose head arrays were replaced
-    is refused with a DimensionError before on_best or the log is touched.
-    log_file, when given, is the path of a file that receives one
-    `epoch\tloss\tval_score` line per epoch.
+    that needs the untrained model copies it first. log_file, when given,
+    is the path of a file that receives one `epoch\tloss\tval_score` line
+    per epoch.
     """
-    for place, array in named_parameters(model.heads):
-        if not np.may_share_memory(array, model.params):
-            raise DimensionError(f"cannot train in place: {place} is not a view into params")
     log = nullcontext() if log_file is None else open(log_file, "w", encoding="utf-8", newline="\n")
     with log:
         stats: list[EpochStats] = []

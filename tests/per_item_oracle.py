@@ -11,7 +11,9 @@ refuses the first record holding a non-finite value, and
 `group_frame_features` restacks its frame records item by item, as the
 references for the columnar decoder and the one-sort grouping. `rank_scores`
 sorts each query in Python on the key (-score, item_id), as the reference
-for `evaluation.rank_scores`; `relevant_ranks` reads ranks off its lists,
+for `evaluation.ranked_rows`, which `batched_rank_scores` and
+`batched_rank` collect into the same lists for the tests that compare
+them; `relevant_ranks` reads ranks off its lists,
 as the reference for the counted ranks, and `write_run` writes each line of a run
 with its own f-string, as the reference for `evaluation.write_rows`.
 `average_precision`, `inf_ap` and `recall_at_k` scan a whole ranked list,
@@ -33,7 +35,8 @@ import numpy as np
 from avsearch.errors import FormatError
 from avsearch.featio import FEATURE_MAGIC, FORMAT_VERSION, _read_name, _Reader, atomic_open
 
-from avsearch.evaluation import INF_AP_EPS, _check_ids, _minmax
+from avsearch.evaluation import INF_AP_EPS, _check_ids, _minmax, ranked_rows
+from avsearch.evaluation import rank_many as batched_rank_many
 from avsearch.fusion import BranchGrads, FeatureBundle, LaffBranchParams, LaffModel
 from avsearch.fusion import fused_matrix as batched_fused_matrix
 from avsearch.negation import bnl_loss as batched_bnl_loss
@@ -216,6 +219,17 @@ def bnl_loss(model: LaffModel, batch: list[Triplet], m: Margins):
                 add_grads(grad_head.text, item_backward(head.text, neg_states[hi][b], d_neg[hi][b]))
 
     return float(loss), grad.params, breakdown
+
+
+def batched_rank_scores(sims, query_ids, item_ids, top_k):
+    """`evaluation.ranked_rows` as (item_id, score) lists by query id."""
+    rows = ranked_rows(sims, query_ids, item_ids, top_k)
+    return {qid: list(zip(ids, scores)) for qid, ids, scores in rows}
+
+
+def batched_rank(model: LaffModel, query: FeatureBundle, corpus, top_k):
+    """`evaluation.rank_many` for one query: its (item_id, score) list."""
+    return batched_rank_many(model, [query], corpus, top_k)[query.item_id]
 
 
 def rank_scores(sims, query_ids, item_ids, top_k):

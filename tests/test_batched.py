@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import per_item_oracle as oracle
+from per_item_oracle import batched_rank_scores as rank_scores
 from avsearch.cli import _caption_scores
 from avsearch.errors import DegenerateSimilarityWarning
-from avsearch.evaluation import rank_many, rank_scores
+from avsearch.evaluation import rank_many
 from avsearch.fusion import (
     BLOCK_ROWS,
     FeatureBundle,

