@@ -311,7 +311,12 @@ def _minmax(scores: list[float]) -> list[float]:
     hi = max(scores)
     if hi == lo:
         return [0.5] * len(scores)
-    return [(s - lo) / (hi - lo) for s in scores]
+    span = hi - lo
+    if not math.isfinite(span):
+        # Finite scores whose range overflows: the halves' range is finite.
+        # Only this case takes the branch, so every other result keeps its bits.
+        return [(s / 2 - lo / 2) / (hi / 2 - lo / 2) for s in scores]
+    return [(s - lo) / span for s in scores]
 
 
 def late_fuse(

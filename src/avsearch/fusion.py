@@ -20,8 +20,12 @@ trainer, in a scratch array that steps one weight. The per-item functions
 laff_forward, laff_vjp, similarity and similarity_with_grad call
 batch_forward (and batch_backward) on one-row tables, and corpus embedding
 runs in fixed-size row blocks, one head at a time on each block's tables.
-Many (video, text) pairs are scored together by pair_similarities, which
-embeds each distinct bundle once.
+No block reads another's result, so fused_matrix hands its blocks, in
+order, to the caller and helper threads (NumPy's GEMM and tanh release the
+interpreter lock), one worker per CPU and at least two blocks per worker;
+each block is computed alike on any thread, so the output does not depend
+on the CPU count. Many (video, text) pairs are scored together by
+pair_similarities, which embeds each distinct bundle once.
 
 Iteration over feature spaces is always in sorted space-name order so that
 results are reproducible regardless of how bundles were assembled.
@@ -30,8 +34,10 @@ results are reproducible regardless of how bundles were assembled.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from threading import Event, Lock, Thread
 
 import numpy as np
 
@@ -333,6 +339,13 @@ def init_model(
 # peak memory does not grow with the number of items.
 BLOCK_ROWS = 256
 
+# The most threads that embed fused_matrix's blocks, the caller included:
+# the CPUs this process may run on. Outputs do not depend on it.
+if hasattr(os, "sched_getaffinity"):
+    WORKERS = len(os.sched_getaffinity(0))
+else:
+    WORKERS = os.cpu_count() or 1
+
 
 @dataclass
 class BranchState:
@@ -570,26 +583,80 @@ def _head_branches(model: LaffModel, branch: str) -> list[LaffBranchParams]:
     return [head.video if branch == "video" else head.text for head in model.heads]
 
 
-def _branch_blocks(branch: LaffBranchParams, bundles: list):
-    """Yield (first row, per-space input tables) over blocks of BLOCK_ROWS
-    bundles. The heads share the tables; a caller runs one head on them at a
-    time, so only one head's BranchState is alive."""
-    for start in range(0, len(bundles), BLOCK_ROWS):
-        yield start, branch_tables(branch, bundles[start : start + BLOCK_ROWS])
+def _run_blocks(n: int, embed) -> None:
+    """Call embed(start) for each block start 0, BLOCK_ROWS, ... below n.
+
+    The caller and up to WORKERS - 1 helper threads take the starts in
+    order from one shared counter, so a slower CPU simply takes fewer
+    blocks; each worker gets at least two blocks, so calls of up to three
+    blocks run on the caller alone. After a block fails no worker takes
+    another, and once every helper is joined the earliest failed block's
+    error is raised: the one the serial loop raises.
+    """
+    starts = range(0, n, BLOCK_ROWS)
+    workers = min(WORKERS, len(starts) // 2)
+    if workers < 2:
+        for start in starts:
+            embed(start)
+        return
+    todo = iter(starts)
+    lock = Lock()
+    stop = Event()
+    errors: dict[int, BaseException] = {}
+
+    def work():
+        while True:
+            with lock:
+                start = None if stop.is_set() else next(todo, None)
+            if start is None:
+                return
+            try:
+                embed(start)
+            except BaseException as exc:  # raised by the caller once all are joined
+                errors[start] = exc
+                stop.set()
+                return
+
+    helpers = []
+    try:
+        for _ in range(workers - 1):
+            helper = Thread(target=work, name="avsearch-embed", daemon=True)
+            try:
+                helper.start()
+            except RuntimeError:  # no thread to spare: the started workers share the blocks
+                break
+            helpers.append(helper)
+        work()
+    finally:
+        stop.set()
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
 
 
 def fused_matrix(model: LaffModel, bundles, branch: str) -> list[np.ndarray]:
     """Per-head (n, d) matrices of fused embeddings for a list of bundles.
 
     branch is "video" or "text". Used for corpus-wide ranking, where
-    embedding every item once per head beats re-running per query.
+    embedding every item once per head beats re-running per query. Each
+    block of BLOCK_ROWS items is stacked once and run through one head at a
+    time; _run_blocks spreads the blocks over the CPUs, at least two blocks
+    per worker. A block's rows come out the same on any thread, so the
+    result does not depend on the CPU count, and a failure raises the
+    serial loop's error.
     """
     branches = _head_branches(model, branch)
     bundles = list(bundles)
     out = [np.empty((len(bundles), model.d)) for _ in branches]
-    for start, tables in _branch_blocks(branches[0], bundles):
+
+    def embed(start: int) -> None:
+        rows = slice(start, start + BLOCK_ROWS)
+        tables = branch_tables(branches[0], bundles[rows])
         for mat, bp in zip(out, branches):
-            mat[start : start + BLOCK_ROWS] = batch_forward(bp, tables).fused
+            mat[rows] = batch_forward(bp, tables).fused
+
+    _run_blocks(len(bundles), embed)
     return out
 
 
@@ -639,7 +706,10 @@ def feature_importance(
         raise ValueError("feature_importance needs a nonempty dataset")
     spaces = branches[0].spaces
     acc = np.zeros(len(spaces))
-    for _, tables in _branch_blocks(branches[0], dataset):
+    # Serial, so that the sums accumulate in block order. The heads share a
+    # block's tables and run one at a time on them.
+    for start in range(0, len(dataset), BLOCK_ROWS):
+        tables = branch_tables(branches[0], dataset[start : start + BLOCK_ROWS])
         for bp in branches:
             acc += batch_forward(bp, tables).weights.sum(axis=0)
     means = acc / (len(dataset) * model.h)

@@ -1,11 +1,12 @@
 import struct
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from avsearch import errors
+from avsearch import errors, fusion
 from avsearch.featio import checkpoint_save
 from avsearch.fusion import FeatureBundle, LaffModel, init_model
 
@@ -79,6 +80,30 @@ def random_bundle(item_id: str, dims: dict[str, int], rng) -> FeatureBundle:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """The list of threads that fusion starts while the test runs."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(fusion, "Thread", Recorded)
+    return started
+
+
+def assert_all_joined(threads) -> None:
+    """No thread is alive: none was left running by the call, and joining
+    each (with a timeout) finds it finished."""
+    running = [thread for thread in threads if thread.is_alive()]
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert not running
 
 
 @st.composite

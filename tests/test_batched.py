@@ -6,6 +6,11 @@ code must agree with them to 1e-12 relative, pick exactly the same hardest
 negatives, and rerank bit-identically.
 """
 
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -14,8 +19,9 @@ import pytest
 
 import per_item_oracle as oracle
 from per_item_oracle import batched_rank_scores as rank_scores
+from avsearch import fusion
 from avsearch.cli import _caption_scores
-from avsearch.errors import DegenerateSimilarityWarning
+from avsearch.errors import BundleMismatchError, DegenerateSimilarityWarning
 from avsearch.evaluation import rank_many
 from avsearch.fusion import (
     BLOCK_ROWS,
@@ -31,7 +37,7 @@ from avsearch.numeric import cosine_sim, row_cosines
 from avsearch.pseudocap import CandidateSet, CaptionCandidate, select_pseudo_captions
 from avsearch.rerank import FrameFeatures, frame_scores, rerank
 
-from conftest import random_bundle, randomized_model
+from conftest import assert_all_joined, random_bundle, randomized_model
 from test_negation import make_batch
 
 RTOL = 1e-12
@@ -165,6 +171,184 @@ class TestFusedMatrixOracle:
         want = oracle.fused_matrix(model, bundles, "text")
         for g, w in zip(fused_matrix(model, bundles, "text"), want):
             np.testing.assert_allclose(g, w, rtol=RTOL, atol=RTOL)
+
+
+def embed_with(monkeypatch, workers, model, bundles, branch):
+    monkeypatch.setattr(fusion, "WORKERS", workers)
+    return fused_matrix(model, bundles, branch)
+
+
+def raised_with(monkeypatch, workers, model, bundles, expected):
+    with pytest.raises(expected) as exc:
+        embed_with(monkeypatch, workers, model, bundles, "video")
+    return str(exc.value)
+
+
+class TestFusedMatrixThreads:
+    """fused_matrix's blocks on helper threads: the same bits, the serial
+    loop's errors, every thread joined and one block's memory per worker."""
+
+    @pytest.mark.parametrize("branch", ["video", "text"])
+    @pytest.mark.parametrize("n", [4 * 8 + 5, 4 * 8 + 1])
+    def test_equals_the_single_worker_output(self, monkeypatch, rng, started_threads, branch, n):
+        monkeypatch.setattr(fusion, "BLOCK_ROWS", 8)
+        model = paper_like_model(33)
+        dims = model.video_dims() if branch == "video" else model.text_dims()
+        bundles = [random_bundle(f"i{i}", dims, rng) for i in range(n)]
+        want = embed_with(monkeypatch, 1, model, bundles, branch)
+        assert not started_threads
+        got = embed_with(monkeypatch, 3, model, bundles, branch)
+        assert len(started_threads) == 1  # 5 blocks: two workers
+        assert_all_joined(started_threads)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    def test_stress_every_block_once(self, monkeypatch, rng, started_threads):
+        monkeypatch.setattr(fusion, "BLOCK_ROWS", 3)
+        model = paper_like_model(34)
+        bundles = [random_bundle(f"v{i}", model.video_dims(), rng) for i in range(100)]
+        taken = []
+        real_tables = fusion.branch_tables
+
+        def recording_tables(branch, block):
+            taken.append(block[0].item_id)
+            return real_tables(branch, block)
+
+        monkeypatch.setattr(fusion, "branch_tables", recording_tables)
+        want = embed_with(monkeypatch, 1, model, bundles, "video")
+        serial_taken = sorted(taken)
+        taken.clear()
+        result = {}
+
+        def call():
+            try:
+                result["out"] = embed_with(monkeypatch, 8, model, bundles, "video")
+            except Exception as exc:  # reported below, on the test's thread
+                result["error"] = exc
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(target=call)
+            caller.start()
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert "error" not in result
+        assert len(started_threads) == 7  # 34 blocks: eight workers
+        assert_all_joined(started_threads)
+        assert sorted(taken) == serial_taken  # no block lost or run twice
+        for g, w in zip(result["out"], want):
+            assert g.tobytes() == w.tobytes()
+
+    def test_missing_space_in_a_late_block_raises_the_serial_error(
+        self, monkeypatch, rng, started_threads
+    ):
+        monkeypatch.setattr(fusion, "BLOCK_ROWS", 4)
+        model = paper_like_model(35)
+        bundles = [random_bundle(f"v{i}", model.video_dims(), rng) for i in range(48)]
+        del bundles[37].features["b"]  # block 9 of 12
+        del bundles[45].features["a"]  # block 11, which a serial loop never reaches
+        want = raised_with(monkeypatch, 1, model, bundles, BundleMismatchError)
+        assert "'v37'" in want
+        got = raised_with(monkeypatch, 4, model, bundles, BundleMismatchError)
+        assert got == want
+        assert len(started_threads) == 3
+        assert_all_joined(started_threads)
+
+    def test_memory_error_in_one_block_reaches_the_caller(self, monkeypatch, rng, started_threads):
+        # 16 blocks of 4 rows; block 2 fails at once, every other block takes
+        # 50 ms. The four workers stop taking blocks after the failure, so
+        # far fewer than 16 are started.
+        monkeypatch.setattr(fusion, "BLOCK_ROWS", 4)
+        model = paper_like_model(36)
+        bundles = [random_bundle(f"v{i}", model.video_dims(), rng) for i in range(64)]
+        taken = []
+        real_tables = fusion.branch_tables
+
+        def tables(branch, block):
+            taken.append(block[0].item_id)
+            if block[0] is bundles[8]:
+                raise MemoryError("Unable to allocate the block")
+            time.sleep(0.05)
+            return real_tables(branch, block)
+
+        monkeypatch.setattr(fusion, "branch_tables", tables)
+        assert raised_with(monkeypatch, 4, model, bundles, MemoryError) == (
+            "Unable to allocate the block"
+        )
+        assert len(started_threads) == 3
+        assert_all_joined(started_threads)
+        assert "v8" in taken and len(taken) <= 10
+
+    def test_the_earliest_failed_block_wins(self, monkeypatch, rng, started_threads):
+        # Block 3 fails at once, block 2 only after 200 ms, while blocks 0
+        # and 1 take 50 ms each: both fail, and the caller sees block 2's
+        # error, the one the serial loop raises.
+        monkeypatch.setattr(fusion, "BLOCK_ROWS", 4)
+        model = paper_like_model(37)
+        bundles = [random_bundle(f"v{i}", model.video_dims(), rng) for i in range(32)]
+        real_tables = fusion.branch_tables
+
+        def tables(branch, block):
+            index = int(block[0].item_id[1:]) // 4
+            if index == 2:
+                time.sleep(0.2)
+            if index in (2, 3):
+                raise MemoryError(f"block {index}")
+            time.sleep(0.05)
+            return real_tables(branch, block)
+
+        monkeypatch.setattr(fusion, "branch_tables", tables)
+        assert raised_with(monkeypatch, 4, model, bundles, MemoryError) == "block 2"
+        assert_all_joined(started_threads)
+
+    def test_holds_one_block_per_worker(self, monkeypatch, rng, started_threads):
+        # The helper-path twin of test_holds_one_block_and_one_heads_state:
+        # each of the three workers holds one block's tables and one head's
+        # forward pass.
+        workers = 3
+        monkeypatch.setattr(fusion, "WORKERS", workers)
+        dims = {"a": 64, "b": 48, "c": 40}
+        model = init_model(dims, {"t": 8}, d=128, heads=2, seed=0)
+        bundles = [
+            FeatureBundle(f"v{i}", {k: rng.random(n, np.float32) for k, n in dims.items()})
+            for i in range(2 * workers * BLOCK_ROWS)
+        ]
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            out = fused_matrix(model, bundles, "video")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(started_threads) == workers - 1
+        tables = BLOCK_ROWS * sum(dims.values()) * 8
+        transformed = BLOCK_ROWS * len(dims) * model.d * 8
+        assert peak < sum(m.nbytes for m in out) + workers * (tables + 2 * transformed)
+
+    def test_no_thread_to_spare_leaves_the_blocks_to_the_caller(self, monkeypatch, rng):
+        class Unstartable(threading.Thread):
+            def start(self):
+                raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(fusion, "BLOCK_ROWS", 8)
+        model = paper_like_model(38)
+        bundles = [random_bundle(f"v{i}", model.video_dims(), rng) for i in range(40)]
+        want = embed_with(monkeypatch, 1, model, bundles, "video")
+        monkeypatch.setattr(fusion, "Thread", Unstartable)
+        got = embed_with(monkeypatch, 4, model, bundles, "video")
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    def test_importing_starts_no_thread(self):
+        code = (
+            "import threading, avsearch, avsearch.cli, avsearch.fusion;"
+            "assert threading.active_count() == 1, threading.enumerate()"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 class TestLaffVjpOracle:

@@ -3,14 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from avsearch import manifest, trainer
+from avsearch import fusion, manifest, trainer
 from avsearch.cli import main
 from avsearch.errors import TrainingError
 from avsearch.evaluation import read_run
 from avsearch.featio import checkpoint_load, checkpoint_save, write_features
 from avsearch.fusion import init_model
 
-from conftest import huge_d_checkpoint, randomized_model, write_unchecked_features
+from conftest import (
+    assert_all_joined,
+    huge_d_checkpoint,
+    randomized_model,
+    write_unchecked_features,
+)
 
 
 def run_cli(*argv):
@@ -312,6 +317,21 @@ class TestSearchEvalPipeline:
         assert len(run.entries) == 24  # all captions act as queries
         assert all(len(e) == 12 for e in run.entries.values())
 
+    def test_run_does_not_depend_on_the_worker_count(
+        self, synth_dir, trained, tmp_path, monkeypatch, started_threads
+    ):
+        # 2-row blocks: the 12 videos make 6 blocks and the 24 queries 12.
+        monkeypatch.setattr(fusion, "BLOCK_ROWS", 2)
+        runs = []
+        for workers in (1, 4):
+            monkeypatch.setattr(fusion, "WORKERS", workers)
+            out = tmp_path / f"run{workers}.txt"
+            assert self.search(synth_dir, trained, out) == 0
+            runs.append(out.read_bytes())
+        assert len(started_threads) == 2 + 3  # videos: 3 workers; queries: 4
+        assert_all_joined(started_threads)
+        assert runs[0] == runs[1]
+
     def test_end_to_end_determinism(self, synth_dir, trained, tmp_path, capsys):
         r1 = tmp_path / "r1.txt"
         r2 = tmp_path / "r2.txt"
@@ -358,6 +378,13 @@ class TestFuse:
         fused = read_run(out)
         assert [i for i, _ in fused.entries["q1"]] == ["a", "b", "c"]
         assert fused.run_tag == "fusion"
+
+    def test_finite_scores_whose_range_overflows(self, tmp_path):
+        src = tmp_path / "in.txt"
+        src.write_text("q1 Q0 a 1 1e308 t\nq1 Q0 b 2 0 t\nq1 Q0 c 3 -1e308 t\n")
+        out = tmp_path / "out.txt"
+        assert run_cli("fuse", "--runs", src, src, "--weights", 1.0, 1.0, "--out", out) == 0
+        assert read_run(out).entries["q1"] == [("a", 2.0), ("b", 1.0), ("c", 0.0)]
 
     def test_weight_count_mismatch(self, tmp_path, capsys):
         src = tmp_path / "in.txt"

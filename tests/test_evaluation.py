@@ -332,6 +332,12 @@ class TestLateFuse:
         assert scores["c"] == pytest.approx(1.0)
         assert scores["b"] == pytest.approx(0.0)
 
+    def test_finite_scores_whose_range_overflows(self):
+        # The range 2e308 overflows: min-max gives 1, .5 and 0, not nan.
+        run = RankedRun({"q": [("a", 1e308), ("m", 0.0), ("b", -1e308)]}, "r")
+        fused = late_fuse([run, run], [0.5, 0.5])
+        assert fused.entries["q"] == [("a", 1.0), ("m", 0.5), ("b", 0.0)]
+
     def test_single_run_identity_ordering(self, rng):
         entry = [(f"i{j}", float(s)) for j, s in enumerate(np.sort(rng.uniform(0, 1, 8))[::-1])]
         run = RankedRun({"q": entry}, "r")

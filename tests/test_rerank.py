@@ -96,6 +96,14 @@ class TestRerank:
         assert scores["B"] == pytest.approx(0.74, abs=1e-12)
         assert scores["C"] == pytest.approx(0.48, abs=1e-12)
 
+    def test_finite_originals_whose_range_overflows_normalize_to_0_and_1(self):
+        # 1e308 - (-1e308) overflows; the old min-max step gave a inf/inf = nan.
+        entry = [("a", 1e308), ("m", 0.0), ("b", -1e308)]
+        store = {item: frames_with_cosines(item, [0.5]) for item, _ in entry}
+        out = rerank(entry, store, QUERY, w_new=0.6, w_old=0.4)
+        assert [i for i, _ in out] == ["a", "m", "b"]
+        assert [s for _, s in out] == pytest.approx([0.7, 0.5, 0.3], abs=1e-12)
+
     def test_item_set_preserved(self, rng):
         entry = [(f"i{j}", float(s)) for j, s in enumerate(np.sort(rng.uniform(0, 1, 6))[::-1])]
         store = {f"i{j}": FrameFeatures(f"i{j}", rng.normal(size=(2, 3))) for j in range(6)}
