@@ -167,12 +167,12 @@ def _cmd_rerank(args) -> int:
         if qid not in sources[source][1]:
             raise ConfigError(f"no query feature vector for query {qid!r}")
 
-    reranked = {}
+    entries = dict.fromkeys(run.entries)
     for source, (frames_path, vecs) in enumerate(sources):
         store = load_frame_store(frames_path)
         for qid, entry in run.entries.items():
             if route[qid] == source:
-                reranked[qid] = rerank(
+                entries[qid] = rerank(
                     entry,
                     store,
                     vecs[qid],
@@ -181,7 +181,6 @@ def _cmd_rerank(args) -> int:
                     normalize_original=not args.no_normalize,
                 )
         del store
-    entries = {qid: reranked[qid] for qid in run.entries}
     tag = args.run_tag or f"{run.run_tag}-re"
     write_run(args.out, RankedRun(entries, tag))
     if args.query_tokens:

@@ -26,7 +26,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import FormatError, MetricError
-from .featio import atomic_open, read_fields
+from .featio import atomic_open, check_tokens, read_fields
 from .fusion import FeatureBundle, LaffModel, fused_matrix
 from .numeric import unit_rows
 
@@ -61,10 +61,6 @@ class RankedRun:
                         f"query {qid!r}: scores increase at item {item_id!r}"
                     )
                 prev = score
-
-    @property
-    def query_ids(self) -> tuple[str, ...]:
-        return tuple(self.entries)
 
 
 @dataclass
@@ -330,6 +326,7 @@ def late_fuse(
     Items missing from a run contribute that run's minimum normalized score
     for the query. Raw "average fusion" across uncalibrated score ranges is
     meaningless, hence the normalization (disable with normalize=False).
+    Totals are kept per item in first-appearance order and summed run by run.
     """
     if not runs:
         raise ValueError("no runs to fuse")
@@ -349,40 +346,22 @@ def late_fuse(
     fused: dict[str, RunEntry] = {}
     for qid in runs[0].entries:
         # Items keep first-appearance order so ties resolve stably.
-        order: list[str] = []
-        totals: dict[str, float] = {}
-        per_run_scores: list[dict[str, float]] = []
-        fills: list[float] = []
-        for run in runs:
+        totals = dict.fromkeys((item for run in runs for item, _ in run.entries[qid]), 0.0)
+        for w, run in zip(weights, runs):
             entry = run.entries[qid]
             raw = [s for _, s in entry]
             norm = _minmax(raw) if normalize else raw
             scored = {item: ns for (item, _), ns in zip(entry, norm)}
-            per_run_scores.append(scored)
-            fills.append(min(norm) if norm else 0.0)
-            for item, _ in entry:
-                if item not in totals:
-                    totals[item] = 0.0
-                    order.append(item)
-        for w, scored, fill in zip(weights, per_run_scores, fills):
-            for item in order:
+            fill = min(norm) if norm else 0.0
+            for item in totals:
                 totals[item] += w * scored.get(item, fill)
-        ranked = sorted(order, key=lambda item: -totals[item])
-        fused[qid] = [(item, totals[item]) for item in ranked]
+        fused[qid] = sorted(totals.items(), key=lambda kv: -kv[1])
     return RankedRun(fused, run_tag)
 
 
 # ---------------------------------------------------------------------------
 # File formats
 # ---------------------------------------------------------------------------
-
-
-def _check_ids(where, field: str, ids) -> None:
-    """Reject an empty id or one holding whitespace, as its line would not
-    read back; the error, at `where`, names the first in sorted order."""
-    bad = sorted(value for value in ids if value.split() != [value])
-    if bad:
-        raise FormatError(f"{where}: {field} {bad[0]!r} is empty or contains whitespace")
 
 
 def write_run(path, run: RankedRun) -> None:
@@ -402,7 +381,7 @@ def write_rows(path, rows: Iterable[RankedRow], run_tag: str) -> None:
 
     Each query's lines are one `%` format, whose template repeats
     `{qid} Q0 %s {rank} %.6f {run_tag}` and whose arguments are the item
-    ids and scores, interleaved. After the last row, `_check_ids` checks
+    ids and scores, interleaved. After the last row, `check_tokens` checks
     the run tag, the query ids and the listed item ids, in that order. A
     failed write or check leaves `path` as it was (`atomic_open`). The rows
     are written as given: ordering, finite scores and distinct ids are the
@@ -425,9 +404,9 @@ def write_rows(path, rows: Iterable[RankedRow], run_tag: str) -> None:
             values[1::2] = scores
             fh.write((head + (tail + head).join(fields[:n]) + tail) % tuple(values))
             listed.update(ids)
-        _check_ids(path, "run tag", [run_tag])
-        _check_ids(path, "query id", query_ids)
-        _check_ids(path, "item id", listed)
+        check_tokens(path, "run tag", [run_tag])
+        check_tokens(path, "query id", query_ids)
+        check_tokens(path, "item id", listed)
 
 
 def read_run(path) -> RankedRun:
@@ -453,14 +432,14 @@ def read_run(path) -> RankedRun:
         if tag != run_tag:
             if run_tag is not None:
                 raise FormatError(f"{path}:{lineno}: run tag changes from {run_tag!r} to {tag!r}")
-            _check_ids(f"{path}:{lineno}", "run tag", [tag])
+            check_tokens(f"{path}:{lineno}", "run tag", [tag])
             run_tag = tag
         if qid != current:
             if qid in entries:
                 raise FormatError(
                     f"{path}:{lineno}: query {qid!r} reappears after another query"
                 )
-            _check_ids(f"{path}:{lineno}", "query id", [qid])
+            check_tokens(f"{path}:{lineno}", "query id", [qid])
             entries[qid] = entry = []
             current = qid
             expected_rank = 1
@@ -469,7 +448,7 @@ def read_run(path) -> RankedRun:
         expected_rank += 1
         canonical = checked.get(item_id)
         if canonical is None:
-            _check_ids(f"{path}:{lineno}", "item id", [item_id])
+            check_tokens(f"{path}:{lineno}", "item id", [item_id])
             checked[item_id] = canonical = item_id
         entry.append((canonical, score))
     if run_tag is None:
@@ -483,8 +462,8 @@ def read_run(path) -> RankedRun:
 def write_qrels(path, judgments: JudgmentSet) -> None:
     """Write a qrels file; ids are checked as in `write_run`."""
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _check_ids(path, "query id", judgments.judgments)
-        _check_ids(path, "item id", set(chain.from_iterable(judgments.judgments.values())))
+        check_tokens(path, "query id", judgments.judgments)
+        check_tokens(path, "item id", set(chain.from_iterable(judgments.judgments.values())))
         fh.write("#complete\n" if judgments.complete else "#sampled\n")
         for qid, labels in judgments.judgments.items():
             for item_id, rel in labels.items():
@@ -503,7 +482,7 @@ def read_qrels(path) -> JudgmentSet:
         qid, _, item_id, rel_str = fields
         for field, value in (("query id", qid), ("item id", item_id)):
             if value not in checked:
-                _check_ids(f"{path}:{lineno}", field, [value])
+                check_tokens(f"{path}:{lineno}", field, [value])
                 checked.add(value)
         if rel_str not in ("0", "1"):
             raise FormatError(f"{path}:{lineno}: relevance must be 0 or 1, got {rel_str!r}")

@@ -42,6 +42,10 @@ The line-oriented text formats (run, qrels, caption, pairing and
 candidate files) are all read through `read_fields`, which splits each
 line into its fields, checks their count and reports invalid UTF-8 as a
 FormatError at `path:line`; each reader adds only its own format's checks.
+The TAB-separated ones (caption, pairing, candidate and selection files)
+refuse an empty field or one holding a TAB or line break (`check_fields`),
+the space-separated ones an empty token or one holding whitespace
+(`check_tokens`). Both binary readers start with `_Reader.expect_header`.
 """
 
 from __future__ import annotations
@@ -129,6 +133,16 @@ class _Reader:
         values = struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
         return values[0] if len(values) == 1 else values
 
+    def expect_header(self, magic: bytes) -> None:
+        """Read the 4-byte magic and the u8 version, and refuse any other
+        magic than `magic` or any version but FORMAT_VERSION."""
+        got = self.read(4, "magic")
+        if got != magic:
+            raise FormatError(f"{self.path}: bad magic {got!r}, expected {magic!r}")
+        version = self.unpack("<B", "version")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"{self.path}: unsupported version {version}")
+
     def expect_eof(self) -> None:
         extra = self.fh.read(1)
         if extra:
@@ -162,6 +176,27 @@ def read_fields(path, sep: str, counts: tuple[int, ...], skip_blank=False, heade
                 yield lineno, fields
         except UnicodeDecodeError:
             raise FormatError(utf8_error(path)) from None
+
+
+def check_fields(where: str, fields, names) -> None:
+    """A FormatError at `where` naming the first of fields that is empty or
+    holds a TAB or line break. A line without an id would fail later, under
+    another name, and one with a TAB or line break in an id would read back
+    as other fields or lines."""
+    for value, name in zip(fields, names):
+        if not value:
+            raise FormatError(f"{where}: empty {name}")
+        if "\t" in value or "\n" in value or "\r" in value:
+            raise FormatError(f"{where}: {name} {value!r} holds a TAB or line break")
+
+
+def check_tokens(where, field: str, values) -> None:
+    """Reject an empty value or one holding whitespace, as a line split on
+    whitespace would not read it back; the error, at `where`, names the
+    first in sorted order."""
+    bad = sorted(value for value in values if value.split() != [value])
+    if bad:
+        raise FormatError(f"{where}: {field} {bad[0]!r} is empty or contains whitespace")
 
 
 def utf8_error(path) -> str:
@@ -214,20 +249,14 @@ def _float32_record(path, item_id: str, vec) -> np.ndarray:
 def write_features(path, space_name: str, features: Mapping[str, np.ndarray]) -> None:
     """Write one feature space; record order follows dict insertion order.
 
-    A value that read_features would refuse (see _float32_record) is raised
-    inside atomic_open, so whatever was at path stays.
+    A vector shaped unlike the first, or a value read_features would refuse
+    (_float32_record), is raised inside atomic_open: whatever was at path stays.
     """
-    items = list(features.items())
+    items = list(features.items())  # a list, not the view: see ROADMAP item 0 (peak RSS)
     if items:
         dim = int(np.asarray(items[0][1]).shape[0])
     else:
         dim = 1
-    for item_id, vec in items:
-        vec = np.asarray(vec)
-        if vec.ndim != 1 or vec.shape[0] != dim:
-            raise DimensionError(
-                f"feature {item_id!r} has shape {vec.shape}, expected ({dim},)"
-            )
     with atomic_open(path) as fh, np.errstate(over="ignore"):
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<B", FORMAT_VERSION))
@@ -235,6 +264,11 @@ def write_features(path, space_name: str, features: Mapping[str, np.ndarray]) ->
         fh.write(struct.pack("<Q", len(items)))
         fh.write(_pack_name(space_name))
         for item_id, vec in items:
+            vec = np.asarray(vec)
+            if vec.ndim != 1 or vec.shape[0] != dim:
+                raise DimensionError(
+                    f"feature {item_id!r} has shape {vec.shape}, expected ({dim},)"
+                )
             fh.write(_pack_name(item_id))
             fh.write(_float32_record(path, item_id, vec).tobytes())
 
@@ -294,12 +328,7 @@ def read_features(path, keep=None) -> tuple[str, FeatureTable]:
     first such record."""
     with open(path, "rb") as fh:
         reader = _Reader(fh, path)
-        magic = reader.read(4, "magic")
-        if magic != FEATURE_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {FEATURE_MAGIC!r}")
-        version = reader.unpack("<B", "version")
-        if version != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
+        reader.expect_header(FEATURE_MAGIC)
         dim = reader.unpack("<I", "dim")
         if dim < 1:
             raise FormatError(f"{path}: dim must be >= 1, got {dim}")
@@ -382,14 +411,7 @@ def checkpoint_save(model: LaffModel, path) -> None:
 def checkpoint_load(path) -> LaffModel:
     with open(path, "rb") as fh:
         reader = _Reader(fh, path)
-        magic = reader.read(4, "magic")
-        if magic != CHECKPOINT_MAGIC:
-            raise FormatError(
-                f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}"
-            )
-        version = reader.unpack("<B", "version")
-        if version != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
+        reader.expect_header(CHECKPOINT_MAGIC)
         h, d = reader.unpack("<II", "h and d")
         if h < 1 or d < 1:
             raise FormatError(f"{path}: corrupt header (h={h}, d={d})")

@@ -6,8 +6,8 @@ against the manifest's directory. Caption files are TAB-separated
 `item_id\ttext[\ttags]` lines (tokens lowercased on read, tags
 space-separated); pairing files are `video_id\tcaption_id` with an optional
 third column naming the negated caption. Both are read through
-`featio.read_fields`; an empty id is a FormatError, on reading at
-`path:line` and on writing.
+`featio.read_fields`; an id that `featio.check_fields` refuses is a
+FormatError, on reading at `path:line` and on writing.
 
 `load_feature_bundles` is the one feature loader: `load_dataset` calls it
 once per modality, and the CLI and the synthetic-data oracle call it for
@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .errors import ConfigError, FormatError
 from .evaluation import JudgmentSet, read_qrels
-from .featio import FeatureTable, atomic_open, read_features, read_fields, utf8_error
+from .featio import FeatureTable, atomic_open, check_fields, read_features, read_fields, utf8_error
 from .fusion import FeatureBundle
 from .negation import Caption, Triplet
 
@@ -118,31 +118,16 @@ def write_manifest(path, manifest: DatasetManifest) -> None:
 _PAIR_FIELDS = ("video id", "caption id", "negated caption id")
 
 
-def _check_ids(where: str, fields, names) -> None:
-    """A FormatError at `where` naming the first of fields that is empty or
-    holds a TAB or line break. A line without an id would fail later, under
-    another name, and one with a TAB or line break in an id would read back
-    as other fields or lines."""
-    for value, name in zip(fields, names):
-        if not value:
-            raise FormatError(f"{where}: empty {name}")
-        if "\t" in value or "\n" in value or "\r" in value:
-            raise FormatError(f"{where}: {name} {value!r} holds a TAB or line break")
-
-
 def read_captions(path) -> dict[str, Caption]:
     captions: dict[str, Caption] = {}
     for lineno, fields in read_fields(path, "\t", (2, 3), skip_blank=True):
         item_id, text = fields[0], fields[1]
-        _check_ids(f"{path}:{lineno}", [item_id], ["caption id"])
+        check_fields(f"{path}:{lineno}", [item_id], ["caption id"])
         if item_id in captions:
             raise FormatError(f"{path}:{lineno}: duplicate caption id {item_id!r}")
-        tokens = text.lower().split()
-        if not tokens:
-            raise FormatError(f"{path}:{lineno}: caption {item_id!r} is empty")
         tags = fields[2].split() if len(fields) == 3 else None
         try:
-            captions[item_id] = Caption(item_id, tokens, tags)
+            captions[item_id] = Caption(item_id, text.lower().split(), tags)
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: {exc}") from None
     return captions
@@ -151,7 +136,7 @@ def read_captions(path) -> dict[str, Caption]:
 def write_captions(path, captions: dict[str, Caption]) -> None:
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for caption in captions.values():
-            _check_ids(path, [caption.item_id], ["caption id"])
+            check_fields(path, [caption.item_id], ["caption id"])
             line = f"{caption.item_id}\t{caption.text}"
             if caption.pos_tags is not None:
                 line += "\t" + " ".join(caption.pos_tags)
@@ -161,7 +146,7 @@ def write_captions(path, captions: dict[str, Caption]) -> None:
 def read_pairs(path) -> list[tuple[str, str, str | None]]:
     pairs = []
     for lineno, fields in read_fields(path, "\t", (2, 3), skip_blank=True):
-        _check_ids(f"{path}:{lineno}", fields, _PAIR_FIELDS)
+        check_fields(f"{path}:{lineno}", fields, _PAIR_FIELDS)
         pairs.append((fields[0], fields[1], fields[2] if len(fields) == 3 else None))
     return pairs
 
@@ -170,7 +155,7 @@ def write_pairs(path, pairs: list[tuple[str, str, str | None]]) -> None:
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for video_id, caption_id, negated_id in pairs:
             fields = [video_id, caption_id] + ([] if negated_id is None else [negated_id])
-            _check_ids(path, fields, _PAIR_FIELDS)
+            check_fields(path, fields, _PAIR_FIELDS)
             fh.write("\t".join(fields) + "\n")
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateSimilarityWarning
+from .featio import check_tokens
 from .fusion import (
     FeatureBundle,
     GradFactors,
@@ -67,6 +68,8 @@ class Caption:
     def __post_init__(self):
         if not self.tokens:
             raise ValueError(f"caption {self.item_id!r} has no tokens")
+        # A caption file joins tokens with spaces and splits them on whitespace.
+        check_tokens(f"caption {self.item_id!r}", "token", self.tokens)
         if self.pos_tags is not None:
             if len(self.pos_tags) != len(self.tokens):
                 raise ValueError(
@@ -173,9 +176,11 @@ def negate_caption(caption: Caption, rng_seed, cue: str = "not") -> Caption | No
     """Insert a negation cue at a uniformly drawn candidate site.
 
     Returns None when the caption has no auxiliary or identified verb
-    (not negatable). A caption that already carries a cue is rejected.
+    (not negatable). A caption that already carries a cue is rejected, and
+    so, before that, is a cue that is not one token (see Caption).
     Deleting the inserted token restores the original token sequence.
     """
+    check_tokens(f"caption {caption.item_id!r}", "negation cue", [cue])
     has, _ = detect_negation(caption)
     if has:
         raise AlreadyNegatedError(
@@ -184,11 +189,7 @@ def negate_caption(caption: Caption, rng_seed, cue: str = "not") -> Caption | No
     sites = negation_sites(caption)
     if not sites:
         return None
-    rng = (
-        rng_seed
-        if isinstance(rng_seed, np.random.Generator)
-        else np.random.default_rng(rng_seed)
-    )
+    rng = np.random.default_rng(rng_seed)  # a Generator comes back as it is
     site = sites[int(rng.integers(len(sites)))]
     tokens = caption.tokens[:site] + [cue] + caption.tokens[site:]
     tags = None

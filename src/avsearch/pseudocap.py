@@ -8,7 +8,8 @@ model's text-to-video similarities, computed for all kept candidates at
 once — so this module never touches feature extraction.
 
 Candidate manifests are TAB-separated `video_id\tframe_index\tcaption`
-lines; selections are written as `video_id\trank\tscore\tcaption`.
+lines; selections are written as `video_id\trank\tscore\tcaption`. In
+both, each video id and caption must pass `featio.check_fields`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import FormatError
-from .featio import atomic_open, read_fields
+from .featio import atomic_open, check_fields, read_fields
 
 
 @dataclass
@@ -82,6 +83,7 @@ def read_candidates(path) -> list[CandidateSet]:
     groups: dict[str, list[CaptionCandidate]] = {}
     lines = read_fields(path, "\t", (3,), skip_blank=True)
     for lineno, (video_id, frame_str, caption) in lines:
+        check_fields(f"{path}:{lineno}", [video_id, caption], ("video id", "caption"))
         try:
             frame_index = int(frame_str)
         except ValueError:
@@ -94,12 +96,10 @@ def read_candidates(path) -> list[CandidateSet]:
 
 def write_selection(path, rows: dict[str, list[tuple[str, float]]]) -> None:
     """Write selections as `video_id\trank\tscore\tcaption` lines. A video id
-    or caption holding a TAB or line break is a FormatError, raised inside
-    atomic_open, so whatever was at path stays."""
+    or caption that is empty or holds a TAB or line break is a FormatError,
+    raised inside atomic_open, so whatever was at path stays."""
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for video_id, selected in rows.items():
             for rank, (caption, score) in enumerate(selected, start=1):
-                for name, value in (("video id", video_id), ("caption", caption)):
-                    if "\t" in value or "\n" in value or "\r" in value:
-                        raise FormatError(f"{path}: {name} {value!r} holds a TAB or line break")
+                check_fields(path, [video_id, caption], ("video id", "caption"))
                 fh.write(f"{video_id}\t{rank}\t{score:.6f}\t{caption}\n")

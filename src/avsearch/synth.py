@@ -86,7 +86,9 @@ def synth_dataset(
 
     With n_captions_per >= 2 the last caption of each video becomes a
     validation query; negate_fraction of the training captions additionally
-    get a negated copy whose features derive from the negated latent.
+    get a negated copy, named in the caption's training pair, whose features
+    derive from the rotated latent. Random draws come in this order: latents,
+    rotation, projections, captions, negated subset and cue sites, noise.
     """
     if latent_dim < 2:
         raise ConfigError(f"latent_dim must be >= 2, got {latent_dim}")
@@ -122,63 +124,50 @@ def synth_dataset(
             np.save(out / "meta" / f"proj_{modality}_{spec.name}.npy", p)
 
     # Captions: last one per video is validation; a seeded subset of the
-    # training captions gets a negated copy.
+    # training captions gets a negated copy, named in its training row.
     captions: dict[str, Caption] = {}
     train_rows: list[tuple[str, str, str | None]] = []
     val_rows: list[tuple[str, str, str | None]] = []
     caption_latents: dict[str, np.ndarray] = {}
-    train_caption_ids: list[str] = []
     for vi, video_id in enumerate(video_ids):
         for ci in range(n_captions_per):
             cap_id = f"{video_id}c{ci}"
-            captions[cap_id] = Caption(cap_id, _template_caption(cap_id, rng).tokens)
+            captions[cap_id] = _template_caption(cap_id, rng)
             caption_latents[cap_id] = latents[vi]
             is_val = n_captions_per >= 2 and ci == n_captions_per - 1
             if is_val:
                 val_rows.append((video_id, cap_id, None))
             else:
                 train_rows.append((video_id, cap_id, None))
-                train_caption_ids.append(cap_id)
 
-    n_negated = round(negate_fraction * len(train_caption_ids))
+    n_negated = round(negate_fraction * len(train_rows))
     negate_idx = sorted(
-        rng.choice(len(train_caption_ids), size=n_negated, replace=False).tolist()
+        rng.choice(len(train_rows), size=n_negated, replace=False).tolist()
     )
-    negated_of: dict[str, str] = {}
     for idx in negate_idx:
-        cap_id = train_caption_ids[idx]
+        video_id, cap_id, _ = train_rows[idx]
         neg = negate_caption(captions[cap_id], rng)
         if neg is None:  # templates always carry an aux or -ing verb
             continue
         neg_id = f"{cap_id}~neg"
         captions[neg_id] = Caption(neg_id, neg.tokens)
         caption_latents[neg_id] = neg_rotation @ caption_latents[cap_id]
-        negated_of[cap_id] = neg_id
-    train_rows = [
-        (vid, cid, negated_of.get(cid)) for vid, cid, _ in train_rows
-    ]
+        train_rows[idx] = (video_id, cap_id, neg_id)
 
-    video_paths: list[Path] = []
-    for spec in video_spaces:
-        p = projections[("video", spec.name)]
-        values = latents @ p.T + spec.noise_sigma * rng.standard_normal(
-            (n_videos, spec.dim)
-        )
-        path = out / f"video_{spec.name}.feat"
-        write_features(path, spec.name, dict(zip(video_ids, values)))
-        video_paths.append(path)
-
-    caption_ids = list(captions)
-    text_paths: list[Path] = []
-    for spec in text_spaces:
-        p = projections[("text", spec.name)]
-        z = np.stack([caption_latents[c] for c in caption_ids])
-        values = z @ p.T + spec.noise_sigma * rng.standard_normal(
-            (len(caption_ids), spec.dim)
-        )
-        path = out / f"text_{spec.name}.feat"
-        write_features(path, spec.name, dict(zip(caption_ids, values)))
-        text_paths.append(path)
+    feature_paths: dict[str, list[Path]] = {}
+    for modality, specs, ids, z in (
+        ("video", video_spaces, video_ids, latents),
+        ("text", text_spaces, list(captions), np.stack(list(caption_latents.values()))),
+    ):
+        feature_paths[modality] = []
+        for spec in specs:
+            p = projections[(modality, spec.name)]
+            values = z @ p.T + spec.noise_sigma * rng.standard_normal(
+                (len(ids), spec.dim)
+            )
+            path = out / f"{modality}_{spec.name}.feat"
+            write_features(path, spec.name, dict(zip(ids, values)))
+            feature_paths[modality].append(path)
 
     captions_path = out / "captions.tsv"
     write_captions(captions_path, captions)
@@ -198,8 +187,8 @@ def synth_dataset(
         write_manifest(
             manifest_path,
             DatasetManifest(
-                video_features=video_paths,
-                text_features=text_paths,
+                video_features=feature_paths["video"],
+                text_features=feature_paths["text"],
                 pairs=pairs_path,
                 captions=captions_path,
                 qrels=qrels_path,

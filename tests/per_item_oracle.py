@@ -16,6 +16,8 @@ for `evaluation.ranked_rows`, which `batched_rank_scores` and
 them; `relevant_ranks` reads ranks off its lists,
 as the reference for the counted ranks, and `write_run` writes each line of a run
 with its own f-string, as the reference for `evaluation.write_rows`.
+`late_fuse` keeps per-run score lists and the item order beside its totals,
+as the reference for `evaluation.late_fuse`.
 `average_precision`, `inf_ap` and `recall_at_k` scan a whole ranked list,
 as the references for the metrics that stop at the last relevant item or
 count ranks. `train_epoch` adds each batch's gradient into a new zeroed vector and
@@ -34,8 +36,9 @@ import numpy as np
 
 from avsearch.errors import FormatError
 from avsearch.featio import FEATURE_MAGIC, FORMAT_VERSION, _read_name, _Reader, atomic_open
+from avsearch.featio import check_tokens
 
-from avsearch.evaluation import INF_AP_EPS, _check_ids, _minmax, ranked_rows
+from avsearch.evaluation import INF_AP_EPS, RankedRun, _minmax, ranked_rows
 from avsearch.evaluation import rank_many as batched_rank_many
 from avsearch.fusion import BranchGrads, FeatureBundle, LaffBranchParams, LaffModel
 from avsearch.fusion import fused_matrix as batched_fused_matrix
@@ -311,15 +314,46 @@ def write_run(path, run) -> None:
     """One f-string per line, the ids checked before the first line is
     written: the reference for `evaluation.write_rows`."""
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _check_ids(path, "run tag", [run.run_tag])
-        _check_ids(path, "query id", run.entries)
+        check_tokens(path, "run tag", [run.run_tag])
+        check_tokens(path, "query id", run.entries)
         items = chain.from_iterable(map(itemgetter(0), e) for e in run.entries.values())
-        _check_ids(path, "item id", set(items))
+        check_tokens(path, "item id", set(items))
         for qid, entry in run.entries.items():
             fh.write("".join([
                 f"{qid} Q0 {item_id} {rank_pos} {score:.6f} {run.run_tag}\n"
                 for rank_pos, (item_id, score) in enumerate(entry, start=1)
             ]))
+
+
+def late_fuse(runs, weights, run_tag="fusion", normalize=True):
+    """Each run's normalized scores and fill kept in lists, the items'
+    first-appearance order in its own list, and the weighted sums added
+    after all runs are read: the reference for `evaluation.late_fuse`,
+    which keeps only one running total per item. The argument checks are
+    left out."""
+    fused = {}
+    for qid in runs[0].entries:
+        order = []
+        totals = {}
+        per_run_scores = []
+        fills = []
+        for run in runs:
+            entry = run.entries[qid]
+            raw = [s for _, s in entry]
+            norm = _minmax(raw) if normalize else raw
+            scored = {item: ns for (item, _), ns in zip(entry, norm)}
+            per_run_scores.append(scored)
+            fills.append(min(norm) if norm else 0.0)
+            for item, _ in entry:
+                if item not in totals:
+                    totals[item] = 0.0
+                    order.append(item)
+        for w, scored, fill in zip(weights, per_run_scores, fills):
+            for item in order:
+                totals[item] += w * scored.get(item, fill)
+        ranked = sorted(order, key=lambda item: -totals[item])
+        fused[qid] = [(item, totals[item]) for item in ranked]
+    return RankedRun(fused, run_tag)
 
 
 def pair_similarity(model: LaffModel, video: FeatureBundle, text: FeatureBundle) -> float:

@@ -528,6 +528,17 @@ class TestNegateCli:
         assert "1 already-negated" in err and "1 without an insertion site" in err
 
 
+    @pytest.mark.parametrize("cue", ["", "do not", "no\tpe"])
+    def test_cue_that_is_not_one_token_exits_1_and_writes_nothing(self, tmp_path, capsys, cue):
+        caps = tmp_path / "caps.tsv"
+        caps.write_text("c1\ta man is running\n")
+        out = tmp_path / "neg.tsv"
+        assert run_cli("negate", "--captions", caps, "--out", out, "--cue", cue) == 1
+        err = capsys.readouterr().err
+        assert f"caption 'c1': negation cue {cue!r} is empty or contains whitespace" in err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["caps.tsv"]
+
+
 class TestPseudocapCli:
     def test_selects_top_k(self, tmp_path):
         model = randomized_model({"vis": 4}, {"txt": 3}, d=5, heads=1, seed=21)

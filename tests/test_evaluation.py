@@ -297,6 +297,28 @@ class TestMeanMetric:
             mean_metric(run, JudgmentSet({"other": {"a": 1}}), average_precision)
 
 
+def random_runs_to_fuse(rng) -> tuple[list[RankedRun], list[float]]:
+    """One to four runs over three queries, and their weights. Items are
+    missing from some runs, scores come from a few values so that they tie,
+    about one entry in three has one constant score, and weights are
+    sometimes zero."""
+    n_runs = int(rng.integers(1, 5))
+    runs = []
+    for r in range(n_runs):
+        entries = {}
+        for q in range(3):
+            items = rng.permutation(12)[: int(rng.integers(1, 10))]
+            if rng.random() < 1 / 3:
+                scores = np.full(len(items), rng.normal())
+            else:
+                scores = np.sort(rng.choice([-1.5, 0.0, 0.25, 2.0, 7.0], len(items)))[::-1]
+            entries[f"q{q}"] = [(f"i{i}", float(s)) for i, s in zip(items, scores)]
+        runs.append(RankedRun(entries, f"r{r}"))
+    weights = [float(w) for w in rng.choice([0.0, 0.3, 1.0, 2.5], n_runs)]
+    weights[int(rng.integers(n_runs))] = 0.7  # keeps the sum positive
+    return runs, weights
+
+
 class TestLateFuse:
     def test_identical_runs_keep_ordering(self):
         entries = {"q": [("a", 0.9), ("b", 0.5), ("c", 0.1)]}
@@ -337,6 +359,18 @@ class TestLateFuse:
         run = RankedRun({"q": [("a", 1e308), ("m", 0.0), ("b", -1e308)]}, "r")
         fused = late_fuse([run, run], [0.5, 0.5])
         assert fused.entries["q"] == [("a", 1.0), ("m", 0.5), ("b", 0.0)]
+
+    @pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
+    def test_matches_the_per_run_oracle_bit_for_bit(self, normalize):
+        for seed in range(60):
+            runs, weights = random_runs_to_fuse(np.random.default_rng(seed))
+            got = late_fuse(runs, weights, run_tag="f", normalize=normalize)
+            want = oracle.late_fuse(runs, weights, run_tag="f", normalize=normalize)
+            assert got.run_tag == "f"
+            assert list(got.entries) == list(want.entries)
+            for qid, entry in want.entries.items():
+                hexed = [(i, s.hex()) for i, s in entry]
+                assert [(i, s.hex()) for i, s in got.entries[qid]] == hexed, (seed, qid)
 
     def test_single_run_identity_ordering(self, rng):
         entry = [(f"i{j}", float(s)) for j, s in enumerate(np.sort(rng.uniform(0, 1, 8))[::-1])]

@@ -368,6 +368,48 @@ class TestCheckpoints:
             checkpoint_load(p)
 
 
+class TestBinaryHeaders:
+    """Each binary reader refuses the other's file and a version it does not
+    know, with the same messages."""
+
+    def files(self, tmp_path, version=1):
+        feat, ckpt = tmp_path / "x.feat", tmp_path / "m.ckpt"
+        write_features(feat, "s", {"v1": np.ones(3)})
+        checkpoint_save(randomized_model({"vis": 3}, {"txt": 2}, d=4, heads=1, seed=0), ckpt)
+        for path in (feat, ckpt):
+            raw = bytearray(path.read_bytes())
+            raw[4] = version
+            path.write_bytes(bytes(raw))
+        return feat, ckpt
+
+    def test_each_reader_refuses_the_other_format(self, tmp_path):
+        feat, ckpt = self.files(tmp_path)
+        with pytest.raises(FormatError) as exc:
+            read_features(ckpt)
+        assert str(exc.value) == f"{ckpt}: bad magic b'AVSC', expected b'AVSF'"
+        with pytest.raises(FormatError) as exc:
+            checkpoint_load(feat)
+        assert str(exc.value) == f"{feat}: bad magic b'AVSF', expected b'AVSC'"
+
+    def test_each_reader_refuses_version_2(self, tmp_path):
+        feat, ckpt = self.files(tmp_path, version=2)
+        for read, path in ((read_features, feat), (checkpoint_load, ckpt)):
+            with pytest.raises(FormatError) as exc:
+                read(path)
+            assert str(exc.value) == f"{path}: unsupported version 2"
+
+    def test_search_given_a_feature_file_as_checkpoint_exits_1_naming_it(self, tmp_path, capsys):
+        feat, _ = self.files(tmp_path)
+        code = cli_main([
+            "search", "--checkpoint", str(feat), "--video-feats", str(feat),
+            "--query-feats", str(feat), "--out", str(tmp_path / "run.txt"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {feat}: bad magic b'AVSF', expected b'AVSC'\n"
+        assert not (tmp_path / "run.txt").exists()
+
+
 class TestFrameGrouping:
     def test_groups_and_sorts_by_frame(self, rng):
         feats = {

@@ -64,6 +64,19 @@ class TestDetectNegation:
         assert detect_negation(Caption("q", ["it", "is", "n't", "here"]))[0] is True
 
 
+class TestCaption:
+    @pytest.mark.parametrize("token", ["", "a\tb", "do not", " x", "x\n", "a\x1fb"])
+    def test_token_that_would_not_read_back_rejected(self, token):
+        with pytest.raises(ValueError) as exc:
+            Caption("c1", ["a", token, "is", "running"])
+        assert str(exc.value) == (
+            f"caption 'c1': token {token!r} is empty or contains whitespace"
+        )
+
+    def test_tokens_without_whitespace_accepted(self):
+        assert Caption("c1", ["a", "non-stop", "man's", "day"]).text == "a non-stop man's day"
+
+
 class TestNegateCaption:
     def test_insertion_after_auxiliary(self):
         c = Caption("q", "a man is holding a knife".split())
@@ -98,6 +111,18 @@ class TestNegateCaption:
             tuple("the dog was not seen chasing a ball".split()),
             tuple("the dog was seen not chasing a ball".split()),
         }
+
+    @pytest.mark.parametrize("cue", ["", "do not", "no\tpe", " not"])
+    def test_cue_that_is_not_one_token_rejected_first(self, cue):
+        # Checked before the caption's own cue: a caption file could not
+        # hold the negated caption as written.
+        for text in ("a man is running", "a man is not running"):
+            with pytest.raises(ValueError) as exc:
+                negate_caption(Caption("c1", text.split()), 0, cue=cue)
+            assert not isinstance(exc.value, AlreadyNegatedError)
+            assert str(exc.value) == (
+                f"caption 'c1': negation cue {cue!r} is empty or contains whitespace"
+            )
 
     def test_custom_cue(self):
         out = negate_caption(Caption("q", ["he", "is", "cooking"]), 0, cue="never")

@@ -145,6 +145,30 @@ class TestManifestIO:
         with pytest.raises(FormatError, match="integer"):
             read_candidates(p)
 
+    @pytest.mark.parametrize("text, where", [
+        ("\t3\ta dog\n", "1: empty video id"),
+        ("v1\t0\ta dog\nv1\t4\t\n", "2: empty caption"),
+    ], ids=["video-id", "caption"])
+    def test_read_refuses_an_empty_field_at_its_line(self, tmp_path, text, where):
+        p = tmp_path / "cands.tsv"
+        p.write_text(text)
+        with pytest.raises(FormatError) as exc:
+            read_candidates(p)
+        assert str(exc.value) == f"{p}:{where}"
+
+    @pytest.mark.parametrize("rows, named", [
+        ({"": [("a dog", 0.5)]}, "video id"),
+        ({"v1": [("a dog", 0.9), ("", 0.5)]}, "caption"),
+    ], ids=["video-id", "caption"])
+    def test_write_selection_refuses_an_empty_field(self, tmp_path, rows, named):
+        p = tmp_path / "out.tsv"
+        p.write_text("old\n")
+        with pytest.raises(FormatError) as exc:
+            write_selection(p, rows)
+        assert str(exc.value) == f"{p}: empty {named}"
+        assert p.read_text() == "old\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["out.tsv"]
+
     def test_write_selection_format(self, tmp_path):
         p = tmp_path / "out.tsv"
         write_selection(p, {"v1": [("best cap", 0.91), ("next", 0.5)]})
@@ -174,7 +198,7 @@ def candidate_files(draw) -> tuple[bytes, list[CandidateSet]]:
     """The bytes of a valid candidate manifest, and the sets it holds."""
     rows = draw(st.lists(
         st.tuples(st.text("ab#", min_size=1, max_size=2), st.integers(-9, 10**6),
-                  st.text("aB c", max_size=6)),
+                  st.text("aB c", min_size=1, max_size=6)),
         max_size=5,
     ))
     groups: dict[str, list[CaptionCandidate]] = {}

@@ -45,7 +45,7 @@ def outcome(write, path, *args):
 
 
 # Ids that a `%` template would misread if they were part of it, ids outside
-# ASCII, and ids that `_check_ids` refuses, so that the errors compare too.
+# ASCII, and ids that `check_tokens` refuses, so that the errors compare too.
 # Every character str.split() splits on is in Cc, Zs, Zl or Zp; surrogates
 # (Cs) do not encode as UTF-8.
 UNWRITABLE = ("Cs", "Cc", "Zs", "Zl", "Zp")

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -155,3 +156,34 @@ class TestSynthDataset:
         manifests = generate(tmp_path, n_captions=1)
         assert "val" not in manifests
         assert "train" in manifests
+
+
+# sha256 of the synth outputs that no BLAS call computes, for generate(seed=7,
+# n_videos=30, n_captions=3, noise=0.1, negate=0.5). The feature files and
+# meta/neg_rotation.npy go through a GEMM or a QR, whose last bits may differ
+# between machines, so they are left out.
+GOLDEN_SHA256 = {
+    "captions.tsv": "4270f3c032949888c93160d05fe61ae0f828ffe05ac98a5def255072d16ac1d3",
+    "manifest_train.json": "6bfe9323a4c803eaea5e679ba08955df8b0fb3b1aa058e1d673e4b94d095156c",
+    "manifest_val.json": "9c78a64aa0ce64b955bdd101fcfb0f54cf1080802968d3bb35c1be4b55f3b38e",
+    "meta/latents.npy": "9a9e0922a83ba3cad5dddef1156255bf7ad0546a4d5a286ec39730a283a6f5dd",
+    "meta/proj_text_txta.npy": "b4463a0b29c4abb9eb0687d9729636cecd0f4f3a2c500238e58bd87091b0dd84",
+    "meta/proj_text_txtb.npy": "0f63cae35fcde15110cccb80f618cc0a0ea7c852f32ce9ba8f1fdd6df805ac10",
+    "meta/proj_video_visa.npy": "52a42cbc615ea3309acdf8fe1558793f38c08e062fcbc91c3b94f99976f19c76",
+    "meta/proj_video_visb.npy": "956ec6e824e826dc477e0a29c06f2f2925353c9bf2855bfb69b33bd1008bf494",
+    "pairs_train.tsv": "69e5bb37c1b56f6f5c1a85277e0cd7ff839d1c153873484f934953deb71ea346",
+    "pairs_val.tsv": "70fc7035bdc4af09e11af36b29660904a287049cbbafa122fc4a580e79af86d2",
+    "qrels_train.txt": "37deb801a999cb318c486dd0b9d2c3b9d6155fba3dcff74525a19915ccb91a0e",
+    "qrels_val.txt": "971c12ea14096734f6fb53a0161fb5a56a7447d62cf784496a3c5b29d7063059",
+}
+
+
+def test_outputs_without_blas_match_their_golden_sha256(tmp_path):
+    generate(tmp_path / "d", seed=7, n_videos=30, n_captions=3, noise=0.1, negate=0.5)
+    snap = dir_snapshot(tmp_path / "d")
+    assert sorted(snap) == sorted([
+        *GOLDEN_SHA256, "meta/neg_rotation.npy",
+        "text_txta.feat", "text_txtb.feat", "video_visa.feat", "video_visb.feat",
+    ])
+    got = {name: hashlib.sha256(snap[name]).hexdigest() for name in GOLDEN_SHA256}
+    assert got == GOLDEN_SHA256
