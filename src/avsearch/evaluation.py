@@ -18,6 +18,7 @@ single spaces, ranks from 1, scores printed with 6 decimals. Qrels lines are
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain
@@ -26,7 +27,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import FormatError, MetricError
-from .featio import atomic_open, check_tokens, read_fields
+from .featio import atomic_open, check_tokens, read_fields, utf8_error
 from .fusion import FeatureBundle, LaffModel, fused_matrix
 from .numeric import unit_rows
 
@@ -410,53 +411,119 @@ def write_rows(path, rows: Iterable[RankedRow], run_tag: str) -> None:
 
 
 def read_run(path) -> RankedRun:
-    """Read a run file; each distinct id and the tag are checked as in `write_run`.
+    """Read a run file; each distinct id and the tag are checked as in
+    `write_run`, and the run as in `RankedRun`, in one pass over the lines.
 
     Every entry that lists an item holds the same str object for its id.
+    A line with the query id and tag of the line before, `Q0`, and the
+    expected rank written as `str(rank)` only has its score parsed and its
+    item id looked up. Any other line (the first, each new query's, a rank
+    such as `01`, a malformed line) goes through every check of the line
+    format, which name the line. `RankedRun`'s rules are checked on the way:
+    each score is `<=` the one before, which also refuses NaN, a query's
+    first score is not +inf and its last not -inf, and at the end of each
+    query its ids are distinct. After the last line, the first query that
+    breaks one of them goes through `RankedRun` for its message, so an error
+    in any line comes first.
     """
     entries: dict[str, RunEntry] = {}
-    run_tag: str | None = None
-    current: str | None = None
-    expected_rank = 0
     # Each item id checked so far, mapped to the one str object that every
     # entry listing it shares.
     checked: dict[str, str] = {}
-    for lineno, (qid, q0, item_id, rank_str, score_str, tag) in read_fields(path, " ", (6,)):
-        if q0 != "Q0":
-            raise FormatError(f"{path}:{lineno}: second field must be Q0, got {q0!r}")
+    run_tag = tag_nl = current = flagged = None
+    entry: RunEntry = []
+    done = 0  # lines of the queries before `current`
+    rank_strs: list[str] = []  # rank_strs[n] == str(n + 1), grown as needed
+    prev = _FIRST_MAX
+    with open(path, encoding="utf-8") as fh:
         try:
-            rank_pos = int(rank_str)
-            score = float(score_str)
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from None
-        if tag != run_tag:
-            if run_tag is not None:
-                raise FormatError(f"{path}:{lineno}: run tag changes from {run_tag!r} to {tag!r}")
-            check_tokens(f"{path}:{lineno}", "run tag", [tag])
-            run_tag = tag
-        if qid != current:
-            if qid in entries:
-                raise FormatError(
-                    f"{path}:{lineno}: query {qid!r} reappears after another query"
-                )
-            check_tokens(f"{path}:{lineno}", "query id", [qid])
-            entries[qid] = entry = []
-            current = qid
-            expected_rank = 1
-        if rank_pos != expected_rank:
-            raise FormatError(f"{path}:{lineno}: rank {rank_pos}, expected {expected_rank}")
-        expected_rank += 1
-        canonical = checked.get(item_id)
-        if canonical is None:
-            check_tokens(f"{path}:{lineno}", "item id", [item_id])
-            checked[item_id] = canonical = item_id
-        entry.append((canonical, score))
+            for line in fh:
+                try:
+                    qid, q0, item_id, rank_str, score_str, tag = line.split(" ")
+                    fast = (qid == current and tag == tag_nl and q0 == "Q0"
+                            and rank_str == rank_strs[len(entry)])
+                except (ValueError, IndexError):
+                    fast = False
+                if fast:
+                    try:
+                        score = float(score_str)
+                    except ValueError as exc:
+                        raise FormatError(f"{path}:{done + len(entry) + 1}: {exc}") from None
+                else:
+                    lineno = done + len(entry) + 1
+                    line = line.rstrip("\n")
+                    if not line:
+                        raise FormatError(f"{path}:{lineno}: empty line")
+                    fields = line.split(" ")
+                    if len(fields) != 6:
+                        raise FormatError(
+                            f"{path}:{lineno}: expected 6 space-separated fields, got {len(fields)}"
+                        )
+                    qid, q0, item_id, rank_str, score_str, tag = fields
+                    if q0 != "Q0":
+                        raise FormatError(f"{path}:{lineno}: second field must be Q0, got {q0!r}")
+                    try:
+                        rank_pos = int(rank_str)
+                        score = float(score_str)
+                    except ValueError as exc:
+                        raise FormatError(f"{path}:{lineno}: {exc}") from None
+                    if tag != run_tag:
+                        if run_tag is not None:
+                            raise FormatError(
+                                f"{path}:{lineno}: run tag changes from {run_tag!r} to {tag!r}"
+                            )
+                        check_tokens(f"{path}:{lineno}", "run tag", [tag])
+                        run_tag, tag_nl = tag, tag + "\n"
+                    if qid != current:
+                        if qid in entries:
+                            raise FormatError(
+                                f"{path}:{lineno}: query {qid!r} reappears after another query"
+                            )
+                        check_tokens(f"{path}:{lineno}", "query id", [qid])
+                        if flagged is None and _breaks_run(entry, prev):
+                            flagged = current
+                        done += len(entry)
+                        entries[qid] = entry = []
+                        current = qid
+                        prev = _FIRST_MAX
+                    if rank_pos != len(entry) + 1:
+                        raise FormatError(
+                            f"{path}:{lineno}: rank {rank_pos}, expected {len(entry) + 1}"
+                        )
+                    if rank_pos >= len(rank_strs):
+                        rank_strs = [str(r) for r in range(1, 2 * rank_pos + 1)]
+                canonical = checked.get(item_id)
+                if canonical is None:
+                    check_tokens(f"{path}:{done + len(entry) + 1}", "item id", [item_id])
+                    checked[item_id] = canonical = item_id
+                if not score <= prev and flagged is None:
+                    flagged = current
+                prev = score
+                entry.append((canonical, score))
+        except UnicodeDecodeError:
+            raise FormatError(utf8_error(path)) from None
     if run_tag is None:
         raise FormatError(f"{path}: empty run file")
-    try:
-        return RankedRun(entries, run_tag)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    if flagged is None and _breaks_run(entry, prev):
+        flagged = current
+    if flagged is not None:
+        try:
+            RankedRun({flagged: entries[flagged]}, run_tag)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+    run = RankedRun.__new__(RankedRun)  # its checks all ran above
+    run.entries, run.run_tag = entries, run_tag
+    return run
+
+
+# The bound on a query's first score: `<=` it refuses only +inf and NaN.
+_FIRST_MAX = sys.float_info.max
+
+
+def _breaks_run(entry: RunEntry, last: float) -> bool:
+    """Whether a query whose every score was `<=` the one before still
+    breaks `RankedRun`'s rules: its last score is -inf, or an item repeats."""
+    return last == -math.inf or len({item for item, _ in entry}) < len(entry)
 
 
 def write_qrels(path, judgments: JudgmentSet) -> None:

@@ -139,10 +139,11 @@ class Triplet:
 
 
 def detect_negation(caption: Caption) -> tuple[bool, list[int]]:
-    """True plus ascending cue positions if any token is a negation cue."""
+    """True plus ascending cue positions if any token is a negation cue, in
+    any case: `Not` is a cue as `not` is."""
     positions = [
         i
-        for i, tok in enumerate(caption.tokens)
+        for i, tok in enumerate(map(str.lower, caption.tokens))
         if tok in NEGATION_CUES or tok.startswith("non")
     ]
     return bool(positions), positions

@@ -9,7 +9,8 @@ once — so this module never touches feature extraction.
 
 Candidate manifests are TAB-separated `video_id\tframe_index\tcaption`
 lines; selections are written as `video_id\trank\tscore\tcaption`. In
-both, each video id and caption must pass `featio.check_fields`.
+both, each video id and caption must pass `featio.check_fields`, and a
+caption of only whitespace, which has no words, is refused as empty.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def read_candidates(path) -> list[CandidateSet]:
     groups: dict[str, list[CaptionCandidate]] = {}
     lines = read_fields(path, "\t", (3,), skip_blank=True)
     for lineno, (video_id, frame_str, caption) in lines:
-        check_fields(f"{path}:{lineno}", [video_id, caption], ("video id", "caption"))
+        _check_row(f"{path}:{lineno}", video_id, caption)
         try:
             frame_index = int(frame_str)
         except ValueError:
@@ -96,10 +97,19 @@ def read_candidates(path) -> list[CandidateSet]:
 
 def write_selection(path, rows: dict[str, list[tuple[str, float]]]) -> None:
     """Write selections as `video_id\trank\tscore\tcaption` lines. A video id
-    or caption that is empty or holds a TAB or line break is a FormatError,
-    raised inside atomic_open, so whatever was at path stays."""
+    or caption that is empty or holds a TAB or line break, or a caption of
+    only whitespace, is a FormatError, raised inside atomic_open, so
+    whatever was at path stays."""
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         for video_id, selected in rows.items():
             for rank, (caption, score) in enumerate(selected, start=1):
-                check_fields(path, [video_id, caption], ("video id", "caption"))
+                _check_row(path, video_id, caption)
                 fh.write(f"{video_id}\t{rank}\t{score:.6f}\t{caption}\n")
+
+
+def _check_row(where: str, video_id: str, caption: str) -> None:
+    """`check_fields` on both fields; a caption of only whitespace is empty
+    too, as it normalizes to no words."""
+    check_fields(where, [video_id, caption], ("video id", "caption"))
+    if caption.isspace():
+        raise FormatError(f"{where}: empty caption")

@@ -15,7 +15,9 @@ for `evaluation.ranked_rows`, which `batched_rank_scores` and
 `batched_rank` collect into the same lists for the tests that compare
 them; `relevant_ranks` reads ranks off its lists,
 as the reference for the counted ranks, and `write_run` writes each line of a run
-with its own f-string, as the reference for `evaluation.write_rows`.
+with its own f-string, as the reference for `evaluation.write_rows`, and `read_run` reads one over
+`read_fields` and then checks every query through `RankedRun`, as the
+reference for the streamed `evaluation.read_run`.
 `late_fuse` keeps per-run score lists and the item order beside its totals,
 as the reference for `evaluation.late_fuse`.
 `average_precision`, `inf_ap` and `recall_at_k` scan a whole ranked list,
@@ -36,9 +38,9 @@ import numpy as np
 
 from avsearch.errors import FormatError
 from avsearch.featio import FEATURE_MAGIC, FORMAT_VERSION, _read_name, _Reader, atomic_open
-from avsearch.featio import check_tokens
+from avsearch.featio import check_tokens, read_fields
 
-from avsearch.evaluation import INF_AP_EPS, RankedRun, _minmax, ranked_rows
+from avsearch.evaluation import INF_AP_EPS, RankedRun, RunEntry, _minmax, ranked_rows
 from avsearch.evaluation import rank_many as batched_rank_many
 from avsearch.fusion import BranchGrads, FeatureBundle, LaffBranchParams, LaffModel
 from avsearch.fusion import fused_matrix as batched_fused_matrix
@@ -323,6 +325,56 @@ def write_run(path, run) -> None:
                 f"{qid} Q0 {item_id} {rank_pos} {score:.6f} {run.run_tag}\n"
                 for rank_pos, (item_id, score) in enumerate(entry, start=1)
             ]))
+
+
+def read_run(path) -> RankedRun:
+    """Line by line over `read_fields`, then every query through
+    `RankedRun`'s check: the reference for `evaluation.read_run`. Each
+    distinct id and the tag are checked as in `write_run`, and every entry
+    that lists an item holds the same str object for its id."""
+    entries: dict[str, RunEntry] = {}
+    run_tag: str | None = None
+    current: str | None = None
+    expected_rank = 0
+    # Each item id checked so far, mapped to the one str object that every
+    # entry listing it shares.
+    checked: dict[str, str] = {}
+    for lineno, (qid, q0, item_id, rank_str, score_str, tag) in read_fields(path, " ", (6,)):
+        if q0 != "Q0":
+            raise FormatError(f"{path}:{lineno}: second field must be Q0, got {q0!r}")
+        try:
+            rank_pos = int(rank_str)
+            score = float(score_str)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from None
+        if tag != run_tag:
+            if run_tag is not None:
+                raise FormatError(f"{path}:{lineno}: run tag changes from {run_tag!r} to {tag!r}")
+            check_tokens(f"{path}:{lineno}", "run tag", [tag])
+            run_tag = tag
+        if qid != current:
+            if qid in entries:
+                raise FormatError(
+                    f"{path}:{lineno}: query {qid!r} reappears after another query"
+                )
+            check_tokens(f"{path}:{lineno}", "query id", [qid])
+            entries[qid] = entry = []
+            current = qid
+            expected_rank = 1
+        if rank_pos != expected_rank:
+            raise FormatError(f"{path}:{lineno}: rank {rank_pos}, expected {expected_rank}")
+        expected_rank += 1
+        canonical = checked.get(item_id)
+        if canonical is None:
+            check_tokens(f"{path}:{lineno}", "item id", [item_id])
+            checked[item_id] = canonical = item_id
+        entry.append((canonical, score))
+    if run_tag is None:
+        raise FormatError(f"{path}: empty run file")
+    try:
+        return RankedRun(entries, run_tag)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def late_fuse(runs, weights, run_tag="fusion", normalize=True):

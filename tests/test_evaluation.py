@@ -681,3 +681,55 @@ class TestReadRunInterning:
         run = read_run(p)
         assert run.entries == {"q1": [("video12", 0.5), ("b", 0.4)], "q2": [("video12", 0.9)]}
         assert run.entries["q1"][0][0] is run.entries["q2"][0][0]
+
+
+# Complete lines put before a mutated run file: ranks that are not written
+# as str(rank) (`1_0` reads as 10), scores that are not finite, CRLF and lone
+# CR line ends, and an order error that a later line error must beat.
+READ_RUN_PREFIXES = [
+    b"",
+    b"q Q0 a 01 0.5 t\nq Q0 b +2 0.4 t\n",
+    b"q Q0 a +1 0.5 t\nq Q0 b 2 0.4 t\nq Q0 c +1 0.3 t\n",
+    b"".join(b"q Q0 %c %d 0.5 t\n" % (ord("a") + r, r + 1) for r in range(9))
+    + b"q Q0 j 1_0 0.4 t\n",
+    b"q Q0 a 1 0.5 t\nq Q0 b 1_0 0.4 t\n",
+    b"q Q0 a 1 1e400 t\n",
+    b"q Q0 a 1 0.5 t\nq Q0 b 2 nan t\nq Q0 c 3 0.9 t\n",
+    b"q Q0 a 1 inf t\nq Q0 b 2 0.5 t\n",
+    b"q Q0 a 1 0.5 t\nq Q0 b 2 -inf t\n",
+    b"q Q0 a 1 0.5 t\r\nq Q0 b 2 0.4 t\r\n",
+    b"q Q0 a 1 0.5 t\rq Q0 b 2 0.4 t\r",
+    b"q Q0 a 1 0.1 t\nq Q0 b 2 0.9 t\nr Q0 c 1 0.5 t\nr X0 d 2 0.4 t\n",
+]
+
+
+def read_outcome(read, path):
+    """The run read, or the message of the FormatError raised."""
+    try:
+        return read(path)
+    except FormatError as exc:
+        return str(exc)
+
+
+class TestReadRunMatchesOracle:
+    """The streamed reader against today's line-by-line one followed by
+    `RankedRun`'s check (`per_item_oracle.read_run`)."""
+
+    @given(prefix=st.sampled_from(READ_RUN_PREFIXES), raw=mutated(run_files()))
+    def test_same_run_or_message(self, tmp_path_factory, prefix, raw):
+        p = tmp_path_factory.getbasetemp() / "fuzz_oracle.run"
+        p.write_bytes(prefix + raw)
+        want = read_outcome(oracle.read_run, p)
+        got = read_outcome(read_run, p)
+        assert type(got) is type(want)
+        assert got == want  # the entries and tag, or the message
+        if isinstance(got, RankedRun):
+            one = {}  # each id's first object: every later one must be it
+            assert all(one.setdefault(item, item) is item
+                       for entry in got.entries.values() for item, _ in entry)
+
+    @pytest.mark.parametrize("prefix", READ_RUN_PREFIXES[1:])
+    def test_each_prefix_alone(self, tmp_path, prefix):
+        p = tmp_path / "prefix.run"
+        p.write_bytes(prefix)
+        assert read_outcome(read_run, p) == read_outcome(oracle.read_run, p)

@@ -63,6 +63,10 @@ class TestDetectNegation:
     def test_contracted_cue(self):
         assert detect_negation(Caption("q", ["it", "is", "n't", "here"]))[0] is True
 
+    def test_cue_in_any_case(self):
+        assert detect_negation(Caption("q", "A man is Not running".split())) == (True, [3])
+        assert detect_negation(Caption("q", ["NOBODY", "is", "Non-stop"])) == (True, [0, 2])
+
 
 class TestCaption:
     @pytest.mark.parametrize("token", ["", "a\tb", "do not", " x", "x\n", "a\x1fb"])
@@ -95,6 +99,11 @@ class TestNegateCaption:
     def test_already_negated_rejected(self):
         with pytest.raises(AlreadyNegatedError):
             negate_caption(Caption("q", "a man is not holding a knife".split()), 0)
+
+    def test_capitalised_cue_rejected(self):
+        # Not `A man is Not not running`.
+        with pytest.raises(AlreadyNegatedError):
+            negate_caption(Caption("q", "A man is Not running".split()), 0)
 
     def test_sites_after_aux_and_before_verb(self):
         c = Caption("q", ["the", "dog", "was", "seen", "chasing", "a", "ball"])

@@ -148,7 +148,10 @@ class TestManifestIO:
     @pytest.mark.parametrize("text, where", [
         ("\t3\ta dog\n", "1: empty video id"),
         ("v1\t0\ta dog\nv1\t4\t\n", "2: empty caption"),
-    ], ids=["video-id", "caption"])
+        # A caption of only whitespace has no words: it is empty too.
+        ("v1\t0\ta dog\nv1\t4\t   \n", "2: empty caption"),
+        ("v1\t0\ta dog\nv1\t4\t \x0b\x0c\n", "2: empty caption"),
+    ], ids=["video-id", "caption", "spaces", "other-whitespace"])
     def test_read_refuses_an_empty_field_at_its_line(self, tmp_path, text, where):
         p = tmp_path / "cands.tsv"
         p.write_text(text)
@@ -159,7 +162,8 @@ class TestManifestIO:
     @pytest.mark.parametrize("rows, named", [
         ({"": [("a dog", 0.5)]}, "video id"),
         ({"v1": [("a dog", 0.9), ("", 0.5)]}, "caption"),
-    ], ids=["video-id", "caption"])
+        ({"v1": [("a dog", 0.9), ("   ", 0.5)]}, "caption"),
+    ], ids=["video-id", "caption", "spaces"])
     def test_write_selection_refuses_an_empty_field(self, tmp_path, rows, named):
         p = tmp_path / "out.tsv"
         p.write_text("old\n")
@@ -198,7 +202,7 @@ def candidate_files(draw) -> tuple[bytes, list[CandidateSet]]:
     """The bytes of a valid candidate manifest, and the sets it holds."""
     rows = draw(st.lists(
         st.tuples(st.text("ab#", min_size=1, max_size=2), st.integers(-9, 10**6),
-                  st.text("aB c", min_size=1, max_size=6)),
+                  st.text("aB c", min_size=1, max_size=6).filter(lambda c: not c.isspace())),
         max_size=5,
     ))
     groups: dict[str, list[CaptionCandidate]] = {}
