@@ -216,23 +216,24 @@ def _cmd_negate(args) -> int:
     return 0
 
 
-def _caption_scores(model, candidate_sets, videos, caps) -> dict[str, dict[str, float]]:
-    """Model similarity of each kept candidate caption (features keyed
-    `video_id#frame_index`) to its video, by video id and caption text,
-    from one batched pair_similarities call."""
+def _caption_scores(model, kept, videos, caps) -> dict[str, dict[str, float]]:
+    """Model similarity of each kept candidate caption (kept maps a video id
+    to its kept_candidates; features keyed `video_id#frame_index`) to its
+    video, by video id and caption text, from one batched pair_similarities
+    call."""
     pairs = []
-    for cands in candidate_sets:
-        if cands.video_id not in videos:
-            raise ConfigError(f"no video features for {cands.video_id!r}")
-        for cand in kept_candidates(cands):
-            key = f"{cands.video_id}#{cand.frame_index}"
+    for vid, cands in kept.items():
+        if vid not in videos:
+            raise ConfigError(f"no video features for {vid!r}")
+        for cand in cands:
+            key = f"{vid}#{cand.frame_index}"
             if key not in caps:
                 raise ConfigError(f"no caption features for {key}")
-            pairs.append((cands.video_id, cand.text, key))
+            pairs.append((vid, cand.text, key))
     sims = pair_similarities(
         model, [videos[vid] for vid, _, _ in pairs], [caps[key] for _, _, key in pairs]
     )
-    scores: dict[str, dict[str, float]] = {cands.video_id: {} for cands in candidate_sets}
+    scores: dict[str, dict[str, float]] = {vid: {} for vid in kept}
     for (vid, text, _), sim in zip(pairs, sims.tolist()):
         scores[vid][text] = sim
     return scores
@@ -241,21 +242,18 @@ def _caption_scores(model, candidate_sets, videos, caps) -> dict[str, dict[str, 
 def _cmd_pseudocap(args) -> int:
     model = checkpoint_load(args.checkpoint)
     candidate_sets = read_candidates(args.candidates)
-    # Decode only the records that get scored: the listed videos and their
-    # kept captions, not every item in the feature files.
-    video_ids = [cands.video_id for cands in candidate_sets]
-    caption_ids = [
-        f"{cands.video_id}#{cand.frame_index}"
-        for cands in candidate_sets
-        for cand in kept_candidates(cands)
-    ]
+    # Each set is deduped once here, and only the records that get scored
+    # are decoded: the listed videos and their kept captions, not every item
+    # in the feature files.
+    kept = {cands.video_id: kept_candidates(cands) for cands in candidate_sets}
+    caption_ids = [f"{vid}#{cand.frame_index}" for vid, cands in kept.items() for cand in cands]
     _, videos = load_feature_bundles(
-        args.video_feats, list(model.video_spaces), "video", video_ids
+        args.video_feats, list(model.video_spaces), "video", list(kept)
     )
     _, caps = load_feature_bundles(
         args.caption_feats, list(model.text_spaces), "text", caption_ids
     )
-    scores = _caption_scores(model, candidate_sets, videos, caps)
+    scores = _caption_scores(model, kept, videos, caps)
     selections = {
         cands.video_id: select_pseudo_captions(
             cands, scores[cands.video_id].__getitem__, k=args.k

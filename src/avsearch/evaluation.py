@@ -304,6 +304,8 @@ def mean_metric(
 
 
 def _minmax(scores: list[float]) -> list[float]:
+    if not scores:  # a run that lists nothing for the query
+        return []
     lo = min(scores)
     hi = max(scores)
     if hi == lo:
@@ -325,8 +327,9 @@ def late_fuse(
     """Weighted sum of per-run scores, min-max normalized per run and query.
 
     Items missing from a run contribute that run's minimum normalized score
-    for the query. Raw "average fusion" across uncalibrated score ranges is
-    meaningless, hence the normalization (disable with normalize=False).
+    for the query, or 0.0 when the run lists nothing for it. Raw "average
+    fusion" across uncalibrated score ranges is meaningless, hence the
+    normalization (disable with normalize=False).
     Totals are kept per item in first-appearance order and summed run by run.
     """
     if not runs:

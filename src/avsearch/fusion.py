@@ -17,9 +17,12 @@ its two factors, the (n, d) pre-activation gradients and the input table
 the forward pass already holds (GradFactors); form_gradient forms one such
 product where its caller wants it: in a flat gradient vector or, in the
 trainer, in a scratch array that steps one weight. The per-item functions
-laff_forward, laff_vjp, similarity and similarity_with_grad call
-batch_forward (and batch_backward) on one-row tables, and corpus embedding
-runs in fixed-size row blocks, one head at a time on each block's tables.
+laff_forward, laff_vjp and similarity_with_grad call batch_forward (and
+batch_backward) on one-row tables. similarity_with_grad pulls its cosines
+back with numeric.cosine_rows_vjp, which bnl_loss calls too: the one cosine
+VJP here, as the scalar one is kept only in the tests' per-item oracle.
+Corpus embedding runs in fixed-size row blocks, one head at a time on each
+block's tables.
 No block reads another's result, so fused_matrix hands its blocks, in
 order, to the caller and helper threads (NumPy's GEMM and tanh release the
 interpreter lock), one worker per CPU and at least two blocks per worker;
@@ -46,9 +49,9 @@ from .numeric import (
     LinearTanhParams,
     as_features,
     as_vector,
-    cosine_sim,
-    cosine_sim_vjp,
+    cosine_rows_vjp,
     row_cosines,
+    unit_rows,
 )
 
 
@@ -550,31 +553,33 @@ def pair_similarities(model: LaffModel, videos, texts) -> np.ndarray:
 def text_text_similarity(model: LaffModel, q1: FeatureBundle, q2: FeatureBundle) -> float:
     """Mean over heads of the cosine between two sentences' fused embeddings,
     using each head's text branch for both."""
-    tables = branch_tables(model.heads[0].text, [q1, q2])
     total = 0.0
-    for head in model.heads:
-        fused = batch_forward(head.text, tables).fused
-        total += cosine_sim(fused[0], fused[1])
-    return total / model.h
+    for fused in fused_matrix(model, [q1, q2], "text"):
+        total += row_cosines(fused[:1], fused[1])[0]
+    return float(total / model.h)
 
 
 def similarity_with_grad(
     model: LaffModel, video: FeatureBundle, text: FeatureBundle
 ) -> tuple[float, np.ndarray]:
-    """similarity() plus its gradient w.r.t. the flat model parameter vector."""
+    """similarity() plus its gradient w.r.t. the flat model parameter vector.
+
+    Per head, cosine_rows_vjp pulls the upstream 1/h back onto the two fused
+    embeddings; a head where either has zero norm (cosine 0) adds nothing.
+    """
     terms = []
     video_tables = branch_tables(model.heads[0].video, [video])
     text_tables = branch_tables(model.heads[0].text, [text])
-    total = 0.0
-    inv_h = 1.0 / model.h
     for head in model.heads:
         vstate = batch_forward(head.video, video_tables)
         tstate = batch_forward(head.text, text_tables)
-        total += cosine_sim(vstate.fused[0], tstate.fused[0])
-        dv, dt = cosine_sim_vjp(vstate.fused[0], tstate.fused[0], inv_h)
-        terms += batch_backward(head.video, vstate, dv[None, :])
-        terms += batch_backward(head.text, tstate, dt[None, :])
-    return total * inv_h, GradFactors(terms).to_vector(model)
+        v, nv, zv = unit_rows(vstate.fused)
+        t, nt, zt = unit_rows(tstate.fused)
+        upstream = np.where(zv | zt, 0.0, 1.0 / model.h)
+        dv, dt = cosine_rows_vjp(v, nv, t, nt, upstream)
+        terms += batch_backward(head.video, vstate, dv)
+        terms += batch_backward(head.text, tstate, dt)
+    return similarity(model, video, text), GradFactors(terms).to_vector(model)
 
 
 def _head_branches(model: LaffModel, branch: str) -> list[LaffBranchParams]:

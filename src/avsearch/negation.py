@@ -10,9 +10,13 @@ margin window, from both the video anchor and the text anchor.
 The batch loss is computed in matrix form on the batched fusion engine:
 one cosine GEMM per head for the batch similarity matrix, column-wise
 hardest-negative mining (`hardest_negatives`), and one upstream matrix
-pulled back through a single backward pass per branch. The gradient comes
-back as a flat vector, or, for the trainer, as its factors (GradFactors),
-which it steps from one weight at a time.
+pulled back through a single backward pass per branch. The cross matrix's
+cosine VJP is written inline, as matrix products; the two negation
+similarities use `numeric.cosine_rows_vjp`, the one cosine VJP, which
+`fusion.similarity_with_grad` calls too (the scalar one is kept only in the
+tests' per-item oracle). The gradient comes back as a flat vector, or, for
+the trainer, as its factors (GradFactors), which it steps from one weight
+at a time.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .fusion import (
     distinct_bundles,
     pair_similarities,
 )
-from .numeric import unit_rows
+from .numeric import cosine_rows_vjp, unit_rows
 
 # Tokens that mark a query or caption as negated. The "non" prefix test
 # additionally catches hyphenated and fused forms ("non-kitchen", "nonstop").
@@ -152,18 +156,21 @@ def detect_negation(caption: Caption) -> tuple[bool, list[int]]:
 def _is_verb(caption: Caption, i: int) -> bool:
     if caption.pos_tags is not None:
         return caption.pos_tags[i] == "VERB"
-    tok = caption.tokens[i]
+    tok = caption.tokens[i].lower()
     return (tok.endswith("ing") or tok.endswith("ed")) and tok not in AUXILIARIES
 
 
 def _is_auxiliary(caption: Caption, i: int) -> bool:
     if caption.pos_tags is not None:
         return caption.pos_tags[i] == "AUX"
-    return caption.tokens[i] in AUXILIARIES
+    return caption.tokens[i].lower() in AUXILIARIES
 
 
 def negation_sites(caption: Caption) -> list[int]:
-    """Candidate insertion indices: after each auxiliary, before each verb."""
+    """Candidate insertion indices: after each auxiliary, before each verb.
+
+    Untagged tokens are matched in any case, as in detect_negation: `Was`
+    is an auxiliary as `was` is."""
     sites = set()
     for i in range(len(caption.tokens)):
         if _is_auxiliary(caption, i):
@@ -262,14 +269,6 @@ class BnlBreakdown:
     video_anchor: list[float]
     text_anchor: list[float]
     hardest: list[int]
-
-
-def _cosine_rows_vjp(a, na, b, nb, g):
-    """Gradients w.r.t. the raw rows of sum_i g_i cos(a_i, b_i), given the
-    unit rows a, b, their norms and the (unclipped) cosine's upstream g."""
-    c = np.sum(a * b, axis=1, keepdims=True)
-    g = g[:, None]
-    return g * (b - c * a) / na[:, None], g * (a - c * b) / nb[:, None]
 
 
 def bnl_loss(
@@ -391,10 +390,10 @@ def bnl_loss(
         d_txt[:n] = video_upstream.T @ v - weighted.sum(axis=0)[:, None] * t[:n]
         d_txt[:n] /= nt[:n, None]
         vneg = video_of[neg]
-        dv, dn = _cosine_rows_vjp(v[vneg], nv[vneg], t[n:], nt[n:], g_vneg)
+        dv, dn = cosine_rows_vjp(v[vneg], nv[vneg], t[n:], nt[n:], g_vneg)
         np.add.at(d_vid, vneg, dv)
         d_txt[n:] += dn
-        dq, dn = _cosine_rows_vjp(t[neg], nt[neg], t[n:], nt[n:], g_ttneg)
+        dq, dn = cosine_rows_vjp(t[neg], nt[neg], t[n:], nt[n:], g_ttneg)
         d_txt[neg] += dq
         d_txt[n:] += dn
         d_vid[zv] = 0.0

@@ -1,5 +1,6 @@
-"""Dense float64 primitives: linear+tanh layer, softmax, cosine similarity,
-their vector-Jacobian products, and a central finite-difference gradient checker.
+"""Dense float64 primitives: linear+tanh layer, softmax, cosine similarity
+(of one pair or row by row), the vector-Jacobian products of linear+tanh and
+of the row cosines, and a central finite-difference gradient checker.
 
 Everything here is a pure function over numpy float64 arrays. Vectors are
 1-D arrays, matrices are 2-D row-major arrays. Feature files store 32-bit
@@ -201,23 +202,12 @@ def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x / norms[:, None], norms, zero
 
 
-def cosine_sim_vjp(u, v, upstream: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients (du, dv) of upstream * cosine_sim(u, v).
-
-    Defined as zero on a zero-norm operand, matching the forward convention.
-    """
-    u = as_vector(u, "u")
-    v = as_vector(v, "v")
-    if u.shape != v.shape:
-        raise DimensionError(f"length mismatch: {u.shape[0]} vs {v.shape[0]}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return np.zeros_like(u), np.zeros_like(v)
-    c = float(u @ v) / (nu * nv)
-    du = upstream * (v / (nu * nv) - c * u / (nu * nu))
-    dv = upstream * (u / (nu * nv) - c * v / (nv * nv))
-    return du, dv
+def cosine_rows_vjp(a, na, b, nb, g):
+    """Gradients w.r.t. the raw rows of sum_i g_i cos(a_i, b_i), given the
+    unit rows a, b, their norms and the (unclipped) cosine's upstream g."""
+    c = np.sum(a * b, axis=1, keepdims=True)
+    g = g[:, None]
+    return g * (b - c * a) / na[:, None], g * (a - c * b) / nb[:, None]
 
 
 class GradientCheckError(AssertionError):

@@ -5,9 +5,11 @@ Item-at-a-time branch forward/backward, `bnl_loss`, `fused_matrix`, the
 per-frame rerank loop, per-pair pseudo-caption scoring and the per-triplet
 `gap_in_window_fraction`. They run one bundle, one frame and one pair at a
 time through `linear_tanh`, the scalar cosine and its VJP, so tests can
-compare the batched path against an independent oracle. `read_features`
-decodes a feature file record by record into a dict of vectors, then
-refuses the first record holding a non-finite value, and
+compare the batched path against an independent oracle. That VJP,
+`cosine_sim_vjp`, lives only here: `src/` has one cosine VJP,
+`numeric.cosine_rows_vjp`, which `similarity_with_grad` and `bnl_loss`
+call. `read_features` decodes a feature file record by record into a dict
+of vectors, then refuses the first record holding a non-finite value, and
 `group_frame_features` restacks its frame records item by item, as the
 references for the columnar decoder and the one-sort grouping. `rank_scores`
 sorts each query in Python on the key (-score, item_id), as the reference
@@ -36,7 +38,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from avsearch.errors import FormatError
+from avsearch.errors import DimensionError, FormatError
 from avsearch.featio import FEATURE_MAGIC, FORMAT_VERSION, _read_name, _Reader, atomic_open
 from avsearch.featio import check_tokens, read_fields
 
@@ -53,8 +55,27 @@ from avsearch.negation import (
     bcl_text_anchor,
     bcl_video_anchor,
 )
-from avsearch.numeric import cosine_sim, cosine_sim_vjp, linear_tanh, softmax, unit_rows
+from avsearch.numeric import as_vector, cosine_sim, linear_tanh, softmax, unit_rows
 from avsearch.pseudocap import normalize_caption
+
+
+def cosine_sim_vjp(u, v, upstream: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients (du, dv) of upstream * cosine_sim(u, v).
+
+    Defined as zero on a zero-norm operand, matching the forward convention.
+    """
+    u = as_vector(u, "u")
+    v = as_vector(v, "v")
+    if u.shape != v.shape:
+        raise DimensionError(f"length mismatch: {u.shape[0]} vs {v.shape[0]}")
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        return np.zeros_like(u), np.zeros_like(v)
+    c = float(u @ v) / (nu * nv)
+    du = upstream * (v / (nu * nv) - c * u / (nu * nu))
+    dv = upstream * (u / (nu * nv) - c * v / (nv * nv))
+    return du, dv
 
 
 @dataclass

@@ -34,7 +34,7 @@ from avsearch.fusion import (
 )
 from avsearch.negation import Margins, Triplet, bnl_loss
 from avsearch.numeric import cosine_sim, row_cosines
-from avsearch.pseudocap import CandidateSet, CaptionCandidate, select_pseudo_captions
+from avsearch.pseudocap import CandidateSet, CaptionCandidate, kept_candidates, select_pseudo_captions
 from avsearch.rerank import FrameFeatures, frame_scores, rerank
 
 from conftest import assert_all_joined, random_bundle, randomized_model
@@ -569,7 +569,7 @@ class TestPseudocapOracle:
     def test_caption_scores_match_per_pair_scoring(self, rng):
         model = paper_like_model(41)
         sets, videos, caps = pseudocap_inputs(rng, model, 6, 10)
-        got = _caption_scores(model, sets, videos, caps)
+        got = _caption_scores(model, {c.video_id: kept_candidates(c) for c in sets}, videos, caps)
         want = oracle.caption_scores(model, sets, videos, caps)
         assert {v: sorted(s) for v, s in got.items()} == {v: sorted(s) for v, s in want.items()}
         for vid, scores in want.items():
@@ -587,7 +587,7 @@ class TestPseudocapOracle:
         caps = {f"v#{f}": random_bundle(f"v#{f}", model.text_dims(), rng) for f in range(n)}
         caps[f"v#{n - 1}"] = FeatureBundle(f"v#{n - 1}", {"t": caps["v#0"].features["t"].copy()})
         cands = CandidateSet("v", [CaptionCandidate(f, f"text {f}") for f in reversed(range(n))])
-        scores = _caption_scores(model, [cands], {"v": video}, caps)["v"]
+        scores = _caption_scores(model, {"v": kept_candidates(cands)}, {"v": video}, caps)["v"]
         assert scores["text 0"] == scores[f"text {n - 1}"]
         ranked = [t for t, _ in select_pseudo_captions(cands, scores.__getitem__, k=n)]
         first = ranked.index("text 0")

@@ -361,6 +361,14 @@ class TestLateFuse:
         assert fused.entries["q"] == [("a", 1.0), ("m", 0.5), ("b", 0.0)]
 
     @pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
+    def test_run_that_lists_nothing_for_the_query(self, normalize):
+        # The empty run fills 0.0 for every item, normalized or not.
+        runs = [RankedRun({"q": [("x", 1.0), ("y", 0.5)]}, "r1"), RankedRun({"q": []}, "r2")]
+        want = [("x", 1.0), ("y", 0.0 if normalize else 0.5)]
+        assert late_fuse(runs, [1.0, 1.0], normalize=normalize).entries["q"] == want
+        assert oracle.late_fuse(runs, [1.0, 1.0], normalize=normalize).entries["q"] == want
+
+    @pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
     def test_matches_the_per_run_oracle_bit_for_bit(self, normalize):
         for seed in range(60):
             runs, weights = random_runs_to_fuse(np.random.default_rng(seed))

@@ -4,7 +4,7 @@ import operator
 import numpy as np
 import pytest
 
-from avsearch.errors import BundleMismatchError, DimensionError
+from avsearch.errors import BundleMismatchError, DegenerateSimilarityWarning, DimensionError
 from avsearch.fusion import (
     FeatureBundle,
     LaffBranchParams,
@@ -299,6 +299,31 @@ class TestSimilarity:
                 return similarity(model.with_vector(x), video, text)
 
             assert grad_check(fun, lambda _: grad, model.to_vector()) < 1e-5
+
+    @pytest.mark.parametrize("heads", [1, 2, 3])
+    def test_gradient_value_is_similarity_bit_for_bit(self, heads):
+        rng = np.random.default_rng(heads)
+        vdims, tdims = {"a": 3, "b": 2}, {"t": 4}
+        model = randomized_model(vdims, tdims, d=5, heads=heads, seed=heads)
+        for _ in range(20):
+            video = random_bundle("v", vdims, rng)
+            text = random_bundle("q", tdims, rng)
+            value, _ = similarity_with_grad(model, video, text)
+            assert value.hex() == similarity(model, video, text).hex()
+
+    def test_zero_text_embedding_gives_its_head_no_gradient(self, rng):
+        vdims, tdims = {"a": 3, "b": 2}, {"t": 4, "u": 2}
+        model = randomized_model(vdims, tdims, d=4, heads=2, seed=8)
+        for p in model.heads[1].text.transforms.values():
+            p.weight, p.bias = np.zeros_like(p.weight), np.zeros_like(p.bias)
+        video = random_bundle("v", vdims, rng)
+        text = random_bundle("q", tdims, rng)
+        with pytest.warns(DegenerateSimilarityWarning) as record:
+            _, grad = similarity_with_grad(model, video, text)
+        assert len(record) == 1
+        head0, head1 = model.on_vector(grad).heads
+        assert all(g.any() for _, g in named_parameters([head0]))
+        assert not any(g.any() for _, g in named_parameters([head1]))
 
 
 class TestTextTextSimilarity:

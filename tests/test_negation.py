@@ -1,11 +1,16 @@
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import per_item_oracle as oracle
 from avsearch.errors import ConfigError
 from avsearch.fusion import init_model, pair_similarities, similarity, text_text_similarity
 from avsearch.synth import synth_dataset
 from avsearch.negation import (
+    AUXILIARIES,
     AlreadyNegatedError,
     Caption,
     Margins,
@@ -104,6 +109,25 @@ class TestNegateCaption:
         # Not `A man is Not not running`.
         with pytest.raises(AlreadyNegatedError):
             negate_caption(Caption("q", "A man is Not running".split()), 0)
+
+    def test_auxiliary_in_any_case(self):
+        assert negate_caption(Caption("q", "A dog Was seen".split()), 0).text == "A dog Was not seen"
+
+    @given(
+        tokens=st.lists(
+            st.sampled_from(sorted(AUXILIARIES) + ["seen", "jumped", "running", "dog"])
+            | st.text(string.ascii_letters, min_size=1, max_size=6),
+            min_size=1,
+            max_size=8,
+        ),
+        data=st.data(),
+    )
+    def test_untagged_sites_blind_to_case(self, tokens, data):
+        recased = []
+        for tok in tokens:
+            ups = data.draw(st.lists(st.booleans(), min_size=len(tok), max_size=len(tok)))
+            recased.append("".join(c.upper() if up else c.lower() for c, up in zip(tok, ups)))
+        assert negation_sites(Caption("q", recased)) == negation_sites(Caption("q", tokens))
 
     def test_sites_after_aux_and_before_verb(self):
         c = Caption("q", ["the", "dog", "was", "seen", "chasing", "a", "ball"])
