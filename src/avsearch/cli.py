@@ -267,8 +267,6 @@ def _cmd_pseudocap(args) -> int:
 
 def _cmd_fuse(args) -> int:
     runs = [read_run(p) for p in args.runs]
-    if len(args.weights) != len(runs):
-        raise ConfigError(f"{len(runs)} runs but {len(args.weights)} weights")
     fused = late_fuse(runs, args.weights, run_tag=args.run_tag, normalize=not args.no_normalize)
     write_run(args.out, fused)
     print(f"fused {len(runs)} runs over {len(fused.entries)} queries -> {args.out}")

@@ -318,6 +318,16 @@ def _minmax(scores: list[float]) -> list[float]:
     return [(s - lo) / span for s in scores]
 
 
+def check_weights(weights) -> None:
+    """Refuse fusion weights unless each is finite and >= 0 and they sum to > 0."""
+    for w in weights:
+        # `not w >= 0` rather than `w < 0`, so that NaN is refused too.
+        if not (w >= 0 and math.isfinite(w)):
+            raise ValueError(f"weight {w} is not finite and nonnegative")
+    if sum(weights) <= 0:
+        raise ValueError(f"weights {list(weights)} must sum to > 0")
+
+
 def late_fuse(
     runs: list[RankedRun],
     weights: list[float],
@@ -336,10 +346,7 @@ def late_fuse(
         raise ValueError("no runs to fuse")
     if len(weights) != len(runs):
         raise ValueError(f"{len(runs)} runs but {len(weights)} weights")
-    if any(w < 0 for w in weights):
-        raise ValueError("weights must be nonnegative")
-    if sum(weights) <= 0:
-        raise ValueError("weights must sum to > 0")
+    check_weights(weights)
     qids = set(runs[0].entries)
     for i, run in enumerate(runs[1:], start=1):
         if set(run.entries) != qids:

@@ -1,6 +1,7 @@
 """Dense float64 primitives: linear+tanh layer, softmax, cosine similarity
-(of one pair or row by row), the vector-Jacobian products of linear+tanh and
-of the row cosines, and a central finite-difference gradient checker.
+(row by row, and one pair as a one-row call), the vector-Jacobian products
+of linear+tanh and of the row cosines, and a central finite-difference
+gradient checker.
 
 Everything here is a pure function over numpy float64 arrays. Vectors are
 1-D arrays, matrices are 2-D row-major arrays. Feature files store 32-bit
@@ -127,43 +128,27 @@ def softmax(scores) -> np.ndarray:
 
 
 def cosine_sim(u, v) -> float:
-    """u.v / (|u||v|), clipped to [-1, 1].
-
-    A zero-norm operand yields 0.0 and a DegenerateSimilarityWarning; zero
-    embeddings can transiently occur during training and must not abort it.
+    """u.v / (|u||v|): `row_cosines` of the one-row table u against v,
+    under its rules (clipped to [-1, 1] with NaN kept, 0.0 and a
+    DegenerateSimilarityWarning for a zero-norm operand).
     """
     u = as_vector(u, "u")
     v = as_vector(v, "v")
     if u.shape != v.shape:
         raise DimensionError(f"length mismatch: {u.shape[0]} vs {v.shape[0]}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        warnings.warn(
-            "cosine similarity of a zero vector; returning 0.0",
-            DegenerateSimilarityWarning,
-            stacklevel=2,
-        )
-        return 0.0
-    c = float(u @ v) / (nu * nv)
-    # Explicit comparisons so a NaN propagates instead of being clamped.
-    if c > 1.0:
-        return 1.0
-    if c < -1.0:
-        return -1.0
-    return c
+    return float(row_cosines(u[None], v)[0])
 
 
 def row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """cosine_sim of each row of the (n, dim) table a with the same row of
-    b, or with b itself when b is a vector, under the same rules: clipped to
-    [-1, 1] with NaN kept, and 0.0 for a zero-norm operand, with one
-    DegenerateSimilarityWarning per call.
+    """The cosine a_i.b_i / (|a_i||b_i|) of each row of the (n, dim) table a
+    with the same row of b, or with b itself when b is a vector, clipped to
+    [-1, 1] with NaN kept. A zero-norm operand yields 0.0 and one
+    DegenerateSimilarityWarning per call: zero embeddings can transiently
+    occur during training and must not abort it.
 
-    Dot products and norms are stacked per-row products, which round exactly
-    like cosine_sim's `u @ v` and `np.linalg.norm` (a GEMV, `einsum` or
-    `norm(axis=1)` does not), so every entry is bit-identical to the
-    per-row call.
+    Dot products and norms are stacked per-row products, so each entry
+    rounds like a one-pair `u @ v` over `np.linalg.norm`s (a GEMV, `einsum`
+    or `norm(axis=1)` does not), and does not depend on the other rows.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -173,20 +158,27 @@ def row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     if b.shape[-1] != a.shape[1] or (b.ndim == 2 and b.shape[0] != a.shape[0]):
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    dots = (a[:, None, :] @ b[..., :, None])[:, 0, 0]
     na = np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
     nb = np.sqrt((b[..., None, :] @ b[..., :, None])[..., 0, 0])
     zero = (na == 0.0) | (nb == 0.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        c = dots / (na * nb)
+    rows = slice(None)
     if zero.any():
         warnings.warn(
             "cosine similarity of a zero vector; returning 0.0",
             DegenerateSimilarityWarning,
             stacklevel=2,
         )
-        c[zero] = 0.0
-    # np.clip keeps NaN, like cosine_sim's explicit comparisons.
+        # A zero-norm pair takes no dot product, which could be 0 * inf
+        # (NaN, and a RuntimeWarning).
+        rows = ~zero
+    a, na = a[rows], na[rows]
+    if b.ndim == 2:
+        b, nb = b[rows], nb[rows]
+    dots = (a[:, None, :] @ b[..., :, None])[:, 0, 0]
+    c = np.zeros(len(zero))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c[rows] = dots / (na * nb)
+    # np.clip keeps NaN.
     return np.clip(c, -1.0, 1.0)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, FormatError
-from .evaluation import RunEntry, _minmax
+from .evaluation import RunEntry, _minmax, check_weights
 from .numeric import as_features, as_vector, row_cosines
 
 
@@ -82,8 +82,7 @@ def rerank(
     The sort is stable, so (w_new, w_old) = (0, 1) reproduces the input
     ordering exactly.
     """
-    if w_new < 0 or w_old < 0 or w_new + w_old <= 0:
-        raise ValueError(f"weights must be nonnegative with positive sum, got ({w_new}, {w_old})")
+    check_weights([w_new, w_old])
     if not entry:
         return []
     missing = [item for item, _ in entry if item not in frame_store]

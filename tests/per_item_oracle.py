@@ -4,9 +4,10 @@ and post-search code.
 Item-at-a-time branch forward/backward, `bnl_loss`, `fused_matrix`, the
 per-frame rerank loop, per-pair pseudo-caption scoring and the per-triplet
 `gap_in_window_fraction`. They run one bundle, one frame and one pair at a
-time through `linear_tanh`, the scalar cosine and its VJP, so tests can
-compare the batched path against an independent oracle. That VJP,
-`cosine_sim_vjp`, lives only here: `src/` has one cosine VJP,
+time through `linear_tanh`, the scalar cosine `cosine_sim` and its VJP
+`cosine_sim_vjp`, so tests can compare the batched path against an
+independent oracle. Both scalar formulas live only here: in `src/`,
+`numeric.cosine_sim` is `row_cosines` on one row, and the one cosine VJP is
 `numeric.cosine_rows_vjp`, which `similarity_with_grad` and `bnl_loss`
 call. `read_features` decodes a feature file record by record into a dict
 of vectors, then refuses the first record holding a non-finite value, and
@@ -32,13 +33,14 @@ step.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
 import numpy as np
 
-from avsearch.errors import DimensionError, FormatError
+from avsearch.errors import DegenerateSimilarityWarning, DimensionError, FormatError
 from avsearch.featio import FEATURE_MAGIC, FORMAT_VERSION, _read_name, _Reader, atomic_open
 from avsearch.featio import check_tokens, read_fields
 
@@ -55,8 +57,36 @@ from avsearch.negation import (
     bcl_text_anchor,
     bcl_video_anchor,
 )
-from avsearch.numeric import as_vector, cosine_sim, linear_tanh, softmax, unit_rows
+from avsearch.numeric import as_vector, linear_tanh, softmax, unit_rows
 from avsearch.pseudocap import normalize_caption
+
+
+def cosine_sim(u, v) -> float:
+    """u.v / (|u||v|), clipped to [-1, 1].
+
+    A zero-norm operand yields 0.0 and a DegenerateSimilarityWarning; zero
+    embeddings can transiently occur during training and must not abort it.
+    """
+    u = as_vector(u, "u")
+    v = as_vector(v, "v")
+    if u.shape != v.shape:
+        raise DimensionError(f"length mismatch: {u.shape[0]} vs {v.shape[0]}")
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        warnings.warn(
+            "cosine similarity of a zero vector; returning 0.0",
+            DegenerateSimilarityWarning,
+            stacklevel=2,
+        )
+        return 0.0
+    c = float(u @ v) / (nu * nv)
+    # Explicit comparisons so a NaN propagates instead of being clamped.
+    if c > 1.0:
+        return 1.0
+    if c < -1.0:
+        return -1.0
+    return c
 
 
 def cosine_sim_vjp(u, v, upstream: float) -> tuple[np.ndarray, np.ndarray]:

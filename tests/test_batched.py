@@ -33,7 +33,7 @@ from avsearch.fusion import (
     similarity,
 )
 from avsearch.negation import Margins, Triplet, bnl_loss
-from avsearch.numeric import cosine_sim, row_cosines
+from avsearch.numeric import row_cosines
 from avsearch.pseudocap import CandidateSet, CaptionCandidate, kept_candidates, select_pseudo_captions
 from avsearch.rerank import FrameFeatures, frame_scores, rerank
 
@@ -477,8 +477,8 @@ class TestRowCosines:
                 got = row_cosines(a, b)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DegenerateSimilarityWarning)
-                want = [cosine_sim(u, v) for u, v in zip(a, b)]
-                want_vec = [cosine_sim(u, b[0]) for u in a]
+                want = [oracle.cosine_sim(u, v) for u, v in zip(a, b)]
+                want_vec = [oracle.cosine_sim(u, b[0]) for u in a]
                 got_vec = row_cosines(a, b[0])
             assert got.tolist() == want
             assert got_vec.tolist() == want_vec

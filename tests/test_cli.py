@@ -391,6 +391,7 @@ class TestFuse:
         src.write_text("q1 Q0 a 1 0.900000 t\n")
         assert run_cli("fuse", "--runs", src, "--weights", 1.0, 0.5,
                        "--out", tmp_path / "o.txt") == 1
+        assert capsys.readouterr().err == "error: 1 runs but 2 weights\n"
 
 
 class TestRerankCli:

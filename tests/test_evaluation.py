@@ -1,3 +1,4 @@
+import math
 from itertools import chain
 
 import numpy as np
@@ -392,10 +393,11 @@ class TestLateFuse:
         with pytest.raises(ValueError, match="query"):
             late_fuse([r1, r2], [0.5, 0.5])
 
-    def test_weight_validation(self):
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+    def test_weight_validation(self, bad):
         r = RankedRun({"q": [("a", 1.0)]}, "r")
-        with pytest.raises(ValueError):
-            late_fuse([r], [-1.0])
+        with pytest.raises(ValueError, match=f"weight {bad} is not finite"):
+            late_fuse([r], [bad])
         with pytest.raises(ValueError):
             late_fuse([r], [0.0])
         with pytest.raises(ValueError):
@@ -741,3 +743,19 @@ class TestReadRunMatchesOracle:
         p = tmp_path / "prefix.run"
         p.write_bytes(prefix)
         assert read_outcome(read_run, p) == read_outcome(oracle.read_run, p)
+
+    @pytest.mark.parametrize(
+        "raw, lineno",
+        [
+            (b"q Q0 a 1 0.5 t\n\nq Q0 b 2 0.4 t\n", 2),  # an empty line mid-file
+            (b"q Q0 a 1 0.5 t\nq Q0 b 2 x t\n", 2),  # a continuation's score
+            (b"q Q0 a 1 0.5 t\nr Q0 b one 0.4 t\n", 2),  # a first line's rank
+            (b"q Q0 a 1 x t\n", 1),  # a first line's score
+        ],
+    )
+    def test_located_line_errors(self, tmp_path, raw, lineno):
+        p = tmp_path / "bad.run"
+        p.write_bytes(raw)
+        got = read_outcome(read_run, p)
+        assert got == read_outcome(oracle.read_run, p)
+        assert got.startswith(f"{p}:{lineno}: ")

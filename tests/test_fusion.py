@@ -246,7 +246,7 @@ class TestSimilarity:
         assert s == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_per_head_loop(self):
-        from avsearch.numeric import cosine_sim
+        from per_item_oracle import cosine_sim
 
         rng = np.random.default_rng(2)
         vdims, tdims = {"a": 5, "b": 3}, {"t": 4, "u": 2}
@@ -271,7 +271,7 @@ class TestSimilarity:
     def test_cosine_level_scale_invariance(self, rng):
         # Scaling both fused vectors of every head by the same positive
         # constant leaves each head's cosine, hence the mean, unchanged.
-        from avsearch.numeric import cosine_sim
+        from per_item_oracle import cosine_sim
 
         vdims, tdims = {"a": 4}, {"t": 3}
         model = randomized_model(vdims, tdims, d=5, heads=2, seed=4)
@@ -348,7 +348,7 @@ class TestTextTextSimilarity:
         assert text_text_similarity(model, q1, q2) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_per_head_loop(self):
-        from avsearch.numeric import cosine_sim
+        from per_item_oracle import cosine_sim
 
         rng = np.random.default_rng(6)
         tdims = {"t": 4, "u": 3}

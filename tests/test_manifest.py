@@ -145,6 +145,19 @@ class TestCaptionsAndPairs:
         with pytest.raises(FormatError):
             read_captions(p)
 
+    def test_blank_lines_skipped(self, tmp_path):
+        caps = tmp_path / "caps.tsv"
+        caps.write_text("\nc1\ta dog\n\n\nc2\ta cat\n\n")
+        assert {k: c.tokens for k, c in read_captions(caps).items()} == {
+            "c1": ["a", "dog"], "c2": ["a", "cat"]
+        }
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("\nv1\tc1\n\nv2\tc2\tc2n\n\n")
+        assert read_pairs(pairs) == [("v1", "c1", None), ("v2", "c2", "c2n")]
+        caps.write_text("c1\ta dog\n\nc1\tagain\n")  # a skipped line still counts
+        with pytest.raises(FormatError, match=r"caps\.tsv:3: duplicate caption id"):
+            read_captions(caps)
+
     def test_pairs_roundtrip(self, tmp_path):
         rows = [("v1", "c1", None), ("v2", "c2", "c2n")]
         p = tmp_path / "pairs.tsv"
@@ -258,6 +271,20 @@ class TestLoadDataset:
         data = load_dataset(load_manifest(path))
         with pytest.raises(ConfigError, match="ghost"):
             build_triplets(data)
+
+    @pytest.mark.parametrize("pair, dropped, message", [
+        (("v0", "ghost", None), None, "pair references unknown caption id 'ghost'"),
+        (("v0", "v0c0", None), "v0c0", "no caption text for id 'v0c0'"),
+        (("v0", "v0c0", "ghost"), None, "pair references unknown negated id 'ghost'"),
+        (("v0", "v0c0", "v0c0~neg"), "v0c0~neg", "no caption text for negated id 'v0c0~neg'"),
+    ], ids=["caption-id", "caption-text", "negated-id", "negated-text"])
+    def test_unresolvable_captions_rejected(self, tmp_path, rng, pair, dropped, message):
+        data = load_dataset(load_manifest(small_dataset(tmp_path, rng, negated=True)))
+        data.pairs = [pair]
+        data.captions.pop(dropped, None)
+        with pytest.raises(ConfigError) as exc:
+            build_triplets(data)
+        assert str(exc.value) == message
 
     def test_incomplete_bundle_not_built(self, tmp_path, rng):
         path = small_dataset(tmp_path, rng)

@@ -1,4 +1,6 @@
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from per_item_oracle import cosine_sim as oracle_cosine_sim
 from per_item_oracle import cosine_sim_vjp
 from avsearch.errors import DegenerateSimilarityWarning, DimensionError
 from avsearch.numeric import (
@@ -19,6 +22,21 @@ from avsearch.numeric import (
 )
 
 finite_floats = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def cosine_operands(draw):
+    """Two vectors of one length (0 to 6) and one dtype (float32 or
+    float64): all zeros, or entries that are zeros of either sign, NaN,
+    infinities or any other float of that width."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    n = draw(st.integers(0, 6))
+    elements = st.one_of(
+        st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+        st.floats(width=np.finfo(dtype).bits),
+    )
+    vector = st.one_of(st.just(np.zeros(n, dtype)), arrays(dtype, n, elements=elements))
+    return draw(vector), draw(vector)
 
 
 class TestLinearTanh:
@@ -177,6 +195,18 @@ class TestCosineSim:
         if np.linalg.norm(u) < 1e-6 or np.linalg.norm(v) < 1e-6:
             return
         assert cosine_sim(c * u, v) == pytest.approx(cosine_sim(u, v), abs=1e-9)
+
+    @given(cosine_operands())
+    def test_matches_scalar_oracle(self, operands):
+        # The one-row call of row_cosines against the scalar formula: the
+        # same bits, and warnings of the same categories.
+        def outcome(cosine):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                value = cosine(*operands)
+            return type(value), struct.pack("<d", value), [w.category for w in caught]
+
+        assert outcome(cosine_sim) == outcome(oracle_cosine_sim)
 
     def test_bounded(self, rng):
         for _ in range(100):

@@ -133,6 +133,15 @@ class TestManifestIO:
         assert [s.video_id for s in sets] == ["v1", "v2"]
         assert [c.frame_index for c in sets[0].candidates] == [0, 3]
 
+    def test_blank_lines_skipped(self, tmp_path):
+        p = tmp_path / "cands.tsv"
+        p.write_text("\nv1\t0\ta dog\n\n\nv1\t3\tanother dog\n\n")
+        sets = read_candidates(p)
+        assert [s.video_id for s in sets] == ["v1"]
+        assert [(c.frame_index, c.text) for c in sets[0].candidates] == [
+            (0, "a dog"), (3, "another dog")
+        ]
+
     def test_bad_field_count(self, tmp_path):
         p = tmp_path / "cands.tsv"
         p.write_text("v1\t0\n")

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from per_item_oracle import cosine_sim
 from avsearch.errors import DimensionError, FormatError
-from avsearch.numeric import cosine_sim
 from avsearch.rerank import FrameFeatures, frame_query_score, rerank
 
 
@@ -138,10 +138,13 @@ class TestRerank:
         after = [i for i, _ in rerank(entry, store, QUERY)]
         assert after.index("i2") <= before.index("i2")
 
-    def test_weight_validation(self):
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf, -math.inf])
+    def test_weight_validation(self, bad):
         entry, store = hand_case()
-        with pytest.raises(ValueError):
-            rerank(entry, store, QUERY, w_new=-0.1, w_old=0.5)
+        with pytest.raises(ValueError, match=f"weight {bad} is not finite"):
+            rerank(entry, store, QUERY, w_new=bad, w_old=0.5)
+        with pytest.raises(ValueError, match=f"weight {bad} is not finite"):
+            rerank(entry, store, QUERY, w_new=0.4, w_old=bad)
         with pytest.raises(ValueError):
             rerank(entry, store, QUERY, w_new=0.0, w_old=0.0)
 

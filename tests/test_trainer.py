@@ -155,6 +155,24 @@ class TestTrainEpoch:
         with pytest.raises(ValueError):
             train_epoch(model, [], TrainConfig(), 0)
 
+    def test_trailing_batch_of_one_skipped(self, rng, monkeypatch):
+        sizes = []
+        loss = trainer.bnl_loss
+
+        def spy(model, batch, margins, factored=False):
+            sizes.append(len(batch))
+            return loss(model, batch, margins, factored=factored)
+
+        monkeypatch.setattr(trainer, "bnl_loss", spy)
+        model = init_model({"vis": 6}, {"txt": 5}, d=4, heads=1, seed=0)
+        train_epoch(model, toy_triplets(rng, n=5), TrainConfig(batch_size=2), 0)
+        assert sizes == [2, 2]
+
+    def test_dataset_of_one_triplet_rejected(self, rng):
+        model = init_model({"vis": 6}, {"txt": 5}, d=4, heads=1, seed=0)
+        with pytest.raises(ValueError, match="dataset yielded no batch of size >= 2"):
+            train_epoch(model, toy_triplets(rng, n=1), TrainConfig(batch_size=2), 0)
+
 
 def zero_step_loss(model):
     """A stand-in for trainer.bnl_loss whose every batch has loss 0 and a
