@@ -8,61 +8,3 @@ files and a small CLI.
 """
 
 __version__ = "0.1.0"
-
-from .fusion import (
-    FeatureBundle,
-    LaffBranchParams,
-    LaffHead,
-    LaffModel,
-    feature_importance,
-    init_model,
-    laff_forward,
-    laff_vjp,
-    similarity,
-    text_text_similarity,
-)
-from .negation import (
-    Caption,
-    Margins,
-    Triplet,
-    bcl_text_anchor,
-    bcl_video_anchor,
-    bnl_loss,
-    detect_negation,
-    negate_caption,
-)
-from .numeric import (
-    LinearTanhParams,
-    cosine_sim,
-    grad_check,
-    linear_tanh,
-    linear_tanh_vjp,
-    softmax,
-)
-
-__all__ = [
-    "Caption",
-    "FeatureBundle",
-    "LaffBranchParams",
-    "LaffHead",
-    "LaffModel",
-    "LinearTanhParams",
-    "Margins",
-    "Triplet",
-    "bcl_text_anchor",
-    "bcl_video_anchor",
-    "bnl_loss",
-    "cosine_sim",
-    "detect_negation",
-    "feature_importance",
-    "grad_check",
-    "init_model",
-    "laff_forward",
-    "laff_vjp",
-    "linear_tanh",
-    "linear_tanh_vjp",
-    "negate_caption",
-    "similarity",
-    "softmax",
-    "text_text_similarity",
-]

@@ -19,6 +19,7 @@ from .errors import ConfigError, TrainingError
 from .evaluation import (
     RankedRun,
     average_precision,
+    check_weights,
     inf_ap,
     late_fuse,
     mean_metric,
@@ -135,6 +136,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_rerank(args) -> int:
+    # Checked before any file is read; rerank() checks them again.
+    check_weights([args.w_new, args.w_old])
     run = read_run(args.run)
     routing = [args.query_tokens, args.alt_frames, args.alt_query_feats]
     if any(routing) and not all(routing):
@@ -266,6 +269,8 @@ def _cmd_pseudocap(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
+    # Checked before any run is read; late_fuse() checks them again.
+    check_weights(args.weights)
     runs = [read_run(p) for p in args.runs]
     fused = late_fuse(runs, args.weights, run_tag=args.run_tag, normalize=not args.no_normalize)
     write_run(args.out, fused)

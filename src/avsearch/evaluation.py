@@ -319,12 +319,16 @@ def _minmax(scores: list[float]) -> list[float]:
 
 
 def check_weights(weights) -> None:
-    """Refuse fusion weights unless each is finite and >= 0 and they sum to > 0."""
+    """Refuse fusion weights unless each is finite and >= 0 and their sum is
+    finite and > 0."""
     for w in weights:
         # `not w >= 0` rather than `w < 0`, so that NaN is refused too.
         if not (w >= 0 and math.isfinite(w)):
             raise ValueError(f"weight {w} is not finite and nonnegative")
-    if sum(weights) <= 0:
+    total = sum(weights)
+    if not math.isfinite(total):
+        raise ValueError(f"weights {list(weights)} sum to {total}, which is not finite")
+    if total <= 0:
         raise ValueError(f"weights {list(weights)} must sum to > 0")
 
 

@@ -2,7 +2,11 @@
 
 A manifest is a JSON object naming per-modality feature files, a caption
 file, a pairing file, and optionally a qrels file; relative paths resolve
-against the manifest's directory. Caption files are TAB-separated
+against the manifest's directory. Its keys are the fields of
+`DatasetManifest`, the one place they are written: a field without a
+default holds a list of paths, and any other field one optional path.
+`write_manifest` writes each path relative to the manifest and leaves out
+None and empty lists. Caption files are TAB-separated
 `item_id\ttext[\ttags]` lines (tokens lowercased on read, tags
 space-separated); pairing files are `video_id\tcaption_id` with an optional
 third column naming the negated caption. Both are read through
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, Field, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError, FormatError
@@ -50,8 +54,7 @@ def load_manifest(path) -> DatasetManifest:
         raise FormatError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise FormatError(f"{path}: manifest must be a JSON object")
-    known = {"video_features", "text_features", "pairs", "captions", "qrels"}
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(set(raw) - {f.name for f in fields(DatasetManifest)})
     if unknown:
         raise FormatError(f"{path}: unknown manifest keys {unknown}")
     base = path.parent
@@ -65,13 +68,13 @@ def load_manifest(path) -> DatasetManifest:
             raise FormatError(f"{path}: {key} holds {value!r}, which is not a file path")
         return base / value
 
-    def path_list(key: str) -> list[Path]:
-        value = raw.get(key, [])
-        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-            raise FormatError(f"{path}: {key} must be a list of paths")
-        return [resolve(key, v) for v in value]
-
-    def optional(key: str) -> Path | None:
+    def read(field: Field):
+        key = field.name
+        if field.default is MISSING:
+            value = raw.get(key, [])
+            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                raise FormatError(f"{path}: {key} must be a list of paths")
+            return [resolve(key, v) for v in value]
         value = raw.get(key)
         if value is None:
             return None
@@ -79,13 +82,7 @@ def load_manifest(path) -> DatasetManifest:
             raise FormatError(f"{path}: {key} must be a path string")
         return resolve(key, value)
 
-    manifest = DatasetManifest(
-        video_features=path_list("video_features"),
-        text_features=path_list("text_features"),
-        pairs=optional("pairs"),
-        captions=optional("captions"),
-        qrels=optional("qrels"),
-    )
+    manifest = DatasetManifest(**{f.name: read(f) for f in fields(DatasetManifest)})
     if not manifest.video_features and not manifest.text_features:
         raise FormatError(f"{path}: manifest names no feature files")
     return manifest
@@ -94,18 +91,15 @@ def load_manifest(path) -> DatasetManifest:
 def write_manifest(path, manifest: DatasetManifest) -> None:
     path = Path(path)
     base = path.parent
-
-    def rel(p: Path | None):
-        return None if p is None else os.path.relpath(p, base)
-
-    payload = {
-        "video_features": [rel(p) for p in manifest.video_features],
-        "text_features": [rel(p) for p in manifest.text_features],
-        "pairs": rel(manifest.pairs),
-        "captions": rel(manifest.captions),
-        "qrels": rel(manifest.qrels),
-    }
-    payload = {k: v for k, v in payload.items() if v not in (None, [])}
+    payload = {}
+    for field in fields(DatasetManifest):
+        value = getattr(manifest, field.name)
+        if field.default is MISSING:
+            value = [os.path.relpath(p, base) for p in value]
+        elif value is not None:
+            value = os.path.relpath(value, base)
+        if value not in (None, []):
+            payload[field.name] = value
     with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 

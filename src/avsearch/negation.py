@@ -2,8 +2,10 @@
 detection, and the bidirectionally constrained batch loss.
 
 A training triplet couples a video with one of its captions and, when the
-caption is negatable, an automatically negated copy of that caption. The
-batch loss combines a hardest-negative hinge with two bounded losses that
+caption is negatable, an automatically negated copy of that caption: a cue
+inserted at a site that `negation_sites` reads off `coarse_tags`, the
+caption's own part-of-speech tags or, untagged, ones guessed from its
+tokens. The batch loss combines a hardest-negative hinge with two bounded losses that
 keep the similarity gap between a caption and its negated version inside a
 margin window, from both the video anchor and the text anchor.
 
@@ -153,31 +155,23 @@ def detect_negation(caption: Caption) -> tuple[bool, list[int]]:
     return bool(positions), positions
 
 
-def _is_verb(caption: Caption, i: int) -> bool:
+def coarse_tags(caption: Caption) -> list[str]:
+    """The caption's own tags or, for an untagged caption, tags guessed in
+    any case: AUX for an auxiliary (`Was` as `was`), VERB for any other
+    token ending in -ing or -ed, and OTHER for the rest."""
     if caption.pos_tags is not None:
-        return caption.pos_tags[i] == "VERB"
-    tok = caption.tokens[i].lower()
-    return (tok.endswith("ing") or tok.endswith("ed")) and tok not in AUXILIARIES
-
-
-def _is_auxiliary(caption: Caption, i: int) -> bool:
-    if caption.pos_tags is not None:
-        return caption.pos_tags[i] == "AUX"
-    return caption.tokens[i].lower() in AUXILIARIES
+        return caption.pos_tags
+    return [
+        "AUX" if tok in AUXILIARIES else "VERB" if tok.endswith(("ing", "ed")) else "OTHER"
+        for tok in map(str.lower, caption.tokens)
+    ]
 
 
 def negation_sites(caption: Caption) -> list[int]:
-    """Candidate insertion indices: after each auxiliary, before each verb.
-
-    Untagged tokens are matched in any case, as in detect_negation: `Was`
-    is an auxiliary as `was` is."""
-    sites = set()
-    for i in range(len(caption.tokens)):
-        if _is_auxiliary(caption, i):
-            sites.add(i + 1)
-        elif _is_verb(caption, i):
-            sites.add(i)
-    return sorted(sites)
+    """Candidate insertion indices, from coarse_tags: after each auxiliary
+    (i + 1), before each verb (i)."""
+    tags = coarse_tags(caption)
+    return sorted({i + (tag == "AUX") for i, tag in enumerate(tags) if tag in ("AUX", "VERB")})
 
 
 def negate_caption(caption: Caption, rng_seed, cue: str = "not") -> Caption | None:

@@ -27,7 +27,9 @@ as the reference for `evaluation.late_fuse`.
 as the references for the metrics that stop at the last relevant item or
 count ranks. `train_epoch` adds each batch's gradient into a new zeroed vector and
 updates with one expression, as the reference for the trainer's in-place
-step.
+step. `negation_sites` asks two predicates of each token, `_is_auxiliary`
+and `_is_verb`, as the reference for the sites that `negation.negation_sites`
+reads off `coarse_tags`.
 """
 
 from __future__ import annotations
@@ -50,7 +52,9 @@ from avsearch.fusion import BranchGrads, FeatureBundle, LaffBranchParams, LaffMo
 from avsearch.fusion import fused_matrix as batched_fused_matrix
 from avsearch.negation import bnl_loss as batched_bnl_loss
 from avsearch.negation import (
+    AUXILIARIES,
     BnlBreakdown,
+    Caption,
     Margins,
     Triplet,
     _bcl_grads,
@@ -616,3 +620,30 @@ def group_frame_features(features: dict[str, np.ndarray]) -> dict[str, np.ndarra
                 )
         out[item_id] = np.stack([features[rec_id] for _, rec_id in frames])
     return out
+
+
+def _is_verb(caption: Caption, i: int) -> bool:
+    if caption.pos_tags is not None:
+        return caption.pos_tags[i] == "VERB"
+    tok = caption.tokens[i].lower()
+    return (tok.endswith("ing") or tok.endswith("ed")) and tok not in AUXILIARIES
+
+
+def _is_auxiliary(caption: Caption, i: int) -> bool:
+    if caption.pos_tags is not None:
+        return caption.pos_tags[i] == "AUX"
+    return caption.tokens[i].lower() in AUXILIARIES
+
+
+def negation_sites(caption: Caption) -> list[int]:
+    """Candidate insertion indices: after each auxiliary, before each verb.
+
+    Untagged tokens are matched in any case, as in detect_negation: `Was`
+    is an auxiliary as `was` is."""
+    sites = set()
+    for i in range(len(caption.tokens)):
+        if _is_auxiliary(caption, i):
+            sites.add(i + 1)
+        elif _is_verb(caption, i):
+            sites.add(i)
+    return sorted(sites)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from avsearch import fusion, manifest, trainer
+from avsearch import cli, fusion, manifest, trainer
 from avsearch.cli import main
 from avsearch.errors import TrainingError
 from avsearch.evaluation import read_run
@@ -20,6 +20,17 @@ from conftest import (
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+@pytest.fixture
+def no_file_reads(monkeypatch):
+    """Make reading a run or a feature file through the CLI fail the test."""
+
+    def refuse(path, *args):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "read_run", refuse)
+    monkeypatch.setattr(cli, "read_features", refuse)
 
 
 def synth_args(out, seed=0, n_videos=12, negate=0.0, noise=0.02):
@@ -73,6 +84,17 @@ class TestArgHandling:
     def test_missing_file_exits_1(self, capsys):
         assert run_cli("eval", "--run", "/nonexistent/run", "--qrels", "/nonexistent/q") == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, message", [
+        ("a:b", "space spec must be name:dim:noise_sigma, got 'a:b'"),
+        ("a:x:0.1", "invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_bad_space_spec_exits_2(self, tmp_path, capsys, spec, message):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("synth", "--out", tmp_path / "data", "--video-space", spec)
+        assert exc.value.code == 2
+        assert f"argument --video-space: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_utf8_run_exits_1_naming_the_file(self, tmp_path, capsys):
         run = tmp_path / "run.txt"
@@ -212,6 +234,22 @@ class TestSynthAndTrain:
         assert capsys.readouterr().err == f"error: out of memory in train{detail}\n"
         assert not ckpt.exists()
 
+    def test_validation_manifest_without_qrels_exits_1(self, synth_dir, tmp_path, capsys):
+        raw = json.loads((synth_dir / "manifest_val.json").read_text())
+        del raw["qrels"]
+        val = tmp_path / "val.json"
+        val.write_text(json.dumps({
+            key: [str(synth_dir / p) for p in value] if isinstance(value, list) else str(synth_dir / value)
+            for key, value in raw.items()
+        }))
+        out = tmp_path / "model.ckpt"
+        assert run_cli(
+            "train", "--train-manifest", synth_dir / "manifest_train.json",
+            "--val-manifest", val, "--out", out,
+        ) == 1
+        assert capsys.readouterr().err == f"error: {val}: validation manifest has no qrels\n"
+        assert not out.exists()
+
     def test_finetune_from_checkpoint(self, trained, synth_dir, tmp_path):
         assert run_cli(
             "train",
@@ -297,6 +335,35 @@ class TestSearchEvalPipeline:
             "--query-feats", tmp_path / "q.feat", "--out", tmp_path / "run.txt",
             "--run-tag", tag,
         )
+
+    def test_feature_dim_other_than_the_checkpoints_exits_1(self, tmp_path, capsys):
+        checkpoint_save(randomized_model({"vis": 3}, {"txt": 2}, d=4, heads=1, seed=8), tmp_path / "m.ckpt")
+        write_features(tmp_path / "v.feat", "vis", {"v1": np.ones(4), "v2": np.zeros(4)})
+        write_features(tmp_path / "q.feat", "txt", {"q1": np.array([0.3, 0.7])})
+        out = tmp_path / "run.txt"
+        assert run_cli(
+            "search", "--checkpoint", tmp_path / "m.ckpt", "--video-feats", tmp_path / "v.feat",
+            "--query-feats", tmp_path / "q.feat", "--out", out,
+        ) == 1
+        assert capsys.readouterr().err == (
+            "error: input table (2, 4) for space 'vis' does not match 2 rows of weight columns 3\n"
+        )
+        assert not out.exists()
+
+    def test_no_query_in_every_text_space_exits_1(self, tmp_path, capsys):
+        checkpoint_save(
+            randomized_model({"vis": 3}, {"ta": 2, "tb": 2}, d=4, heads=1, seed=8), tmp_path / "m.ckpt"
+        )
+        write_features(tmp_path / "v.feat", "vis", {"v1": np.ones(3)})
+        write_features(tmp_path / "ta.feat", "ta", {"q1": np.ones(2)})
+        write_features(tmp_path / "tb.feat", "tb", {"q2": np.ones(2)})
+        out = tmp_path / "run.txt"
+        assert run_cli(
+            "search", "--checkpoint", tmp_path / "m.ckpt", "--video-feats", tmp_path / "v.feat",
+            "--query-feats", tmp_path / "ta.feat", tmp_path / "tb.feat", "--out", out,
+        ) == 1
+        assert capsys.readouterr().err == "error: no query has features in every text space\n"
+        assert not out.exists()
 
     def test_item_id_with_space_exits_1_and_writes_no_run(self, tmp_path, capsys):
         # Its line would have 7 fields, which read_run (and eval) reject.
@@ -392,6 +459,17 @@ class TestFuse:
         assert run_cli("fuse", "--runs", src, "--weights", 1.0, 0.5,
                        "--out", tmp_path / "o.txt") == 1
         assert capsys.readouterr().err == "error: 1 runs but 2 weights\n"
+
+    @pytest.mark.parametrize("weights, message", [
+        (["nan", 1], "weight nan is not finite and nonnegative"),
+        ([1e308, 1e308], "weights [1e+308, 1e+308] sum to inf, which is not finite"),
+    ])
+    def test_bad_weights_exit_1_before_any_run_is_read(self, tmp_path, capsys, no_file_reads, weights, message):
+        out = tmp_path / "o.txt"
+        assert run_cli("fuse", "--runs", tmp_path / "a.txt", tmp_path / "b.txt",
+                       "--weights", *weights, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestRerankCli:
@@ -512,6 +590,37 @@ class TestRerankCli:
             "--out", tmp_path / "o.txt",
         ) == 1
 
+    @pytest.mark.parametrize("tokens, alt_ids, message", [
+        ("other\ta man is cooking\n", ["q"], "no query tokens for query 'q'"),
+        ("q\ta man is not cooking\n", ["other"], "no query feature vector for query 'q'"),
+    ], ids=["no-tokens", "no-routed-vector"])
+    def test_routed_query_without_its_inputs_exits_1(self, tmp_path, capsys, tokens, alt_ids, message):
+        run, frames, qf = self.write_inputs(tmp_path)
+        (tmp_path / "tokens.tsv").write_text(tokens)
+        write_features(tmp_path / "alt_qf.feat", "fr", {i: np.array([1.0, 0.0]) for i in alt_ids})
+        out = tmp_path / "o.txt"
+        assert run_cli(
+            "rerank", "--run", run, "--frames", frames, "--query-feats", qf,
+            "--query-tokens", tmp_path / "tokens.tsv", "--alt-frames", frames,
+            "--alt-query-feats", tmp_path / "alt_qf.feat", "--out", out,
+        ) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("weights, message", [
+        (["--w-new", "nan"], "weight nan is not finite and nonnegative"),
+        (["--w-old", "-1"], "weight -1.0 is not finite and nonnegative"),
+        (["--w-new", 1e308, "--w-old", 1e308], "weights [1e+308, 1e+308] sum to inf, which is not finite"),
+    ])
+    def test_bad_weights_exit_1_before_any_file_is_read(self, tmp_path, capsys, no_file_reads, weights, message):
+        out = tmp_path / "o.txt"
+        assert run_cli(
+            "rerank", "--run", tmp_path / "run.txt", "--frames", tmp_path / "frames.feat",
+            "--query-feats", tmp_path / "qf.feat", "--out", out, *weights,
+        ) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestNegateCli:
     def test_exports_negated_lines(self, tmp_path, capsys):
@@ -567,6 +676,25 @@ class TestPseudocapCli:
         texts = [line.split("\t")[3] for line in lines]
         assert "A DOG RUNS" not in texts  # duplicate collapsed onto frame 0
 
+    @pytest.mark.parametrize("video_ids, caption_ids, message", [
+        (["v2"], ["v1#0", "v1#1", "v1#3"], "no video features for 'v1'"),
+        (["v1"], ["v1#0", "v1#1"], "no caption features for v1#3"),
+    ], ids=["no-video", "no-caption"])
+    def test_missing_record_exits_1(self, tmp_path, capsys, video_ids, caption_ids, message):
+        checkpoint_save(randomized_model({"vis": 4}, {"txt": 3}, d=5, heads=1, seed=21), tmp_path / "m.ckpt")
+        write_features(tmp_path / "v.feat", "vis", {i: np.ones(4) for i in video_ids})
+        write_features(tmp_path / "c.feat", "txt", {i: np.ones(3) for i in caption_ids})
+        cands = tmp_path / "cands.tsv"
+        cands.write_text("v1\t0\ta dog runs\nv1\t1\ta cat sits\nv1\t2\tA DOG RUNS\nv1\t3\ta bird flies\n")
+        out = tmp_path / "sel.tsv"
+        assert run_cli(
+            "pseudocap", "--candidates", cands, "--checkpoint", tmp_path / "m.ckpt",
+            "--video-feats", tmp_path / "v.feat", "--caption-feats", tmp_path / "c.feat",
+            "--out", out,
+        ) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestFeatRank:
     def test_prints_sorted_weights(self, synth_dir, trained, capsys):
@@ -600,3 +728,16 @@ class TestFeatRank:
         got = capsys.readouterr().out
         assert run_cli(*args, "--manifest", synth_dir / "manifest_train.json") == 0
         assert got == capsys.readouterr().out and len(got.splitlines()) == 2
+
+    def test_manifest_without_a_complete_bundle_exits_1(self, tmp_path, capsys):
+        checkpoint_save(
+            randomized_model({"visa": 3, "visb": 2}, {"txt": 2}, d=4, heads=1, seed=5), tmp_path / "m.ckpt"
+        )
+        write_features(tmp_path / "a.feat", "visa", {"v1": np.ones(3)})
+        write_features(tmp_path / "b.feat", "visb", {"v2": np.ones(2)})
+        manifest = tmp_path / "m.json"
+        manifest.write_text('{"video_features": ["a.feat", "b.feat"]}')
+        assert run_cli(
+            "feat-rank", "--checkpoint", tmp_path / "m.ckpt", "--manifest", manifest, "--branch", "video",
+        ) == 1
+        assert capsys.readouterr().err == "error: manifest has no complete video bundles\n"

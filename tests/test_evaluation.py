@@ -402,6 +402,9 @@ class TestLateFuse:
             late_fuse([r], [0.0])
         with pytest.raises(ValueError):
             late_fuse([r, r], [1.0])
+        # Each weight is finite, but their sum is not.
+        with pytest.raises(ValueError, match=r"weights \[1e\+308, 1e\+308\] sum to inf"):
+            late_fuse([r, r], [1e308, 1e308])
 
 
 class TestRunFiles:
@@ -552,6 +555,13 @@ class TestQrelsFiles:
         p.write_text("q1 0 a 1\n#sampled\n")
         with pytest.raises(FormatError, match=r"qrels\.txt:2: expected 4"):
             read_qrels(p)
+
+    def test_duplicate_judgment_rejected_naming_the_line(self, tmp_path):
+        p = tmp_path / "qrels.txt"
+        p.write_text("q1 0 a 1\nq2 0 a 1\nq1 0 a 0\n")
+        with pytest.raises(FormatError) as exc:
+            read_qrels(p)
+        assert str(exc.value) == f"{p}:3: duplicate judgment for 'a'"
 
     @pytest.mark.parametrize(
         "judgments, named",

@@ -131,6 +131,14 @@ class TestFeatureFiles:
                 {"a": rng.normal(size=3), "b": rng.normal(size=4)},
             )
 
+    def test_id_longer_than_its_length_field_rejected_on_write(self, tmp_path):
+        p = tmp_path / "x.feat"
+        with pytest.raises(FormatError, match=r"name too long \(65536 bytes\): 'ééé"):
+            write_features(p, "s", {"a": np.ones(2), "é" * 32768: np.ones(2)})
+        assert not p.exists()
+        write_features(p, "s", {"é" * 32767 + "a": np.ones(2)})  # 65535 bytes fit
+        assert list(read_features(p)[1]) == ["é" * 32767 + "a"]
+
     def test_zero_dim_header_rejected(self, tmp_path):
         p = tmp_path / "bad.feat"
         p.write_bytes(b"AVSF" + struct.pack("<B", 1) + struct.pack("<I", 0)
@@ -237,6 +245,27 @@ class TestCheckpoints:
         huge_d_checkpoint(p)
         with pytest.raises(FormatError, match="truncated while reading parameters"):
             checkpoint_load(p)
+
+    @pytest.mark.parametrize("h, d, video, text, message", [
+        (0, 4, [("v", 3)], [("t", 2)], "corrupt header (h=0, d=4)"),
+        (1, 0, [("v", 3)], [("t", 2)], "corrupt header (h=1, d=0)"),
+        (1, 4, [], [("t", 2)], "no video spaces"),
+        (1, 4, [("v", 3)], [], "no text spaces"),
+        (1, 4, [("v", 0)], [("t", 2)], "corrupt video space table"),
+        (1, 4, [("v", 3)], [("t", 2), ("t", 2)], "corrupt text space table"),
+    ], ids=["h-0", "d-0", "no-video", "no-text", "dim-0", "repeated-name"])
+    def test_corrupt_header_tables_rejected_naming_the_file(self, tmp_path, h, d, video, text, message):
+        header = featio.CHECKPOINT_MAGIC + struct.pack("<BII", featio.FORMAT_VERSION, h, d)
+        for spaces in (video, text):
+            header += struct.pack("<H", len(spaces)) + b"".join(
+                struct.pack("<H", len(name)) + name.encode() + struct.pack("<I", dim)
+                for name, dim in spaces
+            )
+        p = tmp_path / "model.ckpt"
+        p.write_bytes(header)
+        with pytest.raises(FormatError) as exc:
+            checkpoint_load(p)
+        assert str(exc.value) == f"{p}: {message}"
 
     def test_golden_bytes(self, tmp_path):
         # sha256 of files written by earlier versions: the byte layout and

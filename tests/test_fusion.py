@@ -10,6 +10,7 @@ from avsearch.fusion import (
     LaffBranchParams,
     LaffHead,
     LaffModel,
+    branch_tables,
     feature_importance,
     init_model,
     laff_forward,
@@ -76,6 +77,13 @@ class TestLaffForward:
             laff_forward(branch, random_bundle("x", {"a": 4}, rng))
         with pytest.raises(BundleMismatchError, match="extra"):
             laff_forward(branch, random_bundle("x", {"a": 4, "b": 2, "z": 3}, rng))
+
+    def test_lengths_that_differ_across_bundles_rejected_naming_the_space(self, rng):
+        branch = make_branch({"a": 4, "b": 2}, 3, rng)
+        bundles = [random_bundle("x", {"a": 4, "b": 2}, rng), random_bundle("y", {"a": 4, "b": 3}, rng)]
+        with pytest.raises(DimensionError) as exc:
+            branch_tables(branch, bundles)
+        assert str(exc.value) == "feature 'b' has different lengths across bundles"
 
     def test_weights_convex(self, rng):
         for _ in range(100):

@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 
 import numpy as np
@@ -59,6 +60,55 @@ def small_dataset(tmp_path, rng, negated=False):
     return tmp_path / "manifest.json"
 
 
+# write_manifest's output for each case, recorded before it took its keys
+# from DatasetManifest's fields. A case names the feature lists and optional
+# keys that its manifest, m/manifest.json, holds; each path is relative to
+# the manifest's directory, and None and empty lists are left out.
+MANIFEST_PATHS = {
+    "video": ["f/v1.feat", "f/v2.feat"],
+    "text": ["m/t.feat"],
+    "pairs": "m/pairs.tsv",
+    "captions": "c/caps.tsv",
+    "qrels": "m/sub/qrels.txt",
+}
+WRITTEN_MANIFESTS = {
+    "video": '{\n  "video_features": [\n    "../f/v1.feat",\n    "../f/v2.feat"\n  ]\n}\n',
+    "video+pairs": '{\n  "pairs": "pairs.tsv",\n  "video_features": [\n    "../f/v1.feat",\n    "../f/v2.feat"\n  ]\n}\n',
+    "video+captions": '{\n  "captions": "../c/caps.tsv",\n  "video_features": [\n    "../f/v1.feat",\n    "../f/v2.feat"\n  ]\n}\n',
+    "video+qrels": '{\n  "qrels": "sub/qrels.txt",\n  "video_features": [\n    "../f/v1.feat",\n    "../f/v2.feat"\n  ]\n}\n',
+    "video+pairs+captions": '{\n  "captions": "../c/caps.tsv",\n  "pairs": "pairs.tsv",\n  "video_features": [\n    "../f/v1.feat",\n    "../f/v2.feat"\n  ]\n}\n',
+    "video+pairs+qrels": '{\n  "pairs": "pairs.tsv",\n  "qrels": "sub/qrels.txt",\n  "video_features": [\n    "../f/v1.feat",\n    "../f/v2.feat"\n  ]\n}\n',
+    "video+captions+qrels": '{\n  "captions": "../c/caps.tsv",\n  "qrels": "sub/qrels.txt",\n  "video_features": [\n    "../f/v1.feat",\n    "../f/v2.feat"\n  ]\n}\n',
+    "video+pairs+captions+qrels": '{\n  "captions": "../c/caps.tsv",\n  "pairs": "pairs.tsv",\n  "qrels": "sub/qrels.txt",\n  "video_features": [\n    "../f/v1.feat",\n    "../f/v2.feat"\n  ]\n}\n',
+    "text": '{\n  "text_features": [\n    "t.feat"\n  ]\n}\n',
+    "text+pairs": '{\n  "pairs": "pairs.tsv",\n  "text_features": [\n    "t.feat"\n  ]\n}\n',
+    "text+captions": '{\n  "captions": "../c/caps.tsv",\n  "text_features": [\n    "t.feat"\n  ]\n}\n',
+    "text+qrels": '{\n  "qrels": "sub/qrels.txt",\n  "text_features": [\n    "t.feat"\n  ]\n}\n',
+    "text+pairs+captions": '{\n  "captions": "../c/caps.tsv",\n  "pairs": "pairs.tsv",\n  "text_features": [\n    "t.feat"\n  ]\n}\n',
+    "text+pairs+qrels": '{\n  "pairs": "pairs.tsv",\n  "qrels": "sub/qrels.txt",\n  "text_features": [\n    "t.feat"\n  ]\n}\n',
+    "text+captions+qrels": '{\n  "captions": "../c/caps.tsv",\n  "qrels": "sub/qrels.txt",\n  "text_features": [\n    "t.feat"\n  ]\n}\n',
+    "text+pairs+captions+qrels": '{\n  "captions": "../c/caps.tsv",\n  "pairs": "pairs.tsv",\n  "qrels": "sub/qrels.txt",\n  "text_features": [\n    "t.feat"\n  ]\n}\n',
+    "video+text": '{\n  "text_features": [\n    "t.feat"\n  ],\n  "video_features": [\n    "../f/v1.feat",\n    "../f/v2.feat"\n  ]\n}\n',
+    "video+text+pairs": '{\n  "pairs": "pairs.tsv",\n  "text_features": [\n    "t.feat"\n  ],\n  "video_features": [\n    "../f/v1.feat",\n    "../f/v2.feat"\n  ]\n}\n',
+    "video+text+captions": '{\n  "captions": "../c/caps.tsv",\n  "text_features": [\n    "t.feat"\n  ],\n  "video_features": [\n    "../f/v1.feat",\n    "../f/v2.feat"\n  ]\n}\n',
+    "video+text+qrels": '{\n  "qrels": "sub/qrels.txt",\n  "text_features": [\n    "t.feat"\n  ],\n  "video_features": [\n    "../f/v1.feat",\n    "../f/v2.feat"\n  ]\n}\n',
+    "video+text+pairs+captions": '{\n  "captions": "../c/caps.tsv",\n  "pairs": "pairs.tsv",\n  "text_features": [\n    "t.feat"\n  ],\n  "video_features": [\n    "../f/v1.feat",\n    "../f/v2.feat"\n  ]\n}\n',
+    "video+text+pairs+qrels": '{\n  "pairs": "pairs.tsv",\n  "qrels": "sub/qrels.txt",\n  "text_features": [\n    "t.feat"\n  ],\n  "video_features": [\n    "../f/v1.feat",\n    "../f/v2.feat"\n  ]\n}\n',
+    "video+text+captions+qrels": '{\n  "captions": "../c/caps.tsv",\n  "qrels": "sub/qrels.txt",\n  "text_features": [\n    "t.feat"\n  ],\n  "video_features": [\n    "../f/v1.feat",\n    "../f/v2.feat"\n  ]\n}\n',
+    "video+text+pairs+captions+qrels": '{\n  "captions": "../c/caps.tsv",\n  "pairs": "pairs.tsv",\n  "qrels": "sub/qrels.txt",\n  "text_features": [\n    "t.feat"\n  ],\n  "video_features": [\n    "../f/v1.feat",\n    "../f/v2.feat"\n  ]\n}\n',
+}
+
+
+def spelled(manifest: DatasetManifest) -> dict:
+    """Each field of a manifest with its paths normalized, so that
+    m/../f/v1.feat and f/v1.feat compare equal."""
+    return {
+        key: [os.path.normpath(p) for p in value] if isinstance(value, list)
+        else value and os.path.normpath(value)
+        for key, value in vars(manifest).items()
+    }
+
+
 class TestManifest:
     def test_roundtrip(self, tmp_path, rng):
         path = small_dataset(tmp_path, rng)
@@ -71,6 +121,28 @@ class TestManifest:
         path = small_dataset(tmp_path, rng)
         manifest = load_manifest(path)
         assert all(p.exists() for p in manifest.video_features)
+
+    @pytest.mark.parametrize("case", WRITTEN_MANIFESTS)
+    def test_write_then_load_round_trips_with_the_recorded_bytes(self, tmp_path, case):
+        parts = case.split("+")
+        (tmp_path / "m").mkdir()
+
+        def at(key):
+            value = MANIFEST_PATHS[key]
+            return [tmp_path / p for p in value] if isinstance(value, list) else tmp_path / value
+
+        manifest = DatasetManifest(
+            video_features=at("video") if "video" in parts else [],
+            text_features=at("text") if "text" in parts else [],
+            **{key: at(key) for key in ("pairs", "captions", "qrels") if key in parts},
+        )
+        path = tmp_path / "m" / "manifest.json"
+        write_manifest(path, manifest)
+        assert path.read_bytes() == WRITTEN_MANIFESTS[case].encode()
+        loaded = load_manifest(path)
+        assert spelled(loaded) == spelled(manifest)
+        write_manifest(path, loaded)
+        assert path.read_bytes() == WRITTEN_MANIFESTS[case].encode()
 
     def test_unknown_keys_rejected(self, tmp_path):
         p = tmp_path / "m.json"
@@ -113,6 +185,38 @@ class TestManifest:
         p.write_text('{"video_features": [], "text_features": []}')
         with pytest.raises(FormatError):
             load_manifest(p)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"video_features": "v.feat"}', "video_features must be a list of paths"),
+        ('{"video_features": null}', "video_features must be a list of paths"),
+        ('{"video_features": ["v"], "text_features": [1]}', "text_features must be a list of paths"),
+        ('{"video_features": ["v"], "pairs": 3}', "pairs must be a path string"),
+        ('{"video_features": ["v"], "qrels": ["q"]}', "qrels must be a path string"),
+    ])
+    def test_value_of_the_wrong_type_rejected_naming_the_key(self, tmp_path, text, message):
+        p = tmp_path / "m.json"
+        p.write_text(text)
+        with pytest.raises(FormatError) as exc:
+            load_manifest(p)
+        assert str(exc.value) == f"{p}: {message}"
+
+    @pytest.mark.parametrize("raw, first", [
+        ({"bogus": 1, "video_features": 1}, "unknown manifest keys ['bogus']"),
+        ({"qrels": 1, "captions": 1, "pairs": 1, "text_features": 1, "video_features": 1},
+         "video_features must be a list of paths"),
+        ({"qrels": 1, "captions": 1, "pairs": 1, "text_features": 1},
+         "text_features must be a list of paths"),
+        ({"qrels": 1, "captions": 1, "pairs": 1}, "pairs must be a path string"),
+        ({"qrels": 1, "captions": 1}, "captions must be a path string"),
+        ({"qrels": "\ud800", "video_features": []}, "qrels holds '\\ud800', which is not a file path"),
+        ({"qrels": "q"}, "manifest names no feature files"),
+    ])
+    def test_keys_checked_in_field_order(self, tmp_path, raw, first):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(raw))
+        with pytest.raises(FormatError) as exc:
+            load_manifest(p)
+        assert str(exc.value) == f"{p}: {first}"
 
 
 class TestCaptionsAndPairs:

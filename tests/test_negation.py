@@ -12,12 +12,14 @@ from avsearch.synth import synth_dataset
 from avsearch.negation import (
     AUXILIARIES,
     AlreadyNegatedError,
+    COARSE_TAGS,
     Caption,
     Margins,
     Triplet,
     bcl_text_anchor,
     bcl_video_anchor,
     bnl_loss,
+    coarse_tags,
     detect_negation,
     gap_in_window_fraction,
     negate_caption,
@@ -174,6 +176,55 @@ class TestNegateCaption:
             assert detect_negation(out)[0] is True
             checked += 1
         assert checked == 300
+
+
+@st.composite
+def captions(draw) -> Caption:
+    """A caption, tagged or not, of auxiliaries, words ending in -ing or -ed,
+    and other words (some of them negation cues), each in mixed case."""
+    words = st.sampled_from(sorted(AUXILIARIES) + ["seen", "jumped", "running", "ed", "ing", "dog"])
+    tokens = []
+    for word in draw(st.lists(words | st.text("abdeginorst", min_size=1, max_size=6),
+                              min_size=1, max_size=8)):
+        ups = draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
+        tokens.append("".join(c.upper() if up else c for c, up in zip(word, ups)))
+    tags = draw(st.none() | st.lists(
+        st.sampled_from(sorted(COARSE_TAGS)), min_size=len(tokens), max_size=len(tokens)
+    ))
+    return Caption("c", tokens, tags)
+
+
+class TestSitesMatchTheOracle:
+    """negation_sites reads one list of tags; the oracle asks two predicates
+    of each token. Both must give the same sites, and so the same negation."""
+
+    @given(caption=captions())
+    def test_sites_and_negated_caption_match_the_oracle(self, caption):
+        sites = oracle.negation_sites(caption)
+        assert negation_sites(caption) == sites
+        if detect_negation(caption)[0]:
+            with pytest.raises(AlreadyNegatedError):
+                negate_caption(caption, 7)
+            return
+        got = negate_caption(caption, 7)
+        if not sites:
+            assert got is None
+            return
+        site = sites[int(np.random.default_rng(7).integers(len(sites)))]
+        assert got.tokens == caption.tokens[:site] + ["not"] + caption.tokens[site:]
+        if caption.pos_tags is None:
+            assert got.pos_tags is None
+        else:
+            assert got.pos_tags == caption.pos_tags[:site] + ["OTHER"] + caption.pos_tags[site:]
+
+    def test_coarse_tags_of_an_untagged_caption(self):
+        # `Being` ends in -ing, but is an auxiliary.
+        caption = Caption("c", "A dog Was SEEN running and Red is ed Being".split())
+        assert coarse_tags(caption) == [
+            "OTHER", "OTHER", "AUX", "OTHER", "VERB", "OTHER", "VERB", "AUX", "VERB", "AUX"
+        ]
+        tagged = Caption("c", ["dogs", "run"], ["NOUN", "VERB"])
+        assert coarse_tags(tagged) == ["NOUN", "VERB"]
 
 
 class TestMargins:

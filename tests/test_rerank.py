@@ -147,6 +147,8 @@ class TestRerank:
             rerank(entry, store, QUERY, w_new=0.4, w_old=bad)
         with pytest.raises(ValueError):
             rerank(entry, store, QUERY, w_new=0.0, w_old=0.0)
+        with pytest.raises(ValueError, match=r"weights \[1e\+308, 1e\+308\] sum to inf"):
+            rerank(entry, store, QUERY, w_new=1e308, w_old=1e308)
 
     def test_no_normalize_uses_raw_originals(self):
         entry, store = hand_case()
