@@ -269,8 +269,9 @@ def _cmd_pseudocap(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    # Checked before any run is read; late_fuse() checks them again.
-    check_weights(args.weights)
+    # Checked, with their count, before any run is read; late_fuse() checks
+    # them again.
+    check_weights(args.weights, len(args.runs))
     runs = [read_run(p) for p in args.runs]
     fused = late_fuse(runs, args.weights, run_tag=args.run_tag, normalize=not args.no_normalize)
     write_run(args.out, fused)

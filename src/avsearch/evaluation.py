@@ -318,9 +318,11 @@ def _minmax(scores: list[float]) -> list[float]:
     return [(s - lo) / span for s in scores]
 
 
-def check_weights(weights) -> None:
-    """Refuse fusion weights unless each is finite and >= 0 and their sum is
-    finite and > 0."""
+def check_weights(weights, runs: int | None = None) -> None:
+    """Refuse fusion weights unless there is one per run (when the run count
+    runs is given), each is finite and >= 0 and their sum is finite and > 0."""
+    if runs is not None and len(weights) != runs:
+        raise ValueError(f"{runs} runs but {len(weights)} weights")
     for w in weights:
         # `not w >= 0` rather than `w < 0`, so that NaN is refused too.
         if not (w >= 0 and math.isfinite(w)):
@@ -348,9 +350,7 @@ def late_fuse(
     """
     if not runs:
         raise ValueError("no runs to fuse")
-    if len(weights) != len(runs):
-        raise ValueError(f"{len(runs)} runs but {len(weights)} weights")
-    check_weights(weights)
+    check_weights(weights, len(runs))
     qids = set(runs[0].entries)
     for i, run in enumerate(runs[1:], start=1):
         if set(run.entries) != qids:

@@ -24,11 +24,13 @@ VJP here, as the scalar one is kept only in the tests' per-item oracle.
 Corpus embedding runs in fixed-size row blocks, one head at a time on each
 block's tables.
 No block reads another's result, so fused_matrix hands its blocks, in
-order, to the caller and helper threads (NumPy's GEMM and tanh release the
-interpreter lock), one worker per CPU and at least two blocks per worker;
-each block is computed alike on any thread, so the output does not depend
-on the CPU count. Many (video, text) pairs are scored together by
-pair_similarities, which embeds each distinct bundle once.
+order, to run_tasks, which runs them on the caller and helper threads
+(NumPy's GEMM and tanh release the interpreter lock), one worker per CPU and
+at least two blocks per worker; each block is computed alike on any thread,
+so the output does not depend on the CPU count. bnl_loss's head forwards
+and the trainer's per-array steps run on the same workers. Many (video,
+text) pairs are scored together by pair_similarities, which embeds each
+distinct bundle once.
 
 Iteration over feature spaces is always in sorted space-name order so that
 results are reproducible regardless of how bundles were assembled.
@@ -39,6 +41,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Mapping
+from contextvars import copy_context
 from dataclasses import dataclass, field
 from threading import Event, Lock, Thread
 
@@ -342,8 +345,10 @@ def init_model(
 # peak memory does not grow with the number of items.
 BLOCK_ROWS = 256
 
-# The most threads that embed fused_matrix's blocks, the caller included:
-# the CPUs this process may run on. Outputs do not depend on it.
+# The most threads that run_tasks runs on, the caller included: the CPUs
+# this process may run on. They embed fused_matrix's blocks, run bnl_loss's
+# head forwards and step a training step's arrays; outputs do not depend on
+# their number.
 if hasattr(os, "sched_getaffinity"):
     WORKERS = len(os.sched_getaffinity(0))
 else:
@@ -588,50 +593,53 @@ def _head_branches(model: LaffModel, branch: str) -> list[LaffBranchParams]:
     return [head.video if branch == "video" else head.text for head in model.heads]
 
 
-def _run_blocks(n: int, embed) -> None:
-    """Call embed(start) for each block start 0, BLOCK_ROWS, ... below n.
+def run_tasks(n: int, task, per_worker: int = 1) -> None:
+    """Call task(i, worker) for each task i below n.
 
-    The caller and up to WORKERS - 1 helper threads take the starts in
-    order from one shared counter, so a slower CPU simply takes fewer
-    blocks; each worker gets at least two blocks, so calls of up to three
-    blocks run on the caller alone. After a block fails no worker takes
-    another, and once every helper is joined the earliest failed block's
-    error is raised: the one the serial loop raises.
+    The caller (worker 0) and up to WORKERS - 1 helper threads (workers 1,
+    2, ...) take the tasks in order from one shared counter, so a slower CPU
+    simply takes fewer of them; each worker gets at least per_worker tasks,
+    and with fewer than two workers the caller runs them all in order. A
+    helper runs in a copy of the caller's context, so the caller's
+    np.errstate holds there too. After a task fails no worker takes another,
+    and once every helper is joined the earliest failed task's error is
+    raised: the one the serial loop raises.
     """
-    starts = range(0, n, BLOCK_ROWS)
-    workers = min(WORKERS, len(starts) // 2)
+    workers = min(WORKERS, n // per_worker)
     if workers < 2:
-        for start in starts:
-            embed(start)
+        for i in range(n):
+            task(i, 0)
         return
-    todo = iter(starts)
+    todo = iter(range(n))
     lock = Lock()
     stop = Event()
     errors: dict[int, BaseException] = {}
 
-    def work():
+    def work(worker: int) -> None:
         while True:
             with lock:
-                start = None if stop.is_set() else next(todo, None)
-            if start is None:
+                i = None if stop.is_set() else next(todo, None)
+            if i is None:
                 return
             try:
-                embed(start)
+                task(i, worker)
             except BaseException as exc:  # raised by the caller once all are joined
-                errors[start] = exc
+                errors[i] = exc
                 stop.set()
                 return
 
     helpers = []
     try:
-        for _ in range(workers - 1):
-            helper = Thread(target=work, name="avsearch-embed", daemon=True)
+        for worker in range(1, workers):
+            helper = Thread(
+                target=copy_context().run, args=(work, worker), name="avsearch-worker", daemon=True
+            )
             try:
                 helper.start()
-            except RuntimeError:  # no thread to spare: the started workers share the blocks
+            except RuntimeError:  # no thread to spare: the started workers share the tasks
                 break
             helpers.append(helper)
-        work()
+        work(0)
     finally:
         stop.set()
         for helper in helpers:
@@ -646,7 +654,7 @@ def fused_matrix(model: LaffModel, bundles, branch: str) -> list[np.ndarray]:
     branch is "video" or "text". Used for corpus-wide ranking, where
     embedding every item once per head beats re-running per query. Each
     block of BLOCK_ROWS items is stacked once and run through one head at a
-    time; _run_blocks spreads the blocks over the CPUs, at least two blocks
+    time; run_tasks spreads the blocks over the CPUs, at least two blocks
     per worker. A block's rows come out the same on any thread, so the
     result does not depend on the CPU count, and a failure raises the
     serial loop's error.
@@ -655,13 +663,13 @@ def fused_matrix(model: LaffModel, bundles, branch: str) -> list[np.ndarray]:
     bundles = list(bundles)
     out = [np.empty((len(bundles), model.d)) for _ in branches]
 
-    def embed(start: int) -> None:
-        rows = slice(start, start + BLOCK_ROWS)
+    def embed(block: int, _worker: int) -> None:
+        rows = slice(block * BLOCK_ROWS, (block + 1) * BLOCK_ROWS)
         tables = branch_tables(branches[0], bundles[rows])
         for mat, bp in zip(out, branches):
             mat[rows] = batch_forward(bp, tables).fused
 
-    _run_blocks(len(bundles), embed)
+    run_tasks(math.ceil(len(bundles) / BLOCK_ROWS), embed, per_worker=2)
     return out
 
 

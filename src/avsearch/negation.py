@@ -39,6 +39,7 @@ from .fusion import (
     branch_tables,
     distinct_bundles,
     pair_similarities,
+    run_tasks,
 )
 from .numeric import cosine_rows_vjp, unit_rows
 
@@ -286,10 +287,12 @@ def bnl_loss(
     Everything runs in matrix form. Per head, each branch embeds the whole
     batch at once (the text branch takes the captions followed by the
     negated captions), and the (videos x captions) cosine matrix is one GEMM
-    of row-normalised embeddings. The loss's derivative w.r.t. that matrix
-    is one upstream matrix G, plus per-row upstreams for the two negation
-    similarities, and the cosine VJPs are applied to all of them at once.
-    A zero-norm embedding has cosine 0 and contributes no gradient.
+    of row-normalised embeddings; the heads' forward passes run on
+    run_tasks' workers, and a failed one raises the serial loop's error.
+    The loss's derivative w.r.t. that matrix is one upstream matrix G, plus
+    per-row upstreams for the two negation similarities, and the cosine VJPs
+    are applied to all of them at once. A zero-norm embedding has cosine 0
+    and contributes no gradient.
     """
     n = len(batch)
     if n < 2:
@@ -307,24 +310,31 @@ def bnl_loss(
         [t.caption_features for t in batch] + [batch[b].negated_features for b in neg],
     )
 
-    # Forward: sim rows = videos, columns = captions; s_vneg = s(x+, q-) and
-    # s_ttneg = s(q, q-) over the negated triplets, in `neg` order.
-    heads = []
-    sim = np.zeros((n, n))
-    s_vneg = np.zeros(neg.size)
-    s_ttneg = np.zeros(neg.size)
-    degenerate = False
-    for head in model.heads:
+    # Forward: each head's branch passes, unit rows and cosine GEMM are one
+    # task of run_tasks, which spreads the heads over the CPUs; the heads are
+    # then summed in order. sim rows = videos, columns = captions; s_vneg =
+    # s(x+, q-) and s_ttneg = s(q, q-) over the negated triplets, in `neg`
+    # order.
+    heads = [None] * model.h
+
+    def forward(i: int, _worker: int) -> None:
+        head = model.heads[i]
         vstate = batch_forward(head.video, video_tables)
         tstate = batch_forward(head.text, text_tables)
         v, nv, zv = unit_rows(vstate.fused)
         t, nt, zt = unit_rows(tstate.fused)
+        heads[i] = (vstate, tstate, v, nv, zv, t, nt, zt, v @ t[:n].T)
+
+    run_tasks(model.h, forward)
+    sim = np.zeros((n, n))
+    s_vneg = np.zeros(neg.size)
+    s_ttneg = np.zeros(neg.size)
+    degenerate = False
+    for _, _, v, _, zv, t, _, zt, cross in heads:
         degenerate = degenerate or bool(zv.any() or zt.any())
-        cross = v @ t[:n].T
         sim += np.clip(cross, -1.0, 1.0)[video_of]
         s_vneg += np.clip(np.sum(v[video_of[neg]] * t[n:], axis=1), -1.0, 1.0)
         s_ttneg += np.clip(np.sum(t[neg] * t[n:], axis=1), -1.0, 1.0)
-        heads.append((vstate, tstate, v, nv, zv, t, nt, zt, cross))
     if degenerate:
         warnings.warn(
             "cosine similarity of a zero vector; returning 0.0",

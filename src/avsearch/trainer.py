@@ -12,9 +12,12 @@ vector. `bnl_loss` hands each batch's gradient over as its factors (a
 weight's gradient is dZᵀX, see fusion.GradFactors). When a bound on the
 gradient's norm proves that the step cannot clip, the step is formed one
 array at a time in a scratch array the size of the largest weight, so the
-gradient vector is never formed. Otherwise the gradient is formed into one
-vector, allocated at most once per epoch, and clipped, scaled and
-subtracted in place. Both paths step the parameters bit-identically. `fit`
+gradient vector is never formed; the arrays that fit in a part of that
+scratch step on every CPU (fusion.run_tasks), as `bnl_loss`'s heads run
+their forward passes, and the parameters come out the same bits whatever
+the CPU count. Otherwise the gradient is formed into one vector, allocated
+at most once per epoch, and clipped, scaled and subtracted in place, on
+the caller. Both paths step the parameters bit-identically. `fit`
 keeps no copy of the best epoch; it calls `on_best` while the model holds
 it. A run whose steps never clip therefore holds one parameter-sized
 vector, the model's.
@@ -40,7 +43,15 @@ from .evaluation import (
     relevant_ranks,
     similarity_matrix,
 )
-from .fusion import FeatureBundle, GradFactors, LaffModel, form_gradient, named_parameters
+from . import fusion
+from .fusion import (
+    FeatureBundle,
+    GradFactors,
+    LaffModel,
+    form_gradient,
+    named_parameters,
+    run_tasks,
+)
 from .negation import Margins, Triplet, bnl_loss
 
 _RECALL_RE = re.compile(r"^recall@(\d+)$")
@@ -183,11 +194,32 @@ def _cannot_clip(factors: GradFactors, max_norm: float, n_params: int) -> bool:
 def _unclipped_step(model: LaffModel, factors: GradFactors, lr: float, scratch: np.ndarray) -> None:
     """model.params -= lr * the gradient that factors stand for, one array at
     a time: each array's gradient is formed in scratch, scaled there and
-    subtracted, as _sgd_step does with a gradient that it does not clip."""
-    for term, (_, param) in zip(factors.terms, named_parameters(model.heads)):
-        step = form_gradient(term, scratch[: param.size].reshape(param.shape))
-        step *= lr
-        param -= step
+    subtracted, as _sgd_step does with a gradient that it does not clip.
+
+    The arrays go largest first. Those larger than a 1/WORKERS part of
+    scratch step on the caller, in the whole of it; run_tasks spreads the
+    rest over the CPUs, each worker stepping in its own part. So the step
+    needs no more scratch than a loop over the arrays, each array sees the
+    same operations on any thread, and the parameters do not depend on the
+    CPU count. A failure raises the error of the first array, in that order,
+    that fails.
+    """
+    arrays = sorted(
+        zip(factors.terms, (param for _, param in named_parameters(model.heads))),
+        key=lambda pair: -pair[1].size,
+    )
+    part = scratch.size // fusion.WORKERS
+    large = sum(param.size > part for _, param in arrays)
+
+    def step(term, param: np.ndarray, into: np.ndarray) -> None:
+        out = form_gradient(term, into[: param.size].reshape(param.shape))
+        out *= lr
+        param -= out
+
+    for term, param in arrays[:large]:
+        step(term, param, scratch)
+    rest = arrays[large:]
+    run_tasks(len(rest), lambda i, worker: step(*rest[i], scratch[worker * part :]))
 
 
 def train_epoch(

@@ -350,6 +350,23 @@ class TestFusedMatrixThreads:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
+    def test_helpers_keep_the_callers_errstate(self, monkeypatch, started_threads):
+        # Four 100 ms tasks on two workers: the helper takes some of them,
+        # and sees the caller's np.errstate, as a serial loop would.
+        monkeypatch.setattr(fusion, "WORKERS", 2)
+        seen = []
+
+        def task(i, worker):
+            time.sleep(0.1)
+            seen.append((worker, np.geterr()["over"]))
+
+        with np.errstate(over="raise"):
+            fusion.run_tasks(4, task)
+        assert len(started_threads) == 1
+        assert_all_joined(started_threads)
+        assert {worker for worker, _ in seen} == {0, 1}
+        assert [over for _, over in seen] == ["raise"] * 4
+
 
 class TestLaffVjpOracle:
     def test_input_gradients_from_dz_w(self, rng):

@@ -183,6 +183,41 @@ class TestSynthAndTrain:
             outs.append((tmp_path / name).read_bytes())
         assert outs[0] == outs[1]
 
+    def test_training_does_not_depend_on_the_worker_count(
+        self, tmp_path, monkeypatch, started_threads
+    ):
+        # The loss's two heads run on two workers. A step's 8 x 12 weight
+        # steps on the caller, and its 8 x 6, 8 x 5, 8 x 3 and 8 x 2 ones in
+        # parts of the 8 x 12 scratch, fewer of them as more workers shrink
+        # the parts.
+        data = tmp_path / "data"
+        assert run_cli(
+            "synth", "--out", data, "--n-videos", 16, "--latent-dim", 2,
+            "--negate-fraction", 0.5,
+            "--video-space", "visa:12:0.1", "--video-space", "visb:5:0.1",
+            "--video-space", "visc:3:0.1",
+            "--text-space", "txta:6:0.1", "--text-space", "txtb:2:0.1",
+        ) == 0
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            "[model]\nd = 8\nheads = 2\n"
+            "[train]\nepochs = 2\nbatch_size = 6\nlearning_rate = 0.4\n"
+        )
+        outputs = []
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(fusion, "WORKERS", workers)
+            ckpt, log = tmp_path / f"{workers}.ckpt", tmp_path / f"{workers}.log"
+            assert run_cli(
+                "train",
+                "--train-manifest", data / "manifest_train.json",
+                "--val-manifest", data / "manifest_val.json",
+                "--config", cfg, "--out", ckpt, "--log", log,
+            ) == 0
+            assert bool(started_threads) == (workers > 1)
+            outputs.append((ckpt.read_bytes(), log.read_bytes()))
+        assert_all_joined(started_threads)
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_failure_in_a_later_epoch_leaves_the_best_finished_epoch(
         self, synth_dir, tmp_path, monkeypatch, capsys
     ):
@@ -453,12 +488,23 @@ class TestFuse:
         assert run_cli("fuse", "--runs", src, src, "--weights", 1.0, 1.0, "--out", out) == 0
         assert read_run(out).entries["q1"] == [("a", 2.0), ("b", 1.0), ("c", 0.0)]
 
-    def test_weight_count_mismatch(self, tmp_path, capsys):
+    def test_weight_count_mismatch(self, tmp_path, capsys, monkeypatch):
+        # Refused before any run is read.
         src = tmp_path / "in.txt"
         src.write_text("q1 Q0 a 1 0.900000 t\n")
+        reads = []
+        real_read_run = cli.read_run
+
+        def counted(path):
+            reads.append(path)
+            return real_read_run(path)
+
+        monkeypatch.setattr(cli, "read_run", counted)
         assert run_cli("fuse", "--runs", src, "--weights", 1.0, 0.5,
                        "--out", tmp_path / "o.txt") == 1
         assert capsys.readouterr().err == "error: 1 runs but 2 weights\n"
+        assert reads == []
+        assert not (tmp_path / "o.txt").exists()
 
     @pytest.mark.parametrize("weights, message", [
         (["nan", 1], "weight nan is not finite and nonnegative"),

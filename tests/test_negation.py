@@ -1,4 +1,5 @@
 import string
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import per_item_oracle as oracle
+from avsearch import fusion, negation
 from avsearch.errors import ConfigError
 from avsearch.fusion import init_model, pair_similarities, similarity, text_text_similarity
 from avsearch.synth import synth_dataset
@@ -27,7 +29,7 @@ from avsearch.negation import (
 )
 from avsearch.numeric import grad_check
 
-from conftest import random_bundle, randomized_model
+from conftest import assert_all_joined, random_bundle, randomized_model
 from test_acceptance import ACCEPT_SPACES, _load_split
 
 SUBJECTS = ["man", "woman", "dog", "cat", "robot"]
@@ -417,6 +419,53 @@ class TestBnlLoss:
             batch = make_batch(rng, model, 3, [True, False, True])
             loss, _ = bnl_loss(model, batch, Margins())
             assert loss >= 0.0
+
+
+class TestBnlLossOnWorkers:
+    """bnl_loss's head forwards on run_tasks' workers: the serial loop's bits
+    and errors, with every helper joined."""
+
+    @staticmethod
+    def three_heads(rng):
+        model = randomized_model({"a": 7, "b": 5}, {"t": 6, "u": 4}, d=8, heads=3, seed=42)
+        return model, make_batch(rng, model, 6, [b % 3 != 0 for b in range(6)])
+
+    def test_equals_the_single_worker_result(self, rng, monkeypatch, started_threads):
+        model, batch = self.three_heads(rng)
+        results = []
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(fusion, "WORKERS", workers)
+            started_threads.clear()
+            results.append(bnl_loss(model, batch, Margins()))
+            assert len(started_threads) == min(workers, model.h) - 1
+            assert_all_joined(started_threads)
+        (want_loss, want_grad), *others = results
+        for loss, grad in others:
+            assert loss == want_loss
+            assert grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_earliest_failed_head_wins(self, rng, monkeypatch, started_threads, workers):
+        # Head 2's text pass fails at once, head 1's only after 200 ms: the
+        # caller sees head 1's error, the one the serial loop raises.
+        model, batch = self.three_heads(rng)
+        heads = {id(head.text): i for i, head in enumerate(model.heads)}
+        real_forward = negation.batch_forward
+
+        def forward(branch, tables):
+            i = heads.get(id(branch))
+            if i == 1:
+                time.sleep(0.2)
+            if i in (1, 2):
+                raise MemoryError(f"head {i}")
+            return real_forward(branch, tables)
+
+        monkeypatch.setattr(negation, "batch_forward", forward)
+        monkeypatch.setattr(fusion, "WORKERS", workers)
+        with pytest.raises(MemoryError, match="^head 1$"):
+            bnl_loss(model, batch, Margins())
+        assert len(started_threads) == workers - 1
+        assert_all_joined(started_threads)
 
 
 class TestBnlLossNonFinite:

@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from unittest import mock
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 import per_item_oracle as oracle
 from per_item_oracle import batched_rank_scores as rank_scores
-from avsearch import trainer
+from avsearch import fusion, trainer
 from avsearch.errors import ConfigError, FormatError, MetricError, TrainingError
 from avsearch.evaluation import JudgmentSet, average_precision, rank_many
 from avsearch.featio import checkpoint_load, checkpoint_save
@@ -30,12 +33,13 @@ from avsearch.trainer import (
     ValidationSet,
     _cannot_clip,
     _sgd_step,
+    _unclipped_step,
     evaluate_validation,
     fit,
     train_epoch,
 )
 
-from conftest import randomized_model
+from conftest import assert_all_joined, randomized_model
 from test_evaluation import ITEM_IDS, tied_rankings
 from test_negation import make_batch
 
@@ -400,6 +404,111 @@ class TestFactoredStep:
         if max_norm > 0 and _cannot_clip(GradFactors(terms), max_norm, grad.size):
             assert np.all(np.isfinite(grad))
             assert float(np.linalg.norm(grad)) <= max_norm
+
+
+class TestStepOnWorkers:
+    """_unclipped_step's arrays on run_tasks' workers, in parts of one
+    largest-array scratch: the serial loop's bits and errors, with every
+    helper joined."""
+
+    @staticmethod
+    def factored(rng, model=None):
+        """A model and one batch's gradient factors. By default, weights of 8
+        x 48, 30, 20, 12 and 8 entries: the larger ones step on the caller,
+        and more of them as the scratch's parts shrink. The loss runs with
+        one worker, so that it starts no thread."""
+        if model is None:
+            model = randomized_model(
+                {"a": 48, "b": 20, "c": 8}, {"t": 30, "u": 12}, d=8, heads=2, seed=43
+            )
+        batch = make_batch(rng, model, 6, [b % 2 == 0 for b in range(6)])
+        with mock.patch.object(fusion, "WORKERS", 1):
+            _, factors = trainer.bnl_loss(model, batch, Margins(), factored=True)
+        return model, factors
+
+    @staticmethod
+    def scratch(model) -> np.ndarray:
+        return np.empty(max(p.size for _, p in named_parameters(model.heads)))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_steps_as_the_formed_vector(self, rng, monkeypatch, started_threads, workers):
+        # Each formed gradient waits 5 ms before it is scaled, so that two
+        # workers that shared scratch memory would overwrite each other's.
+        model, factors = self.factored(rng)
+        want = model.params - factors.to_vector(model) * 0.3
+        real_form = trainer.form_gradient
+
+        def slow_form(term, out):
+            real_form(term, out)
+            time.sleep(0.005)
+            return out
+
+        monkeypatch.setattr(trainer, "form_gradient", slow_form)
+        monkeypatch.setattr(fusion, "WORKERS", workers)
+        _unclipped_step(model, factors, 0.3, self.scratch(model))
+        assert model.params.tobytes() == want.tobytes()
+        assert len(started_threads) == workers - 1
+        assert_all_joined(started_threads)
+
+    def test_stress_more_workers_than_cpus(self, rng, monkeypatch, started_threads):
+        # Eight workers, a switch interval of 1 us, and arrays of 8 x 64
+        # down to 8 entries: every array but the largest steps in one of
+        # eight 64-entry parts, and a part written by two workers, or an
+        # array stepped twice or not at all, would change the bits.
+        model, factors = self.factored(rng, randomized_model(
+            {"a": 64, "b": 8, "c": 6, "d": 5, "e": 4}, {"t": 7, "u": 3}, d=8, heads=2, seed=44
+        ))
+        want = model.params - factors.to_vector(model) * 0.3
+        monkeypatch.setattr(fusion, "WORKERS", 8)
+        result = {}
+
+        def call():
+            try:
+                _unclipped_step(model, factors, 0.3, self.scratch(model))
+            except Exception as exc:  # reported below, on the test's thread
+                result["error"] = exc
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(target=call)
+            caller.start()
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert "error" not in result
+        assert len(started_threads) == 7
+        assert_all_joined(started_threads)
+        assert model.params.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_the_first_failed_array_wins(self, rng, monkeypatch, started_threads, workers):
+        # Arrays go largest first; the ninth and tenth (head 0's and head 1's
+        # 8 x 8 weight) fit in a part of the scratch for any worker count
+        # here. The tenth fails at once, the ninth only after 200 ms: the
+        # caller sees the ninth's error, the one the serial loop raises.
+        model, factors = self.factored(rng)
+        sizes = [p.size for _, p in named_parameters(model.heads)]
+        order = sorted(range(len(sizes)), key=lambda i: -sizes[i])
+        rank = {id(factors.terms[i]): r for r, i in enumerate(order)}
+        assert sizes[order[8]] == sizes[order[9]] == 8 * 8
+        real_form = trainer.form_gradient
+
+        def form(term, out):
+            r = rank[id(term)]
+            if r == 8:
+                time.sleep(0.2)
+            if r in (8, 9):
+                raise MemoryError(f"array {r}")
+            return real_form(term, out)
+
+        monkeypatch.setattr(trainer, "form_gradient", form)
+        monkeypatch.setattr(fusion, "WORKERS", workers)
+        with pytest.raises(MemoryError, match="^array 8$"):
+            _unclipped_step(model, factors, 0.3, self.scratch(model))
+        assert len(started_threads) == workers - 1
+        assert_all_joined(started_threads)
 
 
 def make_validation(triplets) -> ValidationSet:
