@@ -17,18 +17,21 @@ its two factors, the (n, d) pre-activation gradients and the input table
 the forward pass already holds (GradFactors); form_gradient forms one such
 product where its caller wants it: in a flat gradient vector or, in the
 trainer, in a scratch array that steps one weight. The per-item functions
-laff_forward, laff_vjp and similarity_with_grad call batch_forward (and
-batch_backward) on one-row tables. similarity_with_grad pulls its cosines
-back with numeric.cosine_rows_vjp, which bnl_loss calls too: the one cosine
-VJP here, as the scalar one is kept only in the tests' per-item oracle.
-Corpus embedding runs in fixed-size row blocks, one head at a time on each
-block's tables.
-No block reads another's result, so fused_matrix hands its blocks, in
-order, to run_tasks, which runs them on the caller and helper threads
-(NumPy's GEMM and tanh release the interpreter lock), one worker per CPU and
-at least two blocks per worker; each block is computed alike on any thread,
-so the output does not depend on the CPU count. bnl_loss's head forwards
-and the trainer's per-array steps run on the same workers. Many (video,
+laff_forward and laff_vjp call batch_forward (and batch_backward) on
+one-row tables. head_forwards runs every head on the same tables, for
+bnl_loss and similarity_with_grad, which pull their cosines back with
+numeric.cosine_rows_vjp: the one cosine VJP here, as the scalar one is kept
+only in the tests' per-item oracle. Every walk over a corpus (fused_matrix,
+feature_importance) is _walk_blocks: fixed-size row blocks, one head at a
+time on each block's tables. No block reads another's result, so the walk
+hands its blocks, in order, to run_tasks, which runs them on the caller and
+helper threads (NumPy's GEMM and tanh release the interpreter lock), one
+worker per CPU and at least two blocks per worker; each block is computed
+alike on any thread, so the output does not depend on the CPU count.
+head_forwards' heads and the trainer's per-array steps run on the same
+workers. The bits hold on any CPU count with BLAS at one thread: OpenBLAS
+starts one thread per CPU by default, and a BLAS reduction (np.linalg.norm
+of more than about 10k entries) rounds by its thread count. Many (video,
 text) pairs are scored together by pair_similarities, which embeds each
 distinct bundle once.
 
@@ -319,21 +322,19 @@ def init_model(
     """Initialize a model: W ~ U(-1/sqrt(d_in), 1/sqrt(d_in)), b = 0, u = 0.
 
     Zero attention vectors start every branch at uniform attention, the
-    unbiased prior. Heads draw independent weights, in the canonical order.
-    Each weight is drawn in place, as rng.uniform(-bound, bound, size=shape)
-    computes it (-bound + 2·bound·x from the same stream), with no copy.
+    unbiased prior. The weights, the 2-D arrays of named_parameters, are
+    drawn in that order, in place, as rng.uniform(-bound, bound, size=shape)
+    computes them (-bound + 2·bound·x from the same stream), with no copy.
     """
     zeros = np.zeros(param_count(video_dims, text_dims, d, heads))
     model = LaffModel.from_params(zeros, video_dims, text_dims, d, heads)
     rng = np.random.default_rng(seed)
-    for head in model.heads:
-        for branch in (head.video, head.text):
-            for name in branch.spaces:
-                weight = branch.transforms[name].weight
-                bound = 1.0 / np.sqrt(weight.shape[1])
-                rng.random(out=weight)
-                weight *= 2.0 * bound
-                weight -= bound
+    for _, weight in named_parameters(model.heads):
+        if weight.ndim == 2:
+            bound = 1.0 / np.sqrt(weight.shape[1])
+            rng.random(out=weight)
+            weight *= 2.0 * bound
+            weight -= bound
     return model
 
 
@@ -341,14 +342,14 @@ def init_model(
 # Batched forward / backward through one branch
 # ---------------------------------------------------------------------------
 
-# Items embedded per block by fused_matrix and feature_importance, so that
-# peak memory does not grow with the number of items.
+# Items per block of _walk_blocks (fused_matrix, feature_importance), so
+# that peak memory does not grow with the number of items.
 BLOCK_ROWS = 256
 
 # The most threads that run_tasks runs on, the caller included: the CPUs
-# this process may run on. They embed fused_matrix's blocks, run bnl_loss's
-# head forwards and step a training step's arrays; outputs do not depend on
-# their number.
+# this process may run on. They embed _walk_blocks' blocks, run
+# head_forwards' heads and step a training step's arrays; outputs do not
+# depend on their number (with BLAS at one thread: see the module docstring).
 if hasattr(os, "sched_getaffinity"):
     WORKERS = len(os.sched_getaffinity(0))
 else:
@@ -567,30 +568,38 @@ def text_text_similarity(model: LaffModel, q1: FeatureBundle, q2: FeatureBundle)
 def similarity_with_grad(
     model: LaffModel, video: FeatureBundle, text: FeatureBundle
 ) -> tuple[float, np.ndarray]:
-    """similarity() plus its gradient w.r.t. the flat model parameter vector.
-
-    Per head, cosine_rows_vjp pulls the upstream 1/h back onto the two fused
-    embeddings; a head where either has zero norm (cosine 0) adds nothing.
-    """
+    """similarity(), bit for bit (the same row cosines of the same passes),
+    plus its gradient w.r.t. the flat model parameter vector. Per head,
+    cosine_rows_vjp pulls the upstream 1/h back onto the two fused
+    embeddings; a head where either has zero norm (cosine 0) adds nothing."""
+    total = np.zeros(1)
     terms = []
-    video_tables = branch_tables(model.heads[0].video, [video])
-    text_tables = branch_tables(model.heads[0].text, [text])
-    for head in model.heads:
-        vstate = batch_forward(head.video, video_tables)
-        tstate = batch_forward(head.text, text_tables)
-        v, nv, zv = unit_rows(vstate.fused)
-        t, nt, zt = unit_rows(tstate.fused)
+    passes = head_forwards(model, [video], [text])
+    for head, (vstate, tstate, v, nv, zv, t, nt, zt) in zip(model.heads, passes):
+        total += row_cosines(vstate.fused, tstate.fused)
         upstream = np.where(zv | zt, 0.0, 1.0 / model.h)
         dv, dt = cosine_rows_vjp(v, nv, t, nt, upstream)
         terms += batch_backward(head.video, vstate, dv)
         terms += batch_backward(head.text, tstate, dt)
-    return similarity(model, video, text), GradFactors(terms).to_vector(model)
+    return float(total[0] / model.h), GradFactors(terms).to_vector(model)
 
 
-def _head_branches(model: LaffModel, branch: str) -> list[LaffBranchParams]:
-    if branch not in ("video", "text"):
-        raise ValueError(f"branch must be 'video' or 'text', got {branch!r}")
-    return [head.video if branch == "video" else head.text for head in model.heads]
+def head_forwards(model: LaffModel, videos, texts) -> list[tuple]:
+    """Per head, in order, (vstate, tstate, v, nv, zv, t, nt, zt): its branch
+    states on the tables of videos and texts and unit_rows of their fused
+    rows. The heads are run_tasks' tasks, so an error is the serial loop's."""
+    video_tables = branch_tables(model.heads[0].video, videos)
+    text_tables = branch_tables(model.heads[0].text, texts)
+    out = [None] * model.h
+
+    def forward(i: int, _worker: int) -> None:
+        head = model.heads[i]
+        vstate = batch_forward(head.video, video_tables)
+        tstate = batch_forward(head.text, text_tables)
+        out[i] = (vstate, tstate, *unit_rows(vstate.fused), *unit_rows(tstate.fused))
+
+    run_tasks(model.h, forward)
+    return out
 
 
 def run_tasks(n: int, task, per_worker: int = 1) -> None:
@@ -648,28 +657,35 @@ def run_tasks(n: int, task, per_worker: int = 1) -> None:
         raise errors[min(errors)]
 
 
-def fused_matrix(model: LaffModel, bundles, branch: str) -> list[np.ndarray]:
-    """Per-head (n, d) matrices of fused embeddings for a list of bundles.
-
-    branch is "video" or "text". Used for corpus-wide ranking, where
-    embedding every item once per head beats re-running per query. Each
-    block of BLOCK_ROWS items is stacked once and run through one head at a
-    time; run_tasks spreads the blocks over the CPUs, at least two blocks
-    per worker. A block's rows come out the same on any thread, so the
-    result does not depend on the CPU count, and a failure raises the
-    serial loop's error.
-    """
-    branches = _head_branches(model, branch)
-    bundles = list(bundles)
-    out = [np.empty((len(bundles), model.d)) for _ in branches]
+def _walk_blocks(model: LaffModel, bundles: list, branch: str, keep) -> None:
+    """keep(rows, head, state) with each head's BranchState on each block of
+    BLOCK_ROWS bundles (rows, a slice) on branch "video" or "text", stacked
+    once, on run_tasks' workers (see the module docstring). A worker holds
+    one block and one head's state at a time."""
+    if branch not in ("video", "text"):
+        raise ValueError(f"branch must be 'video' or 'text', got {branch!r}")
+    branches = [getattr(head, branch) for head in model.heads]
 
     def embed(block: int, _worker: int) -> None:
         rows = slice(block * BLOCK_ROWS, (block + 1) * BLOCK_ROWS)
         tables = branch_tables(branches[0], bundles[rows])
-        for mat, bp in zip(out, branches):
-            mat[rows] = batch_forward(bp, tables).fused
+        for head, bp in enumerate(branches):
+            keep(rows, head, batch_forward(bp, tables))
 
     run_tasks(math.ceil(len(bundles) / BLOCK_ROWS), embed, per_worker=2)
+
+
+def fused_matrix(model: LaffModel, bundles, branch: str) -> list[np.ndarray]:
+    """Per-head (n, d) fused embeddings of a list of bundles on branch "video"
+    or "text", each item embedded once per head, in _walk_blocks' blocks:
+    for corpus-wide ranking, where that beats re-running per query."""
+    bundles = list(bundles)
+    out = [np.empty((len(bundles), model.d)) for _ in model.heads]
+
+    def keep(rows: slice, head: int, state: BranchState) -> None:
+        out[head][rows] = state.fused
+
+    _walk_blocks(model, bundles, branch, keep)
     return out
 
 
@@ -711,20 +727,20 @@ def feature_importance(
 
     Returns (space_name, mean_weight) sorted by weight descending (ties by
     name); the means sum to 1. High-weight spaces are the ones worth keeping
-    when trimming the feature set.
+    when trimming the feature set. _walk_blocks' per-block, per-head weight
+    sums are added in block-then-head order, whatever the CPU count.
     """
-    branches = _head_branches(model, branch)
     dataset = list(dataset)
+    sums = {}
+
+    def keep(rows: slice, head: int, state: BranchState) -> None:
+        sums[rows.start, head] = state.weights.sum(axis=0)
+
+    _walk_blocks(model, dataset, branch, keep)
     if not dataset:
         raise ValueError("feature_importance needs a nonempty dataset")
-    spaces = branches[0].spaces
-    acc = np.zeros(len(spaces))
-    # Serial, so that the sums accumulate in block order. The heads share a
-    # block's tables and run one at a time on them.
-    for start in range(0, len(dataset), BLOCK_ROWS):
-        tables = branch_tables(branches[0], dataset[start : start + BLOCK_ROWS])
-        for bp in branches:
-            acc += batch_forward(bp, tables).weights.sum(axis=0)
+    spaces = getattr(model, f"{branch}_spaces")
+    acc = sum((sums[key] for key in sorted(sums)), np.zeros(len(spaces)))
     means = acc / (len(dataset) * model.h)
     ranked = sorted(zip(spaces, means), key=lambda kv: (-kv[1], kv[0]))
     return [(name, float(w)) for name, w in ranked]

@@ -10,11 +10,12 @@ keep the similarity gap between a caption and its negated version inside a
 margin window, from both the video anchor and the text anchor.
 
 The batch loss is computed in matrix form on the batched fusion engine:
-one cosine GEMM per head for the batch similarity matrix, column-wise
-hardest-negative mining (`hardest_negatives`), and one upstream matrix
-pulled back through a single backward pass per branch. The cross matrix's
-cosine VJP is written inline, as matrix products; the two negation
-similarities use `numeric.cosine_rows_vjp`, the one cosine VJP, which
+the heads' forward passes (`fusion.head_forwards`), one cosine GEMM per
+head for the batch similarity matrix, column-wise hardest-negative mining
+(`hardest_negatives`), and one upstream matrix pulled back through a single
+backward pass per branch. The cross matrix's cosine VJP is written inline,
+as matrix products; the two negation similarities use
+`numeric.cosine_rows_vjp`, the one cosine VJP, which
 `fusion.similarity_with_grad` calls too (the scalar one is kept only in the
 tests' per-item oracle). The gradient comes back as a flat vector, or, for
 the trainer, as its factors (GradFactors), which it steps from one weight
@@ -35,13 +36,11 @@ from .fusion import (
     GradFactors,
     LaffModel,
     batch_backward,
-    batch_forward,
-    branch_tables,
     distinct_bundles,
+    head_forwards,
     pair_similarities,
-    run_tasks,
 )
-from .numeric import cosine_rows_vjp, unit_rows
+from .numeric import cosine_rows_vjp
 
 # Tokens that mark a query or caption as negated. The "non" prefix test
 # additionally catches hyphenated and fused forms ("non-kitchen", "nonstop").
@@ -159,11 +158,14 @@ def detect_negation(caption: Caption) -> tuple[bool, list[int]]:
 def coarse_tags(caption: Caption) -> list[str]:
     """The caption's own tags or, for an untagged caption, tags guessed in
     any case: AUX for an auxiliary (`Was` as `was`), VERB for any other
-    token ending in -ing or -ed, and OTHER for the rest."""
+    token ending in -ing, or in -ed after at least three characters
+    (`parked`, not `red` or `bed`), and OTHER for the rest."""
     if caption.pos_tags is not None:
         return caption.pos_tags
     return [
-        "AUX" if tok in AUXILIARIES else "VERB" if tok.endswith(("ing", "ed")) else "OTHER"
+        "AUX" if tok in AUXILIARIES
+        else "VERB" if tok.endswith("ing") or tok.endswith("ed") and len(tok) >= 5
+        else "OTHER"
         for tok in map(str.lower, caption.tokens)
     ]
 
@@ -287,8 +289,8 @@ def bnl_loss(
     Everything runs in matrix form. Per head, each branch embeds the whole
     batch at once (the text branch takes the captions followed by the
     negated captions), and the (videos x captions) cosine matrix is one GEMM
-    of row-normalised embeddings; the heads' forward passes run on
-    run_tasks' workers, and a failed one raises the serial loop's error.
+    of row-normalised embeddings; the heads' forward passes (head_forwards)
+    run on the CPUs' workers, and a failed one raises the serial loop's error.
     The loss's derivative w.r.t. that matrix is one upstream matrix G, plus
     per-row upstreams for the two negation similarities, and the cosine VJPs
     are applied to all of them at once. A zero-norm embedding has cosine 0
@@ -304,35 +306,21 @@ def bnl_loss(
     # A video paired with several of its captions is embedded once, so its
     # similarities tie exactly and mining breaks the tie to the lowest index.
     videos, video_of = distinct_bundles([t.video for t in batch])
-    video_tables = branch_tables(model.heads[0].video, videos)
-    text_tables = branch_tables(
-        model.heads[0].text,
-        [t.caption_features for t in batch] + [batch[b].negated_features for b in neg],
-    )
+    texts = [t.caption_features for t in batch] + [batch[b].negated_features for b in neg]
 
-    # Forward: each head's branch passes, unit rows and cosine GEMM are one
-    # task of run_tasks, which spreads the heads over the CPUs; the heads are
-    # then summed in order. sim rows = videos, columns = captions; s_vneg =
-    # s(x+, q-) and s_ttneg = s(q, q-) over the negated triplets, in `neg`
-    # order.
-    heads = [None] * model.h
-
-    def forward(i: int, _worker: int) -> None:
-        head = model.heads[i]
-        vstate = batch_forward(head.video, video_tables)
-        tstate = batch_forward(head.text, text_tables)
-        v, nv, zv = unit_rows(vstate.fused)
-        t, nt, zt = unit_rows(tstate.fused)
-        heads[i] = (vstate, tstate, v, nv, zv, t, nt, zt, v @ t[:n].T)
-
-    run_tasks(model.h, forward)
+    # Forward: head_forwards, then each head's cosine GEMM, summed in head
+    # order. sim rows = videos, columns = captions; s_vneg = s(x+, q-) and
+    # s_ttneg = s(q, q-) over the negated triplets, in `neg` order.
+    heads = head_forwards(model, videos, texts)
+    crosses = []
     sim = np.zeros((n, n))
     s_vneg = np.zeros(neg.size)
     s_ttneg = np.zeros(neg.size)
     degenerate = False
-    for _, _, v, _, zv, t, _, zt, cross in heads:
+    for _, _, v, _, zv, t, _, zt in heads:
         degenerate = degenerate or bool(zv.any() or zt.any())
-        sim += np.clip(cross, -1.0, 1.0)[video_of]
+        crosses.append(v @ t[:n].T)
+        sim += np.clip(crosses[-1], -1.0, 1.0)[video_of]
         s_vneg += np.clip(np.sum(v[video_of[neg]] * t[n:], axis=1), -1.0, 1.0)
         s_ttneg += np.clip(np.sum(t[neg] * t[n:], axis=1), -1.0, 1.0)
     if degenerate:
@@ -387,7 +375,7 @@ def bnl_loss(
     terms = []
     video_upstream = np.zeros((len(videos), n))
     np.add.at(video_upstream, video_of, upstream)
-    for hi, (vstate, tstate, v, nv, zv, t, nt, zt, cross) in enumerate(heads):
+    for head, (vstate, tstate, v, nv, zv, t, nt, zt), cross in zip(model.heads, heads, crosses):
         weighted = video_upstream * cross
         d_vid = (video_upstream @ t[:n] - weighted.sum(axis=1)[:, None] * v) / nv[:, None]
         d_txt = np.zeros_like(t)
@@ -402,8 +390,8 @@ def bnl_loss(
         d_txt[n:] += dn
         d_vid[zv] = 0.0
         d_txt[zt] = 0.0
-        terms += batch_backward(model.heads[hi].video, vstate, d_vid)
-        terms += batch_backward(model.heads[hi].text, tstate, d_txt)
+        terms += batch_backward(head.video, vstate, d_vid)
+        terms += batch_backward(head.text, tstate, d_txt)
     grad = GradFactors(terms)
     if not factored:
         grad = grad.to_vector(model)

@@ -101,8 +101,10 @@ def synth_dataset(
             raise ConfigError(
                 f"space {spec.name!r} dim {spec.dim} is below latent_dim {latent_dim}"
             )
-        if spec.noise_sigma < 0:
-            raise ConfigError(f"space {spec.name!r} has negative noise")
+        if not 0.0 <= spec.noise_sigma < np.inf:  # not `< 0`: NaN and inf are refused too
+            raise ConfigError(
+                f"space {spec.name!r} noise must be finite and >= 0, got {spec.noise_sigma}"
+            )
     if not (0.0 <= negate_fraction <= 1.0):
         raise ConfigError(f"negate_fraction must be in [0, 1], got {negate_fraction}")
 

@@ -17,10 +17,12 @@ scratch step on every CPU (fusion.run_tasks), as `bnl_loss`'s heads run
 their forward passes, and the parameters come out the same bits whatever
 the CPU count. Otherwise the gradient is formed into one vector, allocated
 at most once per epoch, and clipped, scaled and subtracted in place, on
-the caller. Both paths step the parameters bit-identically. `fit`
-keeps no copy of the best epoch; it calls `on_best` while the model holds
-it. A run whose steps never clip therefore holds one parameter-sized
-vector, the model's.
+the caller. Both paths step the parameters bit-identically. The bits hold
+whatever the CPU count with BLAS at one thread: the fallback's
+np.linalg.norm is a BLAS reduction, which rounds by the number of BLAS
+threads, and OpenBLAS starts one per CPU by default. `fit` keeps no copy of
+the best epoch; it calls `on_best` while the model holds it. A run whose
+steps never clip therefore holds one parameter-sized vector, the model's.
 """
 
 from __future__ import annotations

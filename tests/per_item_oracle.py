@@ -29,7 +29,9 @@ count ranks. `train_epoch` adds each batch's gradient into a new zeroed vector a
 updates with one expression, as the reference for the trainer's in-place
 step. `negation_sites` asks two predicates of each token, `_is_auxiliary`
 and `_is_verb`, as the reference for the sites that `negation.negation_sites`
-reads off `coarse_tags`.
+reads off `coarse_tags`. `init_model` walks heads, branches and spaces in
+three explicit loops, as the reference for `fusion.init_model`, which draws
+the 2-D arrays of `named_parameters`.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from avsearch.featio import check_tokens, read_fields
 
 from avsearch.evaluation import INF_AP_EPS, RankedRun, RunEntry, _minmax, ranked_rows
 from avsearch.evaluation import rank_many as batched_rank_many
-from avsearch.fusion import BranchGrads, FeatureBundle, LaffBranchParams, LaffModel
+from avsearch.fusion import BranchGrads, FeatureBundle, LaffBranchParams, LaffModel, param_count
 from avsearch.fusion import fused_matrix as batched_fused_matrix
 from avsearch.negation import bnl_loss as batched_bnl_loss
 from avsearch.negation import (
@@ -162,6 +164,24 @@ def add_grads(branch: LaffBranchParams, grads: BranchGrads) -> None:
         p.weight += d_weight
         p.bias += grads.d_bias[name]
     branch.attention += grads.d_attention
+
+
+def init_model(video_dims, text_dims, d: int, heads: int, seed: int) -> LaffModel:
+    """Zero biases and attention vectors; each weight drawn in place from
+    U(-1/sqrt(d_in), 1/sqrt(d_in)), head by head, the video branch then the
+    text branch, spaces in sorted order."""
+    zeros = np.zeros(param_count(video_dims, text_dims, d, heads))
+    model = LaffModel.from_params(zeros, video_dims, text_dims, d, heads)
+    rng = np.random.default_rng(seed)
+    for head in model.heads:
+        for branch in (head.video, head.text):
+            for name in branch.spaces:
+                weight = branch.transforms[name].weight
+                bound = 1.0 / np.sqrt(weight.shape[1])
+                rng.random(out=weight)
+                weight *= 2.0 * bound
+                weight -= bound
+    return model
 
 
 def fused_matrix(model: LaffModel, bundles, branch: str) -> list[np.ndarray]:
@@ -626,7 +646,9 @@ def _is_verb(caption: Caption, i: int) -> bool:
     if caption.pos_tags is not None:
         return caption.pos_tags[i] == "VERB"
     tok = caption.tokens[i].lower()
-    return (tok.endswith("ing") or tok.endswith("ed")) and tok not in AUXILIARIES
+    # -ed marks a verb only after three letters or more: `parked`, not `red`.
+    ed_verb = tok.endswith("ed") and len(tok) - len("ed") >= 3
+    return (tok.endswith("ing") or ed_verb) and tok not in AUXILIARIES
 
 
 def _is_auxiliary(caption: Caption, i: int) -> bool:

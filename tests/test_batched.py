@@ -26,6 +26,9 @@ from avsearch.evaluation import rank_many
 from avsearch.fusion import (
     BLOCK_ROWS,
     FeatureBundle,
+    batch_forward,
+    branch_tables,
+    feature_importance,
     fused_matrix,
     init_model,
     laff_vjp,
@@ -367,6 +370,57 @@ class TestFusedMatrixThreads:
         assert {worker for worker, _ in seen} == {0, 1}
         assert [over for _, over in seen] == ["raise"] * 4
 
+
+
+class TestFeatureImportanceThreads:
+    """feature_importance on the block walk's workers: the serial loop's sums,
+    bit for bit, and its errors, with every helper joined."""
+
+    def test_equals_the_serial_sums_for_any_worker_count(self, monkeypatch, rng, started_threads):
+        monkeypatch.setattr(fusion, "BLOCK_ROWS", 8)
+        model = paper_like_model(39)
+        bundles = [random_bundle(f"v{i}", model.video_dims(), rng) for i in range(8 * 8 + 3)]
+        # The serial loop: block by block, head by head, into one total.
+        acc = np.zeros(len(model.video_spaces))
+        for start in range(0, len(bundles), 8):
+            tables = branch_tables(model.heads[0].video, bundles[start : start + 8])
+            for head in model.heads:
+                acc += batch_forward(head.video, tables).weights.sum(axis=0)
+        means = acc / (len(bundles) * model.h)
+        ranked = sorted(zip(model.video_spaces, means), key=lambda kv: (-kv[1], kv[0]))
+        want = [(name, float(w)) for name, w in ranked]
+        for workers in (1, 2, 4):  # 9 blocks: up to four workers
+            monkeypatch.setattr(fusion, "WORKERS", workers)
+            started_threads.clear()
+            assert feature_importance(model, bundles, "video") == want
+            assert len(started_threads) == workers - 1
+            assert_all_joined(started_threads)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_the_earliest_failed_block_wins(self, monkeypatch, rng, started_threads, workers):
+        # Block 3 fails at once, block 2 only after 200 ms, while blocks 0
+        # and 1 take 50 ms each: the caller sees block 2's error, the one
+        # the serial loop raises.
+        monkeypatch.setattr(fusion, "BLOCK_ROWS", 4)
+        model = paper_like_model(40)
+        bundles = [random_bundle(f"v{i}", model.video_dims(), rng) for i in range(32)]
+        real_tables = fusion.branch_tables
+
+        def tables(branch, block):
+            index = int(block[0].item_id[1:]) // 4
+            if index == 2:
+                time.sleep(0.2)
+            if index in (2, 3):
+                raise MemoryError(f"block {index}")
+            time.sleep(0.05)
+            return real_tables(branch, block)
+
+        monkeypatch.setattr(fusion, "branch_tables", tables)
+        monkeypatch.setattr(fusion, "WORKERS", workers)
+        with pytest.raises(MemoryError, match="^block 2$"):
+            feature_importance(model, bundles, "video")
+        assert len(started_threads) == workers - 1
+        assert_all_joined(started_threads)
 
 class TestLaffVjpOracle:
     def test_input_gradients_from_dz_w(self, rng):

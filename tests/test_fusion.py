@@ -23,6 +23,7 @@ from avsearch.fusion import (
 )
 from avsearch.numeric import LinearTanhParams, grad_check, linear_tanh, softmax
 
+import per_item_oracle as oracle
 from conftest import random_bundle, randomized_model
 
 
@@ -539,6 +540,13 @@ class TestModelStructure:
                     bound = 1.0 / np.sqrt(weight.shape[1])
                     weight[...] = rng.uniform(-bound, bound, size=weight.shape)
         assert model.params.tobytes() == want.params.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_init_equals_the_explicit_triple_loop(self, seed):
+        video, text = {"b": 13, "a": 7, "c": 1}, {"t": 5, "s": 11}
+        got = init_model(video, text, d=3, heads=3, seed=seed)
+        want = oracle.init_model(video, text, d=3, heads=3, seed=seed)
+        assert got.params.tobytes() == want.params.tobytes()
 
     def test_mismatched_heads_rejected(self, rng):
         h1 = LaffHead(make_branch({"a": 3}, 4, rng), make_branch({"t": 2}, 4, rng))

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import per_item_oracle as oracle
-from avsearch import fusion, negation
+from avsearch import fusion
 from avsearch.errors import ConfigError
 from avsearch.fusion import init_model, pair_similarities, similarity, text_text_similarity
 from avsearch.synth import synth_dataset
@@ -220,13 +220,22 @@ class TestSitesMatchTheOracle:
             assert got.pos_tags == caption.pos_tags[:site] + ["OTHER"] + caption.pos_tags[site:]
 
     def test_coarse_tags_of_an_untagged_caption(self):
-        # `Being` ends in -ing, but is an auxiliary.
+        # `Being` ends in -ing, but is an auxiliary. `Red` and `ed` end in
+        # -ed, but with fewer than three letters before it.
         caption = Caption("c", "A dog Was SEEN running and Red is ed Being".split())
         assert coarse_tags(caption) == [
-            "OTHER", "OTHER", "AUX", "OTHER", "VERB", "OTHER", "VERB", "AUX", "VERB", "AUX"
+            "OTHER", "OTHER", "AUX", "OTHER", "VERB", "OTHER", "OTHER", "AUX", "OTHER", "AUX"
         ]
         tagged = Caption("c", ["dogs", "run"], ["NOUN", "VERB"])
         assert coarse_tags(tagged) == ["NOUN", "VERB"]
+
+    def test_short_ed_words_are_no_verbs(self):
+        # `parked` has three letters or more before its -ed; `red`, `bed`
+        # and `used` do not, so the cue can only go before `parked`.
+        caption = Caption("q", "a red car parked near the bed".split())
+        assert negation_sites(caption) == [3]
+        assert negate_caption(caption, 0).text == "a red car not parked near the bed"
+        assert coarse_tags(Caption("q", ["used", "Tired", "bED"])) == ["OTHER", "VERB", "OTHER"]
 
 
 class TestMargins:
@@ -450,7 +459,7 @@ class TestBnlLossOnWorkers:
         # caller sees head 1's error, the one the serial loop raises.
         model, batch = self.three_heads(rng)
         heads = {id(head.text): i for i, head in enumerate(model.heads)}
-        real_forward = negation.batch_forward
+        real_forward = fusion.batch_forward
 
         def forward(branch, tables):
             i = heads.get(id(branch))
@@ -460,7 +469,7 @@ class TestBnlLossOnWorkers:
                 raise MemoryError(f"head {i}")
             return real_forward(branch, tables)
 
-        monkeypatch.setattr(negation, "batch_forward", forward)
+        monkeypatch.setattr(fusion, "batch_forward", forward)
         monkeypatch.setattr(fusion, "WORKERS", workers)
         with pytest.raises(MemoryError, match="^head 1$"):
             bnl_loss(model, batch, Margins())

@@ -152,6 +152,15 @@ class TestSynthDataset:
         with pytest.raises(ConfigError, match="negate_fraction"):
             generate(tmp_path, negate=1.5)
 
+    @pytest.mark.parametrize("noise", [-0.1, float("nan"), float("inf"), -float("inf")])
+    def test_bad_noise_is_refused_before_anything_is_written(self, tmp_path, noise):
+        # The last space's noise: the draws and writes of the others come first.
+        texts = [TEXT_SPACES[0], SpaceSpec("txtb", 8, noise)]
+        with pytest.raises(ConfigError) as exc:
+            synth_dataset(tmp_path, 0, 5, 2, 4, VIDEO_SPACES, texts)
+        assert str(exc.value) == f"space 'txtb' noise must be finite and >= 0, got {noise}"
+        assert list(tmp_path.iterdir()) == []
+
     def test_single_caption_has_no_val_split(self, tmp_path):
         manifests = generate(tmp_path, n_captions=1)
         assert "val" not in manifests
