@@ -29,11 +29,8 @@ helper threads (NumPy's GEMM and tanh release the interpreter lock), one
 worker per CPU and at least two blocks per worker; each block is computed
 alike on any thread, so the output does not depend on the CPU count.
 head_forwards' heads and the trainer's per-array steps run on the same
-workers. The bits hold on any CPU count with BLAS at one thread: OpenBLAS
-starts one thread per CPU by default, and a BLAS reduction (np.linalg.norm
-of more than about 10k entries) rounds by its thread count. Many (video,
-text) pairs are scored together by pair_similarities, which embeds each
-distinct bundle once.
+workers. Many (video, text) pairs are scored together by
+pair_similarities, which embeds each distinct bundle once.
 
 Iteration over feature spaces is always in sorted space-name order so that
 results are reproducible regardless of how bundles were assembled.
@@ -349,7 +346,7 @@ BLOCK_ROWS = 256
 # The most threads that run_tasks runs on, the caller included: the CPUs
 # this process may run on. They embed _walk_blocks' blocks, run
 # head_forwards' heads and step a training step's arrays; outputs do not
-# depend on their number (with BLAS at one thread: see the module docstring).
+# depend on their number.
 if hasattr(os, "sched_getaffinity"):
     WORKERS = len(os.sched_getaffinity(0))
 else:

@@ -56,6 +56,27 @@ AUXILIARIES = frozenset(
     }
 )
 
+# An untagged -ing or -ed token right after one of these words (a
+# determiner, a possessive or a preposition) is a noun or an adjective:
+# `into the building`, `his painting`, `a used car`.
+NOUN_MARKERS = frozenset(
+    {
+        "a", "an", "the", "this", "that", "these", "those", "each", "every", "another",
+        "my", "your", "his", "her", "its", "our", "their",
+        "in", "on", "at", "into", "onto", "with", "of", "from", "under", "over",
+        "near", "behind", "across", "inside", "beside", "above", "below", "around",
+    }
+)
+
+# -ing nouns and pronouns: verbs only right after an auxiliary.
+ING_NOUNS = frozenset(
+    {
+        "something", "nothing", "anything", "everything", "thing", "king", "ring",
+        "wing", "string", "morning", "evening", "wedding", "building", "ceiling",
+        "clothing", "sibling", "pudding",
+    }
+)
+
 COARSE_TAGS = frozenset({"VERB", "AUX", "NOUN", "ADJ", "OTHER"})
 
 
@@ -157,16 +178,20 @@ def detect_negation(caption: Caption) -> tuple[bool, list[int]]:
 
 def coarse_tags(caption: Caption) -> list[str]:
     """The caption's own tags or, for an untagged caption, tags guessed in
-    any case: AUX for an auxiliary (`Was` as `was`), VERB for any other
+    any case: AUX for an auxiliary (`Was` as `was`); VERB for any other
     token ending in -ing, or in -ed after at least three characters
-    (`parked`, not `red` or `bed`), and OTHER for the rest."""
+    (`parked`, not `red` or `bed`), that follows an auxiliary (`is
+    building`) or that neither follows a NOUN_MARKERS word (`the building`)
+    nor is one of ING_NOUNS (`something`); and OTHER for the rest."""
     if caption.pos_tags is not None:
         return caption.pos_tags
+    tokens = [tok.lower() for tok in caption.tokens]
     return [
         "AUX" if tok in AUXILIARIES
-        else "VERB" if tok.endswith("ing") or tok.endswith("ed") and len(tok) >= 5
+        else "VERB" if (tok.endswith("ing") or tok.endswith("ed") and len(tok) >= 5)
+        and (prev in AUXILIARIES or prev not in NOUN_MARKERS and tok not in ING_NOUNS)
         else "OTHER"
-        for tok in map(str.lower, caption.tokens)
+        for prev, tok in zip([""] + tokens, tokens)
     ]
 
 

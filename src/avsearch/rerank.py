@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, FormatError
+from .errors import ConfigError, DimensionError, FormatError
 from .evaluation import RunEntry, _minmax, check_weights
 from .numeric import as_features, as_vector, row_cosines
 
@@ -87,7 +87,7 @@ def rerank(
         return []
     missing = [item for item, _ in entry if item not in frame_store]
     if missing:
-        raise KeyError(f"no frame features for items: {missing}")
+        raise ConfigError(f"no frame features for items: {missing}")
     originals = [score for _, score in entry]
     base = _minmax(originals) if normalize_original else originals
     scores = frame_scores([frame_store[item] for item, _ in entry], query_vec)

@@ -9,20 +9,16 @@ one is handed to the caller, who saves it.
 
 `fit` trains the caller's model in place: `train_epoch` steps its parameter
 vector. `bnl_loss` hands each batch's gradient over as its factors (a
-weight's gradient is dZᵀX, see fusion.GradFactors). When a bound on the
-gradient's norm proves that the step cannot clip, the step is formed one
-array at a time in a scratch array the size of the largest weight, so the
-gradient vector is never formed; the arrays that fit in a part of that
-scratch step on every CPU (fusion.run_tasks), as `bnl_loss`'s heads run
-their forward passes, and the parameters come out the same bits whatever
-the CPU count. Otherwise the gradient is formed into one vector, allocated
-at most once per epoch, and clipped, scaled and subtracted in place, on
-the caller. Both paths step the parameters bit-identically. The bits hold
-whatever the CPU count with BLAS at one thread: the fallback's
-np.linalg.norm is a BLAS reduction, which rounds by the number of BLAS
-threads, and OpenBLAS starts one per CPU by default. `fit` keeps no copy of
-the best epoch; it calls `on_best` while the model holds it. A run whose
-steps never clip therefore holds one parameter-sized vector, the model's.
+weight's gradient is dZᵀX, see fusion.GradFactors), and the gradient is
+never formed as a vector. Its norm, over all parameters, comes from small
+Gram matrices of the factors; then each array's step is formed in a scratch
+array the size of the largest weight, allocated once per epoch, clipped,
+scaled and subtracted. The arrays that fit in a part of that scratch step on
+every CPU (fusion.run_tasks), as `bnl_loss`'s heads run their forward
+passes, and the parameters come out the same bits whatever the CPU and BLAS
+thread counts. `fit` keeps no copy of the best epoch; it calls `on_best`
+while the model holds it, so a run holds one parameter-sized vector, the
+model's.
 """
 
 from __future__ import annotations
@@ -114,98 +110,58 @@ class TrainReport:
     best_score: float
 
 
-def _sgd_step(params: np.ndarray, grad: np.ndarray, lr: float, max_norm: float) -> bool:
-    """params -= lr * grad, with grad first scaled down to norm max_norm if
-    it is longer, computed in grad's own memory. Returns False, leaving
-    params untouched, when grad has a non-finite element.
-
-    The products run in the order of params -= lr * (grad * (max_norm /
-    norm)), so the step is bit-identical to that expression. An infinite
-    norm of finite elements (an overflow) gives the clip factor 0.
-    """
-    norm = float(np.linalg.norm(grad))
-    # A finite norm proves every element finite; only otherwise scan them.
-    if not math.isfinite(norm) and not np.all(np.isfinite(grad)):
-        return False
-    if norm > max_norm:
-        grad *= max_norm / norm
-    grad *= lr
-    params -= grad
-    return True
+def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(a·2^-k, 2k) for the k that brings a's largest magnitude into
+    [0.5, 1): an exact scaling, after which no Gram or square of a
+    overflows or underflows unless a's norm does. NaNs, which pass every
+    product and sum without a floating-point flag, when a is not finite."""
+    peak = float(np.maximum(a.max(), -a.min()))  # NaN if an entry is NaN
+    if not math.isfinite(peak):
+        return np.full_like(a, math.nan), 0
+    k = math.frexp(peak)[1]
+    return np.ldexp(a, -k), 2 * k
 
 
-# _cannot_clip proves, from a gradient's factors alone, that _sgd_step would
-# not clip it. Let u = 2^-53 and γ(k) = k·u/(1 - k·u). Take one weight term
-# (dz, x) of shapes (n, d) and (n, m), its exact gradient G = dzᵀx, and
-# S = Σ_r ‖dz_r‖·‖x_r‖ over the rows r, which bounds both ‖G‖_F and
-# ‖|dz|ᵀ|x|‖_F.
-#  - The formed Ĝ = fl(dzᵀx), in any summation order, has
-#    |Ĝ - G| ≤ γ(n)·|dz|ᵀ|x|, so ‖Ĝ‖² ≤ ‖G‖² + (2γ(n) + γ(n)²)·S².
-#  - ‖G‖² = Σ_rs P_rs·K_rs with the Gram matrices P = dz·dzᵀ and K = x·xᵀ.
-#    Their computed forms have |fl(P) - P| ≤ γ(d)·|dz||dz|ᵀ and
-#    |fl(K) - K| ≤ γ(m)·|x||x|ᵀ, and Σ_rs (|dz||dz|ᵀ)_rs·(|x||x|ᵀ)_rs ≤ S²
-#    by Cauchy-Schwarz, so T = fl(Σ_rs fl(P)_rs·fl(K)_rs) has
-#    ‖G‖² ≤ T + (γ(d) + γ(m) + γ(n²) + their products)·S².
-#  So ‖Ĝ‖² ≤ T + c·S² with c = 2·(n² + 2n + d + m)·u: twice the first-order
-# terms, which covers the products while k·u < 0.01 for every k above
-# (any array that fits in memory), and S's own rounding, since S is computed
-# from the Gram diagonals, fl(Σ_r sqrt(P_rr·K_rr)), with S² to within
-# (d + m + 2n + 4)·u. A bias or attention gradient v enters the vector as
-# it is, and ‖v‖² ≤ fl(v·v)·(1 + 2γ(d)). math.fsum adds the terms to within
-# u. np.linalg.norm of the formed vector of N entries is
-# fl(sqrt(fl(ĝ·ĝ))) ≤ sqrt(‖ĝ‖²·(1 + γ(N)))·(1 + u). Hence if
-# fsum·(1 + ρ) ≤ max_norm², where ρ = 2·(N + 8)·u covers γ(N), 2γ(d) (N
-# is more than 3d), these roundings and those of the comparison itself,
-# then the norm is at most max_norm and _sgd_step would not clip.
-# The γ bounds leave out underflow, which adds at most 2^-1074 per
-# operation. With every Gram diagonal at most 2^400, no factor entry
-# exceeds 2^200 and no product or sum overflows, so those additions,
-# magnified at most 2^400·n·√(d·m) times over fewer than 2^60 operations,
-# stay far below the 2^-500 that the bound adds. A non-finite factor makes
-# a Gram diagonal or the sum non-finite, so a finite bound also proves
-# every formed entry finite.
-_U = 2.0**-53
-_GRAM_LIMIT = 2.0**400
-
-
-def _cannot_clip(factors: GradFactors, max_norm: float, n_params: int) -> bool:
-    """True only if the gradient that factors stand for, once formed into a
-    vector, has finite entries and a norm of at most max_norm, so that
-    _sgd_step would step it unclipped; see the derivation above."""
-    grams = {}  # x·xᵀ once per input table, which the heads share
-    squares = []
+def _grad_norm(factors: GradFactors) -> float:
+    """The Frobenius norm over all arrays of the gradient that factors stand
+    for, unformed: ‖dzᵀx‖² = Σ (dz·dzᵀ)∘(x·xᵀ) for a weight's (dz, x) and
+    Σ v² for a bias or attention gradient v, of _scaled arrays, added by
+    math.fsum at their common power of two. BLAS forms only the Grams, which
+    round alike on any number of BLAS threads, and NumPy's pairwise sums do
+    the rest, so the norm's bits do not depend on the thread counts. NaN
+    when a factor is not finite; inf when the norm of finite factors
+    overflows."""
+    grams = {}  # the scaled x·xᵀ once per input table, which the heads share
+    squares = []  # (s, e): a term's square is s·2^e
     for term in factors.terms:
-        if not isinstance(term, tuple):
-            squares.append(float(np.dot(term, term)))
-            continue
-        dz, x = term
-        if id(x) not in grams:
-            grams[id(x)] = x @ x.T
-        xx, zz = grams[id(x)], dz @ dz.T
-        if not (zz.diagonal().max() <= _GRAM_LIMIT and xx.diagonal().max() <= _GRAM_LIMIT):
-            return False
-        n, d = dz.shape
-        s = float(np.sqrt(zz.diagonal() * xx.diagonal()).sum())
-        c = 2.0 * (n * n + 2 * n + d + x.shape[1]) * _U
-        squares.append(float(np.dot(zz.ravel(), xx.ravel())) + c * s * s)
-    total = math.fsum(squares)
-    bound = total * (1.0 + 2.0 * (n_params + 8) * _U) + 2.0**-500
-    return math.isfinite(total) and bound <= max_norm * max_norm
+        if isinstance(term, tuple):
+            dz, x = term
+            if id(x) not in grams:
+                xs, ex = _scaled(x)
+                grams[id(x)] = xs @ xs.T, ex
+            (xx, ex), (zs, ez) = grams[id(x)], _scaled(dz)
+            squares.append((float(np.sum((zs @ zs.T) * xx)), ex + ez))
+        else:
+            v, e = _scaled(term)
+            squares.append((float(np.sum(v * v)), e))
+    top = max((e for s, e in squares if s != 0), default=0)
+    total = math.fsum(math.ldexp(s, e - top) for s, e in squares)
+    try:  # rounding can take the sum, exactly ≥ 0, below 0; NaN passes
+        return math.ldexp(math.sqrt(0.0 if total < 0 else total), top // 2)
+    except OverflowError:
+        return math.inf
 
 
-def _unclipped_step(model: LaffModel, factors: GradFactors, lr: float, scratch: np.ndarray) -> None:
-    """model.params -= lr * the gradient that factors stand for, one array at
-    a time: each array's gradient is formed in scratch, scaled there and
-    subtracted, as _sgd_step does with a gradient that it does not clip.
-
-    The arrays go largest first. Those larger than a 1/WORKERS part of
-    scratch step on the caller, in the whole of it; run_tasks spreads the
-    rest over the CPUs, each worker stepping in its own part. So the step
-    needs no more scratch than a loop over the arrays, each array sees the
-    same operations on any thread, and the parameters do not depend on the
-    CPU count. A failure raises the error of the first array, in that order,
-    that fails.
-    """
+def _step(model: LaffModel, factors: GradFactors, lr: float, scale: float, scratch: np.ndarray) -> None:
+    """model.params -= lr * (scale * the gradient that factors stand for),
+    one array at a time, each formed in scratch, scaled there (not by a
+    scale of 1, as x·1 is x) and subtracted. The arrays go largest first:
+    those larger than a 1/WORKERS part of scratch step on the caller, in the
+    whole of it, and run_tasks spreads the rest over the CPUs, each worker
+    in its own part. So the step needs no more scratch than a loop over the
+    arrays, each array sees the same operations on any thread, and the
+    parameters do not depend on the CPU count. A failure raises the error of
+    the first array, in that order, that fails."""
     arrays = sorted(
         zip(factors.terms, (param for _, param in named_parameters(model.heads))),
         key=lambda pair: -pair[1].size,
@@ -215,6 +171,8 @@ def _unclipped_step(model: LaffModel, factors: GradFactors, lr: float, scratch: 
 
     def step(term, param: np.ndarray, into: np.ndarray) -> None:
         out = form_gradient(term, into[: param.size].reshape(param.shape))
+        if scale != 1.0:
+            out *= scale
         out *= lr
         param -= out
 
@@ -244,9 +202,7 @@ def train_epoch(
     lr = cfg.learning_rate * cfg.lr_decay**epoch_index
     params = model.params
     largest = max(p.size for _, p in named_parameters(model.heads))
-    # The scratch of unclipped steps or, once a step may clip, the formed
-    # gradient, whose first entries then serve as the scratch.
-    buffer = np.empty(0)
+    scratch = np.empty(0)  # allocated at the first step, then kept for the epoch
     total = 0.0
     count = 0
     for batch_no, start in enumerate(range(0, len(order), cfg.batch_size)):
@@ -255,21 +211,16 @@ def train_epoch(
             continue
         batch = [dataset[i] for i in indices]
         loss, factors = bnl_loss(model, batch, cfg.margins, factored=True)
-        stepped = bool(np.isfinite(loss))
-        if stepped and _cannot_clip(factors, cfg.clip_norm, params.size):
-            if buffer.size < largest:
-                buffer = np.empty(largest)
-            _unclipped_step(model, factors, lr, buffer)
-        elif stepped:
-            if buffer.size < params.size:
-                buffer = None  # free the scratch before allocating its successor
-                buffer = np.empty_like(params)
-            stepped = _sgd_step(params, factors.to_vector(model, buffer), lr, cfg.clip_norm)
-        if not stepped:
+        norm = _grad_norm(factors) if np.isfinite(loss) else math.nan
+        if math.isnan(norm):
             ids = [t.caption.item_id for t in batch]
             raise TrainingError(
                 f"non-finite loss in epoch {epoch_index}, batch {batch_no} (captions {ids})"
             )
+        if scratch.size < largest:
+            scratch = np.empty(largest)
+        # An infinite norm of finite factors (an overflow) gives the clip factor 0.
+        _step(model, factors, lr, cfg.clip_norm / norm if norm > cfg.clip_norm else 1.0, scratch)
         total += loss * len(batch)
         count += len(batch)
     if count == 0:

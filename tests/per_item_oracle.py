@@ -25,10 +25,12 @@ reference for the streamed `evaluation.read_run`.
 as the reference for `evaluation.late_fuse`.
 `average_precision`, `inf_ap` and `recall_at_k` scan a whole ranked list,
 as the references for the metrics that stop at the last relevant item or
-count ranks. `train_epoch` adds each batch's gradient into a new zeroed vector and
+count ranks. `train_epoch` adds each batch's gradient into a new zeroed
+vector, clips it by `vector_norm`, the norm of the formed vector, and
 updates with one expression, as the reference for the trainer's in-place
-step. `negation_sites` asks two predicates of each token, `_is_auxiliary`
-and `_is_verb`, as the reference for the sites that `negation.negation_sites`
+step, whose norm comes from the gradient's factors. `negation_sites` asks
+two predicates of each token, `_is_auxiliary` and `_is_verb`, as the
+reference for the sites that `negation.negation_sites`
 reads off `coarse_tags`. `init_model` walks heads, branches and spaces in
 three explicit loops, as the reference for `fusion.init_model`, which draws
 the 2-D arrays of `named_parameters`.
@@ -36,6 +38,7 @@ the 2-D arrays of `named_parameters`.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -55,6 +58,8 @@ from avsearch.fusion import fused_matrix as batched_fused_matrix
 from avsearch.negation import bnl_loss as batched_bnl_loss
 from avsearch.negation import (
     AUXILIARIES,
+    ING_NOUNS,
+    NOUN_MARKERS,
     BnlBreakdown,
     Caption,
     Margins,
@@ -536,9 +541,22 @@ def gap_in_window_fraction(model: LaffModel, triplets, m: Margins) -> tuple[floa
     return sum(m.m1 <= gap <= m.m2 for gap in gaps) / len(gaps), gaps
 
 
+def vector_norm(grad: np.ndarray) -> float:
+    """np.linalg.norm of grad scaled by the power of two that brings its
+    largest magnitude into [0.5, 1), scaled back: exact scalings, so the norm
+    is finite wherever it is representable, although grad's squares may
+    overflow or underflow. inf when it is not representable."""
+    peak = float(np.max(np.abs(grad)))
+    if not 0 < peak < np.inf:
+        return float(np.linalg.norm(grad))
+    k = math.frexp(peak)[1]
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(np.ldexp(grad, -k)), k))
+
+
 def clip(grad: np.ndarray, max_norm: float) -> np.ndarray:
     """grad scaled to norm max_norm if it is longer, as a new array."""
-    norm = float(np.linalg.norm(grad))
+    norm = vector_norm(grad)
     if norm > max_norm:
         return grad * (max_norm / norm)
     return grad
@@ -648,7 +666,12 @@ def _is_verb(caption: Caption, i: int) -> bool:
     tok = caption.tokens[i].lower()
     # -ed marks a verb only after three letters or more: `parked`, not `red`.
     ed_verb = tok.endswith("ed") and len(tok) - len("ed") >= 3
-    return (tok.endswith("ing") or ed_verb) and tok not in AUXILIARIES
+    if not (tok.endswith("ing") or ed_verb) or tok in AUXILIARIES:
+        return False
+    if i > 0 and _is_auxiliary(caption, i - 1):
+        return True  # `is building`
+    # `the building`, `in the evening`, `something`
+    return tok not in ING_NOUNS and (i == 0 or caption.tokens[i - 1].lower() not in NOUN_MARKERS)
 
 
 def _is_auxiliary(caption: Caption, i: int) -> bool:

@@ -628,6 +628,17 @@ class TestRerankCli:
         assert capsys.readouterr().err == f"error: {frames}: non-finite value nan in record 'B#1'\n"
         assert not (tmp_path / "o.txt").exists()
 
+    def test_run_item_without_frames_exits_1(self, tmp_path, capsys):
+        run, _, qf = self.write_inputs(tmp_path)
+        frames = tmp_path / "some_frames.feat"
+        write_features(frames, "fr", {"B#0": np.array([0.0, 1.0])})
+        out = tmp_path / "o.txt"
+        assert run_cli(
+            "rerank", "--run", run, "--frames", frames, "--query-feats", qf, "--out", out,
+        ) == 1
+        assert capsys.readouterr().err == "error: no frame features for items: ['A', 'C']\n"
+        assert not out.exists()
+
     def test_partial_routing_flags_rejected(self, tmp_path):
         run, frames, qf = self.write_inputs(tmp_path)
         assert run_cli(

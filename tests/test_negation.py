@@ -182,9 +182,12 @@ class TestNegateCaption:
 
 @st.composite
 def captions(draw) -> Caption:
-    """A caption, tagged or not, of auxiliaries, words ending in -ing or -ed,
-    and other words (some of them negation cues), each in mixed case."""
-    words = st.sampled_from(sorted(AUXILIARIES) + ["seen", "jumped", "running", "ed", "ing", "dog"])
+    """A caption, tagged or not, of auxiliaries, words ending in -ing or -ed
+    (-ing nouns among them), words that mark a noun, and other words (some
+    of them negation cues), each in mixed case."""
+    words = st.sampled_from(sorted(AUXILIARIES) + [
+        "seen", "jumped", "running", "ed", "ing", "dog", "the", "his", "into", "building", "something",
+    ])
     tokens = []
     for word in draw(st.lists(words | st.text("abdeginorst", min_size=1, max_size=6),
                               min_size=1, max_size=8)):
@@ -236,6 +239,21 @@ class TestSitesMatchTheOracle:
         assert negation_sites(caption) == [3]
         assert negate_caption(caption, 0).text == "a red car not parked near the bed"
         assert coarse_tags(Caption("q", ["used", "Tired", "bED"])) == ["OTHER", "VERB", "OTHER"]
+
+
+    @pytest.mark.parametrize("text, sites", [
+        ("a man walks into the building", []),
+        ("a man is doing something", [3]),
+        ("people dance in the evening", []),
+        ("a king with a ring", []),
+        ("they are building a house", [2]),
+        ("the dog running near the park", [2]),
+    ])
+    def test_ing_nouns_are_no_verbs(self, text, sites):
+        # An -ing or -ed token after a determiner, possessive or preposition
+        # is not a verb, and an -ing noun is one only after an auxiliary.
+        caption = Caption("q", text.split())
+        assert negation_sites(caption) == sites == oracle.negation_sites(caption)
 
 
 class TestMargins:

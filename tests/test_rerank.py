@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from per_item_oracle import cosine_sim
-from avsearch.errors import DimensionError, FormatError
+from avsearch.errors import ConfigError, DimensionError, FormatError
 from avsearch.rerank import FrameFeatures, frame_query_score, rerank
 
 
@@ -113,7 +113,7 @@ class TestRerank:
     def test_missing_frames_rejected(self):
         entry, store = hand_case()
         del store["B"]
-        with pytest.raises(KeyError, match="B"):
+        with pytest.raises(ConfigError, match=r"^no frame features for items: \['B'\]$"):
             rerank(entry, store, QUERY)
 
     def test_idempotent_when_frame_scores_equal_normalized_originals(self):

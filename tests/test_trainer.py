@@ -1,8 +1,11 @@
+import math
 import sys
 import threading
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -19,7 +22,6 @@ from avsearch.featio import checkpoint_load, checkpoint_save
 from avsearch.fusion import (
     FeatureBundle,
     GradFactors,
-    form_gradient,
     init_model,
     named_parameters,
     similarity,
@@ -31,9 +33,8 @@ from avsearch.synth import SpaceSpec, synth_dataset
 from avsearch.trainer import (
     TrainConfig,
     ValidationSet,
-    _cannot_clip,
-    _sgd_step,
-    _unclipped_step,
+    _grad_norm,
+    _step,
     evaluate_validation,
     fit,
     train_epoch,
@@ -233,9 +234,26 @@ class TestEpochEndCheck:
                 train_epoch(model, toy_triplets(rng, n=4), TrainConfig(batch_size=4), 3)
 
 
+def filled_step_loss(model, value):
+    """A stand-in for trainer.bnl_loss whose every batch has loss 0 and a
+    gradient whose every entry is value, given as one-row factors (the
+    weights' x a row of ones)."""
+    terms = [
+        (np.full((1, p.shape[0]), value), np.ones((1, p.shape[1]))) if p.ndim == 2
+        else np.full(p.shape, value)
+        for _, p in named_parameters(model.heads)
+    ]
+    return lambda *args, **kwargs: (0.0, GradFactors(terms))
+
+
 class TestSgdStep:
     """The in-place step against per_item_oracle's assembly into a new
-    zeroed gradient per batch, compared bit for bit."""
+    zeroed gradient per batch, clipped by the formed vector's norm."""
+
+    # The trainer takes its clip factor from the Gram norm, the oracle from
+    # the formed vector's: the two norms differ by a few ulps, and so do the
+    # parameters of a clipped step.
+    CLIPPED_RTOL = 1e-12
 
     @staticmethod
     def run_epochs(step, clip_norm):
@@ -248,37 +266,69 @@ class TestSgdStep:
         return model.params, losses
 
     def test_two_epochs_match_oracle(self):
-        results = {}
         # Gradient norms here are O(1): 1e-3 clips every batch, 1e9 none.
-        for clip_norm in (1e-3, 1e9):
-            params, losses = self.run_epochs(train_epoch, clip_norm)
-            want_params, want_losses = self.run_epochs(oracle.train_epoch, clip_norm)
-            assert losses == want_losses
-            np.testing.assert_array_equal(params.view(np.int64), want_params.view(np.int64))
-            results[clip_norm] = params
-        assert not np.array_equal(results[1e-3], results[1e9])
+        params, losses = self.run_epochs(train_epoch, 1e9)
+        want_params, want_losses = self.run_epochs(oracle.train_epoch, 1e9)
+        assert losses == want_losses
+        np.testing.assert_array_equal(params.view(np.int64), want_params.view(np.int64))
+        clipped, clipped_losses = self.run_epochs(train_epoch, 1e-3)
+        want_clipped, want_clipped_losses = self.run_epochs(oracle.train_epoch, 1e-3)
+        np.testing.assert_allclose(clipped_losses, want_clipped_losses, rtol=self.CLIPPED_RTOL)
+        np.testing.assert_allclose(clipped, want_clipped, rtol=self.CLIPPED_RTOL)
+        assert not np.allclose(clipped, params)
 
-    def test_overflowing_norm_steps_as_oracle(self, rng):
-        # Finite elements whose squared norm overflows: the clip factor is
-        # clip / inf = 0, as in the one-expression step.
-        params = rng.normal(size=50)
-        params[::4] = -0.0
-        grad = rng.normal(size=50) * 1e300
-        want = params.copy()
+    def test_overflowing_square_clips_as_oracle(self, rng, monkeypatch):
+        # Finite entries whose squared norm overflows although the norm
+        # (about 1e301) does not: the step is clipped to clip_norm.
+        model = init_model({"vis": 6}, {"txt": 5}, d=4, heads=1, seed=0)
+        model.params[::4] = -0.0
+        loss = filled_step_loss(model, 1e300)
+        grad = loss()[1].to_vector(model)
+        want = model.params.copy()
         with np.errstate(over="ignore"):
-            assert np.all(np.isfinite(grad)) and np.isinf(np.linalg.norm(grad))
-            oracle.sgd_step(want, grad.copy(), 0.1, 5.0)
-            assert _sgd_step(params, grad, 0.1, 5.0)
-        np.testing.assert_array_equal(params.view(np.int64), want.view(np.int64))
+            assert np.isinf(np.sum(grad * grad))
+        oracle.sgd_step(want, grad, 0.1, 5.0)
+        monkeypatch.setattr(trainer, "bnl_loss", loss)
+        before = model.params.copy()
+        train_epoch(model, toy_triplets(rng, n=2), TrainConfig(batch_size=2, learning_rate=0.1), 0)
+        np.testing.assert_allclose(model.params, want, rtol=self.CLIPPED_RTOL)
+        assert np.linalg.norm(before - model.params) == pytest.approx(0.1 * 5.0, rel=1e-12)
+
+    def test_overflowing_norm_steps_by_zero_as_oracle(self, rng, monkeypatch):
+        # Finite entries whose norm overflows: the clip factor is
+        # clip / inf = 0, as in the one-expression step, signed zeros and all.
+        model = init_model({"vis": 6}, {"txt": 5}, d=4, heads=1, seed=0)
+        model.params[::4] = -0.0
+        loss = filled_step_loss(model, -1e308)
+        grad = loss()[1].to_vector(model)
+        want = model.params.copy()
+        assert np.all(np.isfinite(grad)) and oracle.vector_norm(grad) == np.inf
+        oracle.sgd_step(want, grad, 0.1, 5.0)
+        monkeypatch.setattr(trainer, "bnl_loss", loss)
+        assert _grad_norm(loss()[1]) == np.inf
+        train_epoch(model, toy_triplets(rng, n=2), TrainConfig(batch_size=2, learning_rate=0.1), 0)
+        np.testing.assert_array_equal(model.params.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    def test_nonfinite_element_refused(self, rng, bad):
-        params = rng.normal(size=20)
-        before = params.copy()
-        grad = rng.normal(size=20)
-        grad[7] = bad
-        assert not _sgd_step(params, grad, 0.1, 5.0)
-        np.testing.assert_array_equal(params, before)
+    @pytest.mark.parametrize("where", [0, 1, -1], ids=["weight-dz", "weight-x", "attention"])
+    def test_nonfinite_element_refused(self, rng, monkeypatch, bad, where):
+        # Refused with the batch named, before any parameter changes, and
+        # with no floating-point warning on the way.
+        model = init_model({"vis": 6}, {"txt": 5}, d=4, heads=1, seed=0)
+        loss = filled_step_loss(model, 0.5)
+        terms = loss()[1].terms
+        if where == -1:
+            terms[-1][2] = bad
+        else:
+            terms[0][where][0, 1] = bad
+        monkeypatch.setattr(trainer, "bnl_loss", loss)
+        before = model.params.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(_grad_norm(GradFactors(terms)))
+            with pytest.raises(TrainingError, match="epoch 0, batch 0"):
+                train_epoch(model, toy_triplets(rng, n=2), TrainConfig(batch_size=2), 0)
+        np.testing.assert_array_equal(model.params, before)
 
     @pytest.mark.parametrize("poison", [
         lambda terms: terms[0][0].__setitem__((0, 1), np.inf),  # W's factor dz
@@ -297,23 +347,9 @@ class TestSgdStep:
 
         monkeypatch.setattr(trainer, "bnl_loss", inf_on_second_batch)
         model = init_model({"vis": 6}, {"txt": 5}, d=4, heads=1, seed=0)
-        # BLAS may flag an invalid operation while forming the poisoned product.
-        with pytest.raises(TrainingError, match="epoch 0, batch 1"), np.errstate(invalid="ignore"):
+        with pytest.raises(TrainingError, match="epoch 0, batch 1"):
             train_epoch(model, toy_triplets(rng, n=8), TrainConfig(batch_size=3), 0)
         assert np.isfinite(calls[1])
-
-
-def spy_sgd_step(monkeypatch) -> list:
-    """Patch trainer._sgd_step to record its calls (the steps that may clip)."""
-    calls = []
-    real = trainer._sgd_step
-
-    def recorded(*args):
-        calls.append(args[3])
-        return real(*args)
-
-    monkeypatch.setattr(trainer, "_sgd_step", recorded)
-    return calls
 
 
 @st.composite
@@ -338,49 +374,91 @@ def factor_terms(draw) -> list:
     return terms
 
 
+def exact_square_and_bound(terms) -> tuple[Fraction, Fraction]:
+    """The exact squared norm of the gradient that terms stand for, and
+    Σ c·u·S² over the terms, the bound on the Gram norm's error in it: for
+    a weight's (dz, x) of shapes (n, d) and (n, m), S = Σ_r ‖dz_r‖·‖x_r‖ and
+    c = 2·(n² + d + m + 4), which covers the Grams' rounding (d and m), the
+    sum of their n² products, and the fsum, square root and comparison (4);
+    for a vector v, S = ‖v‖ and c = 2·(len(v) + 4)."""
+    u = Fraction(2) ** -53
+    square = Fraction(0)
+    bound = Fraction(0)
+    for term in terms:
+        if isinstance(term, tuple):
+            dz, x = term
+            fz = [[Fraction(float(a)) for a in row] for row in dz]
+            fx = [[Fraction(float(a)) for a in row] for row in x]
+            for i in range(dz.shape[1]):
+                for j in range(x.shape[1]):
+                    square += sum(rz[i] * rx[j] for rz, rx in zip(fz, fx)) ** 2
+            s = sum(math.hypot(*rz) * math.hypot(*rx) for rz, rx in zip(dz, x))
+            c = 2 * (dz.shape[0] ** 2 + dz.shape[1] + x.shape[1] + 4)
+        else:
+            square += sum(Fraction(float(a)) ** 2 for a in term)
+            s = math.hypot(*term)
+            c = 2 * (term.size + 4)
+        bound += c * u * Fraction(s) ** 2
+    return square, bound
+
+
 class TestFactoredStep:
-    """train_epoch steps straight from bnl_loss's factors when the step
-    provably cannot clip, and forms the gradient for _sgd_step otherwise."""
+    """train_epoch steps straight from bnl_loss's factors and clips by the
+    Gram norm, _grad_norm, the Frobenius norm of the gradient over all
+    parameters. An unclipped step is bit for bit the formed vector's; a
+    clipped one differs from a clip by the formed vector's norm only by the
+    few ulps between the two norms."""
 
     @staticmethod
     def one_batch(clip_at):
         """A model, its training set of one batch and a config whose
-        clip_norm is clip_at(norm of that batch's formed gradient)."""
+        clip_norm is clip_at(the trainer's norm of that batch's gradient)."""
         rng = np.random.default_rng(7)
         model = randomized_model({"a": 7, "b": 5}, {"t": 6, "u": 4}, d=8, heads=2, seed=40)
         model.params[::5] = -0.0
         triplets = make_batch(rng, model, 6, [b % 3 != 0 for b in range(6)])
         cfg = TrainConfig(batch_size=6, learning_rate=0.3, seed=3)
         order = np.random.default_rng([cfg.seed, 0]).permutation(len(triplets))
-        _, grad = trainer.bnl_loss(model, [triplets[i] for i in order], cfg.margins)
-        cfg.clip_norm = clip_at(float(np.linalg.norm(grad)))
+        _, factors = trainer.bnl_loss(model, [triplets[i] for i in order], cfg.margins, factored=True)
+        cfg.clip_norm = clip_at(_grad_norm(factors))
         return model, triplets, cfg
 
-    @pytest.mark.parametrize("clip_at, may_clip", [
-        (lambda norm: norm, True),
+    @pytest.mark.parametrize("clip_at, clips", [
+        (lambda norm: norm, False),
         (lambda norm: np.nextafter(norm, 0.0), True),
-        (lambda norm: np.nextafter(norm, np.inf), True),
+        (lambda norm: np.nextafter(norm, np.inf), False),
         (lambda norm: norm * (1 - 1e-9), True),
         (lambda norm: norm * (1 + 1e-9), False),
     ], ids=["norm", "below", "above", "1-1e-9", "1+1e-9"])
-    def test_clip_norm_at_the_gradient_norm_steps_as_oracle(self, monkeypatch, clip_at, may_clip):
+    def test_clip_norm_at_the_gradient_norm_steps_as_oracle(self, clip_at, clips):
         model, triplets, cfg = self.one_batch(clip_at)
         want = model.with_vector(model.params)
+        unclipped = model.with_vector(model.params)
         want_loss = oracle.train_epoch(want, triplets, cfg, 0)
-        calls = spy_sgd_step(monkeypatch)
+        oracle.train_epoch(unclipped, triplets, replace(cfg, clip_norm=np.inf), 0)
         assert train_epoch(model, triplets, cfg, 0) == want_loss
-        np.testing.assert_array_equal(model.params.view(np.int64), want.params.view(np.int64))
-        # Only the factored path steps without _sgd_step; a clip_norm a
-        # rounding away from the norm is left to the formed vector.
-        assert calls == ([cfg.clip_norm] if may_clip else [])
+        if clips:
+            np.testing.assert_allclose(model.params, want.params, rtol=TestSgdStep.CLIPPED_RTOL)
+            assert not np.array_equal(model.params, unclipped.params)
+        else:
+            np.testing.assert_array_equal(model.params.view(np.int64), unclipped.params.view(np.int64))
 
-    def test_unclipped_epoch_allocates_less_than_the_parameters(self, rng, monkeypatch):
+    @pytest.mark.parametrize("clip_norm", [1e9, 1e-3])
+    def test_epoch_allocates_less_than_the_parameters(self, rng, monkeypatch, clip_norm):
         # 256 * (3 * (1024 + 1) + 1 + 768 + 1 + 256 + 1 + 1) = 1050368
-        # float64, 8.4 MB; the largest weight, the scratch, is 2.1 MB.
+        # float64, 8.4 MB; the largest weight, the scratch, is 2.1 MB. No
+        # gradient vector is formed, whether the steps clip (1e-3) or not.
         model = init_model({"a": 1024, "b": 1024, "c": 1024}, {"t": 768, "u": 256}, d=256, heads=1)
         triplets = make_batch(rng, model, 8, [b % 2 == 0 for b in range(8)])
-        cfg = TrainConfig(batch_size=4, clip_norm=1e9)
-        calls = spy_sgd_step(monkeypatch)
+        cfg = TrainConfig(batch_size=4, clip_norm=clip_norm)
+        scales = []
+        real_step = trainer._step
+
+        def step(model, factors, lr, scale, scratch):
+            scales.append(scale)
+            real_step(model, factors, lr, scale, scratch)
+
+        monkeypatch.setattr(trainer, "_step", step)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -388,26 +466,35 @@ class TestFactoredStep:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert calls == []
+        if clip_norm < 1:
+            assert len(scales) == 2 and all(scale < 1.0 for scale in scales)
+        else:
+            assert scales == [1.0, 1.0]
         assert model.params.nbytes == 1050368 * 8
         assert peak < model.params.nbytes
 
-    @given(terms=factor_terms(), offset=st.sampled_from([-1e-3, -1e-9, 0.0, 1e-13, 1e-9, 1e-6]),
-           ulps=st.integers(-2, 2))
-    def test_cannot_clip_is_never_wrong(self, terms, offset, ulps):
-        grad = np.concatenate([form_gradient(t, np.empty((t[0].shape[1], t[1].shape[1])))
-                               if isinstance(t, tuple) else t for t in terms], axis=None)
-        norm = float(np.linalg.norm(grad))
-        max_norm = norm * (1 + offset)
-        for _ in range(abs(ulps)):
-            max_norm = np.nextafter(max_norm, np.inf if ulps > 0 else 0.0)
-        if max_norm > 0 and _cannot_clip(GradFactors(terms), max_norm, grad.size):
-            assert np.all(np.isfinite(grad))
-            assert float(np.linalg.norm(grad)) <= max_norm
+    @given(terms=factor_terms(), poison=st.sampled_from([None, np.inf, -np.inf, np.nan]),
+           where=st.integers(0, 10**6))
+    def test_gram_norm_is_the_gradient_norm(self, terms, poison, where):
+        # Compared with the exact norm in rational arithmetic: |norm² - ‖G‖²|
+        # is at most Σ c·u·S² (exact_square_and_bound). The Grams see no
+        # underflow, as every factor is scaled to a largest magnitude in
+        # [0.5, 1) first, so the bound needs no absolute term at any scale.
+        if poison is not None:
+            arrays = [a for t in terms for a in (t if isinstance(t, tuple) else (t,))]
+            array = arrays[where % len(arrays)]
+            array.flat[where % array.size] = poison
+        norm = _grad_norm(GradFactors(terms))
+        if poison is not None:
+            assert math.isnan(norm)
+            return
+        assert math.isfinite(norm)
+        square, bound = exact_square_and_bound(terms)
+        assert abs(Fraction(norm) ** 2 - square) <= bound
 
 
 class TestStepOnWorkers:
-    """_unclipped_step's arrays on run_tasks' workers, in parts of one
+    """_step's arrays on run_tasks' workers, in parts of one
     largest-array scratch: the serial loop's bits and errors, with every
     helper joined."""
 
@@ -431,11 +518,15 @@ class TestStepOnWorkers:
         return np.empty(max(p.size for _, p in named_parameters(model.heads)))
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-    def test_steps_as_the_formed_vector(self, rng, monkeypatch, started_threads, workers):
+    @pytest.mark.parametrize("clip_norm", [np.inf, 1e-3], ids=["unclipped", "clipped"])
+    def test_steps_as_the_formed_vector(self, rng, monkeypatch, started_threads, workers, clip_norm):
         # Each formed gradient waits 5 ms before it is scaled, so that two
         # workers that shared scratch memory would overwrite each other's.
         model, factors = self.factored(rng)
-        want = model.params - factors.to_vector(model) * 0.3
+        scale = min(clip_norm / _grad_norm(factors), 1.0)
+        grad = factors.to_vector(model)
+        grad *= scale
+        want = model.params - grad * 0.3
         real_form = trainer.form_gradient
 
         def slow_form(term, out):
@@ -445,7 +536,7 @@ class TestStepOnWorkers:
 
         monkeypatch.setattr(trainer, "form_gradient", slow_form)
         monkeypatch.setattr(fusion, "WORKERS", workers)
-        _unclipped_step(model, factors, 0.3, self.scratch(model))
+        _step(model, factors, 0.3, scale, self.scratch(model))
         assert model.params.tobytes() == want.tobytes()
         assert len(started_threads) == workers - 1
         assert_all_joined(started_threads)
@@ -464,7 +555,7 @@ class TestStepOnWorkers:
 
         def call():
             try:
-                _unclipped_step(model, factors, 0.3, self.scratch(model))
+                _step(model, factors, 0.3, 1.0, self.scratch(model))
             except Exception as exc:  # reported below, on the test's thread
                 result["error"] = exc
 
@@ -506,7 +597,7 @@ class TestStepOnWorkers:
         monkeypatch.setattr(trainer, "form_gradient", form)
         monkeypatch.setattr(fusion, "WORKERS", workers)
         with pytest.raises(MemoryError, match="^array 8$"):
-            _unclipped_step(model, factors, 0.3, self.scratch(model))
+            _step(model, factors, 0.3, 1.0, self.scratch(model))
         assert len(started_threads) == workers - 1
         assert_all_joined(started_threads)
 
@@ -568,10 +659,9 @@ class TestFit:
     def test_peak_memory_is_two_parameter_vectors(self, rng, tmp_path):
         # The parameter vector dominates: 256 * (3072 + 768 + 4) = 984064
         # float64, 7.9 MB. fit holds the model's vector and, in each epoch,
-        # the 6.3 MB scratch of unclipped steps or, once a step may clip
-        # (one of these four does), the formed gradient in its place, plus
-        # the features and small per-batch temporaries; the checkpoint that
-        # on_best saves writes the model's arrays without copying them.
+        # the 6.3 MB scratch of the steps, plus the features and small
+        # per-batch temporaries; the checkpoint that on_best saves writes the
+        # model's arrays without copying them.
         tracemalloc.start()
         try:
             triplets = toy_triplets(rng, n=8, vdim=3072, tdim=768)
