@@ -2,7 +2,7 @@
 trajectory file.
 
     python3 .github/scripts/bench_pairs.py --parent HEAD~1 --pairs 10 \\
-        --workloads train search --seconds 30 --out BENCH_26.json
+        --workloads train search --seconds 30 --out BENCH.json
 
 The parent and the change (`--change`, default HEAD) are checked out as
 two `git worktree`s under one temporary directory, at paths of equal
@@ -154,7 +154,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", default=["train", "search", "postsearch"])
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", required=True, help="the trajectory file, e.g. BENCH_<pr>.json")
+    parser.add_argument("--out", required=True, help="the trajectory file to write")
     parser.add_argument("--repo", default=".", help="the git repository (default: here)")
     args = parser.parse_args(argv)
     if args.pairs < 1:

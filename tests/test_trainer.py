@@ -179,16 +179,17 @@ class TestTrainEpoch:
             train_epoch(model, toy_triplets(rng, n=1), TrainConfig(batch_size=2), 0)
 
 
-def zero_step_loss(model):
+def filled_step_loss(model, value):
     """A stand-in for trainer.bnl_loss whose every batch has loss 0 and a
-    zero gradient, given as one-row factors, so that an epoch leaves the
-    parameters as they are."""
+    gradient whose every entry is value, given as one-row factors (the
+    weights' x a row of ones); a value of 0 leaves the parameters as they
+    are."""
     terms = [
-        (np.zeros((1, p.shape[0])), np.zeros((1, p.shape[1]))) if p.ndim == 2 else np.zeros(p.shape)
+        (np.full((1, p.shape[0]), value), np.ones((1, p.shape[1]))) if p.ndim == 2
+        else np.full(p.shape, value)
         for _, p in named_parameters(model.heads)
     ]
-    factors = GradFactors(terms)
-    return lambda *args, **kwargs: (0.0, factors)
+    return lambda *args, **kwargs: (0.0, GradFactors(terms))
 
 
 class TestEpochEndCheck:
@@ -200,7 +201,7 @@ class TestEpochEndCheck:
         # the zero steps, is 8 kB; the per-array bookkeeping of the 516
         # arrays' steps brings the peak to about 71 kB.
         model = init_model({f"s{i:03d}": 32 for i in range(256)}, {"t": 32}, d=32, heads=1)
-        monkeypatch.setattr(trainer, "bnl_loss", zero_step_loss(model))
+        monkeypatch.setattr(trainer, "bnl_loss", filled_step_loss(model, 0.0))
         triplets = toy_triplets(rng, n=4)
         cfg = TrainConfig(batch_size=4)
         tracemalloc.start()
@@ -217,7 +218,7 @@ class TestEpochEndCheck:
         model = init_model({"vis": 6}, {"txt": 5}, d=4, heads=2, seed=0)
         model.params[::2] = np.finfo(np.float64).max
         model.params[1::2] = -np.finfo(np.float64).max
-        monkeypatch.setattr(trainer, "bnl_loss", zero_step_loss(model))
+        monkeypatch.setattr(trainer, "bnl_loss", filled_step_loss(model, 0.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert train_epoch(model, toy_triplets(rng, n=4), TrainConfig(batch_size=4), 0) == 0.0
@@ -227,23 +228,11 @@ class TestEpochEndCheck:
     def test_non_finite_parameter_aborts(self, rng, monkeypatch, value, where):
         model = init_model({"vis": 6}, {"txt": 5}, d=4, heads=2, seed=0)
         model.params[where] = value
-        monkeypatch.setattr(trainer, "bnl_loss", zero_step_loss(model))
+        monkeypatch.setattr(trainer, "bnl_loss", filled_step_loss(model, 0.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrainingError, match="non-finite parameters after epoch 3"):
                 train_epoch(model, toy_triplets(rng, n=4), TrainConfig(batch_size=4), 3)
-
-
-def filled_step_loss(model, value):
-    """A stand-in for trainer.bnl_loss whose every batch has loss 0 and a
-    gradient whose every entry is value, given as one-row factors (the
-    weights' x a row of ones)."""
-    terms = [
-        (np.full((1, p.shape[0]), value), np.ones((1, p.shape[1]))) if p.ndim == 2
-        else np.full(p.shape, value)
-        for _, p in named_parameters(model.heads)
-    ]
-    return lambda *args, **kwargs: (0.0, GradFactors(terms))
 
 
 class TestSgdStep:
