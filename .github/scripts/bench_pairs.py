@@ -111,7 +111,8 @@ def bench(args, checkouts: dict, revs: dict) -> tuple[dict, bool]:
         "pairs": args.pairs,
         "seconds": args.seconds,
         "seed": args.seed,
-        "nproc": os.cpu_count(),
+        # The CPUs the runs may use, which fusion.WORKERS counts too.
+        "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "python": sys.version.split()[0],
         "workloads": {},
     }

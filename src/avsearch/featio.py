@@ -431,7 +431,7 @@ def checkpoint_load(path) -> LaffModel:
         video_dims, text_dims = space_dims
         params = reader.read_array(param_count(video_dims, text_dims, d, h), "parameters")
         reader.expect_eof()
-    model = LaffModel.from_params(params, video_dims, text_dims, d, h)
+    model = LaffModel(params, video_dims, text_dims, d, h)
     # A finite sum proves every value finite; only otherwise scan them. The
     # sum of finite values may overflow, and inf + -inf is nan: no warning.
     with np.errstate(over="ignore", invalid="ignore"):

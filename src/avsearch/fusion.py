@@ -163,12 +163,6 @@ class LaffHead:
     video: LaffBranchParams
     text: LaffBranchParams
 
-    def __post_init__(self):
-        if self.video.d != self.text.d:
-            raise DimensionError(
-                f"video branch d={self.video.d} differs from text branch d={self.text.d}"
-            )
-
     @property
     def d(self) -> int:
         return self.video.d
@@ -218,57 +212,34 @@ def named_parameters(heads: list[LaffHead]):
             yield f"head {i}, {what} branch, attention u", branch.attention
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LaffModel:
     """h paired fusion branches; similarity is the mean cosine over heads.
 
-    All parameters live in one flat float64 vector, `params`, in the order
-    of _heads_on: every weight, bias and attention vector of `heads` is a
-    view into it, so writing into `params` updates the model in place, and
+    LaffModel(params, video_dims, text_dims, d, heads) builds a model of
+    `heads` heads of embedding dimension d on params, without copying it:
+    a writable, contiguous float64 array of shape (n,), n =
+    param_count(video_dims, text_dims, d, heads); anything else is a
+    DimensionError. Every weight, bias and attention vector of the model's
+    `heads`, a tuple of LaffHead, is a view into `params`, in the order of
+    _heads_on, so writing into `params` updates the model in place, and
     assigning a head's transform or attention vector writes into `params`
     (see LaffBranchParams), so the arrays stay views of it; `heads` and
-    `params` cannot be rebound. Constructing a model from a sequence of
-    heads copies their arrays into a vector of its own; from_params builds
-    one on a given vector without copying it.
+    `params` cannot be rebound.
     """
 
     heads: tuple[LaffHead, ...]
-    params: np.ndarray = field(init=False, repr=False, compare=False)
+    params: np.ndarray = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        if not self.heads:
-            raise DimensionError("a model needs at least one head")
-        first = self.heads[0]
-        for i, head in enumerate(self.heads):
-            if head.d != first.d:
-                raise DimensionError(f"head {i} has d={head.d}, expected {first.d}")
-            if head.video.in_dims != first.video.in_dims:
-                raise DimensionError(f"head {i} has different video spaces or input dims")
-            if head.text.in_dims != first.text.in_dims:
-                raise DimensionError(f"head {i} has different text spaces or input dims")
-        given = self.heads
-        structure = (self.video_dims(), self.text_dims(), self.d, self.h)
-        object.__setattr__(self, "params", np.empty(param_count(*structure)))
-        object.__setattr__(self, "heads", _heads_on(self.params, *structure))
-        for (_, into), (_, source) in zip(named_parameters(self.heads), named_parameters(given)):
-            into[...] = source
-
-    @classmethod
-    def from_params(cls, params, video_dims, text_dims, d: int, heads: int) -> "LaffModel":
-        """The only constructor that does not copy: a model of the given
-        structure whose every weight, bias and attention vector is a view into
-        params, a writable, contiguous float64 array of shape (n,), n =
-        param_count(video_dims, text_dims, d, heads); else a DimensionError."""
+    def __init__(self, params, video_dims, text_dims, d: int, heads: int):
         ok = isinstance(params, np.ndarray) and params.dtype == np.float64
         if not (ok and params.flags.carray):  # C-contiguous, aligned and writable
             raise DimensionError("parameter buffer must be a writable, contiguous float64 array")
         n = param_count(video_dims, text_dims, d, heads)
         if params.shape != (n,):
             raise DimensionError(f"parameter buffer has shape {params.shape}, model needs ({n},)")
-        model = cls.__new__(cls)
-        object.__setattr__(model, "heads", _heads_on(params, video_dims, text_dims, d, heads))
-        object.__setattr__(model, "params", params)
-        return model
+        object.__setattr__(self, "heads", _heads_on(params, video_dims, text_dims, d, heads))
+        object.__setattr__(self, "params", params)
 
     @property
     def h(self) -> int:
@@ -301,9 +272,9 @@ class LaffModel:
         return self.on_vector(np.array(vec, dtype=np.float64))
 
     def on_vector(self, vec: np.ndarray) -> "LaffModel":
-        """A model of identical structure built on vec without copying it, as
-        from_params. Gradients are formed into such a model (GradFactors.to_vector)."""
-        return LaffModel.from_params(vec, self.video_dims(), self.text_dims(), self.d, self.h)
+        """A model of identical structure built on vec without copying it.
+        Gradients are formed into such a model (GradFactors.to_vector)."""
+        return LaffModel(vec, self.video_dims(), self.text_dims(), self.d, self.h)
 
     def n_params(self) -> int:
         return self.params.shape[0]
@@ -324,7 +295,7 @@ def init_model(
     computes them (-bound + 2·bound·x from the same stream), with no copy.
     """
     zeros = np.zeros(param_count(video_dims, text_dims, d, heads))
-    model = LaffModel.from_params(zeros, video_dims, text_dims, d, heads)
+    model = LaffModel(zeros, video_dims, text_dims, d, heads)
     rng = np.random.default_rng(seed)
     for _, weight in named_parameters(model.heads):
         if weight.ndim == 2:
@@ -388,12 +359,9 @@ class GradFactors:
 
     terms: list
 
-    def to_vector(self, model: LaffModel, out: np.ndarray | None = None) -> np.ndarray:
-        """The formed gradient in model's parameter order, written into out
-        (a vector as LaffModel.on_vector takes it, every entry overwritten)
-        or into a new vector."""
-        if out is None:
-            out = np.empty(model.n_params())
+    def to_vector(self, model: LaffModel) -> np.ndarray:
+        """The formed gradient in a new vector, in model's parameter order."""
+        out = np.empty(model.n_params())
         for term, (_, view) in zip(self.terms, named_parameters(model.on_vector(out).heads)):
             form_gradient(term, view)
         return out

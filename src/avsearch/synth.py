@@ -15,6 +15,7 @@ any model. Identical seeds produce byte-identical output.
 
 from __future__ import annotations
 
+import os
 from functools import reduce
 from pathlib import Path
 from typing import NamedTuple
@@ -96,6 +97,14 @@ def synth_dataset(
         raise ConfigError("need at least one video and one caption per video")
     if not video_spaces or not text_spaces:
         raise ConfigError("need at least one video space and one text space")
+    for modality, specs in (("video", video_spaces), ("text", text_spaces)):
+        names = [spec.name for spec in specs]
+        for name in names:
+            # The name is part of the feature and projection file names.
+            if names.count(name) > 1:
+                raise ConfigError(f"{modality} space {name!r} is given more than once")
+            if {"/", os.sep, os.altsep} & set(name):
+                raise ConfigError(f"{modality} space {name!r} holds a path separator")
     for spec in [*video_spaces, *text_spaces]:
         if spec.dim < latent_dim:
             raise ConfigError(

@@ -152,6 +152,20 @@ def _grad_norm(factors: GradFactors) -> float:
         return math.inf
 
 
+def _formed_finite(factors: GradFactors, scratch: np.ndarray) -> bool:
+    """Whether every weight gradient dzᵀx of finite factors is finite, each
+    formed in turn in scratch: an entry can overflow although its factors
+    do not. The bias and attention gradients are factors themselves."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for term in factors.terms:
+            if isinstance(term, tuple):
+                shape = (term[0].shape[1], term[1].shape[1])
+                out = form_gradient(term, scratch[: math.prod(shape)].reshape(shape))
+                if not (math.isfinite(out.min()) and math.isfinite(out.max())):
+                    return False
+    return True
+
+
 def _step(model: LaffModel, factors: GradFactors, lr: float, scale: float, scratch: np.ndarray) -> None:
     """model.params -= lr * (scale * the gradient that factors stand for),
     one array at a time, each formed in scratch, scaled there (not by a
@@ -212,14 +226,15 @@ def train_epoch(
         batch = [dataset[i] for i in indices]
         loss, factors = bnl_loss(model, batch, cfg.margins, factored=True)
         norm = _grad_norm(factors) if np.isfinite(loss) else math.nan
-        if math.isnan(norm):
+        if scratch.size < largest:
+            scratch = np.empty(largest)
+        # An infinite norm of finite factors is an overflow: of the norm alone,
+        # which gives the clip factor 0, or of a formed gradient's entry.
+        if math.isnan(norm) or norm == math.inf and not _formed_finite(factors, scratch):
             ids = [t.caption.item_id for t in batch]
             raise TrainingError(
                 f"non-finite loss in epoch {epoch_index}, batch {batch_no} (captions {ids})"
             )
-        if scratch.size < largest:
-            scratch = np.empty(largest)
-        # An infinite norm of finite factors (an overflow) gives the clip factor 0.
         _step(model, factors, lr, cfg.clip_norm / norm if norm > cfg.clip_norm else 1.0, scratch)
         total += loss * len(batch)
         count += len(batch)

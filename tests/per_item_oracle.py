@@ -176,7 +176,7 @@ def init_model(video_dims, text_dims, d: int, heads: int, seed: int) -> LaffMode
     U(-1/sqrt(d_in), 1/sqrt(d_in)), head by head, the video branch then the
     text branch, spaces in sorted order."""
     zeros = np.zeros(param_count(video_dims, text_dims, d, heads))
-    model = LaffModel.from_params(zeros, video_dims, text_dims, d, heads)
+    model = LaffModel(zeros, video_dims, text_dims, d, heads)
     rng = np.random.default_rng(seed)
     for head in model.heads:
         for branch in (head.video, head.text):

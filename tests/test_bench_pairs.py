@@ -2,6 +2,7 @@
 stub `perfbench/run.py` prints a fixed record per revision."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -58,12 +59,12 @@ def repo(tmp_path):
     return repo
 
 
-def bench_pairs(repo, tmp_path, *args):
+def bench_pairs(repo, tmp_path, *args, launcher=()):
     env_tmp = tmp_path / "tmp"
     env_tmp.mkdir(exist_ok=True)
     env = {"PATH": "/usr/bin:/bin", "TMPDIR": str(env_tmp), "BENCH_STUB_LOG": str(tmp_path / "log")}
     proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--seconds", "1", "--out", str(tmp_path / "BENCH.json"), *args],
+        [*launcher, sys.executable, str(SCRIPT), "--seconds", "1", "--out", str(tmp_path / "BENCH.json"), *args],
         cwd=repo, env=env, capture_output=True, text=True,
     )
     # Both worktrees are gone, from the repository and from the disk.
@@ -125,3 +126,11 @@ def test_unknown_revision_exits_2(repo, tmp_path):
     assert proc.returncode == 2
     assert "--parent 'no-such-rev' is not a revision" in proc.stderr
     assert not (tmp_path / "BENCH.json").exists()
+
+
+@pytest.mark.skipif(shutil.which("taskset") is None, reason="needs taskset")
+def test_nproc_counts_the_cpus_the_runs_may_use(repo, tmp_path):
+    proc = bench_pairs(repo, tmp_path, "--parent", "HEAD~1", "--pairs", "1",
+                       "--workloads", "train", launcher=[shutil.which("taskset"), "-c", "0"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "BENCH.json").read_text())["nproc"] == 1

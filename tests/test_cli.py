@@ -96,6 +96,26 @@ class TestArgHandling:
         assert f"argument --video-space: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("specs, message", [
+        (["a:8:1", "a:8:1"], "video space 'a' is given more than once"),
+        (["a/b:8:1"], "video space 'a/b' holds a path separator"),
+    ], ids=["repeated", "separator"])
+    def test_bad_space_name_exits_1_before_writing(self, tmp_path, capsys, specs, message):
+        spaces = [arg for spec in specs for arg in ("--video-space", spec)]
+        out = tmp_path / "data"
+        assert run_cli("synth", "--out", out, *spaces, "--text-space", "t:8:1") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_key_error_is_not_a_user_error(self, monkeypatch):
+        # No command raises a KeyError on purpose: one is a bug, not bad input.
+        def broken(args):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(cli, "_cmd_eval", broken)
+        with pytest.raises(KeyError, match="bug"):
+            run_cli("eval", "--run", "r", "--qrels", "q")
+
     def test_non_utf8_run_exits_1_naming_the_file(self, tmp_path, capsys):
         run = tmp_path / "run.txt"
         run.write_bytes(b"q1 Q0 a 1 0.900000 t\nq1 Q0 \xff 2 0.500000 t\n")

@@ -304,7 +304,7 @@ class TestCheckpoints:
             checkpoint_save(model, tmp_path / "new.ckpt")
         assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
 
-    def test_assigned_head_arrays_saved_from_params(self, tmp_path):
+    def test_assigned_head_arrays_saved_through_params(self, tmp_path):
         # Assignment writes into params, which the save writes in one call.
         model = self.make_model()
         before = model.params.copy()

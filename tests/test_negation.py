@@ -378,14 +378,14 @@ class TestBnlLoss:
     def test_saturated_hinge_is_zero(self):
         # Two pairs with s(x+,q)=1 and s(x#,q)=-1 under m0=0.2: both hinges
         # are saturated, and with lambda1=0 the whole loss vanishes.
-        from avsearch.fusion import FeatureBundle, LaffBranchParams, LaffHead, LaffModel
+        from avsearch.fusion import FeatureBundle
         from avsearch.numeric import LinearTanhParams
 
         pv = LinearTanhParams(np.array([[5.0, 0.0], [0.0, 5.0]]), np.zeros(2))
         pt = LinearTanhParams(np.array([[5.0, 0.0], [0.0, 5.0]]), np.zeros(2))
-        model = LaffModel(
-            [LaffHead(LaffBranchParams({"v": pv}, np.zeros(2)), LaffBranchParams({"t": pt}, np.zeros(2)))]
-        )
+        model = init_model({"v": 2}, {"t": 2}, d=2, heads=1)
+        model.heads[0].video.transforms["v"] = pv
+        model.heads[0].text.transforms["t"] = pt
         e1 = np.array([1.0, 0.0])
         e2 = np.array([-1.0, 0.0])
         batch = [

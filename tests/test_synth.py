@@ -161,6 +161,22 @@ class TestSynthDataset:
         assert str(exc.value) == f"space 'txtb' noise must be finite and >= 0, got {noise}"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("videos, texts, message", [
+        ([VIDEO_SPACES[0], SpaceSpec("visa", 8, 0.0)], TEXT_SPACES,
+         "video space 'visa' is given more than once"),
+        (VIDEO_SPACES, [*TEXT_SPACES, TEXT_SPACES[1]], "text space 'txtb' is given more than once"),
+        ([VIDEO_SPACES[0], SpaceSpec("vis/b", 8, 0.0)], TEXT_SPACES,
+         "video space 'vis/b' holds a path separator"),
+    ], ids=["repeated-video", "repeated-text", "separator"])
+    def test_bad_space_name_is_refused_before_anything_is_written(
+        self, tmp_path, videos, texts, message
+    ):
+        # The space name is part of its feature and projection files' names.
+        with pytest.raises(ConfigError) as exc:
+            synth_dataset(tmp_path, 0, 5, 2, 4, videos, texts)
+        assert str(exc.value) == message
+        assert list(tmp_path.iterdir()) == []
+
     def test_single_caption_has_no_val_split(self, tmp_path):
         manifests = generate(tmp_path, n_captions=1)
         assert "val" not in manifests

@@ -298,6 +298,24 @@ class TestSgdStep:
         train_epoch(model, toy_triplets(rng, n=2), TrainConfig(batch_size=2, learning_rate=0.1), 0)
         np.testing.assert_array_equal(model.params.view(np.int64), want.view(np.int64))
 
+    def test_overflowing_formed_gradient_refused(self, rng, monkeypatch):
+        # Finite one-row factors whose product, a formed weight gradient's
+        # entry, is 1e400: refused with the batch named, as the oracle
+        # refuses a non-finite gradient, before any parameter changes, and
+        # with no floating-point warning on the way.
+        model = init_model({"vis": 6}, {"txt": 5}, d=4, heads=1, seed=0)
+        loss = filled_step_loss(model, 0.5)
+        dz, x = loss()[1].terms[0]
+        dz[...] = x[...] = 1e200
+        monkeypatch.setattr(trainer, "bnl_loss", loss)
+        before = model.params.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _grad_norm(loss()[1]) == np.inf
+            with pytest.raises(TrainingError, match="epoch 0, batch 0"):
+                train_epoch(model, toy_triplets(rng, n=2), TrainConfig(batch_size=2), 0)
+        np.testing.assert_array_equal(model.params, before)
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("where", [0, 1, -1], ids=["weight-dz", "weight-x", "attention"])
     def test_nonfinite_element_refused(self, rng, monkeypatch, bad, where):
