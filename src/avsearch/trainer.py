@@ -230,7 +230,7 @@ def train_epoch(
             scratch = np.empty(largest)
         # An infinite norm of finite factors is an overflow: of the norm alone,
         # which gives the clip factor 0, or of a formed gradient's entry.
-        if math.isnan(norm) or norm == math.inf and not _formed_finite(factors, scratch):
+        if math.isnan(norm) or (norm == math.inf and not _formed_finite(factors, scratch)):
             ids = [t.caption.item_id for t in batch]
             raise TrainingError(
                 f"non-finite loss in epoch {epoch_index}, batch {batch_no} (captions {ids})"
