@@ -129,8 +129,8 @@ def _cmd_search(args) -> int:
     # rank_rows raises any ranking error before the first row, and its rows
     # are what `RankedRun` checks for (ordered, finite, distinct ids), so
     # they stream into the file with no per-item tuples.
-    rows = rank_rows(model, list(queries.values()), list(corpus.values()), args.top_k)
-    write_rows(args.out, rows, args.run_tag)
+    ids, rows = rank_rows(model, list(queries.values()), list(corpus.values()), args.top_k)
+    write_rows(args.out, ids, rows, args.run_tag)
     print(f"ranked {len(queries)} queries over {len(corpus)} videos -> {args.out}")
     return 0
 

@@ -1,9 +1,13 @@
 """Corpus ranking, TREC-style run/qrels files, AP and inferred AP, late fusion.
 
-Ranking yields one row per query, `(query id, item ids, scores)` as lists
-(`ranked_rows`, and `rank_rows` from a model); `rank_many` collects them
-into `(item_id, score)` lists by query, and `search` streams them into its
-run file through `write_rows`, the one run writer. Code that needs only
+`similarity_matrix` embeds the queries once and adds the corpus's
+similarities block by block, inside the one `fused_matrix` walk over the
+corpus, on its workers. Ranking yields one row per query, `(query id,
+positions, scores)` as arrays, the positions indexing the item ids in id
+order that `ranked_rows` (and `rank_rows` from a model) returns beside the
+rows; `rank_many` collects them into `(item_id, score)` lists by query, and
+`search` streams them into its run file through `write_rows`, the one run
+writer, which assembles each query's lines with NumPy. Code that needs only
 where the relevant items land (validation, the nearest-latent oracle)
 counts their ranks with `relevant_ranks` instead of sorting each row, and
 scores them with `ap_from_ranks`, the AP formula that `average_precision`
@@ -19,14 +23,13 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
-from .errors import FormatError, MetricError
+from .errors import ConfigError, FormatError, MetricError
 from .featio import atomic_open, check_tokens, read_fields, utf8_error
 from .fusion import FeatureBundle, LaffModel, fused_matrix
 from .numeric import unit_rows
@@ -34,8 +37,9 @@ from .numeric import unit_rows
 INF_AP_EPS = 1e-5
 
 RunEntry = list[tuple[str, float]]
-# One query's ranking: (query id, item ids, scores), best first.
-RankedRow = tuple[str, list[str], list[float]]
+# One query's ranking, best first: (query id, positions into a list of item
+# ids, float64 scores), the positions as an integer array or sequence.
+RankedRow = tuple[str, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -89,13 +93,29 @@ def similarity_matrix(
     model: LaffModel, queries: list[FeatureBundle], corpus: list[FeatureBundle]
 ) -> np.ndarray:
     """The (queries, corpus) similarities: per head, the cosine of the fused
-    embeddings clipped to [-1, 1]; then the mean over heads."""
-    vid = fused_matrix(model, corpus, "video")  # per head (n, d)
-    txt = fused_matrix(model, queries, "text")  # per head (m, d)
+    embeddings clipped to [-1, 1]; then the mean over heads.
+
+    The queries are embedded and put to unit rows once. The corpus is
+    embedded by one `fused_matrix` walk, whose consumer, on the worker that
+    embedded a block and in head order, adds the block's clipped cosines
+    into its columns (from zero, so -0.0 adds up to 0.0) and divides them by
+    h after the last head: the full-matrix formula's operations in its
+    order, with no (n, d) corpus matrix or unit copy. The bits are those of
+    one GEMM per head over the whole corpus, except that a one-row last
+    block (n = 1 mod BLOCK_ROWS) goes through NumPy's GEMV, which may round
+    its column differently by an ulp.
+    """
+    unit_text = [unit_rows(t)[0] for t in fused_matrix(model, queries, "text")]
     sims = np.zeros((len(queries), len(corpus)))
-    for hv, ht in zip(vid, txt):
-        sims += np.clip(unit_rows(ht)[0] @ unit_rows(hv)[0].T, -1.0, 1.0)
-    sims /= model.h
+
+    def add(rows: slice, head: int, fused: np.ndarray) -> None:
+        block = sims[:, rows]
+        cosines = unit_text[head] @ unit_rows(fused)[0].T
+        block += np.clip(cosines, -1.0, 1.0, out=cosines)
+        if head == model.h - 1:
+            block /= model.h
+
+    fused_matrix(model, corpus, "video", add)
     return sims
 
 
@@ -104,9 +124,9 @@ def rank_rows(
     queries: list[FeatureBundle],
     corpus: list[FeatureBundle],
     top_k: int,
-) -> Iterator[RankedRow]:
-    """Rank the corpus for every query and keep the top_k of each, as the
-    rows of `ranked_rows`.
+) -> tuple[np.ndarray, Iterator[RankedRow]]:
+    """Rank the corpus for every query and keep the top_k of each: the item
+    ids in id order and the rows of `ranked_rows`.
 
     Items come in descending score, ties by ascending item_id (Python string
     order), so -0.0 ties with 0.0 and a query whose scores are all equal
@@ -116,9 +136,9 @@ def rank_rows(
     Every error is raised at the call, before the first row is taken.
     """
     if not corpus:
-        raise ValueError("empty corpus")
+        raise ConfigError("empty corpus")
     if top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
+        raise ConfigError(f"top_k must be >= 1, got {top_k}")
     return ranked_rows(
         similarity_matrix(model, queries, corpus),
         [q.item_id for q in queries],
@@ -134,15 +154,16 @@ def rank_many(
     top_k: int,
 ) -> dict[str, RunEntry]:
     """`rank_rows` as (item_id, score) lists by query id."""
-    rows = rank_rows(model, queries, corpus, top_k)
-    return {qid: list(zip(ids, scores)) for qid, ids, scores in rows}
+    ids, rows = rank_rows(model, queries, corpus, top_k)
+    return {qid: list(zip(ids[at].tolist(), scores.tolist())) for qid, at, scores in rows}
 
 
 def ranked_rows(
     sims: np.ndarray, query_ids: list[str], item_ids: list[str], top_k: int
-) -> Iterator[RankedRow]:
-    """(query id, item ids, scores) of the top_k items of each row of a
-    (queries, items) matrix, one row at a time.
+) -> tuple[np.ndarray, Iterator[RankedRow]]:
+    """(the item ids in id order, as an object array; an iterator of the
+    rows (query id, positions into those ids, scores) of the top_k items of
+    each row of a (queries, items) matrix, one row at a time).
 
     Order and the non-finite rule are `rank_rows`'. The item ids must be
     distinct. Both are checked at the call, for the whole matrix, so a
@@ -154,7 +175,8 @@ def ranked_rows(
     -0.0 included. So each row lists distinct ids, by non-increasing
     finite scores.
     """
-    return _top_k_rows(sims, query_ids, *_id_order(sims, query_ids, item_ids), top_k)
+    by_id, ids_by_id = _id_order(sims, query_ids, item_ids)
+    return ids_by_id, _top_k_rows(sims, query_ids, by_id, top_k)
 
 
 def _id_order(sims, query_ids, item_ids) -> tuple[np.ndarray, np.ndarray]:
@@ -166,7 +188,7 @@ def _id_order(sims, query_ids, item_ids) -> tuple[np.ndarray, np.ndarray]:
     ids_by_id = np.array(item_ids, dtype=object)[by_id]
     if len(set(item_ids)) < n:
         same = np.flatnonzero(ids_by_id[1:] == ids_by_id[:-1])
-        raise ValueError(f"duplicate item id {ids_by_id[same[0]]!r}")
+        raise FormatError(f"duplicate item id {ids_by_id[same[0]]!r}")
     finite = np.isfinite(sims[: len(query_ids)]).all(axis=1)
     if not finite.all():
         q = int(np.argmin(finite))
@@ -178,13 +200,13 @@ def _id_order(sims, query_ids, item_ids) -> tuple[np.ndarray, np.ndarray]:
     return by_id, ids_by_id
 
 
-def _top_k_rows(sims, query_ids, by_id, ids_by_id, top_k) -> Iterator[RankedRow]:
+def _top_k_rows(sims, query_ids, by_id, top_k) -> Iterator[RankedRow]:
     cut = max(len(by_id) - top_k, 0)
     for qid, row in zip(query_ids, sims):
         s = row[by_id]
         kept = np.flatnonzero(s >= np.partition(s, cut)[cut])
         order = kept[np.argsort(-s[kept], kind="stable")[:top_k]]
-        yield qid, ids_by_id[order].tolist(), s[order].tolist()
+        yield qid, order, s[order]
 
 
 def relevant_ranks(
@@ -322,16 +344,16 @@ def check_weights(weights, runs: int | None = None) -> None:
     """Refuse fusion weights unless there is one per run (when the run count
     runs is given), each is finite and >= 0 and their sum is finite and > 0."""
     if runs is not None and len(weights) != runs:
-        raise ValueError(f"{runs} runs but {len(weights)} weights")
+        raise ConfigError(f"{runs} runs but {len(weights)} weights")
     for w in weights:
         # `not w >= 0` rather than `w < 0`, so that NaN is refused too.
         if not (w >= 0 and math.isfinite(w)):
-            raise ValueError(f"weight {w} is not finite and nonnegative")
+            raise ConfigError(f"weight {w} is not finite and nonnegative")
     total = sum(weights)
     if not math.isfinite(total):
-        raise ValueError(f"weights {list(weights)} sum to {total}, which is not finite")
+        raise ConfigError(f"weights {list(weights)} sum to {total}, which is not finite")
     if total <= 0:
-        raise ValueError(f"weights {list(weights)} must sum to > 0")
+        raise ConfigError(f"weights {list(weights)} must sum to > 0")
 
 
 def late_fuse(
@@ -349,12 +371,12 @@ def late_fuse(
     Totals are kept per item in first-appearance order and summed run by run.
     """
     if not runs:
-        raise ValueError("no runs to fuse")
+        raise ConfigError("no runs to fuse")
     check_weights(weights, len(runs))
     qids = set(runs[0].entries)
     for i, run in enumerate(runs[1:], start=1):
         if set(run.entries) != qids:
-            raise ValueError(
+            raise FormatError(
                 f"run {run.run_tag!r} (index {i}) covers different query ids"
             )
 
@@ -380,48 +402,121 @@ def late_fuse(
 
 
 def write_run(path, run: RankedRun) -> None:
-    """Write a run file through `write_rows`."""
-    write_rows(
-        path,
-        (
-            (qid, list(map(itemgetter(0), entry)), list(map(itemgetter(1), entry)))
-            for qid, entry in run.entries.items()
-        ),
-        run.run_tag,
-    )
+    """Write a run file through `write_rows`, its item ids numbered in the
+    order they are first listed."""
+    number: dict[str, int] = {}
+    rows = [
+        (qid, [number.setdefault(item, len(number)) for item, _ in entry], [s for _, s in entry])
+        for qid, entry in run.entries.items()
+    ]
+    write_rows(path, list(number), rows, run.run_tag)
 
 
-def write_rows(path, rows: Iterable[RankedRow], run_tag: str) -> None:
-    """Write a run file from (query id, item ids, scores) rows, as they come.
+# Fills each line's fields to a fixed width. A tab cannot appear in a file
+# that is kept: `check_tokens` refuses it in every id and in the run tag,
+# and a refused file is removed. So one `bytes.translate` drops every pad.
+_PAD = b"\t"
 
-    Each query's lines are one `%` format, whose template repeats
-    `{qid} Q0 %s {rank} %.6f {run_tag}` and whose arguments are the item
-    ids and scores, interleaved. After the last row, `check_tokens` checks
-    the run tag, the query ids and the listed item ids, in that order. A
-    failed write or check leaves `path` as it was (`atomic_open`). The rows
-    are written as given: ordering, finite scores and distinct ids are the
-    caller's to guarantee (`RankedRun`, `ranked_rows`).
+
+def _words(text, n: int) -> np.ndarray:
+    """text(0), ..., text(n - 1), eight bytes each, as uint64 words."""
+    return np.frombuffer(b"".join(map(text, range(n))), np.uint64)
+
+
+# A score's `%.6f` text below 10 is eight bytes, "d.dddddd": one uint64 word,
+# OR-ed together from its units digit, its first three decimals and its last
+# three. Its sign takes a padded word of its own, indexed by signbit.
+_UNITS = _words(lambda d: b"%d.\0\0\0\0\0\0" % d, 10)
+_THOUSANDTHS = _words(lambda m: b"\0\0%03d\0\0\0" % m, 1000)
+_MILLIONTHS = _words(lambda m: b"\0\0\0\0\0%03d" % m, 1000)
+_SIGNS = _words(lambda negative: _PAD * 7 + (b"-" if negative else _PAD), 2)
+
+
+def write_rows(path, item_ids: Sequence[str], rows: Iterable[RankedRow], run_tag: str) -> None:
+    """Write a run file from (query id, positions into item_ids, scores)
+    rows, as they come.
+
+    Each query's lines are one (lines, width) byte array of fixed-width
+    fields, the query id and run tag in every line, compacted by one
+    `bytes.translate`. Each listed id is UTF-8-encoded once, when it is
+    first listed, into a table that the positions index. A score prints as
+    `%.6f` does, from the digits of r = rint(x), x = score * 1e6, wherever
+    |r| < 10^7 and x is not a half-integer: rounding is monotonic and such
+    half-integers are floats, so x then lies on the same side of each as
+    the exact product, and both round to r. The sign is `signbit`'s, so
+    -0.0 and scores in (-5e-7, 0) print -0.000000. Every other score goes
+    through Python's `%.6f`. After the last row,
+    `check_tokens` checks the run tag, the query ids and the listed item
+    ids, in that order. A failed write or check leaves `path` as it was
+    (`atomic_open`). The rows are written as given: ordering, finite scores
+    and distinct ids are the caller's to guarantee (`RankedRun`,
+    `ranked_rows`).
     """
-    tail = " " + run_tag.replace("%", "%%") + "\n"
-    fields: list[str] = []  # fields[r - 1] == "%s {r} %.6f"
+    listed = np.zeros(len(item_ids), dtype=bool)
+    table = np.zeros((len(item_ids), 0), np.uint8)  # table[p] is item_ids[p], padded
+    ranks = np.zeros((0, 0), np.uint8)  # ranks[r - 1] is " {r} ", padded
     query_ids = []
-    listed: set[str] = set()
-    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for qid, ids, scores in rows:
+    with atomic_open(path) as fh:
+        for qid, at, scores in rows:
             query_ids.append(qid)
-            n = len(ids)
+            at = np.asarray(at, dtype=np.intp)
+            n = len(at)
             if not n:
                 continue
-            fields.extend(f"%s {r} %.6f" for r in range(len(fields) + 1, n + 1))
-            head = qid.replace("%", "%%") + " Q0 "
-            values = [None] * (2 * n)
-            values[::2] = ids
-            values[1::2] = scores
-            fh.write((head + (tail + head).join(fields[:n]) + tail) % tuple(values))
-            listed.update(ids)
+            new = at[~listed[at]]
+            if new.size:
+                encoded = _padded([item_ids[p].encode() for p in new.tolist()], table.shape[1])
+                table = _widened(table, encoded.shape[1])
+                table[new] = encoded
+                listed[new] = True
+            if n > len(ranks):
+                ranks = _padded([f" {r} ".encode() for r in range(1, n + 1)])
+            head = np.frombuffer(f"{qid} Q0 ".encode(), np.uint8)
+            tail = np.frombuffer(f" {run_tag}\n".encode(), np.uint8)
+            line = np.concatenate([
+                np.broadcast_to(head, (n, head.size)),
+                table[at],
+                ranks[:n],
+                _score_fields(np.asarray(scores, dtype=np.float64)),
+                np.broadcast_to(tail, (n, tail.size)),
+            ], axis=1)
+            fh.write(line.tobytes().translate(None, _PAD))
         check_tokens(path, "run tag", [run_tag])
         check_tokens(path, "query id", query_ids)
-        check_tokens(path, "item id", listed)
+        check_tokens(path, "item id", [item_ids[p] for p in np.flatnonzero(listed).tolist()])
+
+
+def _padded(fields: list[bytes], width: int = 0) -> np.ndarray:
+    """The fields as the rows of a byte array at least width wide, padded."""
+    width = max(width, *map(len, fields))
+    block = np.frombuffer(b"".join(f.ljust(width, _PAD) for f in fields), np.uint8)
+    return block.reshape(len(fields), width)
+
+
+def _widened(a: np.ndarray, width: int) -> np.ndarray:
+    """a, padded on the right to at least width columns."""
+    if width <= a.shape[1]:
+        return a
+    return np.pad(a, ((0, 0), (0, width - a.shape[1])), constant_values=_PAD[0])
+
+
+def _score_fields(s: np.ndarray) -> np.ndarray:
+    """Each score's `%.6f` text, as the padded rows of a byte array."""
+    x = np.clip(s, -10.0, 10.0) * 1e6  # clipped: a larger score's product can overflow
+    r = np.rint(x)
+    exact = (np.abs(r) < 1e7) & (np.abs(x - r) != 0.5)  # x - r has no rounding
+    units, rest = np.divmod(np.where(exact, np.abs(r), 0.0).astype(np.int64), 1_000_000)
+    thousandths, millionths = np.divmod(rest, 1000)
+    field = np.empty((s.size, 2), np.uint64)
+    field[:, 0] = _SIGNS[np.signbit(s).view(np.uint8)]
+    field[:, 1] = _UNITS[units] | _THOUSANDTHS[thousandths] | _MILLIONTHS[millionths]
+    field = field.view(np.uint8)
+    other = np.flatnonzero(~exact)
+    if other.size:
+        text = _padded([b"%.6f" % v for v in s[other].tolist()], field.shape[1])
+        field = _widened(field, text.shape[1])
+        field[other] = text
+    return field
 
 
 def read_run(path) -> RankedRun:

@@ -23,7 +23,9 @@ bnl_loss and similarity_with_grad, which pull their cosines back with
 numeric.cosine_rows_vjp: the one cosine VJP here, as the scalar one is kept
 only in the tests' per-item oracle. Every walk over a corpus (fused_matrix,
 feature_importance) is _walk_blocks: fixed-size row blocks, one head at a
-time on each block's tables. No block reads another's result, so the walk
+time on each block's tables; fused_matrix can hand each block's fused rows
+to a consumer on the worker instead of keeping them, as search's
+similarity step does. No block reads another's result, so the walk
 hands its blocks, in order, to run_tasks, which runs them on the caller and
 helper threads (NumPy's GEMM and tanh release the interpreter lock), one
 worker per CPU and at least two blocks per worker; each block is computed
@@ -640,17 +642,23 @@ def _walk_blocks(model: LaffModel, bundles: list, branch: str, keep) -> None:
     run_tasks(math.ceil(len(bundles) / BLOCK_ROWS), embed, per_worker=2)
 
 
-def fused_matrix(model: LaffModel, bundles, branch: str) -> list[np.ndarray]:
+def fused_matrix(model: LaffModel, bundles, branch: str, consume=None) -> list[np.ndarray] | None:
     """Per-head (n, d) fused embeddings of a list of bundles on branch "video"
     or "text", each item embedded once per head, in _walk_blocks' blocks:
-    for corpus-wide ranking, where that beats re-running per query."""
+    for corpus-wide ranking, where that beats re-running per query.
+
+    Given consume, no (n, d) matrix is built: consume(rows, head, fused)
+    gets each block's fused rows instead, heads in order on the worker that
+    embedded the block, and None is returned."""
     bundles = list(bundles)
-    out = [np.empty((len(bundles), model.d)) for _ in model.heads]
+    out = None
+    if consume is None:
+        out = [np.empty((len(bundles), model.d)) for _ in model.heads]
 
-    def keep(rows: slice, head: int, state: BranchState) -> None:
-        out[head][rows] = state.fused
+        def consume(rows: slice, head: int, fused: np.ndarray) -> None:
+            out[head][rows] = fused
 
-    _walk_blocks(model, bundles, branch, keep)
+    _walk_blocks(model, bundles, branch, lambda rows, head, state: consume(rows, head, state.fused))
     return out
 
 

@@ -308,8 +308,8 @@ def bnl_loss(model: LaffModel, batch: list[Triplet], m: Margins):
 
 def batched_rank_scores(sims, query_ids, item_ids, top_k):
     """`evaluation.ranked_rows` as (item_id, score) lists by query id."""
-    rows = ranked_rows(sims, query_ids, item_ids, top_k)
-    return {qid: list(zip(ids, scores)) for qid, ids, scores in rows}
+    ids, rows = ranked_rows(sims, query_ids, item_ids, top_k)
+    return {qid: list(zip(ids[at].tolist(), scores.tolist())) for qid, at, scores in rows}
 
 
 def batched_rank(model: LaffModel, query: FeatureBundle, corpus, top_k):
@@ -380,15 +380,23 @@ def recall_at_k(entry, labels, k: int) -> float:
     return hits / len(relevant)
 
 
-def rank_many(model: LaffModel, queries, corpus, top_k):
-    """Batched similarities (the same float64 values as `rank_many`), sorted
-    per query by `rank_scores`."""
+def similarity_matrix(model: LaffModel, queries, corpus) -> np.ndarray:
+    """One GEMM per head over the whole corpus's fused rows, clipped, summed
+    over heads and divided by h: the reference for the blocked
+    `evaluation.similarity_matrix`."""
     vid = batched_fused_matrix(model, corpus, "video")
     txt = batched_fused_matrix(model, queries, "text")
     sims = np.zeros((len(queries), len(corpus)))
     for hv, ht in zip(vid, txt):
         sims += np.clip(unit_rows(ht)[0] @ unit_rows(hv)[0].T, -1.0, 1.0)
     sims /= model.h
+    return sims
+
+
+def rank_many(model: LaffModel, queries, corpus, top_k):
+    """Full-matrix similarities (`similarity_matrix`), sorted per query by
+    `rank_scores`."""
+    sims = similarity_matrix(model, queries, corpus)
     return rank_scores(sims, [q.item_id for q in queries], [b.item_id for b in corpus], top_k)
 
 

@@ -22,7 +22,7 @@ from per_item_oracle import batched_rank_scores as rank_scores
 from avsearch import fusion
 from avsearch.cli import _caption_scores
 from avsearch.errors import BundleMismatchError, DegenerateSimilarityWarning
-from avsearch.evaluation import rank_many
+from avsearch.evaluation import rank_many, similarity_matrix
 from avsearch.fusion import (
     BLOCK_ROWS,
     FeatureBundle,
@@ -370,6 +370,56 @@ class TestFusedMatrixThreads:
         assert {worker for worker, _ in seen} == {0, 1}
         assert [over for _, over in seen] == ["raise"] * 4
 
+
+class TestBlockedSimilarity:
+    """similarity_matrix adds each corpus block's similarities inside the
+    fused_matrix walk. The full-matrix formula of per_item_oracle gives the
+    same bits, on one worker or two, except in a one-row last block
+    (n = 1 mod BLOCK_ROWS, n > 1): NumPy takes that block's product through
+    GEMV, and on OpenBLAS 0.3.31 it differs from the full GEMM's last column
+    by up to 1.1e-16."""
+
+    def assert_full_matrix_bits(self, monkeypatch, model, queries, corpus):
+        want = oracle.similarity_matrix(model, queries, corpus)
+        n = len(corpus)
+        body = n - 1 if n % BLOCK_ROWS == 1 and n > 1 else n
+        for workers in (1, 2):
+            monkeypatch.setattr(fusion, "WORKERS", workers)
+            got = similarity_matrix(model, queries, corpus)
+            assert got.shape == want.shape
+            assert got[:, :body].tobytes() == want[:, :body].tobytes()
+            np.testing.assert_allclose(got[:, body:], want[:, body:], rtol=0, atol=2.3e-16)
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 513, 769])
+    def test_equals_the_full_matrix_formula(self, monkeypatch, rng, n):
+        model = paper_like_model(40)
+        queries = [random_bundle(f"q{i}", model.text_dims(), rng) for i in range(7)]
+        corpus = [random_bundle(f"v{i}", model.video_dims(), rng) for i in range(n)]
+        self.assert_full_matrix_bits(monkeypatch, model, queries, corpus)
+
+    def test_benchmark_shape(self, monkeypatch, rng):
+        # The search workload's 500 queries over 4000 videos at d=512, h=2,
+        # on narrow feature spaces: 15 full blocks and one of 160 rows.
+        model = randomized_model({"a": 6, "b": 4}, {"t": 5}, d=512, heads=2, seed=41)
+        queries = [random_bundle(f"q{i}", model.text_dims(), rng) for i in range(500)]
+        corpus = [random_bundle(f"v{i}", model.video_dims(), rng) for i in range(4000)]
+        self.assert_full_matrix_bits(monkeypatch, model, queries, corpus)
+
+    def test_no_corpus_sized_matrix(self, rng):
+        # The full-matrix formula holds two heads' (n, d) fused rows and
+        # their unit copies; the walk holds a few blocks' states and tables.
+        dims = {"a": 16, "b": 8}
+        model = init_model(dims, {"t": 8}, d=64, heads=2, seed=0)
+        queries = [random_bundle(f"q{i}", model.text_dims(), rng) for i in range(2)]
+        corpus = [random_bundle(f"v{i}", dims, rng) for i in range(16 * BLOCK_ROWS)]
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            sims = similarity_matrix(model, queries, corpus)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < sims.nbytes + len(corpus) * model.d * 8
 
 
 class TestFeatureImportanceThreads:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import per_item_oracle as oracle
 from per_item_oracle import batched_rank as rank, batched_rank_scores as rank_scores
 
-from avsearch.errors import FormatError, MetricError
+from avsearch.errors import ConfigError, FormatError, MetricError
 from avsearch.evaluation import (
     INF_AP_EPS,
     JudgmentSet,
@@ -405,6 +405,35 @@ class TestLateFuse:
         # Each weight is finite, but their sum is not.
         with pytest.raises(ValueError, match=r"weights \[1e\+308, 1e\+308\] sum to inf"):
             late_fuse([r, r], [1e308, 1e308])
+
+
+class TestErrorTypes:
+    """A bad setting is a ConfigError and bad ranking or run data a
+    FormatError, both ValueErrors, with the messages they always had."""
+
+    @pytest.mark.parametrize(
+        "call, kind, message",
+        [
+            (lambda m, c, r: rank_many(m, c[:1], [], 3), ConfigError, "empty corpus"),
+            (lambda m, c, r: rank_many(m, c[:1], c, 0), ConfigError, "top_k must be >= 1, got 0"),
+            (lambda m, c, r: rank_many(m, c[:1], c + c[:1], 3), FormatError, "duplicate item id 'v0'"),
+            (lambda m, c, r: late_fuse([r, r], [1.0]), ConfigError, "2 runs but 1 weights"),
+            (lambda m, c, r: late_fuse([r], [-1.0]), ConfigError, "weight -1.0 is not finite and nonnegative"),
+            (lambda m, c, r: late_fuse([r, r], [1e308, 1e308]), ConfigError,
+             "weights [1e+308, 1e+308] sum to inf, which is not finite"),
+            (lambda m, c, r: late_fuse([r], [0.0]), ConfigError, "weights [0.0] must sum to > 0"),
+            (lambda m, c, r: late_fuse([], []), ConfigError, "no runs to fuse"),
+            (lambda m, c, r: late_fuse([r, RankedRun({}, "other")], [1.0, 1.0]), FormatError,
+             "run 'other' (index 1) covers different query ids"),
+        ],
+    )
+    def test_typed_with_their_messages(self, rng, call, kind, message):
+        model = randomized_model({"a": 3}, {"a": 3}, d=4, heads=1, seed=3)
+        corpus = [random_bundle(f"v{i}", {"a": 3}, rng) for i in range(4)]
+        run = RankedRun({"q": [("a", 1.0)]}, "r")
+        with pytest.raises(kind) as exc:
+            call(model, corpus, run)
+        assert isinstance(exc.value, ValueError) and str(exc.value) == message
 
 
 class TestRunFiles:

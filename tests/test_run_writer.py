@@ -125,13 +125,109 @@ class TestWriterMatchesThePerLineOracle:
         p.write_text("old run\n")
 
         def rows():
-            yield "q1", ["a"], [0.5]
+            yield "q1", [0], [0.5]
             raise FormatError("late failure")
 
         with pytest.raises(FormatError, match="late failure"):
-            write_rows(p, rows(), "t")
+            write_rows(p, ["a"], rows(), "t")
         assert p.read_text() == "old run\n"
         assert [f.name for f in tmp_path.iterdir()] == ["r.run"]
+
+
+def near(x, ulps=4):
+    """x and the floats within ulps steps of it on either side."""
+    out = [x]
+    up = down = x
+    for _ in range(ulps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [float(up), float(down)]
+    return out
+
+
+# Scores where the digits of rint(score * 1e6) and %.6f could part: the
+# largest score the digits print (9.9999995 rounds up to 10.000000), halves
+# of the sixth decimal that binary holds exactly, products within a few 1e-9
+# of a half, signed zeros, negatives that print -0.000000, subnormals, huge
+# values and NumPy and Python ints.
+EDGE_SCORES = (
+    near(9.9999995) + near(-9.9999995) + near(0.0000005) + near(-0.0000005)
+    + [sign * k / 128 for k in range(1, 1281, 3) for sign in (1, -1)]
+    + [(k + 0.5 + delta) / 1e6 for k in (0, 7, 123456, 9999998)
+       for delta in (-1e-8, -4.5e-9, -4e-9, -3e-9, 0.0, 3e-9, 4e-9, 4.5e-9, 1e-8)]
+    + [0.0, -0.0, np.float64(-0.0), -1e-7, -4.99e-7, -1e-300, 5e-324, -5e-324, 2.2e-308]
+    + [1e300, -1e300, 1e7, 12.3456785, np.int64(7), np.int64(-3), 10**20, -(10**20) + 1, True, 3]
+)
+
+
+def as_rows(run: RankedRun, unlisted=()):
+    """The (ids, rows) of run as `ranked_rows` gives them: positions into a
+    shuffled id list that also holds the unlisted ids, and float64 scores."""
+    listed = list(dict.fromkeys(item for entry in run.entries.values() for item, _ in entry))
+    ids = listed + list(unlisted)
+    ids = [ids[i] for i in np.random.default_rng(len(ids)).permutation(len(ids))]
+    at = {item: p for p, item in enumerate(ids)}
+    rows = [
+        (qid, np.array([at[item] for item, _ in entry], dtype=np.intp),
+         np.array([score for _, score in entry], dtype=np.float64))
+        for qid, entry in run.entries.items()
+    ]
+    return ids, rows
+
+
+class TestRowsMatchThePerLineOracle:
+    """write_rows on `ranked_rows`' rows (positions, float64 scores) against
+    the per-line f-string writer on the same run."""
+
+    def assert_same(self, tmp_path, run, unlisted=()):
+        got = outcome(write_rows, tmp_path / "got.run", *as_rows(run, unlisted), run.run_tag)
+        want = outcome(oracle.write_run, tmp_path / "want.run", run)
+        assert got == want
+        return got
+
+    @pytest.mark.parametrize("query", range(8))
+    def test_edge_scores(self, tmp_path, query):
+        # One query per score, so the scores need not be in order.
+        scores = EDGE_SCORES[query::8]
+        run = RankedRun({f"q{i}": [("v", s)] for i, s in enumerate(scores)}, "t")
+        data, error = self.assert_same(tmp_path, run)
+        assert error is None and len(data.splitlines()) == len(scores)
+
+    def test_scores_near_halves_of_the_sixth_decimal(self, tmp_path):
+        rng = np.random.default_rng(7)
+        # Half of the scores are fl((k + 0.5) / 1e6), whose product with 1e6
+        # is mostly the half-integer itself: there rint's ties to even and
+        # %.6f's exact value can part.
+        k = rng.integers(-9_999_999, 9_999_999, 4000)
+        delta = np.where(rng.random(k.size) < 0.5, 0.0, rng.uniform(-2e-8, 2e-8, k.size))
+        scores = sorted(((k + 0.5 + delta) / 1e6).tolist(), reverse=True)
+        run = RankedRun({"q": [(f"v{i}", s) for i, s in enumerate(scores)]}, "t")
+        assert self.assert_same(tmp_path, run)[1] is None
+
+    def test_ids_that_a_template_or_padding_could_misread(self, tmp_path):
+        ids = ["%s", "%%", "%(x)s", "{}", "é", "日本", "𝒳", "a\x00b", "\x00", "x" * 300]
+        run = RankedRun(
+            {"запрос": [(item, 1.0 - i / 8) for i, item in enumerate(ids)],
+             "q\x00": [(item, 0.5) for item in reversed(ids)], "empty": []},
+            "τag",
+        )
+        data, error = self.assert_same(tmp_path, run)
+        assert error is None and "a\x00b".encode() in data
+
+    def test_an_unlisted_id_with_whitespace_is_not_checked(self, tmp_path):
+        run = RankedRun({"q": [("a", 0.5), ("b", 0.25)]}, "t")
+        assert self.assert_same(tmp_path, run, unlisted=["not listed", "", "x\ty"])[1] is None
+
+    @pytest.mark.parametrize(
+        "tag, qid, item, named",
+        [("a b", "q r", "v w", "run tag"), ("t", "q r", "v w", "query id"),
+         ("t", "q", "v w", "item id"), ("t\t", "q", "v", "run tag"),
+         ("t", "q\t", "v", "query id"), ("t", "q", "v\t", "item id")],
+    )
+    def test_checks_in_order_with_their_messages(self, tmp_path, tag, qid, item, named):
+        run = RankedRun({qid: [(item, 0.5)], "q2": []}, tag)
+        data, error = self.assert_same(tmp_path, run)
+        assert data is None and f": {named} " in error
+        assert sorted(f.name for f in tmp_path.iterdir()) == []
 
 
 def tied_scores(rng, m, n):
@@ -152,7 +248,7 @@ class TestStreamedRunMatchesTheTupleRun:
 
     def assert_same_file(self, tmp_path, sims, query_ids, item_ids, top_k):
         streamed, tuples, reference = (tmp_path / n for n in ("s.run", "t.run", "o.run"))
-        write_rows(streamed, ranked_rows(sims, query_ids, item_ids, top_k), "tag")
+        write_rows(streamed, *ranked_rows(sims, query_ids, item_ids, top_k), "tag")
         write_run(tuples, RankedRun(rank_scores(sims, query_ids, item_ids, top_k), "tag"))
         oracle.write_run(
             reference, RankedRun(oracle.rank_scores(sims, query_ids, item_ids, top_k), "tag")
@@ -188,7 +284,7 @@ class TestStreamedRunMatchesTheTupleRun:
         queries = [random_bundle(f"q{i}", model.text_dims(), rng) for i in range(6)]
         for top_k in (1, 12, len(corpus)):
             streamed, tuples = tmp_path / "s.run", tmp_path / "t.run"
-            write_rows(streamed, rank_rows(model, queries, corpus, top_k), "tag")
+            write_rows(streamed, *rank_rows(model, queries, corpus, top_k), "tag")
             oracle.write_run(tuples, RankedRun(rank_many(model, queries, corpus, top_k), "tag"))
             assert streamed.read_bytes() == tuples.read_bytes()
 
