@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, MetricError
 from .featio import atomic_open, check_tokens, read_fields, utf8_error
-from .fusion import FeatureBundle, LaffModel, fused_matrix
+from .fusion import BranchState, FeatureBundle, LaffModel, fused_matrix
 from .numeric import unit_rows
 
 INF_AP_EPS = 1e-5
@@ -108,9 +108,9 @@ def similarity_matrix(
     unit_text = [unit_rows(t)[0] for t in fused_matrix(model, queries, "text")]
     sims = np.zeros((len(queries), len(corpus)))
 
-    def add(rows: slice, head: int, fused: np.ndarray) -> None:
+    def add(rows: slice, head: int, state: BranchState) -> None:
         block = sims[:, rows]
-        cosines = unit_text[head] @ unit_rows(fused)[0].T
+        cosines = unit_text[head] @ unit_rows(state.fused)[0].T
         block += np.clip(cosines, -1.0, 1.0, out=cosines)
         if head == model.h - 1:
             block /= model.h
@@ -133,12 +133,10 @@ def rank_rows(
     lists the corpus in id order. A non-finite similarity, as one NaN
     feature value gives, raises FormatError naming the query and the item:
     sorting would put NaN last and silently drop the item from every list.
-    Every error is raised at the call, before the first row is taken.
+    Every error is raised at the call, before the first row is taken, and
+    an empty corpus or a top_k below 1 before anything is embedded.
     """
-    if not corpus:
-        raise ConfigError("empty corpus")
-    if top_k < 1:
-        raise ConfigError(f"top_k must be >= 1, got {top_k}")
+    _check_ranking(len(corpus), top_k)
     return ranked_rows(
         similarity_matrix(model, queries, corpus),
         [q.item_id for q in queries],
@@ -165,9 +163,9 @@ def ranked_rows(
     rows (query id, positions into those ids, scores) of the top_k items of
     each row of a (queries, items) matrix, one row at a time).
 
-    Order and the non-finite rule are `rank_rows`'. The item ids must be
-    distinct. Both are checked at the call, for the whole matrix, so a
-    caller that writes the rows as they come has nothing to undo. The
+    Order, errors and the non-finite rule are `rank_rows`'; the item ids
+    must be distinct. All is checked at the call, for the whole matrix, so
+    a caller that writes the rows as they come has nothing to undo. The
     columns are put in id order once, so a stable sort of a row on -score
     breaks ties by id. Only the items scoring at least the top_k-th largest
     score are sorted: that keeps every tie at the cut, in id order. When
@@ -175,8 +173,17 @@ def ranked_rows(
     -0.0 included. So each row lists distinct ids, by non-increasing
     finite scores.
     """
+    _check_ranking(len(item_ids), top_k)
     by_id, ids_by_id = _id_order(sims, query_ids, item_ids)
     return ids_by_id, _top_k_rows(sims, query_ids, by_id, top_k)
+
+
+def _check_ranking(n_items: int, top_k: int) -> None:
+    """Refuse a ranking of no items or of a top_k below 1."""
+    if not n_items:
+        raise ConfigError("empty corpus")
+    if top_k < 1:
+        raise ConfigError(f"top_k must be >= 1, got {top_k}")
 
 
 def _id_order(sims, query_ids, item_ids) -> tuple[np.ndarray, np.ndarray]:
@@ -314,7 +321,10 @@ def mean_metric(
         labels = judgments.judgments.get(qid)
         if labels is None:
             continue
-        per_query[qid] = metric(entry, labels)
+        try:
+            per_query[qid] = metric(entry, labels)
+        except MetricError as exc:
+            raise MetricError(f"query {qid!r}: {exc}") from None
     if not per_query:
         raise MetricError("no run query has judgments")
     return sum(per_query.values()) / len(per_query), per_query

@@ -21,11 +21,11 @@ laff_forward and laff_vjp call batch_forward (and batch_backward) on
 one-row tables. head_forwards runs every head on the same tables, for
 bnl_loss and similarity_with_grad, which pull their cosines back with
 numeric.cosine_rows_vjp: the one cosine VJP here, as the scalar one is kept
-only in the tests' per-item oracle. Every walk over a corpus (fused_matrix,
-feature_importance) is _walk_blocks: fixed-size row blocks, one head at a
-time on each block's tables; fused_matrix can hand each block's fused rows
-to a consumer on the worker instead of keeping them, as search's
-similarity step does. No block reads another's result, so the walk
+only in the tests' per-item oracle. Every walk over a corpus is
+fused_matrix: fixed-size row blocks, one head at a time on each block's
+tables; it keeps each block's fused rows, or hands each block's BranchState
+to a consumer on the worker instead, as search's similarity step and
+feature_importance do. No block reads another's result, so the walk
 hands its blocks, in order, to run_tasks, which runs them on the caller and
 helper threads (NumPy's GEMM and tanh release the interpreter lock), one
 worker per CPU and at least two blocks per worker; each block is computed
@@ -49,7 +49,7 @@ from threading import Event, Lock, Thread
 
 import numpy as np
 
-from .errors import BundleMismatchError, DimensionError
+from .errors import BundleMismatchError, ConfigError, DimensionError
 from .numeric import (
     LinearTanhParams,
     as_features,
@@ -312,12 +312,12 @@ def init_model(
 # Batched forward / backward through one branch
 # ---------------------------------------------------------------------------
 
-# Items per block of _walk_blocks (fused_matrix, feature_importance), so
-# that peak memory does not grow with the number of items.
+# Items per block of fused_matrix's walk, so that peak memory does not grow
+# with the number of items.
 BLOCK_ROWS = 256
 
 # The most threads that run_tasks runs on, the caller included: the CPUs
-# this process may run on. They embed _walk_blocks' blocks, run
+# this process may run on. They embed fused_matrix's blocks, run
 # head_forwards' heads and step a training step's arrays; outputs do not
 # depend on their number.
 if hasattr(os, "sched_getaffinity"):
@@ -575,17 +575,12 @@ def run_tasks(n: int, task, per_worker: int = 1) -> None:
     The caller (worker 0) and up to WORKERS - 1 helper threads (workers 1,
     2, ...) take the tasks in order from one shared counter, so a slower CPU
     simply takes fewer of them; each worker gets at least per_worker tasks,
-    and with fewer than two workers the caller runs them all in order. A
-    helper runs in a copy of the caller's context, so the caller's
-    np.errstate holds there too. After a task fails no worker takes another,
-    and once every helper is joined the earliest failed task's error is
-    raised: the one the serial loop raises.
+    and with one worker the caller runs them all in order. A helper runs in
+    a copy of the caller's context, so the caller's np.errstate holds there
+    too. After a task fails no worker takes another, and once every helper
+    is joined the earliest failed task's error is raised, as a serial loop's.
     """
     workers = min(WORKERS, n // per_worker)
-    if workers < 2:
-        for i in range(n):
-            task(i, 0)
-        return
     todo = iter(range(n))
     lock = Lock()
     stop = Event()
@@ -624,41 +619,35 @@ def run_tasks(n: int, task, per_worker: int = 1) -> None:
         raise errors[min(errors)]
 
 
-def _walk_blocks(model: LaffModel, bundles: list, branch: str, keep) -> None:
-    """keep(rows, head, state) with each head's BranchState on each block of
-    BLOCK_ROWS bundles (rows, a slice) on branch "video" or "text", stacked
-    once, on run_tasks' workers (see the module docstring). A worker holds
-    one block and one head's state at a time."""
+def fused_matrix(model: LaffModel, bundles, branch: str, consume=None) -> list[np.ndarray] | None:
+    """Per-head (n, d) fused embeddings of a list of bundles on branch "video"
+    or "text", each item embedded once per head: the one walk over a corpus,
+    for corpus-wide ranking, where that beats re-running per query.
+
+    Each block of BLOCK_ROWS bundles (rows, a slice) is stacked once and run
+    one head at a time, on run_tasks' workers (see the module docstring); a
+    worker holds one block and one head's state at a time. Given consume, no
+    (n, d) matrix is built: consume(rows, head, state) gets each block's
+    BranchState instead, heads in order on the worker that embedded the
+    block, and None is returned."""
     if branch not in ("video", "text"):
-        raise ValueError(f"branch must be 'video' or 'text', got {branch!r}")
+        raise ConfigError(f"branch must be 'video' or 'text', got {branch!r}")
+    bundles = list(bundles)
     branches = [getattr(head, branch) for head in model.heads]
+    out = None
+    if consume is None:
+        out = [np.empty((len(bundles), model.d)) for _ in model.heads]
+
+        def consume(rows: slice, head: int, state: BranchState) -> None:
+            out[head][rows] = state.fused
 
     def embed(block: int, _worker: int) -> None:
         rows = slice(block * BLOCK_ROWS, (block + 1) * BLOCK_ROWS)
         tables = branch_tables(branches[0], bundles[rows])
         for head, bp in enumerate(branches):
-            keep(rows, head, batch_forward(bp, tables))
+            consume(rows, head, batch_forward(bp, tables))
 
     run_tasks(math.ceil(len(bundles) / BLOCK_ROWS), embed, per_worker=2)
-
-
-def fused_matrix(model: LaffModel, bundles, branch: str, consume=None) -> list[np.ndarray] | None:
-    """Per-head (n, d) fused embeddings of a list of bundles on branch "video"
-    or "text", each item embedded once per head, in _walk_blocks' blocks:
-    for corpus-wide ranking, where that beats re-running per query.
-
-    Given consume, no (n, d) matrix is built: consume(rows, head, fused)
-    gets each block's fused rows instead, heads in order on the worker that
-    embedded the block, and None is returned."""
-    bundles = list(bundles)
-    out = None
-    if consume is None:
-        out = [np.empty((len(bundles), model.d)) for _ in model.heads]
-
-        def consume(rows: slice, head: int, fused: np.ndarray) -> None:
-            out[head][rows] = fused
-
-    _walk_blocks(model, bundles, branch, lambda rows, head, state: consume(rows, head, state.fused))
     return out
 
 
@@ -700,7 +689,7 @@ def feature_importance(
 
     Returns (space_name, mean_weight) sorted by weight descending (ties by
     name); the means sum to 1. High-weight spaces are the ones worth keeping
-    when trimming the feature set. _walk_blocks' per-block, per-head weight
+    when trimming the feature set. fused_matrix's per-block, per-head weight
     sums are added in block-then-head order, whatever the CPU count.
     """
     dataset = list(dataset)
@@ -709,9 +698,9 @@ def feature_importance(
     def keep(rows: slice, head: int, state: BranchState) -> None:
         sums[rows.start, head] = state.weights.sum(axis=0)
 
-    _walk_blocks(model, dataset, branch, keep)
+    fused_matrix(model, dataset, branch, keep)
     if not dataset:
-        raise ValueError("feature_importance needs a nonempty dataset")
+        raise ConfigError("feature_importance needs a nonempty dataset")
     spaces = getattr(model, f"{branch}_spaces")
     acc = sum((sums[key] for key in sorted(sums)), np.zeros(len(spaces)))
     means = acc / (len(dataset) * model.h)

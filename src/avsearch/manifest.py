@@ -184,7 +184,7 @@ def load_feature_bundles(
     Its tables are whole files, so it cannot be combined with ids.
     """
     if ids is not None and decoded is not None:
-        raise ValueError("ids and decoded cannot be given together")
+        raise ConfigError("ids and decoded cannot be given together")
     keep = None if ids is None else set(ids)
     decoded = {} if decoded is None else decoded
     spaces: dict[str, FeatureTable] = {}

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateSimilarityWarning
+from .errors import ConfigError, DegenerateSimilarityWarning, DimensionError, FormatError, MetricError
 from .featio import check_tokens
 from .fusion import (
     FeatureBundle,
@@ -94,18 +94,18 @@ class Caption:
 
     def __post_init__(self):
         if not self.tokens:
-            raise ValueError(f"caption {self.item_id!r} has no tokens")
+            raise FormatError(f"caption {self.item_id!r} has no tokens")
         # A caption file joins tokens with spaces and splits them on whitespace.
         check_tokens(f"caption {self.item_id!r}", "token", self.tokens)
         if self.pos_tags is not None:
             if len(self.pos_tags) != len(self.tokens):
-                raise ValueError(
+                raise FormatError(
                     f"caption {self.item_id!r}: {len(self.pos_tags)} tags"
                     f" for {len(self.tokens)} tokens"
                 )
             bad = sorted(set(self.pos_tags) - COARSE_TAGS)
             if bad:
-                raise ValueError(f"caption {self.item_id!r}: unknown tags {bad}")
+                raise FormatError(f"caption {self.item_id!r}: unknown tags {bad}")
 
     @property
     def text(self) -> str:
@@ -151,7 +151,7 @@ class Triplet:
 
     def __post_init__(self):
         if (self.negated is None) != (self.negated_features is None):
-            raise ValueError(
+            raise ConfigError(
                 "negated caption and negated features must be given together"
             )
 
@@ -271,12 +271,12 @@ def hardest_negatives(sim: np.ndarray) -> np.ndarray:
     """
     sim = np.asarray(sim, dtype=np.float64)
     if sim.ndim != 2:
-        raise ValueError(f"similarity matrix must be 2-D, got shape {sim.shape}")
+        raise DimensionError(f"similarity matrix must be 2-D, got shape {sim.shape}")
     n_videos, n_queries = sim.shape
     if n_videos < 2:
-        raise ValueError("hardest negative needs at least two videos")
+        raise DimensionError("hardest negative needs at least two videos")
     if n_queries > n_videos:
-        raise ValueError(f"{n_queries} queries but only {n_videos} positive videos")
+        raise DimensionError(f"{n_queries} queries but only {n_videos} positive videos")
     masked = sim.copy()
     cols = np.arange(n_queries)
     masked[cols, cols] = -np.inf
@@ -323,7 +323,7 @@ def bnl_loss(
     """
     n = len(batch)
     if n < 2:
-        raise ValueError(f"batch of {n}: hardest-negative mining needs >= 2 videos")
+        raise ConfigError(f"batch of {n}: hardest-negative mining needs >= 2 videos")
     inv_h = 1.0 / model.h
     inv_n = 1.0 / n
     rows = np.arange(n)
@@ -433,7 +433,7 @@ def gap_in_window_fraction(model: LaffModel, triplets, m: Margins) -> float:
     """Fraction of negated triplets whose gap s(x+,q) - s(x+,q-) lies in [m1, m2]."""
     negated = [t for t in triplets if t.has_negated]
     if not negated:
-        raise ValueError("no negated triplets in dataset")
+        raise MetricError("no negated triplets in dataset")
     videos = [t.video for t in negated]
     gap = pair_similarities(model, videos, [t.caption_features for t in negated])
     gap -= pair_similarities(model, videos, [t.negated_features for t in negated])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSimilarityWarning, DimensionError
+from .errors import ConfigError, DegenerateSimilarityWarning, DimensionError, MetricError
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:
@@ -216,7 +216,7 @@ def grad_check(f, grad, x, h: float = 1e-5, tol: float | None = None) -> float:
     If tol is given and exceeded, GradientCheckError is raised.
     """
     if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
+        raise ConfigError(f"h must be positive, got {h}")
     x = np.asarray(x, dtype=np.float64)
     analytic = np.asarray(grad(x), dtype=np.float64)
     if analytic.shape != x.shape:
@@ -233,7 +233,7 @@ def grad_check(f, grad, x, h: float = 1e-5, tol: float | None = None) -> float:
         fp = float(f(xp.reshape(x.shape)))
         fm = float(f(xm.reshape(x.shape)))
         if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise ValueError(f"f is non-finite near component {i}")
+            raise MetricError(f"f is non-finite near component {i}")
         numeric[i] = (fp - fm) / (2.0 * h)
     a = analytic.ravel()
     denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-8)

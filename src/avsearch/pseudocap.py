@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .featio import atomic_open, check_fields, read_fields
 
 
@@ -37,7 +37,7 @@ class CandidateSet:
 
     def __post_init__(self):
         if not self.candidates:
-            raise ValueError(f"video {self.video_id!r} has no caption candidates")
+            raise FormatError(f"video {self.video_id!r} has no caption candidates")
 
 
 def normalize_caption(text: str) -> str:
@@ -68,7 +68,7 @@ def select_pseudo_captions(
     holds min(k, distinct count) entries.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ConfigError(f"k must be >= 1, got {k}")
     scored = [(cand, float(score(cand.text))) for cand in kept_candidates(cands)]
     for cand, s in scored:
         if not math.isfinite(s):

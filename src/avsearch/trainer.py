@@ -210,7 +210,7 @@ def train_epoch(
     or gradient aborts with the offending batch named.
     """
     if not dataset:
-        raise ValueError("empty training dataset")
+        raise ConfigError("empty training dataset")
     rng = np.random.default_rng([cfg.seed, epoch_index])
     order = rng.permutation(len(dataset))
     lr = cfg.learning_rate * cfg.lr_decay**epoch_index
@@ -239,7 +239,7 @@ def train_epoch(
         total += loss * len(batch)
         count += len(batch)
     if count == 0:
-        raise ValueError("dataset yielded no batch of size >= 2")
+        raise ConfigError("dataset yielded no batch of size >= 2")
     # NaN propagates through min and max, so both are finite exactly when
     # every parameter is, and neither allocates or can overflow.
     if not (math.isfinite(params.min()) and math.isfinite(params.max())):

@@ -25,6 +25,7 @@ from avsearch.errors import BundleMismatchError, DegenerateSimilarityWarning
 from avsearch.evaluation import rank_many, similarity_matrix
 from avsearch.fusion import (
     BLOCK_ROWS,
+    BranchState,
     FeatureBundle,
     batch_forward,
     branch_tables,
@@ -206,6 +207,39 @@ class TestFusedMatrixThreads:
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [0, 1, 256, 257, 769])
+    def test_consume_gets_each_blocks_state_once_per_head_in_order(
+        self, monkeypatch, rng, started_threads, workers, n
+    ):
+        model = randomized_model({"a": 3, "b": 2}, {"t": 2}, d=4, heads=2, seed=42)
+        bundles = [random_bundle(f"v{i}", model.video_dims(), rng) for i in range(n)]
+        kept = embed_with(monkeypatch, 1, model, bundles, "video")
+        monkeypatch.setattr(fusion, "WORKERS", workers)
+        calls = []  # list.append is atomic, so helpers may share the list
+
+        def consume(rows, head, state):
+            calls.append((rows, head, threading.get_ident(), state))
+
+        assert fused_matrix(model, bundles, "video", consume) is None
+        by_block = {}
+        for rows, head, ident, state in calls:
+            by_block.setdefault(rows.start, []).append((rows, head, ident, state))
+        assert sorted(by_block) == list(range(0, n, BLOCK_ROWS))
+        covered = np.zeros(n, dtype=int)
+        for block in by_block.values():
+            assert [head for _, head, _, _ in block] == list(range(model.h))
+            assert len({ident for _, _, ident, _ in block}) == 1  # the worker that embedded it
+            rows = block[0][0]
+            covered[rows] += 1
+            for _, head, _, state in block:
+                assert isinstance(state, BranchState)
+                assert state.fused.tobytes() == kept[head][rows].tobytes()
+        assert (covered == 1).all()
+        blocks = -(-n // BLOCK_ROWS)
+        assert len(started_threads) == max(min(workers, blocks // 2) - 1, 0)
+        assert_all_joined(started_threads)
+
     def test_stress_every_block_once(self, monkeypatch, rng, started_threads):
         monkeypatch.setattr(fusion, "BLOCK_ROWS", 3)
         model = paper_like_model(34)
@@ -352,6 +386,26 @@ class TestFusedMatrixThreads:
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    @pytest.mark.parametrize("workers, n, per_worker", [(1, 6, 1), (4, 3, 2)])
+    def test_one_worker_runs_the_tasks_in_order_on_the_caller(
+        self, monkeypatch, started_threads, workers, n, per_worker
+    ):
+        # One worker, from WORKERS 1 or too few tasks to share: no helper
+        # starts, and the caller stops at the failed task and raises its error.
+        monkeypatch.setattr(fusion, "WORKERS", workers)
+        ran = []
+
+        def task(i, worker):
+            ran.append((i, worker, threading.get_ident()))
+            if i == 1:
+                raise KeyError(f"task {i}")
+
+        with pytest.raises(KeyError) as exc:
+            fusion.run_tasks(n, task, per_worker)
+        assert exc.value.args == ("task 1",)
+        assert ran == [(0, 0, threading.get_ident()), (1, 0, threading.get_ident())]
+        assert not started_threads
 
     def test_helpers_keep_the_callers_errstate(self, monkeypatch, started_threads):
         # Four 100 ms tasks on two workers: the helper takes some of them,

@@ -479,6 +479,17 @@ class TestSearchEvalPipeline:
         assert "mAP\t0.8333" in out
         assert "infAP\t" in out
 
+    @pytest.mark.parametrize("header", ["", "#sampled\n"])
+    def test_eval_names_a_query_without_relevant_items(self, tmp_path, capsys, header):
+        run = tmp_path / "run.txt"
+        run.write_text("q1 Q0 a 1 0.900000 t\nq2 Q0 a 1 0.900000 t\n")
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text(header + "q1 0 a 1\nq2 0 a 0\n")
+        assert run_cli("eval", "--run", run, "--qrels", qrels) == 1
+        assert capsys.readouterr().err == (
+            "error: query 'q2': average precision undefined: no relevant items\n"
+        )
+
     def test_eval_per_query(self, tmp_path, capsys):
         run = tmp_path / "run.txt"
         run.write_text("q1 Q0 a 1 0.900000 t\n")

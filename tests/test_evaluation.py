@@ -19,12 +19,15 @@ from avsearch.evaluation import (
     late_fuse,
     mean_metric,
     rank_many,
+    rank_rows,
+    ranked_rows,
     read_qrels,
     relevant_ranks,
     read_run,
     write_qrels,
     write_run,
 )
+from avsearch import evaluation
 from avsearch.fusion import FeatureBundle, similarity
 
 from conftest import mutated, random_bundle, randomized_model, typed_outcome
@@ -178,6 +181,32 @@ class TestRelevantRanks:
             relevant_ranks(sims, query_ids, item_ids, [(0, ["a"])])
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize(
+        "item_ids, top_k, message",
+        [
+            (["a", "b", "c"], 0, "top_k must be >= 1, got 0"),
+            (["a", "b", "c"], -2, "top_k must be >= 1, got -2"),
+            ([], 3, "empty corpus"),
+            ([], 0, "empty corpus"),
+        ],
+    )
+    def test_ranked_rows_refuses_no_items_and_top_k_below_one(self, item_ids, top_k, message):
+        # Checked at the call, like rank_rows, not by NumPy in the first row.
+        with pytest.raises(ConfigError) as exc:
+            ranked_rows(np.zeros((1, len(item_ids))), ["q"], item_ids, top_k)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("corpus_size, top_k", [(3, 0), (0, 3)])
+    def test_rank_rows_refuses_before_embedding(self, monkeypatch, rng, corpus_size, top_k):
+        def refuse(*args):
+            raise AssertionError("embedded")
+
+        monkeypatch.setattr(evaluation, "similarity_matrix", refuse)
+        model = randomized_model({"a": 3}, {"t": 2}, d=4, heads=1, seed=0)
+        corpus = [random_bundle(f"v{i}", {"a": 3}, rng) for i in range(corpus_size)]
+        with pytest.raises(ConfigError):
+            rank_rows(model, [random_bundle("q", {"t": 2}, rng)], corpus, top_k)
+
 
 class TestAveragePrecision:
     def test_single_relevant_at_rank_one(self):
@@ -296,6 +325,20 @@ class TestMeanMetric:
         run = RankedRun({"q1": [("a", 1.0)]}, "t")
         with pytest.raises(MetricError):
             mean_metric(run, JudgmentSet({"other": {"a": 1}}), average_precision)
+
+    @pytest.mark.parametrize(
+        "metric, complete, message",
+        [
+            (average_precision, True, "average precision undefined: no relevant items"),
+            (inf_ap, False, "inferred AP undefined: no judged-relevant items"),
+        ],
+    )
+    def test_undefined_metric_names_its_query(self, metric, complete, message):
+        run = RankedRun({"q1": [("a", 1.0)], "q2": [("b", 1.0), ("a", 0.5)]}, "t")
+        js = JudgmentSet({"q1": {"a": 1}, "q2": {"a": 0, "b": 0}}, complete)
+        with pytest.raises(MetricError) as exc:
+            mean_metric(run, js, metric)
+        assert str(exc.value) == f"query 'q2': {message}"
 
 
 def random_runs_to_fuse(rng) -> tuple[list[RankedRun], list[float]]:
